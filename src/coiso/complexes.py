@@ -65,10 +65,6 @@ class SimplicialComplex:
                 f = c[:pos] + c[pos + 1:]
                 yield lower[f], j, (-1) ** pos
 
-    def skeleton_cells(self, k: int):
-        """All cell tuples of dimension <= k."""
-        return [c for d in range(min(k, self.dim) + 1) for c in self.cells[d]]
-
     def to_json_dict(self):
         tops = top_cells(self)
         return {"dim": self.dim, "simplices": [list(c) for c in tops]}
@@ -240,10 +236,6 @@ class GridCubeComplex:
 
 def build_grid_cube_complex(n: int, r: int) -> GridCubeComplex:
     return GridCubeComplex(n, r)
-
-
-def complex_to_json(X) -> str:
-    return json.dumps(X.to_json_dict(), sort_keys=True)
 
 
 def complex_from_json_dict(d):

@@ -1,8 +1,9 @@
 """Exact rational arithmetic backend.
 
 All contract-bearing numbers in this package are exact rationals.  gmpy2's
-mpq is used when available (it is a drop-in for Fraction here and roughly an
-order of magnitude faster); fractions.Fraction is the fallback.  Both expose
+mpq is used when it is installed (a drop-in for Fraction here and roughly an
+order of magnitude faster).  gmpy2 is optional and often absent; then
+fractions.Fraction is the backend, and it is the one CI tests.  Both expose
 .numerator/.denominator and print as "p/q" or "p", which is the serialized
 form everywhere.
 """
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 try:
     from gmpy2 import mpq as RAT
-except ImportError:  # pragma: no cover - gmpy2 is normally present
+except ImportError:  # gmpy2 is optional
     RAT = Fraction
 
 ZERO = RAT(0)

@@ -258,7 +258,7 @@ def linf_fill_rational(X, omega: Cochain) -> FillingResult:
     achieved norm).  Raises NotACoboundary with a pairing witness otherwise.
     """
     ctx = get_fill_context(X, omega.k)
-    dense = omega.dense(X.n_cells(omega.k))
+    dense = _omega_dense(X, omega)
     wit = ctx.coboundary_witness(dense)
     if wit is not None:
         raise NotACoboundary(*wit)
@@ -268,6 +268,17 @@ def linf_fill_rational(X, omega: Cochain) -> FillingResult:
     return FillingResult(alpha=alpha, omega=omega, ring="rat",
                          norm_inf_alpha=t, certificate=resid,
                          details={"lp_mode": mode, "optimal": True})
+
+
+def _omega_dense(X, omega: Cochain):
+    """Dense values of omega; entries off the k-cells of X are an error,
+    never dropped."""
+    n = X.n_cells(omega.k)
+    bad = sorted(i for i in omega.entries if not 0 <= i < n)
+    if bad:
+        raise FillingError("omega has entries at indices %s outside the %d "
+                           "%d-cells" % (bad[:4], n, omega.k))
+    return omega.dense(n)
 
 
 def _residual(ctx, alpha_vec, omega_dense) -> Cochain:
@@ -337,7 +348,7 @@ def integral_fill(X, omega: Cochain) -> FillingResult:
         raise FillingError("integral_fill needs an integral omega")
     ctx = get_fill_context(X, omega.k)
     k = omega.k
-    dense = omega.dense(X.n_cells(k))
+    dense = _omega_dense(X, omega)
     wit = ctx.coboundary_witness(dense)
     if wit is not None:
         raise NotACoboundary(*wit)

@@ -70,8 +70,13 @@ class Cochain:
 
     @classmethod
     def from_json_dict(cls, d):
-        return cls(int(d["k"]), {int(i): rat(s) for i, s in d["entries"]},
-                   d.get("ring", "rat"))
+        try:
+            return cls(int(d["k"]), {int(i): rat(s) for i, s in d["entries"]},
+                       d.get("ring", "rat"))
+        except HomalgError:
+            raise
+        except (ValueError, KeyError, TypeError) as e:
+            raise HomalgError(f"malformed cochain JSON: {type(e).__name__}: {e}") from e
 
 
 class Chain(Cochain):
@@ -106,10 +111,6 @@ def volume_norm(c: Chain):
     for v in c.entries.values():
         s += -v if v < 0 else v
     return s
-
-
-def cochain_to_json(c: Cochain) -> str:
-    return json.dumps(c.to_json_dict(), sort_keys=True)
 
 
 def load_cochain(path) -> Cochain:

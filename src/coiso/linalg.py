@@ -104,9 +104,10 @@ class _Echelon:
     def reduce_rhs(self, b):
         """Apply the recorded row operations to a dense rhs."""
         y = list(b)
-        for t, s, f in self.ops:
-            if f:
-                y[t] = y[t] - f * y[s]
+        for t, s, f in self.ops:      # f is never 0: only nonzeros are eliminated
+            ys = y[s]
+            if ys:
+                y[t] = y[t] - f * ys
         return y
 
     def residual_row(self, b):
@@ -136,7 +137,7 @@ class RationalSolver(_Echelon):
         return entry / pval
 
     def solve(self, b):
-        y = self.reduce_rhs([RAT(v) for v in b])
+        y = self.reduce_rhs([RAT(v) if v else ZERO for v in b])
         for i in self.zero_rows:
             if y[i]:
                 return None
@@ -149,7 +150,8 @@ class RationalSolver(_Echelon):
                     xj = x[j]
                     if xj:
                         s -= v * xj
-            x[col] = s / row[col]
+            if s:
+                x[col] = s / row[col]
         return x
 
     def nullspace(self):
@@ -230,7 +232,3 @@ def transpose_rows(rows, ncols):
         for j, v in r.items():
             out[j][i] = v
     return out
-
-
-def rank_of(rows, ncols) -> int:
-    return RationalSolver(rows, ncols).rank

@@ -169,8 +169,8 @@ def _pivot(T, rhs, basis, leave, enter):
 # ---------------------------------------------------------------------------
 # ell-infinity minimal preimage under a sparse integer map
 
-_ATTEMPTS = (("highs-ipm", 1e-7), ("highs-ipm", 1e-9), ("highs-ipm", 1e-5),
-             ("highs-ds", 1e-7))
+# (method, tolerances): one HiGHS run per method, read at each tolerance
+_ATTEMPTS = (("highs-ipm", (1e-7, 1e-9, 1e-5)), ("highs-ds", (1e-7,)))
 _TINY = 48          # below this many variables the dense simplex is cheap
 _MAX_LEVELS = 512
 
@@ -188,7 +188,6 @@ class LinfProblem:
         self.n = ncols
         self.cols = transpose_rows(self.rows, ncols)
         self._scipy = None
-        self._float_cache = {}
 
     def solve(self, omega):
         """(alpha, t, mode): exact optimal alpha, certified optimal norm, and
@@ -197,8 +196,8 @@ class LinfProblem:
         if all(v == 0 for v in omega):
             return [ZERO] * self.n, ZERO, "zero"
 
-        for method, tol in _ATTEMPTS:
-            out = self._reconstruct(omega, method, tol)
+        for res, tol in self._guesses(omega):
+            out = self._reconstruct(omega, res, tol)
             if out is not None:
                 return out[0], out[1], "reconstructed"
 
@@ -238,24 +237,29 @@ class LinfProblem:
         return self._scipy
 
     def _float_solve(self, omega, method):
-        key = (method, tuple(float(v) for v in omega))
-        if key in self._float_cache:
-            return self._float_cache[key]
         np, A_eq, A_ub, cvec, bounds = self._scipy_setup()
         from scipy.optimize import linprog
 
-        res = linprog(cvec, A_ub=A_ub, b_ub=np.zeros(2 * self.n), A_eq=A_eq,
-                      b_eq=np.array(key[1]), bounds=bounds, method=method)
-        self._float_cache.clear()   # keep at most the latest
-        self._float_cache[key] = res
-        return res
+        return linprog(cvec, A_ub=A_ub, b_ub=np.zeros(2 * self.n), A_eq=A_eq,
+                       b_eq=np.array([float(v) for v in omega]), bounds=bounds,
+                       method=method)
+
+    def _guesses(self, omega):
+        """(HiGHS result, tolerance) per attempt, solving lazily per method."""
+        for method, tols in _ATTEMPTS:
+            try:
+                res = self._float_solve(omega, method)
+            except OverflowError:       # omega beyond float range
+                continue
+            for tol in tols:
+                yield res, tol
 
     # -- exact reconstruction pieces ------------------------------------------
 
-    def _dual_certificate(self, omega, method, tol):
+    def _dual_certificate(self, omega, res, tol):
         """(t_exact, support) with t_exact > 0 a proven lower bound for the
-        optimum and support the complementary-slackness signs, or None."""
-        res = self._float_solve(omega, method)
+        optimum and support the complementary-slackness signs read off the
+        HiGHS result res, or None."""
         if res.status != 0:
             return None
         t_f = float(res.x[-1])
@@ -341,13 +345,12 @@ class LinfProblem:
             return None
         return alpha
 
-    def _reconstruct(self, omega, method, tol):
+    def _reconstruct(self, omega, res, tol):
         try:
-            cert = self._dual_certificate(omega, method, tol)
+            cert = self._dual_certificate(omega, res, tol)
             if cert is None:
                 return None
             t_exact, _ = cert
-            res = self._float_solve(omega, method)
             t_f = float(res.x[-1])
             eps = tol * max(1.0, t_f)
             fixed = {}
@@ -375,9 +378,9 @@ class LinfProblem:
         if all(v == 0 for v in omega):
             return [ZERO] * self.n, ZERO
         cert = None
-        for method, tol in _ATTEMPTS:
+        for res, tol in self._guesses(omega):
             try:
-                cert = self._dual_certificate(omega, method, tol)
+                cert = self._dual_certificate(omega, res, tol)
             except Exception:
                 cert = None
             if cert is not None:

@@ -16,7 +16,6 @@ are exercised by the test suite rather than assumed.
 
 from __future__ import annotations
 
-import json
 from itertools import permutations, product
 
 from .exact import RAT
@@ -199,13 +198,3 @@ def regularity_report(S: SubdividedComplex) -> dict:
         "congruence_classes": len(classes),
     }
 
-
-def write_subdivision(S: SubdividedComplex, out_path: str):
-    """Write the subdivided complex plus the .prov.json sidecar."""
-    with open(out_path, "w") as fh:
-        json.dump(S.result.to_json_dict(), fh, sort_keys=True)
-        fh.write("\n")
-    side = out_path[:-5] if out_path.endswith(".json") else out_path
-    with open(side + ".prov.json", "w") as fh:
-        json.dump(S.provenance_json_dict(), fh, sort_keys=True)
-        fh.write("\n")

@@ -6,11 +6,14 @@ carries H_k isomorphically.  Both are built greedily in the canonical cell
 order, which makes every construction reproducible.
 
 Relative classes: the greedy wrapping extension cells represent a basis of
-H_k(X,T;Q); every k-cell's class is expanded in that basis.  The gnarledness
-upper bound is the largest l1-norm of such a class, valid once every class
-is an integer combination of the basis; when the greedy basis fails that
-integrality the lattice (Hermite) basis of the class lattice always works
-and is used by the lifting pipeline.
+H_k(X,T;Q); every k-cell's class is expanded in that basis.  The expansion
+is linear in the cell, so it comes from one factorization of the transposed
+system [ext | tree | boundaries]^T and one solve per basis cell, not one
+solve per k-cell.  The gnarledness upper bound is the largest l1-norm of
+such a class, valid once every class is an integer combination of the
+basis; when the greedy basis fails that integrality the lattice (Hermite)
+basis of the class lattice always works and is used by the lifting
+pipeline.
 """
 
 from __future__ import annotations
@@ -149,7 +152,7 @@ def _verify_spanning(T, cols=None):
 def wrapping_tree(X, k: int) -> WrappingTree:
     """Greedy k-wrapping tree: spanning tree plus a relative-class basis.
 
-    For k = 0 this is one vertex per connected component.
+    For k = 0 this is the smallest vertex of each connected component.
     """
     T = greedy_spanning_tree(X, k)
     ext = _greedy_extension(X, k, set(T.cells))
@@ -159,7 +162,13 @@ def wrapping_tree(X, k: int) -> WrappingTree:
 
 
 def _greedy_extension(X, k, tree_cells):
-    """k-cells whose relative classes greedily span H_k(X,T;Q)."""
+    """k-cells whose relative classes greedily span H_k(X,T;Q).
+
+    In degree 0 with T empty the greedy pick is the smallest vertex of each
+    connected component, read off the union-find without any elimination.
+    """
+    if k == 0 and not tree_cells:
+        return sorted(min(c) for c in _components(X))
     rk = _IncrementalRank()
     for j in tree_cells:
         rk.try_add({j: ONE})
@@ -240,37 +249,31 @@ def _components(X):
 # relative classes and gnarledness
 
 def _relative_classes(X, k, tree_cells):
-    """Basis cells of H_k(X,T;Q) and all k-cell classes in that basis."""
+    """Basis cells of H_k(X,T;Q) and all k-cell classes in that basis.
+
+    With M = [ext | tree | boundaries of (k+1)-cells] (rows are k-cells),
+    the class of q is the ext-part of any solution of M x = e_q; it is
+    unique because the columns of M span C_k and the ext columns are
+    independent modulo the rest.  The class map q -> x_t is linear, so it
+    is a row y_t of M's left inverse on the ext coordinates: M^T y_t = e_t,
+    and class(q)_t = y_t[q].  One factorization of M^T and d solves thus
+    give every class.
+    """
     ext = _greedy_extension(X, k, tree_cells)
     d = len(ext)
     nk = X.n_cells(k)
-    up_cols = _boundary_cols(X, k + 1)
-    tree_sorted = sorted(tree_cells)
-    # columns: [ext | tree | boundaries]; the ext-part of any solution of
-    # M x = e_q is the (unique) class vector of q
-    rows = [dict() for _ in range(nk)]
-    for pos, j in enumerate(ext):
-        rows[j][pos] = ONE
-    for pos, j in enumerate(tree_sorted):
-        rows[j][d + pos] = ONE
-    off = d + len(tree_sorted)
-    for pos, col in enumerate(up_cols):
-        for i, v in col.items():
-            rows[i][off + pos] = RAT(v)
-    solver = RationalSolver(rows, off + len(up_cols))
-    classes = []
-    ext_pos = {j: pos for pos, j in enumerate(ext)}
-    for q in range(nk):
-        if q in tree_cells:
-            classes.append(tuple([ZERO] * d))
-        elif q in ext_pos:
-            classes.append(tuple(ONE if t == ext_pos[q] else ZERO for t in range(d)))
-        else:
-            rhs = [ONE if i == q else ZERO for i in range(nk)]
-            x = solver.solve(rhs)
-            if x is None:
-                raise TreeError("relative class solve failed")
-            classes.append(tuple(x[:d]))
+    cols = [{j: ONE} for j in ext] + [{j: ONE} for j in sorted(tree_cells)]
+    cols += _boundary_cols(X, k + 1)
+    solver = RationalSolver(cols, nk)       # the rows of M^T
+    if solver.rank != nk:
+        raise TreeError("relative class solve failed")
+    ys = []
+    for t in range(d):
+        y = solver.solve([ONE if i == t else ZERO for i in range(len(cols))])
+        if y is None:
+            raise TreeError("relative class solve failed")
+        ys.append(y)
+    classes = [tuple(y[q] for y in ys) for q in range(nk)]
     return {"basis_cells": tuple(ext), "classes": classes}
 
 

@@ -158,3 +158,24 @@ def test_schedule_roundtrip_and_verify(runner):
         assert r.exit_code == 1
         rep = json.loads(open("vb.json").read())["report"]
         assert rep["all_passed"] is False
+
+
+@pytest.mark.parametrize("omega,etype", [
+    ({"k": 1, "ring": "int", "entries": [[0, "1"], [1, "1"], [99, "1"]]},
+     "FillingError"),
+    ({"k": 1, "ring": "int", "entries": [[0, "1"], [-1, "-1"]]}, "FillingError"),
+    ({"k": 1, "ring": "rat", "entries": [[0, "1.5"], [3, "-1"]]}, "HomalgError"),
+    ({"k": 1, "ring": "int"}, "HomalgError"),
+    ({"ring": "int", "entries": [[0, "1"], [3, "-1"]]}, "HomalgError"),
+], ids=["index-99", "negative-index", "decimal-entry", "no-entries", "no-k"])
+@pytest.mark.parametrize("ring", ["int", "rat"])
+def test_fill_rejects_malformed_omega(runner, omega, etype, ring):
+    with runner.isolated_filesystem():
+        write_inputs()
+        json.dump(omega, open("o.json", "w"))
+        r = runner.invoke(main, ["fill", "--complex", "c4.json", "--omega",
+                                 "o.json", "--ring", ring, "--out", "a.json"])
+        assert r.exit_code == 1, r.output
+        err = json.loads(r.stderr)
+        assert err["error"]["type"] == etype
+        assert err["error"]["message"]

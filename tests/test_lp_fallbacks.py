@@ -52,6 +52,33 @@ def test_forced_fallback_large_uses_recursion(monkeypatch):
     assert t == t_ref
 
 
+def test_one_highs_run_per_method(monkeypatch):
+    X = cycle_complex(4)
+    delta = boundary_matrix(X, 1).transpose()
+    P = LinfProblem(delta.rows, delta.ncols)
+    methods = []
+    float_solve = LinfProblem._float_solve
+
+    def counted(self, omega, method):
+        methods.append(method)
+        return float_solve(self, omega, method)
+
+    monkeypatch.setattr(LinfProblem, "_float_solve", counted)
+    monkeypatch.setattr(LinfProblem, "_dual_certificate", lambda *a, **k: None)
+    _, t, mode = P.solve([RAT(1), RAT(0), RAT(0), RAT(-1)])
+    assert (mode, t) == ("simplex", RAT(1, 2))
+    assert methods == ["highs-ipm", "highs-ds"]
+
+
+def test_omega_beyond_float_range_falls_back_to_exact_simplex():
+    X = cycle_complex(4)
+    delta = boundary_matrix(X, 1).transpose()
+    P = LinfProblem(delta.rows, delta.ncols)
+    big = 10 ** 400
+    _, t, mode = P.solve([big, 0, 0, -big])
+    assert (mode, t) == ("simplex", RAT(big, 2))
+
+
 def test_exact_simplex_infeasible():
     with pytest.raises(Infeasible):
         exact_simplex([[RAT(1)], [RAT(1)]], [RAT(1), RAT(2)], [RAT(0)])

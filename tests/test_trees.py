@@ -2,6 +2,7 @@ import pytest
 
 from coiso.exact import RAT
 from coiso.complexes import build_complex, cycle_complex, simplex_boundary
+from coiso.filling import LiftData
 from coiso.homalg import boundary_matrix
 from coiso.linalg import RationalSolver
 from coiso.subdivision import edgewise_subdivide
@@ -9,7 +10,7 @@ from coiso.trees import (BasisIntegralityError, SpanningTree, TreeError,
                          gnarledness_exact_tiny, gnarledness_upper,
                          greedy_spanning_tree, lifting_basis,
                          telescope_complex, telescope_circles_tree,
-                         wrapping_tree)
+                         wrapping_tree, _IncrementalRank)
 
 CORPUS = [
     (build_complex([(0, 1, 2)]), 1),
@@ -163,3 +164,85 @@ def test_telescope_complex_shape():
     assert [X.n_cells(k) for k in range(3)] == [12, 28, 16]
     from coiso.homalg import betti_numbers
     assert betti_numbers(X) == [1, 1, 0]
+
+
+# -- relative classes and the 0-wrapping tree against the per-cell rule --------
+
+def _classes_by_cell_solves(T):
+    """Reference classes: one solve of [ext | tree | boundaries] x = e_q per
+    k-cell q, keeping the ext-part x[:d]."""
+    X, k = T.X, T.k
+    ext = T.rel_data()["basis_cells"]
+    d = len(ext)
+    cols = [{j: 1} for j in ext] + [{j: 1} for j in sorted(T.cells)]
+    if k + 1 <= X.dim:
+        cols += boundary_matrix(X, k + 1).col_dicts()
+    rows = [dict() for _ in range(X.n_cells(k))]
+    for c, col in enumerate(cols):
+        for i, v in col.items():
+            rows[i][c] = v
+    solver = RationalSolver(rows, len(cols))
+    return [tuple(solver.solve([int(i == q) for i in range(len(rows))])[:d])
+            for q in range(len(rows))]
+
+
+def _reference_tree(T):
+    """The same tree, its relative classes taken from the per-cell rule."""
+    rel = {"basis_cells": T.rel_data()["basis_cells"],
+           "classes": _classes_by_cell_solves(T)}
+    return SpanningTree(T.X, T.k, T.cells, _rel=rel)
+
+
+REL_CORPUS = [
+    (_fake_rank3_tree().X, 1),
+    (telescope_complex(), 1),
+    (telescope_complex(), 2),
+    (edgewise_subdivide(simplex_boundary(3), 2).result, 1),
+    (edgewise_subdivide(simplex_boundary(3), 2).result, 2),
+    (edgewise_subdivide(simplex_boundary(3), 4).result, 1),
+    (edgewise_subdivide(simplex_boundary(3), 4).result, 2),
+]
+
+
+@pytest.mark.parametrize("X,k", REL_CORPUS, ids=lambda v: repr(v))
+def test_relative_classes_match_per_cell_solves(X, k):
+    T = greedy_spanning_tree(X, k)
+    assert T.rel_data()["classes"] == _classes_by_cell_solves(T)
+
+
+def test_relative_classes_of_telescope_circles_tree():
+    T = telescope_circles_tree()
+    assert T.rel_rank > 0
+    assert T.rel_data()["classes"] == _classes_by_cell_solves(T)
+
+
+def test_zero_wrapping_tree_is_smallest_vertex_per_component():
+    X = build_complex([(5, 6, 7), (0, 1, 2), (3, 4), (8,)])
+    assert wrapping_tree(X, 0).cells == (0, 3, 5, 8)
+
+
+@pytest.mark.parametrize("X", [X for X, _ in CORPUS + REL_CORPUS],
+                         ids=lambda v: repr(v))
+def test_zero_wrapping_tree_matches_greedy_rank_rule(X):
+    # reference: after all edge boundaries, keep each vertex that raises the rank
+    rk = _IncrementalRank()
+    if X.dim >= 1:
+        for col in boundary_matrix(X, 1).col_dicts():
+            rk.try_add(col)
+    greedy = tuple(v for v in range(X.n_cells(0)) if rk.try_add({v: 1}))
+    assert wrapping_tree(X, 0).cells == greedy
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_lift_data_unchanged_against_per_cell_classes(k):
+    X = edgewise_subdivide(simplex_boundary(3), 4).result
+    T = greedy_spanning_tree(X, k)
+    ref = _reference_tree(T)
+    assert lifting_basis(T) == lifting_basis(ref)
+    U = wrapping_tree(X, k - 1)
+    got, want = LiftData(X, k, T, U), LiftData(X, k, ref, U)
+    assert got.F == want.F
+    assert got.b_tilde == want.b_tilde
+    assert got.g_upper == want.g_upper
+    if k == 2:
+        assert got.b_tilde
