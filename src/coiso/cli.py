@@ -251,16 +251,20 @@ def verify(kind, in_path, complex_path, n, k, r, out):
         if in_path is None or complex_path is None:
             raise click.UsageError("schedule verification needs --in and --complex")
         X = load_complex(complex_path)
-        with open(in_path) as fh:
-            doc = json.load(fh)
-        sd = doc["schedule"] if "schedule" in doc else doc
-        prism = PrismComplex(X, int(sd["layers"]))
-        sched = PrismSchedule(
-            prism,
-            {(int(p), int(i)): int(v) for p, i, v in sd["vertical"]},
-            {(int(q), int(j)): int(v) for q, j, v in sd["horizontal"]},
-            Cochain.from_json_dict(sd["omega"]),
-            Cochain.from_json_dict(sd["alpha"]))
+        try:
+            with open(in_path) as fh:
+                doc = json.load(fh)
+            sd = doc["schedule"] if "schedule" in doc else doc
+            layers = int(sd["layers"])
+            vertical = {(int(p), int(i)): int(v) for p, i, v in sd["vertical"]}
+            horizontal = {(int(q), int(j)): int(v) for q, j, v in sd["horizontal"]}
+            omega, alpha = sd["omega"], sd["alpha"]
+        except (ValueError, KeyError, TypeError) as e:
+            raise SchedulerError(
+                f"malformed schedule JSON: {type(e).__name__}: {e}") from e
+        sched = PrismSchedule(PrismComplex(X, layers), vertical, horizontal,
+                              Cochain.from_json_dict(omega),
+                              Cochain.from_json_dict(alpha))
         report = verify_schedule(sched)
         _write_artifact(out, config, {"report": _jsonable(report)})
         ok = report["all_passed"]

@@ -248,7 +248,11 @@ def complex_from_json_dict(d):
 
 def load_complex(path):
     with open(path) as fh:
-        return complex_from_json_dict(json.load(fh))
+        try:
+            d = json.load(fh)
+        except ValueError as e:     # JSONDecodeError, UnicodeDecodeError
+            raise ComplexError(f"complex file is not JSON: {e}") from e
+    return complex_from_json_dict(d)
 
 
 def standard_simplex(n: int) -> SimplicialComplex:

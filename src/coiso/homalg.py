@@ -115,7 +115,11 @@ def volume_norm(c: Chain):
 
 def load_cochain(path) -> Cochain:
     with open(path) as fh:
-        return Cochain.from_json_dict(json.load(fh))
+        try:
+            d = json.load(fh)
+        except ValueError as e:     # JSONDecodeError, UnicodeDecodeError
+            raise HomalgError(f"cochain file is not JSON: {e}") from e
+    return Cochain.from_json_dict(d)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ coisoperimetry sweeps low.
 
 from __future__ import annotations
 
+import heapq
+
 from .exact import RAT, ZERO
 
 
@@ -46,45 +48,65 @@ class _Echelon:
 
     def _eliminate(self):
         # col_rows is kept exact: owners of column j are precisely the active
-        # rows containing j.  Pivot columns are tried sparsest-first.
+        # rows containing j.  Pivot columns are tried sparsest-first, ties to
+        # the lower column, from a min-heap of (owner count, col).  A pivot
+        # changes owner sets only in the columns of its pivot row, so only
+        # those get a fresh entry; an entry whose count no longer equals
+        # len(col_rows[j]) is stale and dropped when popped.  Columns whose
+        # _pick_row gives None are held aside and pushed back after the pick,
+        # so the order is exactly that of sorting every live column per pivot.
         rows = self.rows
         active = set(range(self.m))
         col_rows = {}
         for i in active:
             for j in rows[i]:
                 col_rows.setdefault(j, set()).add(i)
+        heap = [(len(owners), j) for j, owners in col_rows.items()]
+        heapq.heapify(heap)
 
         while True:
-            cands = sorted((len(owners), j) for j, owners in col_rows.items() if owners)
             pick = None
-            for _, j in cands:
+            held = []
+            while heap:
+                entry = heapq.heappop(heap)
+                count, j = entry
+                # equal entries pop back to back, so a repeat of a held one
+                # is a duplicate
+                if count != len(col_rows[j]) or (held and held[-1] == entry):
+                    continue
                 prow = self._pick_row(j, col_rows[j])
                 if prow is not None:
                     pick = (j, prow)
                     break
+                held.append(entry)
+            for entry in held:
+                heapq.heappush(heap, entry)
             if pick is None:
                 break
             col, prow = pick
-            pval = rows[prow][col]
+            prow_row = rows[prow]
+            counts = [(j, len(col_rows[j])) for j in prow_row]
+            pval = prow_row[col]
             for t in sorted(col_rows[col] - {prow}):
                 f = self._factor(rows[t][col], pval)
                 self.ops.append((t, prow, f))
                 rt = rows[t]
-                for j, v in rows[prow].items():
+                for j, v in prow_row.items():
                     nv = rt.get(j, 0) - f * v
                     if nv:
                         if j not in rt:
-                            col_rows.setdefault(j, set()).add(t)
+                            col_rows[j].add(t)
                         rt[j] = nv
                     elif j in rt:
                         del rt[j]
                         col_rows[j].discard(t)
             self.pivots.append((prow, col))
             active.discard(prow)
-            for j in rows[prow]:
-                owners = col_rows.get(j)
-                if owners is not None:
-                    owners.discard(prow)
+            for j, old in counts:
+                owners = col_rows[j]
+                owners.discard(prow)
+                if owners and len(owners) != old:
+                    heapq.heappush(heap, (len(owners), j))
 
         if any(rows[i] for i in active):
             self._stuck()
@@ -123,8 +145,11 @@ class RationalSolver(_Echelon):
     """Echelon factorization over Q, reusable across right-hand sides.
 
     Pivoting prefers sparse columns and sparse rows (Markowitz-flavoured) to
-    limit fill-in; the choice is deterministic.  solve() returns a particular
-    solution with free variables set to zero, or None when inconsistent.
+    limit fill-in: the next pivot column is the one with the fewest live rows,
+    ties to the lower column, taken from the elimination's (count, col)
+    queue; within it the row with the fewest entries wins, ties to the lower
+    row.  The choice is deterministic, and it fixes which particular solution
+    solve() returns: free variables set to zero, or None when inconsistent.
     """
 
     def _convert_row(self, r):

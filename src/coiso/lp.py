@@ -346,26 +346,23 @@ class LinfProblem:
         return alpha
 
     def _reconstruct(self, omega, res, tol):
-        try:
-            cert = self._dual_certificate(omega, res, tol)
-            if cert is None:
-                return None
-            t_exact, _ = cert
-            t_f = float(res.x[-1])
-            eps = tol * max(1.0, t_f)
-            fixed = {}
-            for i in range(self.n):
-                v = float(res.x[i])
-                if v >= t_f - eps:
-                    fixed[i] = t_exact
-                elif v <= -(t_f - eps):
-                    fixed[i] = -t_exact
-            alpha = self._primal_at(omega, fixed, t_exact)
-            if alpha is None:
-                return None
-            return alpha, t_exact
-        except Exception:
+        cert = self._dual_certificate(omega, res, tol)
+        if cert is None:
             return None
+        t_exact, _ = cert
+        t_f = float(res.x[-1])
+        eps = tol * max(1.0, t_f)
+        fixed = {}
+        for i in range(self.n):
+            v = float(res.x[i])
+            if v >= t_f - eps:
+                fixed[i] = t_exact
+            elif v <= -(t_f - eps):
+                fixed[i] = -t_exact
+        alpha = self._primal_at(omega, fixed, t_exact)
+        if alpha is None:
+            return None
+        return alpha, t_exact
 
     def _solve_recursive(self, omega, depth):
         """Fix the certified dual support at +-t and recurse on the rest.
@@ -379,10 +376,7 @@ class LinfProblem:
             return [ZERO] * self.n, ZERO
         cert = None
         for res, tol in self._guesses(omega):
-            try:
-                cert = self._dual_certificate(omega, res, tol)
-            except Exception:
-                cert = None
+            cert = self._dual_certificate(omega, res, tol)
             if cert is not None:
                 break
         if cert is None:

@@ -179,3 +179,45 @@ def test_fill_rejects_malformed_omega(runner, omega, etype, ring):
         err = json.loads(r.stderr)
         assert err["error"]["type"] == etype
         assert err["error"]["message"]
+
+
+@pytest.mark.parametrize("args,etype", [
+    (["subdivide", "--in", "nj.json", "--L", "2", "--out", "s.json"],
+     "ComplexError"),
+    (["fill", "--complex", "nj.json", "--omega", "w.json", "--out", "a.json"],
+     "ComplexError"),
+    (["fill", "--complex", "c4.json", "--omega", "nj.json", "--out", "a.json"],
+     "HomalgError"),
+    (["verify", "--kind", "schedule", "--in", "nj.json", "--complex",
+      "sphere.json", "--out", "v.json"], "SchedulerError"),
+], ids=["subdivide-in", "fill-complex", "fill-omega", "verify-schedule-in"])
+def test_input_that_is_not_json_exits_one(runner, args, etype):
+    with runner.isolated_filesystem():
+        write_inputs()
+        with open("nj.json", "w") as fh:
+            fh.write("not json")
+        r = runner.invoke(main, args)
+        assert r.exit_code == 1, r.output
+        assert not isinstance(r.exception, ValueError), r.exception
+        err = json.loads(r.stderr)
+        assert err["error"]["type"] == etype
+        assert "JSON" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("doc", [
+    {"vertical": [], "horizontal": []},
+    {"schedule": {"layers": 1, "horizontal": []}},
+    {"schedule": {"layers": "x", "vertical": [], "horizontal": []}},
+    [1, 2],
+], ids=["no-layers", "no-vertical", "layers-not-int", "not-an-object"])
+def test_verify_schedule_rejects_malformed_schedule(runner, doc):
+    with runner.isolated_filesystem():
+        write_inputs()
+        json.dump(doc, open("sch.json", "w"))
+        r = runner.invoke(main, ["verify", "--kind", "schedule", "--in",
+                                 "sch.json", "--complex", "sphere.json",
+                                 "--out", "v.json"])
+        assert r.exit_code == 1, r.output
+        err = json.loads(r.stderr)
+        assert err["error"]["type"] == "SchedulerError"
+        assert err["error"]["message"].startswith("malformed schedule JSON")

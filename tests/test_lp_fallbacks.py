@@ -52,6 +52,28 @@ def test_forced_fallback_large_uses_recursion(monkeypatch):
     assert t == t_ref
 
 
+def _raise_bug(*a, **k):
+    raise RuntimeError("bug in our own code")
+
+
+def test_bug_in_reconstruction_surfaces_instead_of_falling_back(monkeypatch):
+    X = cycle_complex(4)
+    delta = boundary_matrix(X, 1).transpose()
+    P = LinfProblem(delta.rows, delta.ncols)
+    monkeypatch.setattr(LinfProblem, "_primal_at", _raise_bug)
+    with pytest.raises(RuntimeError, match="bug in our own code"):
+        P.solve([RAT(1), RAT(0), RAT(0), RAT(-1)])
+
+
+def test_bug_in_recursive_certificate_surfaces(monkeypatch):
+    delta, om = _reference_problem(4)
+    P = LinfProblem(delta.rows, delta.ncols)
+    monkeypatch.setattr(LinfProblem, "_reconstruct", lambda *a, **k: None)
+    monkeypatch.setattr(LinfProblem, "_dual_certificate", _raise_bug)
+    with pytest.raises(RuntimeError, match="bug in our own code"):
+        P.solve(om)
+
+
 def test_one_highs_run_per_method(monkeypatch):
     X = cycle_complex(4)
     delta = boundary_matrix(X, 1).transpose()
