@@ -239,10 +239,26 @@ def build_grid_cube_complex(n: int, r: int) -> GridCubeComplex:
 
 
 def complex_from_json_dict(d):
+    """A complex from {"simplices": [[v, ...], ...]} or {"n": n, "r": r}.
+
+    Anything else, or a field of the wrong type (vertex ids, n and r are
+    JSON integers), raises ComplexError.
+    """
+    if not isinstance(d, dict):
+        raise ComplexError(f"complex JSON must be an object, got {d!r:.40}")
     if "simplices" in d:
-        return build_complex([tuple(s) for s in d["simplices"]])
+        tops = d["simplices"]
+        if not isinstance(tops, list):
+            raise ComplexError("complex JSON: simplices must be a list")
+        for idx, s in enumerate(tops):
+            if not (isinstance(s, list) and s and all(type(v) is int for v in s)):
+                raise ComplexError(f"simplex #{idx} is not a nonempty list of "
+                                   f"integer vertex ids: {s!r:.40}")
+        return build_complex(tops)
     if "n" in d and "r" in d:
-        return GridCubeComplex(int(d["n"]), int(d["r"]))
+        if type(d["n"]) is not int or type(d["r"]) is not int:
+            raise ComplexError("complex JSON: grid n and r must be integers")
+        return GridCubeComplex(d["n"], d["r"])
     raise ComplexError("unrecognized complex JSON")
 
 

@@ -46,11 +46,5 @@ def rat_floor(x) -> int:
     return int(x.numerator // x.denominator)
 
 
-def rat_frac(x):
-    """Fractional part in [0, 1)."""
-    x = RAT(x)
-    return x - rat_floor(x)
-
-
 def is_integral(x) -> bool:
     return RAT(x).denominator == 1

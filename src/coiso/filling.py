@@ -20,7 +20,7 @@ from itertools import combinations, product
 
 from .exact import RAT, ZERO, ONE, rat_floor, is_integral
 from .homalg import (Cochain, IntegralSystem, boundary_matrix, norm_inf)
-from .linalg import RationalSolver, mat_vec
+from .linalg import RationalSolver, greedy_basis, mat_vec
 from .lp import LinfProblem, l1_min
 from .trees import (SpanningTree, WrappingTree, greedy_spanning_tree,
                     wrapping_tree, lifting_basis)
@@ -303,38 +303,41 @@ def bounded_lift(z: Cochain, T: SpanningTree, U) -> Cochain:
     data = LiftData(X, k, T, U)
     nk = X.n_cells(k)
     dense = z.dense(nk)
-    z0 = _any_cocycle_lift(X, k, dense)
+    up = get_fill_context(X, k + 1) if k + 1 <= X.dim else None
+    z0 = _any_cocycle_lift(up, dense)
     lifted = data.lift(z0)
-    _check_lift(X, k, dense, lifted, data.bound)
+    _check_lift(up, dense, lifted, data.bound)
     return Cochain(k, {i: v for i, v in enumerate(lifted) if v}, "rat")
 
 
-def _any_cocycle_lift(X, k, dense):
-    """Some rational cocycle congruent to the given cochain mod Z."""
-    if k + 1 > X.dim:
+def _any_cocycle_lift(up, dense):
+    """Some rational cocycle congruent to the given cochain mod Z.
+
+    up is the FillContext of the next coboundary, None in the top degree.
+    """
+    if up is None:
         return list(dense)
-    delta = boundary_matrix(X, k + 1).transpose()
-    dz = mat_vec(delta.rows, dense)
+    dz = mat_vec(up.delta.rows, dense)
     if any(not is_integral(v) for v in dz):
         raise LiftError("input is not a cocycle mod Z")
     if all(v == 0 for v in dz):
         return list(dense)
-    eta = IntegralSystem(delta).solve([-int(v) for v in dz])
+    eta = up.integral_system().solve([-int(v) for v in dz])
     if eta is None:
         raise LiftError("cochain does not lift to a rational cocycle")
     return [dense[i] + eta[i] for i in range(len(dense))]
 
 
-def _check_lift(X, k, z_dense, lifted, bound):
+def _check_lift(up, z_dense, lifted, bound):
+    """The lift is congruent to z mod Z, within the bound, and a cocycle of
+    the coboundary in up (the next degree's FillContext, None at the top)."""
     if any(not is_integral(a - b) for a, b in zip(lifted, z_dense)):
         raise LiftError("lift is not congruent to the input mod Z")
     worst = max((v if v >= 0 else -v for v in lifted), default=ZERO)
     if worst > bound:
         raise LiftError(f"lift norm {worst} exceeds the bound {bound}")
-    if k + 1 <= X.dim:
-        delta = boundary_matrix(X, k + 1).transpose()
-        if any(v != 0 for v in mat_vec(delta.rows, lifted)):
-            raise LiftError("lift is not a cocycle")
+    if up is not None and any(v != 0 for v in mat_vec(up.delta.rows, lifted)):
+        raise LiftError("lift is not a cocycle")
 
 
 def integral_fill(X, omega: Cochain) -> FillingResult:
@@ -363,7 +366,7 @@ def integral_fill(X, omega: Cochain) -> FillingResult:
     data = ctx.lift_data()
     z0 = [alpha_vec[i] - eta[i] for i in range(len(alpha_vec))]
     lifted = data.lift(z0)
-    _check_lift(X, k - 1, alpha_vec, lifted, data.bound)
+    _check_lift(ctx, alpha_vec, lifted, data.bound)
 
     tilde = [alpha_vec[i] - lifted[i] for i in range(len(alpha_vec))]
     if any(not is_integral(v) for v in tilde):
@@ -482,13 +485,8 @@ def _image_basis(rows, ncols, nrows):
     for i, r in enumerate(rows):
         for j, v in r.items():
             cols[j][i] = RAT(v)
-    from .trees import _IncrementalRank
-    rk = _IncrementalRank()
-    basis = []
-    for j in range(ncols):
-        if rk.try_add(cols[j]):
-            basis.append([cols[j].get(i, ZERO) for i in range(nrows)])
-    return basis
+    picks, _ = greedy_basis(cols, nrows)
+    return [[cols[j].get(i, ZERO) for i in range(nrows)] for j in picks]
 
 
 def _vertices_inf_ball(basis, n):

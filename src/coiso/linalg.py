@@ -132,14 +132,6 @@ class _Echelon:
                 y[t] = y[t] - f * ys
         return y
 
-    def residual_row(self, b):
-        """Index of a zero row with nonzero reduced rhs (inconsistency), or None."""
-        y = self.reduce_rhs(b)
-        for i in self.zero_rows:
-            if y[i]:
-                return i
-        return None
-
 
 class RationalSolver(_Echelon):
     """Echelon factorization over Q, reusable across right-hand sides.
@@ -195,6 +187,24 @@ class RationalSolver(_Echelon):
                     x[col] = val
             basis.append(x)
         return basis
+
+
+class _LowestRowEchelon(RationalSolver):
+    """Pivots on the lowest live row, so a row is only reduced by lower rows."""
+
+    def _pick_row(self, col, live):
+        return min(live)
+
+
+def greedy_basis(vectors, n):
+    """(indices, rank): the rows independent of all earlier rows, in order.
+
+    vectors are sparse dicts over n coordinates.  Every row that ends at zero
+    depends on earlier rows only, so the pivot rows are exactly the greedy
+    (lexicographically first) basis of their span.
+    """
+    E = _LowestRowEchelon(vectors, n)
+    return sorted(p for p, _ in E.pivots), E.rank
 
 
 class UnimodularEchelon(_Echelon):

@@ -44,10 +44,12 @@ def _staircase_tops(n, L):
     if n == 0:
         return [((),)]
     def ok(t):
-        return all(L >= t[0] for _ in (0,)) and \
-            all(t[i] >= t[i + 1] for i in range(n - 1)) and t[-1] >= 0 and t[0] <= L
+        return L >= t[0] and all(t[i] >= t[i + 1] for i in range(n - 1)) \
+            and t[-1] >= 0
     tops = []
     for c in product(range(L), repeat=n):
+        if not ok(c):       # every path starts at c
+            continue
         for pi in permutations(range(n)):
             pts = [tuple(c)]
             for ax in pi:

@@ -3,7 +3,8 @@
 A k-spanning tree T contains the full (k-1)-skeleton, has no rational
 k-cycles, and leaves H_{k-1} unchanged over Q; a k-wrapping tree U also
 carries H_k isomorphically.  Both are built greedily in the canonical cell
-order, which makes every construction reproducible.
+order, which makes every construction reproducible; every greedy choice is
+one `linalg.greedy_basis` pass on the shared elimination kernel.
 
 Relative classes: the greedy wrapping extension cells represent a basis of
 H_k(X,T;Q); every k-cell's class is expanded in that basis.  The expansion
@@ -21,11 +22,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
+from math import gcd
 
 from .exact import RAT, ZERO, ONE, is_integral
 from .complexes import SimplicialComplex, build_complex
 from .homalg import boundary_matrix
-from .linalg import RationalSolver
+from .linalg import RationalSolver, greedy_basis
 
 
 class TreeError(ValueError):
@@ -40,36 +42,6 @@ class BasisIntegralityError(TreeError):
         super().__init__(
             "classes of cells %s are not integer combinations of the basis; "
             "supply a different basis" % (offenders,))
-
-
-class _IncrementalRank:
-    """Incremental column rank over Q with deterministic pivoting."""
-
-    def __init__(self):
-        self.pivots = {}   # pivot row -> reduced column dict
-
-    def reduce(self, col):
-        col = {i: RAT(v) for i, v in col.items() if v}
-        while col:
-            r = min(col)
-            piv = self.pivots.get(r)
-            if piv is None:
-                return col, r
-            f = col[r] / piv[r]
-            for i, v in piv.items():
-                nv = col.get(i, ZERO) - f * v
-                if nv:
-                    col[i] = nv
-                elif i in col:
-                    del col[i]
-        return col, None
-
-    def try_add(self, col) -> bool:
-        red, r = self.reduce(col)
-        if r is None:
-            return False
-        self.pivots[r] = red
-        return True
 
 
 @dataclass
@@ -125,8 +97,7 @@ def greedy_spanning_tree(X, k: int) -> SpanningTree:
     if k == 0:
         return SpanningTree(X, 0, ())
     cols = _boundary_cols(X, k)
-    rk = _IncrementalRank()
-    chosen = [j for j in range(X.n_cells(k)) if rk.try_add(cols[j])]
+    chosen, _ = greedy_basis(cols, X.n_cells(k - 1))
     T = SpanningTree(X, k, tuple(chosen))
     _verify_spanning(T, cols)
     return T
@@ -155,27 +126,31 @@ def wrapping_tree(X, k: int) -> WrappingTree:
     For k = 0 this is the smallest vertex of each connected component.
     """
     T = greedy_spanning_tree(X, k)
-    ext = _greedy_extension(X, k, set(T.cells))
+    ext, _ = _greedy_extension(X, k, set(T.cells))
     U = WrappingTree(X, k, tuple(sorted(set(T.cells) | set(ext))))
     _verify_wrapping(U)
     return U
 
 
 def _greedy_extension(X, k, tree_cells):
-    """k-cells whose relative classes greedily span H_k(X,T;Q).
+    """(ext, base): the k-cells whose relative classes greedily span
+    H_k(X,T;Q), and the rank of the tree and (k+1)-boundary columns.
 
-    In degree 0 with T empty the greedy pick is the smallest vertex of each
-    connected component, read off the union-find without any elimination.
+    One greedy pass over [tree units | (k+1)-boundaries | other units]; ext
+    is the picks in the last block.  In degree 0 with T empty the greedy
+    pick is the smallest vertex of each connected component, read off the
+    union-find without any elimination (the edge boundaries then have rank
+    n_0 minus the number of components).
     """
+    nk = X.n_cells(k)
     if k == 0 and not tree_cells:
-        return sorted(min(c) for c in _components(X))
-    rk = _IncrementalRank()
-    for j in tree_cells:
-        rk.try_add({j: ONE})
-    for col in _boundary_cols(X, k + 1):
-        rk.try_add(col)
-    return [j for j in range(X.n_cells(k))
-            if j not in tree_cells and rk.try_add({j: ONE})]
+        ext = sorted(min(c) for c in _components(X))
+        return ext, nk - len(ext)
+    rest = [j for j in range(nk) if j not in tree_cells]
+    head = [{j: ONE} for j in sorted(tree_cells)] + _boundary_cols(X, k + 1)
+    picks, rank = greedy_basis(head + [{j: ONE} for j in rest], nk)
+    ext = [rest[i - len(head)] for i in picks if i >= len(head)]
+    return ext, rank - len(ext)
 
 
 def _verify_wrapping(U):
@@ -189,25 +164,22 @@ def _verify_wrapping(U):
     cols = _boundary_cols(X, k)
     sel = [cols[j] for j in U.cells]
     sub = RationalSolver(sel, X.n_cells(k - 1))
+    rank_full = RationalSolver(cols, X.n_cells(k - 1)).rank
     # H_{k-1} iso: boundaries of U span all boundaries
-    if sub.rank != RationalSolver(cols, X.n_cells(k - 1)).rank:
+    if sub.rank != rank_full:
         raise TreeError("wrapping tree changes H_{k-1}")
     # H_k(U) -> H_k(X) iso: dim Z_k(U) = dim H_k(X) and no U-cycle bounds in X
     dim_zu = len(U.cells) - sub.rank
     up_cols = _boundary_cols(X, k + 1)
     rank_up = RationalSolver(up_cols, X.n_cells(k)).rank if up_cols else 0
-    dim_hx = (X.n_cells(k) - RationalSolver(cols, X.n_cells(k - 1)).rank) - rank_up
+    dim_hx = X.n_cells(k) - rank_full - rank_up
     if dim_zu != dim_hx:
         raise TreeError("wrapping tree has wrong H_k rank")
     if dim_zu:
         zbasis = _cycles_of_subset(X, k, U.cells)
-        stack = list(up_cols)
-        rk = _IncrementalRank()
-        for c in stack:
-            rk.try_add(c)
-        for z in zbasis:
-            if not rk.try_add(z):
-                raise TreeError("a wrapping-tree cycle bounds in X")
+        _, rank = greedy_basis(up_cols + zbasis, X.n_cells(k))
+        if rank != rank_up + len(zbasis):
+            raise TreeError("a wrapping-tree cycle bounds in X")
 
 
 def _cycles_of_subset(X, k, cells):
@@ -257,11 +229,18 @@ def _relative_classes(X, k, tree_cells):
     independent modulo the rest.  The class map q -> x_t is linear, so it
     is a row y_t of M's left inverse on the ext coordinates: M^T y_t = e_t,
     and class(q)_t = y_t[q].  One factorization of M^T and d solves thus
-    give every class.
+    give every class.  The rank of M comes from the greedy pass that chose
+    ext, so with d = 0 nothing more is factored.
     """
-    ext = _greedy_extension(X, k, tree_cells)
+    ext, base = _greedy_extension(X, k, tree_cells)
     d = len(ext)
     nk = X.n_cells(k)
+    # ext completes the tree and the boundaries to a spanning set of C_k
+    if base + d != nk:
+        raise TreeError("relative class rank check failed: %d + %d != %d "
+                        "k-cells" % (base, d, nk))
+    if not d:
+        return {"basis_cells": (), "classes": [()] * nk}
     cols = [{j: ONE} for j in ext] + [{j: ONE} for j in sorted(tree_cells)]
     cols += _boundary_cols(X, k + 1)
     solver = RationalSolver(cols, nk)       # the rows of M^T
@@ -293,7 +272,7 @@ def _hnf_lattice_basis(vectors, d):
     denom = 1
     for v in vectors:
         for x in v:
-            denom = denom * RAT(x).denominator // _gcd(denom, RAT(x).denominator)
+            denom = denom * RAT(x).denominator // gcd(denom, RAT(x).denominator)
     cols = [[int(RAT(x) * denom) for x in v] for v in vectors]
     # integer column echelon via Euclidean column ops (unimodular, so the
     # integer span is preserved), row by row
@@ -324,24 +303,11 @@ def _hnf_lattice_basis(vectors, d):
         basis.append(piv)
         work = rest
         row += 1
-    if len(basis) != _rank_int(cols, d):
+    rank = RationalSolver([{i: v for i, v in enumerate(c) if v} for c in cols],
+                          d).rank
+    if len(basis) != rank:
         raise TreeError("lattice basis extraction failed")
     return [tuple(RAT(x, denom) for x in b) for b in basis]
-
-
-def _rank_int(cols, d):
-    rows = [dict() for _ in range(d)]
-    for j, c in enumerate(cols):
-        for i, v in enumerate(c):
-            if v:
-                rows[i][j] = v
-    return RationalSolver(rows, len(cols)).rank
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _coords_in_basis(classes, basis, d):
@@ -442,7 +408,7 @@ def gnarledness_exact_tiny(T: SpanningTree, denom_bound: int):
         cands = []
         for q in range(1, denom_bound + 1):
             for p in range(1, nbound + 1):
-                if _gcd(p, q) == 1:
+                if gcd(p, q) == 1:
                     cands.append(RAT(p, q))
         for v in sorted(set(cands)):
             vals = [c[0] / v for c in coords]

@@ -205,6 +205,38 @@ def test_input_that_is_not_json_exits_one(runner, args, etype):
 
 
 @pytest.mark.parametrize("doc", [
+    5,
+    [[0, 1], [1, 2]],
+    {"simplices": [[0, "a"]]},
+    {"simplices": 3},
+    {"simplices": [[0, 1], 2]},
+    {"simplices": [[0, 1.5]]},
+    {"simplices": [[]]},
+    {"n": "x", "r": 2},
+    {"n": 2, "r": None},
+    {"dim": 1},
+], ids=["number", "list", "string-vertex", "simplices-not-list",
+        "simplex-not-list", "float-vertex", "empty-simplex", "grid-n-string",
+        "grid-r-null", "no-cells"])
+@pytest.mark.parametrize("command", ["subdivide", "fill"])
+def test_malformed_complex_json_exits_one(runner, doc, command):
+    with runner.isolated_filesystem():
+        write_inputs()
+        json.dump(doc, open("cx.json", "w"))
+        args = (["subdivide", "--in", "cx.json", "--L", "2", "--out", "s.json"]
+                if command == "subdivide" else
+                ["fill", "--complex", "cx.json", "--omega", "w.json",
+                 "--out", "a.json"])
+        r = runner.invoke(main, args)
+        assert r.exit_code == 1, r.output
+        assert r.exception is None or isinstance(r.exception, SystemExit), \
+            r.exception
+        err = json.loads(r.stderr)
+        assert err["error"]["type"] == "ComplexError"
+        assert err["error"]["message"]
+
+
+@pytest.mark.parametrize("doc", [
     {"vertical": [], "horizontal": []},
     {"schedule": {"layers": 1, "horizontal": []}},
     {"schedule": {"layers": "x", "vertical": [], "horizontal": []}},

@@ -9,15 +9,15 @@ from itertools import combinations, product
 
 import pytest
 
-from coiso.exact import RAT, ZERO
+from coiso.exact import RAT, ZERO, ONE, is_integral
 from coiso.complexes import (build_complex, cycle_complex, simplex_boundary)
 from coiso.homalg import Cochain, boundary_matrix, norm_inf
 from coiso.linalg import RationalSolver, mat_vec
-from coiso.filling import (FillingError, NotACoboundary, bounded_lift,
-                           coiso_constants_tiny, estimate_cip,
+from coiso.filling import (FillingError, LiftError, NotACoboundary,
+                           bounded_lift, coiso_constants_tiny, estimate_cip,
                            get_fill_context, integral_fill,
                            linf_fill_rational, sample_integral_coboundary,
-                           trial_rng)
+                           trial_rng, _any_cocycle_lift, _check_lift)
 from coiso.subdivision import edgewise_subdivide
 from coiso.trees import (greedy_spanning_tree, lifting_basis, wrapping_tree,
                          telescope_complex)
@@ -170,6 +170,28 @@ def test_lift_bound_never_violated(X, k):
         assert norm_inf(zl) <= bound
         for i in range(X.n_cells(k)):
             assert (zl(i) - z(i)).denominator == 1
+
+
+def test_lift_checks_raise_on_corrupted_lifts():
+    # degree 1 of the sphere, checked against the coboundary of its 2-context
+    X = simplex_boundary(3)
+    up = get_fill_context(X, 2)
+    n = X.n_cells(1)
+    zero = [ZERO] * n
+    _check_lift(up, zero, zero, RAT(0))
+    one_edge = [ONE] + [ZERO] * (n - 1)
+    with pytest.raises(LiftError, match="not a cocycle"):
+        _check_lift(up, zero, one_edge, RAT(3))
+    with pytest.raises(LiftError, match="mod Z"):
+        _check_lift(up, zero, [RAT(1, 2)] + [ZERO] * (n - 1), RAT(3))
+    with pytest.raises(LiftError, match="exceeds the bound"):
+        _check_lift(up, zero, one_edge, RAT(1, 2))
+    with pytest.raises(LiftError, match="not a cocycle mod Z"):
+        _any_cocycle_lift(up, [RAT(1, 2)] + [ZERO] * (n - 1))
+    # an integral cochain lifts to a cocycle through the context's solver
+    lifted = _any_cocycle_lift(up, one_edge)
+    assert not any(mat_vec(up.delta.rows, lifted))
+    assert all(is_integral(a - b) for a, b in zip(lifted, one_edge))
 
 
 # -- integral filling ------------------------------------------------------------

@@ -6,11 +6,15 @@ from coiso.filling import LiftData
 from coiso.homalg import boundary_matrix
 from coiso.linalg import RationalSolver
 from coiso.subdivision import edgewise_subdivide
+from coiso import trees
 from coiso.trees import (BasisIntegralityError, SpanningTree, TreeError,
-                         gnarledness_exact_tiny, gnarledness_upper,
-                         greedy_spanning_tree, lifting_basis,
-                         telescope_complex, telescope_circles_tree,
-                         wrapping_tree, _IncrementalRank)
+                         WrappingTree, gnarledness_exact_tiny,
+                         gnarledness_upper, greedy_spanning_tree,
+                         lifting_basis, telescope_complex,
+                         telescope_circles_tree, wrapping_tree,
+                         _relative_classes, _verify_wrapping)
+
+from reference_rank import IncrementalRank
 
 CORPUS = [
     (build_complex([(0, 1, 2)]), 1),
@@ -225,7 +229,7 @@ def test_zero_wrapping_tree_is_smallest_vertex_per_component():
                          ids=lambda v: repr(v))
 def test_zero_wrapping_tree_matches_greedy_rank_rule(X):
     # reference: after all edge boundaries, keep each vertex that raises the rank
-    rk = _IncrementalRank()
+    rk = IncrementalRank()
     if X.dim >= 1:
         for col in boundary_matrix(X, 1).col_dicts():
             rk.try_add(col)
@@ -246,3 +250,49 @@ def test_lift_data_unchanged_against_per_cell_classes(k):
     assert got.g_upper == want.g_upper
     if k == 2:
         assert got.b_tilde
+
+
+# -- the exact checks still raise on corrupted data ------------------------------
+
+def _drop_last_pivot(greedy_basis):
+    """greedy_basis as if the kernel had lost its last pivot."""
+    def corrupted(vectors, n):
+        picks, rank = greedy_basis(vectors, n)
+        return picks[:-1], rank - 1
+    return corrupted
+
+
+@pytest.mark.parametrize("X,k,d", [
+    (edgewise_subdivide(simplex_boundary(3), 2).result, 1, 0),
+    (simplex_boundary(3), 2, 1),
+    (telescope_complex(), 1, 1),
+], ids=["sphere-L2-k1", "sphere-k2", "telescope-k1"])
+def test_relative_class_rank_check_raises(X, k, d, monkeypatch):
+    tree = set(greedy_spanning_tree(X, k).cells)
+    assert len(_relative_classes(X, k, tree)["basis_cells"]) == d
+    monkeypatch.setattr(trees, "greedy_basis",
+                        _drop_last_pivot(trees.greedy_basis))
+    with pytest.raises(TreeError, match="rank check"):
+        _relative_classes(X, k, tree)
+
+
+def test_wrapping_check_catches_a_cycle_that_bounds():
+    # T plus one non-tree edge has one cycle, as H_1 of the telescope needs;
+    # the tree is a wrapping tree exactly when that cycle does not bound
+    X = telescope_complex()
+    T = greedy_spanning_tree(X, 1)
+    rk = IncrementalRank()
+    for c in [{j: 1} for j in T.cells] + boundary_matrix(X, 2).col_dicts():
+        rk.try_add(c)
+    bounding = 0
+    for e in range(X.n_cells(1)):
+        if e in T.cells:
+            continue
+        U = WrappingTree(X, 1, tuple(sorted(T.cells + (e,))))
+        if rk.reduce({e: 1})[1] is not None:     # e is independent
+            _verify_wrapping(U)
+        else:
+            bounding += 1
+            with pytest.raises(TreeError, match="bounds in X"):
+                _verify_wrapping(U)
+    assert bounding
