@@ -157,18 +157,26 @@ def fill(complex_path, omega_path, ring, out):
     })
 
 
+def _int_list(ctx, param, spec):
+    try:
+        return [int(x) for x in spec.split(",") if x]
+    except ValueError:
+        raise click.BadParameter(f"{spec!r} is not a comma-separated list of "
+                                 f"integers")
+
+
 @main.command(name="cip-sweep")
 @click.option("--complex", "complex_path", required=True)
 @click.option("--k", "k", required=True, type=int)
-@click.option("--L", "L_spec", required=True, help="Comma-separated list, e.g. 2,4,8")
+@click.option("--L", "L_list", required=True, callback=_int_list,
+              help="Comma-separated list, e.g. 2,4,8")
 @click.option("--trials", required=True, type=int)
 @click.option("--seed", required=True, type=int)
 @click.option("--out", required=True, help="CSV output path")
 @_domain_guard
-def cip_sweep(complex_path, k, L_spec, trials, seed, out):
+def cip_sweep(complex_path, k, L_list, trials, seed, out):
     """Empirical coisoperimetric-constant sweep over subdivision scales."""
     X = load_complex(complex_path)
-    L_list = [int(x) for x in L_spec.split(",") if x]
     table = estimate_cip(X, k, L_list, trials, seed)
     config = {"subcommand": "cip-sweep", "complex": complex_path, "k": k,
               "L": L_list, "trials": trials, "seed": seed, "out": out}

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, product
+from math import comb
 
 from .exact import RAT, ZERO, ONE, rat_floor, is_integral
 from .homalg import (Cochain, IntegralSystem, boundary_matrix, norm_inf)
@@ -273,12 +274,7 @@ def linf_fill_rational(X, omega: Cochain) -> FillingResult:
 def _omega_dense(X, omega: Cochain):
     """Dense values of omega; entries off the k-cells of X are an error,
     never dropped."""
-    n = X.n_cells(omega.k)
-    bad = sorted(i for i in omega.entries if not 0 <= i < n)
-    if bad:
-        raise FillingError("omega has entries at indices %s outside the %d "
-                           "%d-cells" % (bad[:4], n, omega.k))
-    return omega.dense(n)
+    return omega.dense_checked(X.n_cells(omega.k), FillingError, "omega")
 
 
 def _residual(ctx, alpha_vec, omega_dense) -> Cochain:
@@ -300,9 +296,8 @@ def bounded_lift(z: Cochain, T: SpanningTree, U) -> Cochain:
     X, k = T.X, T.k
     if z.k != k:
         raise LiftError(f"cochain degree {z.k} does not match the tree degree {k}")
+    dense = z.dense_checked(X.n_cells(k), FillingError, "z")
     data = LiftData(X, k, T, U)
-    nk = X.n_cells(k)
-    dense = z.dense(nk)
     up = get_fill_context(X, k + 1) if k + 1 <= X.dim else None
     z0 = _any_cocycle_lift(up, dense)
     lifted = data.lift(z0)
@@ -425,6 +420,8 @@ def estimate_cip(X, k: int, L_list, trials: int, rng_seed: int):
     """
     from .subdivision import edgewise_subdivide
 
+    if not 1 <= k <= X.dim:
+        raise FillingError(f"k={k} out of range for dim {X.dim}")
     if trials < 1:
         raise FillingError("trials must be >= 1")
     rows = []
@@ -454,7 +451,10 @@ def estimate_cip(X, k: int, L_list, trials: int, rng_seed: int):
 # ---------------------------------------------------------------------------
 # filling/cofilling duality on tiny complexes
 
-TINY_CAP = 12
+# The vertex enumerations solve C(n, d-1) systems on the ell-1 side and
+# C(n, d) * 2^d on the ell-infinity side (n cells, d the rank of the
+# boundary); a complex that needs more is refused.
+ENUMERATION_CAP = 20000
 
 
 def coiso_constants_tiny(X, k: int):
@@ -465,11 +465,16 @@ def coiso_constants_tiny(X, k: int):
     boundaries with volume <= 1.  The duality lemma makes these equal, and
     the implementation raises DualityMismatch if they ever are not.
     """
-    if any(X.n_cells(j) > TINY_CAP for j in range(X.dim + 1)):
-        raise FillingError(f"complex exceeds the tiny cap of {TINY_CAP} cells per dimension")
     if not 1 <= k <= X.dim:
         raise FillingError(f"k={k} out of range")
     Bk = boundary_matrix(X, k)
+    d = Bk.rank()
+    one = comb(Bk.nrows, d - 1) if d else 0
+    inf = comb(Bk.ncols, d) * 2 ** d
+    if max(one, inf) > ENUMERATION_CAP:
+        raise FillingError(
+            f"complex exceeds the duality enumeration cap of {ENUMERATION_CAP} "
+            f"solves: {one} on the ell-1 side, {inf} on the ell-infinity side")
     delta = Bk.transpose()
 
     co = _max_min_fill_inf(X, k, delta)
@@ -513,33 +518,26 @@ def _vertices_inf_ball(basis, n):
 def _vertices_one_ball(basis, n):
     """Vertices of {b in span(basis): ||b||_1 <= 1}.
 
-    Facets are sign vectors eps with sum(eps_i b_i) = 1; a vertex activates d
-    independent ones.  Sign classes are enumerated up to the antipodal pair.
+    They are the elementary (minimal-support) vectors of the span, scaled to
+    norm 1, with both signs (Rockafellar 1969).  An elementary vector spans
+    the part of the span that vanishes on some d-1 coordinates whose rows
+    have rank d-1, and every such part is spanned by an elementary vector:
+    one kernel solve per (d-1)-set of coordinates finds them all.
     """
     d = len(basis)
     if d == 0:
         return []
-    all_eps = []
-    for bits in product((1, -1), repeat=n - 1):
-        all_eps.append((1,) + bits)
-    rows_of = [{j: sum(RAT(e) * basis[j][i] for i, e in enumerate(eps) if basis[j][i])
-                for j in range(d)} for eps in all_eps]
-    rows_of = [{j: v for j, v in r.items() if v} for r in rows_of]
     verts = set()
-    for picks in combinations(range(len(all_eps)), d):
-        for orient in product((1, -1), repeat=d):
-            rows = []
-            for p, o in zip(picks, orient):
-                rows.append({j: RAT(o) * v for j, v in rows_of[p].items()})
-            solver = RationalSolver(rows, d)
-            if solver.rank < d:
-                continue
-            x = solver.solve([ONE] * d)
-            if x is None:
-                continue
-            b = [sum(basis[j][i] * x[j] for j in range(d)) for i in range(n)]
-            if sum(v if v >= 0 else -v for v in b) <= 1:
-                verts.add(tuple(b))
+    for idxs in combinations(range(n), d - 1):
+        rows = [{j: basis[j][i] for j in range(d) if basis[j][i]} for i in idxs]
+        solver = RationalSolver(rows, d)
+        if solver.rank < d - 1:
+            continue
+        x, = solver.nullspace()
+        b = [sum((basis[j][i] * v for j, v in x.items()), ZERO) for i in range(n)]
+        norm = sum(v if v >= 0 else -v for v in b)
+        verts.add(tuple(v / norm for v in b))
+        verts.add(tuple(-v / norm for v in b))
     return [list(v) for v in verts]
 
 

@@ -47,6 +47,14 @@ class Cochain:
     def dense(self, n: int):
         return [self.entries.get(i, ZERO) for i in range(n)]
 
+    def dense_checked(self, n: int, error, name: str):
+        """dense(n), but entries off [0, n), which dense drops, raise error."""
+        bad = sorted(i for i in self.entries if not 0 <= i < n)
+        if bad:
+            raise error("%s has entries at indices %s outside the %d %d-cells"
+                        % (name, bad[:4], n, self.k))
+        return self.dense(n)
+
     def is_integral(self) -> bool:
         return all(is_integral(v) for v in self.entries.values())
 

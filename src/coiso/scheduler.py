@@ -191,10 +191,11 @@ def degree_schedule(X, omega: Cochain, alpha: Cochain, layers: int) -> PrismSche
         raise SchedulerError("schedule needs integral omega and alpha")
     if layers < 1:
         raise SchedulerError("layers must be >= 1")
+    dense_o = omega.dense_checked(X.n_cells(m), SchedulerError, "omega")
+    dense_a = alpha.dense_checked(X.n_cells(m - 1), SchedulerError, "alpha")
     ctx = get_fill_context(X, m)
-    dense_o = omega.dense(X.n_cells(m))
     from .linalg import mat_vec
-    got = mat_vec(ctx.delta.rows, alpha.dense(X.n_cells(m - 1)))
+    got = mat_vec(ctx.delta.rows, dense_a)
     residual = {i: got[i] - dense_o[i] for i in range(len(dense_o))
                 if got[i] != dense_o[i]}
     if residual:

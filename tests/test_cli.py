@@ -253,3 +253,48 @@ def test_verify_schedule_rejects_malformed_schedule(runner, doc):
         err = json.loads(r.stderr)
         assert err["error"]["type"] == "SchedulerError"
         assert err["error"]["message"].startswith("malformed schedule JSON")
+
+
+def test_cip_sweep_rejects_a_non_integer_scale(runner):
+    with runner.isolated_filesystem():
+        write_inputs()
+        r = runner.invoke(main, ["cip-sweep", "--complex", "sphere.json", "--k",
+                                 "2", "--L", "2,x", "--trials", "1", "--seed",
+                                 "0", "--out", "c.csv"])
+        assert r.exit_code == 2, r.output
+        assert "--L" in r.output and "'2,x'" in r.output
+
+
+def test_cip_sweep_rejects_a_degree_above_the_dimension(runner):
+    with runner.isolated_filesystem():
+        write_inputs()
+        r = runner.invoke(main, ["cip-sweep", "--complex", "sphere.json", "--k",
+                                 "5", "--L", "2", "--trials", "1", "--seed",
+                                 "0", "--out", "c.csv"])
+        assert r.exit_code == 1, r.output
+        err = json.loads(r.stderr)
+        assert err["error"] == {"type": "FillingError",
+                                "message": "k=5 out of range for dim 2"}
+
+
+@pytest.mark.parametrize("which", ["omega", "alpha"])
+def test_schedule_rejects_an_index_outside_the_cells(runner, which):
+    with runner.isolated_filesystem():
+        write_inputs()
+        from coiso.complexes import load_complex
+        from coiso.filling import integral_fill, sample_integral_coboundary, trial_rng
+        X = load_complex("sphere.json")
+        om = sample_integral_coboundary(X, 2, trial_rng(2, 1, 0))
+        docs = {"omega": om.to_json_dict(),
+                "alpha": integral_fill(X, om).alpha.to_json_dict()}
+        docs[which]["entries"].append([99, "1"])
+        json.dump(docs["omega"], open("om.json", "w"))
+        json.dump(docs["alpha"], open("al.json", "w"))
+        r = runner.invoke(main, ["schedule", "--complex", "sphere.json",
+                                 "--omega", "om.json", "--alpha", "al.json",
+                                 "--layers", "2", "--out", "sch.json"])
+        assert r.exit_code == 1, r.output
+        err = json.loads(r.stderr)
+        assert err["error"]["type"] == "SchedulerError"
+        assert err["error"]["message"].startswith(f"{which} has entries at "
+                                                  f"indices [99]")

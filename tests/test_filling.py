@@ -5,6 +5,7 @@ the feasible polytope directly (every subset of d+1 active bound constraints
 over the solution affine space), so it shares no code path with the LP.
 """
 
+import random
 from itertools import combinations, product
 
 import pytest
@@ -13,14 +14,17 @@ from coiso.exact import RAT, ZERO, ONE, is_integral
 from coiso.complexes import (build_complex, cycle_complex, simplex_boundary)
 from coiso.homalg import Cochain, boundary_matrix, norm_inf
 from coiso.linalg import RationalSolver, mat_vec
-from coiso.filling import (FillingError, LiftError, NotACoboundary,
-                           bounded_lift, coiso_constants_tiny, estimate_cip,
-                           get_fill_context, integral_fill,
+from coiso import filling
+from coiso.filling import (DualityMismatch, FillingError, LiftError,
+                           NotACoboundary, bounded_lift, coiso_constants_tiny,
+                           estimate_cip, get_fill_context, integral_fill,
                            linf_fill_rational, sample_integral_coboundary,
-                           trial_rng, _any_cocycle_lift, _check_lift)
+                           trial_rng, _any_cocycle_lift, _check_lift,
+                           _image_basis, _vertices_one_ball)
 from coiso.subdivision import edgewise_subdivide
 from coiso.trees import (greedy_spanning_tree, lifting_basis, wrapping_tree,
                          telescope_complex)
+from reference_vertices import vertices_one_ball_reference
 
 
 def linf_oracle(rows, ncols, om):
@@ -114,6 +118,13 @@ def test_lift_on_triangle_boundary_thirds():
     assert norm_inf(zl) <= 1 + 1 + g
     for i in range(3):
         assert (zl(i) - z(i)).denominator == 1
+
+
+def test_lift_rejects_an_index_outside_the_cells():
+    X = cycle_complex(3)
+    z = Cochain(1, {0: RAT(1, 3), 3: RAT(1, 3)}, "rat")
+    with pytest.raises(FillingError, match=r"z has entries at indices \[3\]"):
+        bounded_lift(z, greedy_spanning_tree(X, 1), wrapping_tree(X, 0))
 
 
 def test_lift_on_sphere_halves():
@@ -279,6 +290,7 @@ GOLDEN = [
     (cycle_complex(4), 1, RAT(1)),
     (build_complex([(0, 1, 2)]), 1, RAT(1, 2)),
     (simplex_boundary(3), 2, RAT(1, 2)),
+    (simplex_boundary(4), 2, RAT(3, 5)),
 ]
 
 
@@ -293,3 +305,96 @@ def test_duality_size_cap():
     X = edgewise_subdivide(simplex_boundary(3), 4).result
     with pytest.raises(FillingError):
         coiso_constants_tiny(X, 2)
+
+
+def test_duality_checks_k_before_the_size():
+    X = edgewise_subdivide(simplex_boundary(3), 4).result
+    with pytest.raises(FillingError, match="out of range"):
+        coiso_constants_tiny(X, 3)
+
+
+def test_duality_size_cap_builds_no_enumeration(monkeypatch):
+    def refuse(basis, n):
+        raise AssertionError("enumeration ran above the cap")
+    monkeypatch.setattr(filling, "_vertices_inf_ball", refuse)
+    monkeypatch.setattr(filling, "_vertices_one_ball", refuse)
+    X = edgewise_subdivide(simplex_boundary(3), 2).result
+    with pytest.raises(FillingError, match="enumeration cap"):
+        coiso_constants_tiny(X, 2)
+
+
+def test_duality_mismatch_raises_when_the_sides_disagree(monkeypatch):
+    real = filling._vertices_one_ball
+
+    def shrunk(basis, n):       # points inside the ell-1 ball, no vertex
+        return [[v / 2 for v in b] for b in real(basis, n)]
+    monkeypatch.setattr(filling, "_vertices_one_ball", shrunk)
+    with pytest.raises(DualityMismatch, match="cofilling 1 != filling 1/2"):
+        coiso_constants_tiny(cycle_complex(4), 1)
+
+
+# -- the ell-1 ball's vertices against the old sign-facet enumeration -------------
+
+def _one_ball(basis, n):
+    verts = [tuple(v) for v in _vertices_one_ball(basis, n)]
+    assert len(verts) == len(set(verts))
+    return set(verts)
+
+
+@pytest.mark.parametrize("X,k,count", [
+    (cycle_complex(4), 1, 12),
+    (build_complex([(0, 1, 2)]), 1, 6),
+    (simplex_boundary(3), 1, 12),
+    (simplex_boundary(3), 2, 14),
+], ids=["C4-1", "Delta2-1", "dDelta3-1", "dDelta3-2"])
+def test_one_ball_vertices_match_sign_facets_on_corpus(X, k, count):
+    # the telescope (2^11 and 2^27 sign facets) is beyond the old enumeration
+    Bk = boundary_matrix(X, k)
+    basis = _image_basis(Bk.rows, Bk.ncols, Bk.nrows)
+    verts = _one_ball(basis, Bk.nrows)
+    assert len(verts) == count
+    assert verts == vertices_one_ball_reference(basis, Bk.nrows)
+
+
+def random_coordinate_basis(rng, n, d):
+    """d independent integer columns over n coordinates; coordinate rows are
+    repeated, rescaled or zero often, so some (d-1)-sets are dependent."""
+    while True:
+        rows = []
+        for _ in range(n):
+            u = rng.random()
+            if rows and u < 0.2:
+                rows.append(list(rng.choice(rows)))
+            elif rows and u < 0.35:
+                s = rng.choice((-3, -2, 2, 3))
+                rows.append([s * v for v in rng.choice(rows)])
+            elif u < 0.45:
+                rows.append([0] * d)
+            else:
+                rows.append([rng.randint(-3, 3) for _ in range(d)])
+        if RationalSolver([dict(enumerate(r)) for r in rows], d).rank == d:
+            return [[RAT(rows[i][j]) for i in range(n)] for j in range(d)]
+
+
+RANDOM_SHAPES = [(n, d, seed) for d, ns in ((1, range(1, 8)), (2, range(2, 7)),
+                                            (3, range(3, 6)))
+                 for n in ns for seed in (0, 1)]
+
+
+@pytest.mark.parametrize("n,d,seed", RANDOM_SHAPES, ids=str)
+def test_one_ball_vertices_match_sign_facets_on_random_bases(n, d, seed):
+    basis = random_coordinate_basis(random.Random(f"{n}/{d}/{seed}"), n, d)
+    verts = _one_ball(basis, n)
+    assert verts == vertices_one_ball_reference(basis, n)
+    for b in verts:
+        assert sum(abs(v) for v in b) == 1
+
+
+def test_random_bases_have_dependent_coordinate_sets():
+    dependent = 0
+    for n, d, seed in RANDOM_SHAPES:
+        basis = random_coordinate_basis(random.Random(f"{n}/{d}/{seed}"), n, d)
+        for idxs in combinations(range(n), d - 1):
+            rows = [{j: basis[j][i] for j in range(d) if basis[j][i]} for i in idxs]
+            dependent += RationalSolver(rows, d).rank < d - 1
+    assert dependent >= 10
