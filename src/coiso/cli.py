@@ -23,12 +23,13 @@ from .trees import (greedy_spanning_tree, wrapping_tree, TreeError)
 from .cubetree import cube_tree, cube_tree_recursive, verify_cube_tree, CubeTreeError
 from .filling import (linf_fill_rational, integral_fill, estimate_cip,
                       coiso_constants_tiny, FillingError, NotACoboundary)
+from .lp import LPError
 from .scheduler import (degree_schedule, verify_schedule, s2_null_demo,
                         SchedulerError, ScheduleInvariantError, PrismSchedule,
                         PrismComplex)
 
 _DOMAIN_ERRORS = (ComplexError, HomalgError, SubdivisionError, TreeError,
-                  CubeTreeError, FillingError, SchedulerError)
+                  CubeTreeError, FillingError, SchedulerError, LPError)
 
 
 def _dump(obj) -> str:

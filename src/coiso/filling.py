@@ -17,11 +17,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from math import comb
+from math import comb, gcd, lcm
 
-from .exact import RAT, ZERO, ONE, rat_floor, is_integral
+from .exact import RAT, ZERO, is_integral
 from .homalg import (Cochain, IntegralSystem, boundary_matrix, norm_inf)
-from .linalg import RationalSolver, greedy_basis, mat_vec
+from .linalg import (RationalSolver, greedy_basis, mat_vec, residual_rows,
+                     scale_to_ints)
 from .lp import LinfProblem, l1_min
 from .trees import (SpanningTree, WrappingTree, greedy_spanning_tree,
                     wrapping_tree, lifting_basis)
@@ -78,6 +79,8 @@ class FillContext:
         Bk = boundary_matrix(X, k)
         self.delta = Bk.transpose()            # rows = k-cells, cols = (k-1)-cells
         self.cycles = RationalSolver(Bk.rows, Bk.ncols).nullspace()
+        # cycle z = scale * p, p its primitive integer multiple
+        self._int_cycles = [_primitive(z) for z in self.cycles]
         self.lp = LinfProblem(self.delta.rows, self.delta.ncols)
         self._integral = None
         self._lift = None
@@ -85,15 +88,19 @@ class FillContext:
     # -- coboundary tests ----------------------------------------------------
 
     def coboundary_witness(self, omega_dense):
-        """None when omega is a rational coboundary, else (cycle, pairing)."""
-        for z in self.cycles:
-            s = ZERO
-            for i, v in z.items():
-                w = omega_dense[i]
-                if w:
-                    s += v * w
+        """None when omega is a rational coboundary, else (cycle, pairing).
+
+        The pairings are taken in ints: <z, omega> = scale * <p, D omega> / D.
+        """
+        D, w = scale_to_ints(omega_dense)
+        for z, (p, scale) in zip(self.cycles, self._int_cycles):
+            s = 0
+            for i, v in p.items():
+                wi = w[i]
+                if wi:
+                    s += v * wi
             if s:
-                return z, s
+                return z, scale * RAT(s, D)
         return None
 
     def integral_system(self) -> IntegralSystem:
@@ -110,6 +117,14 @@ class FillContext:
                 else WrappingTree(self.X, -1, ())
             self._lift = LiftData(self.X, self.k - 1, T, U)
         return self._lift
+
+
+def _primitive(z):
+    """(p, scale): the primitive integer vector p and the RAT scale with
+    z = scale * p, for a nonzero sparse rational vector z."""
+    D, vals = scale_to_ints(list(z.values()))
+    g = gcd(*vals)
+    return {j: v // g for j, v in zip(z, vals)}, RAT(g, D)
 
 
 def get_fill_context(X, k: int) -> FillContext:
@@ -162,7 +177,7 @@ class LiftData:
             for cpos, j in enumerate(tree_cells):
                 for i, v in cols[j].items():
                     if i in row_pos:
-                        rows[row_pos[i]][cpos] = RAT(v)
+                        rows[row_pos[i]][cpos] = v
             if len(self.f_supports) != len(tree_cells):
                 raise LiftError(
                     "F-basis count mismatch: %d cells outside the wrapping "
@@ -171,7 +186,7 @@ class LiftData:
             if solver.rank != len(tree_cells):
                 raise LiftError("tree filling system is singular")
             for p in self.f_supports:
-                rhs = [ONE if q == p else ZERO for q in self.f_supports]
+                rhs = [1 if q == p else 0 for q in self.f_supports]
                 x = solver.solve(rhs)
                 self.F[p] = {tree_cells[c]: v for c, v in enumerate(x) if v}
             self._bcols = cols
@@ -217,33 +232,41 @@ class LiftData:
         self.n_cocycle_rows = 0
         if k + 1 <= X.dim:
             delta_rows = boundary_matrix(X, k + 1).transpose().rows
-            sys_rows.extend({j: RAT(v) for j, v in r.items()} for r in delta_rows)
+            sys_rows.extend(delta_rows)
             self.n_cocycle_rows = len(delta_rows)
         self.coord_chains = [self.F[p] for p in self.f_supports] + self.b_tilde
+        # each chain as (D, integer chain D * ch)
+        self._int_chains = []
         for ch in self.coord_chains:
             sys_rows.append(dict(ch))
+            D, vals = scale_to_ints(list(ch.values()))
+            self._int_chains.append((D, dict(zip(ch, vals))))
         self.solver = RationalSolver(sys_rows, nk)
         if self.solver.rank != nk:
             raise LiftError("cocycle coordinates do not determine the cocycle")
 
-    def coords(self, w_dense):
-        """Values of a cochain on every F(p) and b~ chain."""
-        out = []
-        for ch in self.coord_chains:
-            s = ZERO
+    def lift(self, z0_dense, denominator=1):
+        """The normalized cocycle lift of the cocycle z0 = z0_dense /
+        denominator, values shifted into [0,1) on the coordinate chains;
+        differs from z0 by integers cellwise.
+
+        A coordinate <ch, z0> is s / m in ints, and its fractional part is
+        (s mod m) / m; the targets are solved over their common denominator.
+        """
+        D, w = scale_to_ints(z0_dense)
+        D *= denominator
+        parts = []
+        for dc, ch in self._int_chains:
+            s = 0
             for j, v in ch.items():
-                wj = w_dense[j]
+                wj = w[j]
                 if wj:
                     s += v * wj
-            out.append(s)
-        return out
-
-    def lift(self, z0_dense):
-        """The normalized cocycle lift of a cocycle z0, values shifted into
-        [0,1) on the coordinate chains; differs from z0 by integers cellwise."""
-        targets = [v - rat_floor(v) for v in self.coords(z0_dense)]
-        rhs = [ZERO] * self.n_cocycle_rows + targets
-        z = self.solver.solve(rhs)
+            m = dc * D
+            parts.append((s % m, m))
+        M = lcm(*(m for _, m in parts))
+        rhs = [0] * self.n_cocycle_rows + [r * (M // m) for r, m in parts]
+        z = self.solver.solve(rhs, M)
         if z is None:
             raise LiftError("lift system inconsistent")
         return z
@@ -278,11 +301,9 @@ def _omega_dense(X, omega: Cochain):
 
 
 def _residual(ctx, alpha_vec, omega_dense) -> Cochain:
-    got = mat_vec(ctx.delta.rows, alpha_vec)
-    diff = {i: got[i] - omega_dense[i] for i in range(len(omega_dense))
-            if got[i] != omega_dense[i]}
-    if diff:
-        raise FillingError("residual is nonzero: %r" % (sorted(diff)[:4],))
+    bad = residual_rows(ctx.delta.rows, alpha_vec, omega_dense)
+    if bad:
+        raise FillingError("residual is nonzero: %r" % (bad[:4],))
     return Cochain(ctx.k, {}, "rat")
 
 
@@ -323,12 +344,28 @@ def _any_cocycle_lift(up, dense):
     return [dense[i] + eta[i] for i in range(len(dense))]
 
 
+def _int_difference(a, b):
+    """[a_i - b_i] as ints, or None when some difference is not an integer."""
+    Da, xa = scale_to_ints(a)
+    Db, xb = scale_to_ints(b)
+    M = lcm(Da, Db)
+    fa, fb = M // Da, M // Db
+    out = []
+    for u, v in zip(xa, xb):
+        q, r = divmod(u * fa - v * fb, M)
+        if r:
+            return None
+        out.append(q)
+    return out
+
+
 def _check_lift(up, z_dense, lifted, bound):
     """The lift is congruent to z mod Z, within the bound, and a cocycle of
     the coboundary in up (the next degree's FillContext, None at the top)."""
-    if any(not is_integral(a - b) for a, b in zip(lifted, z_dense)):
+    if _int_difference(lifted, z_dense) is None:
         raise LiftError("lift is not congruent to the input mod Z")
-    worst = max((v if v >= 0 else -v for v in lifted), default=ZERO)
+    D, xs = scale_to_ints(lifted)
+    worst = RAT(max(map(abs, xs), default=0), D)
     if worst > bound:
         raise LiftError(f"lift norm {worst} exceeds the bound {bound}")
     if up is not None and any(v != 0 for v in mat_vec(up.delta.rows, lifted)):
@@ -359,14 +396,14 @@ def integral_fill(X, omega: Cochain) -> FillingResult:
     alpha_vec = rational.alpha.dense(X.n_cells(k - 1))
 
     data = ctx.lift_data()
-    z0 = [alpha_vec[i] - eta[i] for i in range(len(alpha_vec))]
-    lifted = data.lift(z0)
+    D, a = scale_to_ints(alpha_vec)
+    lifted = data.lift([ai - ei * D for ai, ei in zip(a, eta)], D)
     _check_lift(ctx, alpha_vec, lifted, data.bound)
 
-    tilde = [alpha_vec[i] - lifted[i] for i in range(len(alpha_vec))]
-    if any(not is_integral(v) for v in tilde):
+    tilde = _int_difference(alpha_vec, lifted)
+    if tilde is None:
         raise FillingError("integral correction failed to clear denominators")
-    alpha_t = Cochain(k - 1, {i: int(v) for i, v in enumerate(tilde) if v}, "int")
+    alpha_t = Cochain(k - 1, {i: v for i, v in enumerate(tilde) if v}, "int")
     resid = _residual(ctx, tilde, dense)
     nrm = norm_inf(alpha_t)
     bound_total = rational.norm_inf_alpha + k + 1 + data.g_upper

@@ -5,11 +5,19 @@ LP certification step.  Matrices are lists of sparse rows (dict col -> value).
 Factorizations record the elimination so the same matrix can be solved
 against many right-hand sides; this is what keeps the per-trial cost of the
 coisoperimetry sweeps low.
+
+Integers first: almost every number here is an integer, so rows, recorded
+factors and intermediate vectors hold Python ints, and an exact rational
+(`RAT`) is made only where a division leaves a remainder.  A rational vector
+is scaled to integers by the lcm of its denominators (`scale_to_ints`),
+worked on in ints and divided once at the end.  Every rational a caller gets
+back is a `RAT`, never an int: int / int is a float in Python.
 """
 
 from __future__ import annotations
 
 import heapq
+from math import gcd
 
 from .exact import RAT, ZERO
 
@@ -27,6 +35,49 @@ def sparse_rows_from_entries(entries, nrows):
             if not rows[i][j]:
                 del rows[i][j]
     return rows
+
+
+def _exact(v):
+    """v as an int when it is integral, else unchanged (a RAT)."""
+    if type(v) is int or v.denominator != 1:
+        return v
+    return int(v)
+
+
+def _div(a, b):
+    """Exact a / b: an int when b divides a, a RAT only on a remainder."""
+    if type(a) is int and type(b) is int:
+        if b == 1:
+            return a
+        if b == -1:
+            return -a
+        q, r = divmod(a, b)
+        return RAT(a, b) if r else q
+    return _exact(a / b)
+
+
+def _to_rat(v, D=1):
+    """v / D as a RAT (ZERO for 0); the exit from ints to the RAT contract."""
+    if not v:
+        return ZERO
+    if type(v) is int:
+        return RAT(v, D)
+    return v / D if D != 1 else v
+
+
+def scale_to_ints(x):
+    """(D, X): D the lcm of the denominators of the exact rationals x, and
+    X = D * x as ints.  A vector of ints comes back as (1, a copy)."""
+    D = 1
+    for v in x:
+        if type(v) is not int:
+            d = int(v.denominator)
+            if D % d:
+                D = D // gcd(D, d) * d
+    if D == 1:
+        return 1, [v if type(v) is int else int(v) for v in x]
+    return D, [v * D if type(v) is int
+               else int(v.numerator) * (D // int(v.denominator)) for v in x]
 
 
 class _Echelon:
@@ -87,6 +138,7 @@ class _Echelon:
             prow_row = rows[prow]
             counts = [(j, len(col_rows[j])) for j in prow_row]
             pval = prow_row[col]
+            int_prow = all(type(v) is int for v in prow_row.values())
             for t in sorted(col_rows[col] - {prow}):
                 f = self._factor(rows[t][col], pval)
                 self.ops.append((t, prow, f))
@@ -100,6 +152,10 @@ class _Echelon:
                     elif j in rt:
                         del rt[j]
                         col_rows[j].discard(t)
+                if not (int_prow and type(f) is int):
+                    # keep the rows free of integral RATs
+                    for j, v in rt.items():
+                        rt[j] = _exact(v)
             self.pivots.append((prow, col))
             active.discard(prow)
             for j, old in counts:
@@ -142,23 +198,38 @@ class RationalSolver(_Echelon):
     queue; within it the row with the fewest entries wins, ties to the lower
     row.  The choice is deterministic, and it fixes which particular solution
     solve() returns: free variables set to zero, or None when inconsistent.
+
+    Rows, factors and substitutions hold ints; a RAT appears only where a
+    division by a non-unit pivot leaves a remainder, which the boundary-type
+    matrices of this package almost never do.  The pivot rule looks at
+    supports only, so the representation cannot change a pivot.  solve()
+    and nullspace() return RAT entries only.
     """
 
     def _convert_row(self, r):
-        return {j: RAT(v) for j, v in r.items() if v}
+        return {j: _exact(v) for j, v in r.items() if v}
 
     def _pick_row(self, col, live):
         return min(live, key=lambda i: (len(self.rows[i]), i))
 
     def _factor(self, entry, pval):
-        return entry / pval
+        return _div(entry, pval)
 
-    def solve(self, b):
-        y = self.reduce_rhs([RAT(v) if v else ZERO for v in b])
+    def solve(self, b, denominator=1):
+        """x with A x = b / denominator as RATs (free variables 0), or None
+        if inconsistent.
+
+        b may mix ints and RATs; it is scaled to ints by the lcm of its
+        denominators, solved in ints and divided by the whole denominator D
+        once at the end.
+        """
+        D, y = scale_to_ints(b)
+        D *= denominator
+        y = self.reduce_rhs(y)
         for i in self.zero_rows:
             if y[i]:
                 return None
-        x = [ZERO] * self.n
+        x = [0] * self.n
         for prow, col in reversed(self.pivots):
             s = y[prow]
             row = self.rows[prow]
@@ -168,24 +239,23 @@ class RationalSolver(_Echelon):
                     if xj:
                         s -= v * xj
             if s:
-                x[col] = s / row[col]
-        return x
+                x[col] = _div(s, row[col])
+        return [_to_rat(v, D) if v else ZERO for v in x]
 
     def nullspace(self):
-        """Basis of ker A, one sparse dict per free column."""
+        """Basis of ker A, one sparse dict of RATs per free column."""
         basis = []
         for f in self.free_cols:
-            x = {f: RAT(1)}
+            x = {f: 1}
             for prow, col in reversed(self.pivots):
                 row = self.rows[prow]
-                s = ZERO
+                s = 0
                 for j, v in row.items():
                     if j != col and j in x:
                         s -= v * x[j]
-                val = s / row[col]
-                if val:
-                    x[col] = val
-            basis.append(x)
+                if s:
+                    x[col] = _div(s, row[col])
+            basis.append({j: _to_rat(v) for j, v in x.items()})
         return basis
 
 
@@ -249,16 +319,38 @@ class UnimodularEchelon(_Echelon):
 
 
 def mat_vec(rows, x):
-    """rows: list of sparse dicts, x: dense list. Returns dense list."""
+    """rows: list of sparse dicts of ints, x: dense list of exact numbers.
+
+    Returns the dense product as RATs, computed in ints over the common
+    denominator of x.
+    """
+    D, xs = scale_to_ints(x)
     out = []
     for r in rows:
-        s = ZERO
+        s = 0
         for j, v in r.items():
-            xj = x[j]
+            xj = xs[j]
             if xj:
-                s = s + v * xj
-        out.append(s)
+                s += v * xj
+        out.append(_to_rat(s, D))
     return out
+
+
+def residual_rows(rows, x, b):
+    """Indices i with rows[i] . x != b[i]: the identity A x = b checked in
+    ints over the common denominators of x and b."""
+    Dx, xs = scale_to_ints(x)
+    Db, bs = scale_to_ints(b)
+    bad = []
+    for i, r in enumerate(rows):
+        s = 0
+        for j, v in r.items():
+            xj = xs[j]
+            if xj:
+                s += v * xj
+        if s * Db != bs[i] * Dx:
+            bad.append(i)
+    return bad
 
 
 def transpose_rows(rows, ncols):

@@ -24,8 +24,10 @@ No float ever enters a returned value.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .exact import RAT, ZERO, ONE
-from .linalg import RationalSolver, mat_vec, transpose_rows
+from .linalg import RationalSolver, residual_rows, scale_to_ints, transpose_rows
 
 
 class LPError(ValueError):
@@ -173,6 +175,9 @@ def _pivot(T, rhs, basis, leave, enter):
 _ATTEMPTS = (("highs-ipm", (1e-7, 1e-9, 1e-5)), ("highs-ds", (1e-7,)))
 _TINY = 48          # below this many variables the dense simplex is cheap
 _MAX_LEVELS = 512
+# the last-resort dense simplex refuses a tableau larger than this: at
+# dDelta3, L=16 it would be (1024 + 3072) x 6145, about 25M exact entries
+SIMPLEX_CAP = 100_000
 
 
 class LinfProblem:
@@ -290,60 +295,89 @@ class LinfProblem:
             else:
                 sys_rows.append(col)
         sys_rows.append(norm_row)
-        rhs = [ZERO] * (len(sys_rows) - 1) + [ONE]
+        rhs = [0] * (len(sys_rows) - 1) + [1]
         y = RationalSolver(sys_rows, self.m).solve(rhs)
         if y is None:
             return None
-        l1 = ZERO
-        for i in range(self.n):
-            s = ZERO
-            for cell, v in self.cols[i].items():
-                if y[cell]:
-                    s += RAT(v) * y[cell]
+        # ||D^T y||_1 <= 1 and t = y.omega, over the denominators of y, omega
+        Dy, ys = scale_to_ints(y)
+        l1 = 0
+        for col in self.cols:
+            s = 0
+            for cell, v in col.items():
+                yc = ys[cell]
+                if yc:
+                    s += v * yc
             l1 += s if s >= 0 else -s
-        if l1 > 1:
+        if l1 > Dy:
             return None
-        t_exact = ZERO
-        for i in range(self.m):
-            if omega[i] and y[i]:
-                t_exact += y[i] * omega[i]
-        if t_exact <= 0:
+        Dw, ws = scale_to_ints(omega)
+        t = sum(a * b for a, b in zip(ys, ws) if a and b)
+        if t <= 0:
             return None
-        return t_exact, dsup
+        return RAT(t, Dy * Dw), dsup
 
-    def _primal_at(self, omega, fixed, bound):
+    def _primal_at(self, omega, fixed, bound, guess=None):
         """Exact alpha with D alpha = omega, alpha_i pinned by `fixed`, and
-        ||alpha||_inf <= bound; None when the pinned system refuses."""
+        ||alpha||_inf <= bound; None when the pinned system refuses.
+
+        The free variables of the unpinned system are set to 0.  On a
+        degenerate optimal face that can break the bound; then, given a
+        float solution `guess`, they take its values rounded to the
+        denominator of the bound.
+        """
         free = [i for i in range(self.n) if i not in fixed]
         pos = {j: idx for idx, j in enumerate(free)}
+        # rhs omega - D_fixed alpha_fixed in ints over the common denominator
+        Dw, ws = scale_to_ints(omega)
+        Df, fs = scale_to_ints(list(fixed.values()))
+        D = lcm(Dw, Df)
+        fw, ff = D // Dw, D // Df
+        fixed_int = {j: v * ff for j, v in zip(fixed, fs) if v}
         prows = []
         prhs = []
         for i, r in enumerate(self.rows):
             row = {}
-            rv = omega[i]
+            rv = ws[i] * fw
             for j, v in r.items():
                 if j in fixed:
-                    fv = fixed[j]
+                    fv = fixed_int.get(j)
                     if fv:
-                        rv -= RAT(v) * fv
+                        rv -= v * fv
                 else:
-                    row[pos[j]] = RAT(v)
+                    row[pos[j]] = v
             prows.append(row)
             prhs.append(rv)
-        xfree = RationalSolver(prows, len(free)).solve(prhs)
-        if xfree is None:
-            return None
-        alpha = [ZERO] * self.n
-        for i, v in fixed.items():
-            alpha[i] = v
-        for j, idx in pos.items():
-            alpha[j] = xfree[idx]
-        if any((v if v >= 0 else -v) > bound for v in alpha):
-            return None
-        resid = mat_vec(self.rows, alpha)
-        if any(resid[i] != omega[i] for i in range(self.m)):
-            return None
-        return alpha
+        solver = RationalSolver(prows, len(free))
+
+        def certified(xfree):
+            if xfree is None:
+                return None
+            alpha = [ZERO] * self.n
+            for i, v in fixed.items():
+                alpha[i] = v
+            for j, idx in pos.items():
+                alpha[j] = xfree[idx]
+            Da, xs = scale_to_ints(alpha)
+            if RAT(max(map(abs, xs), default=0), Da) > bound:
+                return None
+            if residual_rows(self.rows, alpha, omega):
+                return None
+            return alpha
+
+        alpha = certified(solver.solve(prhs, D))
+        if alpha is not None or guess is None:
+            return alpha
+        # free variable k at c[k] / q moves A_k c[k] / q to the right-hand side
+        q = int(bound.denominator)
+        c = {k: round(float(guess[free[k]]) * q) for k in solver.free_cols}
+        rhs = [b * q - D * sum(v * c[k] for k, v in row.items() if k in c)
+               for b, row in zip(prhs, prows)]
+        xfree = solver.solve(rhs, D * q)
+        if xfree is not None:
+            for k, ck in c.items():
+                xfree[k] = RAT(ck, q)
+        return certified(xfree)
 
     def _reconstruct(self, omega, res, tol):
         cert = self._dual_certificate(omega, res, tol)
@@ -359,7 +393,7 @@ class LinfProblem:
                 fixed[i] = t_exact
             elif v <= -(t_f - eps):
                 fixed[i] = -t_exact
-        alpha = self._primal_at(omega, fixed, t_exact)
+        alpha = self._primal_at(omega, fixed, t_exact, res.x)
         if alpha is None:
             return None
         return alpha, t_exact
@@ -404,8 +438,7 @@ class LinfProblem:
             alpha[i] = v
         for j, idx in remap.items():
             alpha[j] = sub_alpha[idx]
-        check = mat_vec(self.rows, alpha)
-        if any(check[i] != omega[i] for i in range(self.m)):
+        if residual_rows(self.rows, alpha, omega):
             return None
         if any((v if v >= 0 else -v) > t_exact for v in alpha):
             return None
@@ -418,6 +451,11 @@ class LinfProblem:
         #   D(u - v) = omega;  u - v - t + s+ = 0;  -u + v - t + s- = 0
         n = self.n
         N = 4 * n + 1
+        size = (self.m + 2 * n) * N
+        if size > SIMPLEX_CAP:
+            raise LPError(
+                f"the exact simplex fallback needs a {self.m + 2 * n}x{N} "
+                f"tableau ({size} entries), above the cap of {SIMPLEX_CAP}")
         it = 2 * n
         A = []
         b = []

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from .exact import RAT, rat_floor, is_integral
 from .homalg import Cochain, IntegerMatrix, boundary_matrix, norm_inf
+from .linalg import residual_rows
 from .complexes import top_cells
 from .filling import (get_fill_context, integral_fill,
                       sample_integral_coboundary, FillingError)
@@ -194,13 +195,10 @@ def degree_schedule(X, omega: Cochain, alpha: Cochain, layers: int) -> PrismSche
     dense_o = omega.dense_checked(X.n_cells(m), SchedulerError, "omega")
     dense_a = alpha.dense_checked(X.n_cells(m - 1), SchedulerError, "alpha")
     ctx = get_fill_context(X, m)
-    from .linalg import mat_vec
-    got = mat_vec(ctx.delta.rows, dense_a)
-    residual = {i: got[i] - dense_o[i] for i in range(len(dense_o))
-                if got[i] != dense_o[i]}
+    residual = residual_rows(ctx.delta.rows, dense_a, dense_o)
     if residual:
         raise SchedulerError(
-            "delta(alpha) != omega; residual on cells %s" % sorted(residual)[:5])
+            "delta(alpha) != omega; residual on cells %s" % residual[:5])
 
     prism = PrismComplex(X, layers)
     T = layers
@@ -238,9 +236,15 @@ def degree_schedule(X, omega: Cochain, alpha: Cochain, layers: int) -> PrismSche
 
 
 def verify_schedule(s: PrismSchedule) -> dict:
-    """Re-checks closedness, bottom/top traces, and the norm bound."""
+    """Re-checks closedness, bottom/top traces, and the norm bound.
+
+    omega and alpha entries off the cells are an error: they would loosen
+    the bound.
+    """
     prism = s.prism
     X, m, T = prism.X, prism.m, prism.layers
+    s.omega.dense_checked(prism.n_top, SchedulerError, "omega")
+    s.alpha.dense_checked(prism.n_low, SchedulerError, "alpha")
     cols = boundary_matrix(X, m).col_dicts()
 
     bad_closed = []

@@ -298,3 +298,50 @@ def test_schedule_rejects_an_index_outside_the_cells(runner, which):
         assert err["error"]["type"] == "SchedulerError"
         assert err["error"]["message"].startswith(f"{which} has entries at "
                                                   f"indices [99]")
+
+
+@pytest.mark.parametrize("which", ["omega", "alpha"])
+def test_verify_schedule_rejects_an_index_outside_the_cells(runner, which):
+    # a foreign omega entry [99, "7"] used to verify, with norm bound 10
+    # instead of 4
+    with runner.isolated_filesystem():
+        write_inputs()
+        from coiso.complexes import load_complex
+        from coiso.filling import integral_fill, sample_integral_coboundary, trial_rng
+        X = load_complex("sphere.json")
+        om = sample_integral_coboundary(X, 2, trial_rng(2, 1, 0))
+        json.dump(om.to_json_dict(), open("om.json", "w"))
+        json.dump(integral_fill(X, om).alpha.to_json_dict(), open("al.json", "w"))
+        r = runner.invoke(main, ["schedule", "--complex", "sphere.json",
+                                 "--omega", "om.json", "--alpha", "al.json",
+                                 "--layers", "2", "--out", "sch.json"])
+        assert r.exit_code == 0, r.output
+        doc = json.loads(open("sch.json").read())
+        doc["schedule"][which]["entries"].append([99, "7"])
+        json.dump(doc, open("sch_bad.json", "w"))
+        r = runner.invoke(main, ["verify", "--kind", "schedule", "--in",
+                                 "sch_bad.json", "--complex", "sphere.json",
+                                 "--out", "vb.json"])
+        assert r.exit_code == 1, r.output
+        err = json.loads(r.stderr)["error"]
+        assert err["type"] == "SchedulerError"
+        assert err["message"].startswith(f"{which} has entries at indices [99]")
+
+
+def test_exact_simplex_cap_exits_one_with_a_structured_error(runner, monkeypatch):
+    from coiso.homalg import apply_coboundary, Cochain
+    from coiso.complexes import load_complex
+    from coiso.lp import LinfProblem
+    monkeypatch.setattr(LinfProblem, "_reconstruct", lambda *a, **k: None)
+    monkeypatch.setattr(LinfProblem, "_solve_recursive", lambda *a, **k: None)
+    with runner.isolated_filesystem():
+        json.dump({"dim": 1, "simplices": [[i, (i + 1) % 100] for i in range(100)]},
+                  open("c100.json", "w"))
+        om = apply_coboundary(load_complex("c100.json"), Cochain(0, {0: 1}, "int"))
+        json.dump(om.to_json_dict(), open("om.json", "w"))
+        r = runner.invoke(main, ["fill", "--complex", "c100.json", "--omega",
+                                 "om.json", "--ring", "rat", "--out", "a.json"])
+        assert r.exit_code == 1, r.output
+        err = json.loads(r.stderr)["error"]
+        assert err["type"] == "LPError"
+        assert err["message"].endswith("above the cap of 100000")

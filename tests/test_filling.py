@@ -24,6 +24,7 @@ from coiso.filling import (DualityMismatch, FillingError, LiftError,
 from coiso.subdivision import edgewise_subdivide
 from coiso.trees import (greedy_spanning_tree, lifting_basis, wrapping_tree,
                          telescope_complex)
+from reference_solver import ReferenceSolver, reference_witness
 from reference_vertices import vertices_one_ball_reference
 
 
@@ -282,6 +283,68 @@ def test_sampler_yields_integral_coboundaries():
         dense = om.dense(4)
         assert any(dense) and all(v in (-1, 0, 1) for v in dense)
         assert ctx.coboundary_witness(dense) is None
+
+
+def test_int_difference_over_mixed_denominators():
+    half, third = RAT(1, 2), RAT(1, 3)
+    got = filling._int_difference([half, 5 * third, 2, ZERO], [-half, 2 * third, RAT(0), -3])
+    assert got == [1, 1, 2, 3] and all(type(v) is int for v in got)
+    assert filling._int_difference([half, third], [half, -third]) is None
+    assert filling._int_difference([half], [third]) is None
+
+
+class _Incidence:
+    """A one-dimensional cell complex given by boundary entries that need
+    not be +-1, so that its cycles need not be integral."""
+
+    dim = 1
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def n_cells(self, k):
+        return len(self.rows) if k == 0 else 1 + max(j for r in self.rows for j in r)
+
+    def boundary_entries(self, k):
+        return [(i, j, v) for i, r in enumerate(self.rows) for j, v in r.items()]
+
+
+def _witness_omegas(rng, n):
+    for _ in range(60):
+        yield [rng.choice([0, 1, -1, 2, RAT(1, 2), RAT(-2, 3), RAT(3, 5)])
+               for _ in range(n)]
+
+
+def test_witness_with_non_unit_cycle_denominators_like_the_rat_loop():
+    X = _Incidence([{0: 2, 1: 3}, {1: 1, 2: 1, 3: 5}, {3: 2, 4: 3, 5: -1}])
+    ctx = filling.FillContext(X, 1)
+    B = boundary_matrix(X, 1)
+    assert ctx.cycles == ReferenceSolver(B.rows, B.ncols).nullspace()
+    assert any(v.denominator != 1 for z in ctx.cycles for v in z.values())
+    pairings = []
+    for omega in _witness_omegas(random.Random(3), X.n_cells(1)):
+        got = ctx.coboundary_witness(omega)
+        assert got == reference_witness(ctx.cycles, omega)
+        if got is not None:
+            assert type(got[1]) is RAT
+            pairings.append(got[1])
+    assert any(p.denominator != 1 for p in pairings)
+    assert ctx.coboundary_witness([0] * X.n_cells(1)) is None
+
+
+def test_witness_on_sampler_draws_like_the_rat_loop():
+    X = edgewise_subdivide(simplex_boundary(3), 4).result
+    ctx = get_fill_context(X, 2)
+    rng = random.Random(8)
+    found = 0
+    for _ in range(40):
+        vals = [rng.choice((-1, 0, 1)) for _ in range(X.n_cells(2))]
+        got = ctx.coboundary_witness(vals)
+        assert got == reference_witness(ctx.cycles, vals)
+        dense = [RAT(v, 3) for v in vals]
+        assert ctx.coboundary_witness(dense) == reference_witness(ctx.cycles, dense)
+        found += got is not None
+    assert 0 < found < 40
 
 
 # -- duality ---------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""The elimination kernel against a reference copy of its sorted-rescan loop.
+"""The elimination kernel against reference copies of its older forms.
 
 Particular solutions, and so every CLI artifact, depend on which columns
 become pivots; the pivot queue in `_Echelon._eliminate` must reproduce the
 order of re-sorting every live column on every pivot, exactly.  The greedy
 bases the kernel gives (`greedy_basis`) must equal those of the incremental
-greedy rank in `reference_rank.py`.
+greedy rank in `reference_rank.py`.  `solve`, `nullspace` and `mat_vec`,
+which work in ints, must return exactly what the all-RAT solver in
+`reference_solver.py` returns, and only RATs.
 """
 
 import random
@@ -16,64 +18,21 @@ from coiso.exact import RAT
 from coiso.filling import _image_basis
 from coiso.homalg import boundary_matrix
 from coiso.linalg import (NeedsSmithForm, RationalSolver, UnimodularEchelon,
-                          greedy_basis)
+                          greedy_basis, mat_vec, residual_rows, scale_to_ints)
 from coiso.subdivision import edgewise_subdivide
 from coiso.trees import greedy_spanning_tree, telescope_complex
 
 from reference_rank import greedy_reference
-
-
-def _reference_eliminate(self):
-    """The kernel's loop before the pivot queue: sort all candidates per pivot."""
-    rows = self.rows
-    active = set(range(self.m))
-    col_rows = {}
-    for i in active:
-        for j in rows[i]:
-            col_rows.setdefault(j, set()).add(i)
-
-    while True:
-        cands = sorted((len(owners), j) for j, owners in col_rows.items() if owners)
-        pick = None
-        for _, j in cands:
-            prow = self._pick_row(j, col_rows[j])
-            if prow is not None:
-                pick = (j, prow)
-                break
-        if pick is None:
-            break
-        col, prow = pick
-        pval = rows[prow][col]
-        for t in sorted(col_rows[col] - {prow}):
-            f = self._factor(rows[t][col], pval)
-            self.ops.append((t, prow, f))
-            rt = rows[t]
-            for j, v in rows[prow].items():
-                nv = rt.get(j, 0) - f * v
-                if nv:
-                    if j not in rt:
-                        col_rows.setdefault(j, set()).add(t)
-                    rt[j] = nv
-                elif j in rt:
-                    del rt[j]
-                    col_rows[j].discard(t)
-        self.pivots.append((prow, col))
-        active.discard(prow)
-        for j in rows[prow]:
-            owners = col_rows.get(j)
-            if owners is not None:
-                owners.discard(prow)
-
-    if any(rows[i] for i in active):
-        self._stuck()
+from reference_solver import (ReferenceSolver, reference_eliminate,
+                              reference_mat_vec)
 
 
 class _ReferenceRational(RationalSolver):
-    _eliminate = _reference_eliminate
+    _eliminate = reference_eliminate
 
 
 class _ReferenceUnimodular(UnimodularEchelon):
-    _eliminate = _reference_eliminate
+    _eliminate = reference_eliminate
 
 
 def _state(E):
@@ -220,3 +179,125 @@ def test_image_basis_on_sphere_like_reference(k):
     picks, _ = greedy_reference(dcols)
     want = [[RAT(dcols[j].get(i, 0)) for i in range(delta.nrows)] for j in picks]
     assert _image_basis(delta.rows, delta.ncols, delta.nrows) == want
+
+
+# -- solve, nullspace and mat_vec against the all-RAT reference -----------------
+
+def _rational_vector(rng, n):
+    """Mixed ints and RATs with denominators 1, 2, 3, 5 and 6, some zero."""
+    out = []
+    for _ in range(n):
+        if rng.random() < 0.25:
+            out.append(rng.choice([0, RAT(0)]))
+        elif rng.random() < 0.3:
+            out.append(rng.randint(-3, 3))
+        else:
+            out.append(RAT(rng.randint(-7, 7), rng.choice([1, 2, 3, 5, 6])))
+    return out
+
+
+def _all_rats(values):
+    return all(type(v) is RAT for v in values)
+
+
+def assert_solver_like_reference(rows, ncols, rng):
+    """Same pivots, nullspace, and solutions (or None) for consistent,
+    mixed-denominator and inconsistent right-hand sides; RATs only."""
+    S, R = RationalSolver(rows, ncols), ReferenceSolver(rows, ncols)
+    assert (S.pivots, S.rank, S.zero_rows) == (R.pivots, R.rank, R.zero_rows)
+    null = S.nullspace()
+    assert null == R.nullspace()
+    assert all(_all_rats(z.values()) for z in null)
+    m = len(rows)
+    rhs = []
+    for _ in range(3):
+        x = _rational_vector(rng, ncols)
+        got = mat_vec(rows, x)
+        assert got == reference_mat_vec(rows, x) and _all_rats(got)
+        rhs.append(got)                          # consistent
+        rhs.append(_rational_vector(rng, m))     # consistent only if full rank
+    rhs += [[1 if i == z else 0 for i in range(m)] for z in S.zero_rows]
+    for b in rhs:
+        x = S.solve(b)
+        assert x == R.solve(b)
+        if x is not None:
+            assert _all_rats(x)
+    for z in S.zero_rows:                        # a dependent row's unit rhs
+        assert S.solve([RAT(1) if i == z else 0 for i in range(m)]) is None
+    return S
+
+
+@pytest.mark.parametrize("name,X,k", BOUNDARIES, ids=[b[0] for b in BOUNDARIES])
+def test_solve_and_nullspace_of_boundaries_like_reference(name, X, k):
+    rng = random.Random(name)
+    B = boundary_matrix(X, k)
+    assert_solver_like_reference(B.rows, B.ncols, rng)
+    assert_solver_like_reference(B.col_dicts(), B.nrows, rng)
+
+
+def _non_unit_matrix(seed):
+    rng = random.Random(2000 + seed)
+    m, n = rng.randint(2, 12), rng.randint(2, 12)
+    return rng, _random_rows(rng, m, n, rng.choice([0.2, 0.35, 0.5]),
+                             [1, -1, 2, -2, 3, -3]), n
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_solve_and_nullspace_with_non_unit_pivots_like_reference(seed):
+    rng, rows, n = _non_unit_matrix(seed)
+    assert_solver_like_reference(rows, n, rng)
+
+
+def test_random_matrices_reach_non_unit_pivots_and_fractions():
+    non_unit = fractional = inconsistent = 0
+    for seed in range(40):
+        _, rows, n = _non_unit_matrix(seed)
+        S = RationalSolver(rows, n)
+        if any(S.rows[p][c] not in (1, -1) for p, c in S.pivots):
+            non_unit += 1
+        if any(type(v) is not int for r in S.rows for v in r.values()):
+            fractional += 1
+        inconsistent += len(S.zero_rows) > 0
+    assert non_unit >= 20 and fractional >= 5 and inconsistent >= 10
+
+
+@pytest.mark.parametrize("rows", [
+    [{0: RAT(2), 1: RAT(3)}, {0: 4, 1: RAT(1, 2)}, {1: RAT(6, 3)}],
+    # the pivot 2 and factor 1/2 leave 3 - 1/2 * 2 = 2 in row 1
+    [{0: 2, 1: 2}, {0: 1, 1: 3}],
+], ids=["input", "elimination"])
+def test_rows_hold_ints_and_rats_only_off_the_integers(rows):
+    S = RationalSolver(rows, 2)
+    for r in S.rows:
+        for v in r.values():
+            assert type(v) is int or (type(v) is RAT and v.denominator != 1)
+    assert all(type(f) is int or f.denominator != 1 for _, _, f in S.ops)
+
+
+def test_solve_divides_by_the_given_denominator():
+    rng, rows, n = _non_unit_matrix(3)
+    S = RationalSolver(rows, n)
+    x = [RAT(v) for v in range(1, n + 1)]
+    b = mat_vec(rows, x)
+    want = S.solve(b)
+    got = S.solve(scale_to_ints(b)[1], scale_to_ints(b)[0] * 7)
+    assert got == [v / 7 for v in want] and _all_rats(got)
+
+
+def test_scale_to_ints_takes_the_lcm_of_the_denominators():
+    assert scale_to_ints([1, RAT(1, 2), RAT(-2, 3), 0, RAT(4)]) == (6, [6, 3, -4, 0, 24])
+    D, xs = scale_to_ints([3, RAT(5), 0])
+    assert (D, xs) == (1, [3, 5, 0]) and all(type(v) is int for v in xs)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_residual_rows_like_reference(seed):
+    rng, rows, n = _non_unit_matrix(seed)
+    x = _rational_vector(rng, n)
+    b = reference_mat_vec(rows, x)
+    assert residual_rows(rows, x, b) == []
+    bumped = list(b)
+    for i in rng.sample(range(len(b)), min(2, len(b))):
+        bumped[i] += RAT(1, 3)
+    assert residual_rows(rows, x, bumped) == \
+        [i for i, (u, v) in enumerate(zip(b, bumped)) if u != v]

@@ -6,7 +6,8 @@ import pytest
 from coiso.exact import RAT
 from coiso.complexes import build_complex, cycle_complex, simplex_boundary
 from coiso.homalg import Cochain, boundary_matrix
-from coiso.lp import LinfProblem, exact_simplex, Infeasible, l1_min
+from coiso import lp
+from coiso.lp import LinfProblem, LPError, exact_simplex, Infeasible, l1_min
 from coiso.filling import integral_fill, sample_integral_coboundary, trial_rng
 from coiso.subdivision import edgewise_subdivide
 from coiso.trees import gnarledness_exact_tiny, gnarledness_upper, greedy_spanning_tree
@@ -99,6 +100,79 @@ def test_omega_beyond_float_range_falls_back_to_exact_simplex():
     big = 10 ** 400
     _, t, mode = P.solve([big, 0, 0, -big])
     assert (mode, t) == ("simplex", RAT(big, 2))
+
+
+def _cycle_problem(n):
+    """LinfProblem of delta on the n-cycle, and the coboundary of a vertex."""
+    delta = boundary_matrix(cycle_complex(n), 1).transpose()
+    om = [0] * delta.nrows
+    for i, v in delta.col_dicts()[0].items():
+        om[i] = v
+    return LinfProblem(delta.rows, delta.ncols), om
+
+
+def _force_simplex(monkeypatch):
+    monkeypatch.setattr(LinfProblem, "_reconstruct", lambda *a, **k: None)
+    monkeypatch.setattr(LinfProblem, "_solve_recursive", lambda *a, **k: None)
+
+
+def test_exact_simplex_past_the_cap_raises(monkeypatch):
+    # 100 edges, 100 vertices: a 300 x 401 tableau, 120,300 entries
+    P, om = _cycle_problem(100)
+    _force_simplex(monkeypatch)
+    with pytest.raises(LPError, match=r"300x401 tableau \(120300 entries\), "
+                                      r"above the cap of 100000"):
+        P.solve(om)
+
+
+def test_exact_simplex_at_the_cap_answers(monkeypatch):
+    # 12 edges, 12 vertices: a 36 x 49 tableau, 1764 entries
+    P, om = _cycle_problem(12)
+    _, t_fast, mode = P.solve(om)
+    assert mode == "reconstructed"
+    _force_simplex(monkeypatch)
+    monkeypatch.setattr(lp, "SIMPLEX_CAP", 1764)
+    alpha, t, mode = P.solve(om)
+    assert (mode, t) == ("simplex", t_fast)
+    assert max(abs(v) for v in alpha) <= t
+    monkeypatch.setattr(lp, "SIMPLEX_CAP", 1763)
+    with pytest.raises(LPError, match="above the cap of 1763"):
+        P.solve(om)
+
+
+def test_primal_on_a_degenerate_face_takes_the_guess():
+    # min ||a||_inf s.t. a0 + a1 = 2: free a1 = 0 gives a = (2, 0), over the
+    # bound 1; the float guess (1, 1) puts a1 on the face
+    P = LinfProblem([{0: 1, 1: 1}], 2)
+    assert P._primal_at([RAT(2)], {}, RAT(1)) is None
+    alpha = P._primal_at([RAT(2)], {}, RAT(1), [0.9999999, 1.0000001, 1.0])
+    assert alpha == [1, 1] and all(type(v) is RAT for v in alpha)
+    assert P._primal_at([RAT(2)], {}, RAT(1), [0.2, 1.8, 1.0]) is None
+
+
+def _degenerate_sweep_omega():
+    """An L=16 sweep draw whose pinned system has free variables at 0
+    outside the optimal face (trial 29 of seed 302)."""
+    X = edgewise_subdivide(simplex_boundary(3), 16).result
+    om = sample_integral_coboundary(X, 2, trial_rng(302, 16, 29))
+    delta = boundary_matrix(X, 2).transpose()
+    return LinfProblem(delta.rows, delta.ncols), om.dense(X.n_cells(2))
+
+
+def test_degenerate_sweep_draw_is_reconstructed(monkeypatch):
+    P, om = _degenerate_sweep_omega()
+    alpha, t, mode = P.solve(om)
+    assert (mode, t) == ("reconstructed", RAT(64, 39))
+    assert max(abs(v) for v in alpha) == t
+    # without the guess, every reconstruction attempt fails
+    primal_at = LinfProblem._primal_at
+    monkeypatch.setattr(LinfProblem, "_primal_at",
+                        lambda self, omega, fixed, bound, guess=None:
+                        primal_at(self, omega, fixed, bound))
+    monkeypatch.setattr(LinfProblem, "_solve_recursive", lambda *a, **k: None)
+    monkeypatch.setattr(lp, "SIMPLEX_CAP", 0)
+    with pytest.raises(LPError, match="above the cap of 0"):
+        P.solve(om)
 
 
 def test_exact_simplex_infeasible():
