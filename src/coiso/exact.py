@@ -40,11 +40,5 @@ def rat_str(x) -> str:
     return str(RAT(x))
 
 
-def rat_floor(x) -> int:
-    """Floor of an exact rational, as a python int."""
-    x = RAT(x)
-    return int(x.numerator // x.denominator)
-
-
 def is_integral(x) -> bool:
     return RAT(x).denominator == 1

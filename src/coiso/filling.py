@@ -488,9 +488,12 @@ def estimate_cip(X, k: int, L_list, trials: int, rng_seed: int):
 # ---------------------------------------------------------------------------
 # filling/cofilling duality on tiny complexes
 
-# The vertex enumerations solve C(n, d-1) systems on the ell-1 side and
-# C(n, d) * 2^d on the ell-infinity side (n cells, d the rank of the
-# boundary); a complex that needs more is refused.
+# The cap bounds the candidate vertices each enumeration examines, n cells
+# and d the rank of the boundary: C(n, d-1) coordinate sets, one kernel solve
+# each, on the ell-1 side; C(n, d) coordinate sets times 2^d sign patterns on
+# the ell-infinity side (one factorization and d unit solves per set, then a
+# signed sum per pattern pair).  A complex over the cap on either side is
+# refused before any enumeration.
 ENUMERATION_CAP = 20000
 
 
@@ -532,24 +535,41 @@ def _image_basis(rows, ncols, nrows):
 
 
 def _vertices_inf_ball(basis, n):
-    """Vertices of {w in span(basis): ||w||_inf <= 1}, by active-set solves."""
+    """Vertices of {w in span(basis): ||w||_inf <= 1}, by active-set solves.
+
+    A vertex is w = basis . x with w_i = s_i = +-1 on some d coordinates
+    whose rows A of the basis are independent, so x = A^-1 s.  Per d-set,
+    G = basis . A^-1 is formed once (d unit solves), and each sign pattern's
+    w is the signed sum of the columns of G, in ints over one denominator.
+    Patterns come in antipodal pairs: those with s_0 = +1 give w and -w.
+    """
     d = len(basis)
     if d == 0:
         return []
-    verts = set()
+    Db, bint = scale_to_ints([v for col in basis for v in col])
+    bcols = [bint[j * n:(j + 1) * n] for j in range(d)]
+    verts = set()                   # (denominator, int numerators), reduced
     for idxs in combinations(range(n), d):
         rows = [{j: basis[j][i] for j in range(d) if basis[j][i]} for i in idxs]
         solver = RationalSolver(rows, d)
         if solver.rank < d:
             continue
-        for signs in product((1, -1), repeat=d):
-            x = solver.solve([RAT(s) for s in signs])
-            if x is None:
-                continue
-            w = [sum(basis[j][i] * x[j] for j in range(d)) for i in range(n)]
-            if max(v if v >= 0 else -v for v in w) <= 1:
-                verts.add(tuple(w))
-    return [list(v) for v in verts]
+        # column t of G, times D: basis . x_t with A x_t = e_t
+        xs = [solver.solve([1 if s == t else 0 for s in range(d)])
+              for t in range(d)]
+        Dx, flat = scale_to_ints([v for x in xs for v in x])
+        D = Db * Dx
+        G = [[sum(bcols[j][i] * flat[t * d + j] for j in range(d)
+                  if flat[t * d + j]) for i in range(n)] for t in range(d)]
+        for signs in product((1, -1), repeat=d - 1):
+            w = G[0]
+            for s, g in zip(signs, G[1:]):
+                w = [u + s * v for u, v in zip(w, g)]
+            if max(v if v >= 0 else -v for v in w) <= D:
+                q = gcd(D, *w)
+                verts.add((D // q, tuple(v // q for v in w)))
+                verts.add((D // q, tuple(-v // q for v in w)))
+    return [[RAT(v, q) for v in w] for q, w in verts]
 
 
 def _vertices_one_ball(basis, n):
@@ -578,11 +598,18 @@ def _vertices_one_ball(basis, n):
     return [list(v) for v in verts]
 
 
+def _one_per_pair(verts):
+    """The vertices whose first nonzero entry is positive: one of each
+    antipodal pair.  Both norms are symmetric, so -w has the negated
+    minimal fills of w and the same optimum; one LP answers for the pair."""
+    return [w for w in verts if next(v for v in w if v) > 0]
+
+
 def _max_min_fill_inf(X, k, delta):
     basis = _image_basis(delta.rows, delta.ncols, delta.nrows)
     ctx = get_fill_context(X, k)
     best = ZERO
-    for w in _vertices_inf_ball(basis, delta.nrows):
+    for w in _one_per_pair(_vertices_inf_ball(basis, delta.nrows)):
         _, t, _ = ctx.lp.solve(w)
         if t > best:
             best = t
@@ -592,7 +619,7 @@ def _max_min_fill_inf(X, k, delta):
 def _max_min_fill_one(Bk):
     basis = _image_basis(Bk.rows, Bk.ncols, Bk.nrows)
     best = ZERO
-    for b in _vertices_one_ball(basis, Bk.nrows):
+    for b in _one_per_pair(_vertices_one_ball(basis, Bk.nrows)):
         _, v = l1_min(Bk.rows, Bk.ncols, b)
         if v > best:
             best = v

@@ -3,7 +3,11 @@
 Two layers:
 
 * exact_simplex: a dense two-phase tableau simplex over exact rationals with
-  Bland's rule.  Slow but airtight; every result carries a verified dual.
+  Bland's rule.  The tableau rows are Python ints, each over the positive
+  entry in its basic column and reduced by its gcd after every pivot, so no
+  rational is built inside the pivot loop; the reduced-cost rows are carried
+  through the pivots.  The pivots are those of the all-rational tableau, and
+  every result carries a dual verified in ints.
 
 * LinfProblem: minimize ||alpha||_inf subject to D alpha = omega.  Floating
   point (scipy/HiGHS) is used only to guess the optimal active set; primal
@@ -24,9 +28,9 @@ No float ever enters a returned value.
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 
-from .exact import RAT, ZERO, ONE
+from .exact import RAT, ZERO
 from .linalg import RationalSolver, residual_rows, scale_to_ints, transpose_rows
 
 
@@ -46,125 +50,144 @@ class Infeasible(LPError):
 # dense exact simplex
 
 def exact_simplex(A, b, c):
-    """min c.x  s.t.  A x = b, x >= 0, all data exact rationals.
+    """min c.x  s.t.  A x = b, x >= 0, all data exact (ints or rationals).
 
-    A: list of dense rows.  Returns (x, value, y) where y is the dual vector
-    satisfying y.A <= c and y.b = value; both sides are verified exactly
-    before returning.  Raises Infeasible/Unbounded.
+    A: list of dense rows, each with one entry per entry of c; b: one entry
+    per row.  Returns (x, value, y) as rationals, where the dual vector y
+    satisfies y.A <= c and y.b = value; both sides are verified exactly
+    before returning.  Raises Infeasible/Unbounded, and LPError on
+    mis-shaped input.
+
+    Two phases over an artificial identity block, with Bland's rule: the
+    smallest index with a positive reduced cost enters, and the smallest
+    basic index leaves among ties in the ratio test.  A and b are scaled by
+    the lcm of their denominators and every row is held in ints: the true
+    row is the int row divided by its (positive) entry in its basic column,
+    and a gcd reduces it after each pivot.  The reduced-cost rows of both
+    phases are carried through the pivots the same way, each over one
+    positive denominator.  Every choice reads a sign or compares two ratios
+    within a column, so the pivots are those of the all-rational tableau.
     """
     m = len(A)
-    n = len(A[0]) if m else 0
-    T = [[RAT(v) for v in row] for row in A]
-    rhs = [RAT(v) for v in b]
-    cost = [RAT(v) for v in c]
+    n = len(c)
+    if len(b) != m:
+        raise LPError(f"{m} constraint rows but {len(b)} right-hand sides")
+    if any(len(row) != n for row in A):
+        raise LPError(f"every constraint row needs {n} entries, one per cost")
+    Da, flat = scale_to_ints([v for row in A for v in row] + list(b))
+    a = [flat[i * n:(i + 1) * n] for i in range(m)]
+    bs = flat[m * n:]
+    Dc, cs = scale_to_ints(c)
+    # row i of T: Da [A_i | e_i | b_i], the A_i and b_i parts negated where
+    # b_i < 0; the last entry is the right-hand side
+    W = n + m
+    T = []
     for i in range(m):
-        if rhs[i] < 0:
-            T[i] = [-v for v in T[i]]
-            rhs[i] = -rhs[i]
-    # append artificial identity block; its columns double as B^-1 tracking
-    for i in range(m):
-        T[i] += [ONE if j == i else ZERO for j in range(m)]
+        row = a[i] + [0] * m + [bs[i]]
+        row[n + i] = Da
+        if bs[i] < 0:
+            row = [-v for v in row]
+            row[n + i] = Da
+        T.append(row)
     basis = list(range(n, n + m))
+    # reduced costs z_j - c_j as [int row, positive denominator]: phase 1
+    # prices the artificials at 1, phase 2 at 0
+    z1 = [[sum(col) for col in zip(*T)] if m else [0] * (W + 1), Da]
+    for i in range(m):
+        z1[0][n + i] = 0
+    z2 = [[-v for v in cs] + [0] * (m + 1), Dc]
+    for i, row in enumerate(T):
+        g = gcd(*row)
+        if g > 1:
+            T[i] = [v // g for v in row]
 
-    def run_phase(cvec, nmax):
-        # reduced cost row: z_j - c_j = c_B . T_j - c_j ; enter while positive,
-        # Bland's rule (smallest index in, smallest basic out) for finiteness
+    def run_phase(z, nmax, carried):
         while True:
-            enter = None
-            for j in range(nmax):
-                if j in basis:
-                    continue
-                s = -cvec[j]
-                for i in range(m):
-                    cb = cvec[basis[i]]
-                    if cb and T[i][j]:
-                        s += cb * T[i][j]
-                if s > 0:
-                    enter = j
-                    break
+            enter = next((j for j in range(nmax) if z[0][j] > 0), None)
             if enter is None:
                 return
             leave = None
-            best = None
             for i in range(m):
-                if T[i][enter] > 0:
-                    ratio = rhs[i] / T[i][enter]
-                    key = (ratio, basis[i])
-                    if best is None or key < best:
-                        best = key
-                        leave = i
+                p = T[i][enter]
+                if p > 0:
+                    # ratio r / p below the best r0 / p0, ties to the smaller
+                    # basic index
+                    r = T[i][W]
+                    if leave is None or (r * p0, basis[i]) < (r0 * p, basis[leave]):
+                        leave, r0, p0 = i, r, p
             if leave is None:
                 raise Unbounded()
-            _pivot(T, rhs, basis, leave, enter)
+            _pivot(T, basis, leave, enter, carried)
 
-    art_cost = [ZERO] * n + [ONE] * m
-    run_phase(art_cost, n + m)
-    if sum(art_cost[basis[i]] * rhs[i] for i in range(m)) != 0:
+    run_phase(z1, W, (z1, z2))
+    if any(T[i][W] for i in range(m) if basis[i] >= n):
         raise Infeasible()
     # drive leftover artificials out of the basis where possible
     for i in range(m):
         if basis[i] >= n:
-            enter = None
-            for j in range(n):
-                if T[i][j] != 0:
-                    enter = j
-                    break
+            enter = next((j for j in range(n) if T[i][j]), None)
             if enter is not None:
-                _pivot(T, rhs, basis, i, enter)
-
-    full_cost = cost + [ZERO] * m
-    run_phase(full_cost, n)
+                _pivot(T, basis, i, enter, (z2,))
+    run_phase(z2, n, (z2,))
 
     x = [ZERO] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = rhs[i]
-    value = sum(cost[j] * x[j] for j in range(n))
-    # dual from the identity block: y = c_B . B^-1, then undo the row flips
-    y = []
-    for i in range(m):
-        s = ZERO
-        for r in range(m):
-            cb = full_cost[basis[r]]
-            if cb and T[r][n + i]:
-                s += cb * T[r][n + i]
-        y.append(s)
-    y = [(-v if RAT(b[i]) < 0 else v) for i, v in enumerate(y)]
+            x[basis[i]] = RAT(T[i][W], T[i][basis[i]])
+    Dx, xs = scale_to_ints(x)
+    V = sum(u * v for u, v in zip(cs, xs) if u and v)
+    value = RAT(V, Dc * Dx)
+    # dual from the identity block: y = c_B . B^-1 = z2 there, then undo the
+    # row flips; y = ys / Dy
+    Z2, Dy = z2
+    ys = [(-Z2[n + i] if bs[i] < 0 else Z2[n + i]) for i in range(m)]
+    y = [RAT(v, Dy) for v in ys]
 
-    # exact verification of both certificates
+    # exact verification of both certificates, in ints
     for i in range(m):
-        s = sum(RAT(A[i][j]) * x[j] for j in range(n))
-        if s != RAT(b[i]):
+        if sum(u * v for u, v in zip(a[i], xs) if u and v) != bs[i] * Dx:
             raise LPError("primal verification failed")
-    if any(v < 0 for v in x):
+    if any(v < 0 for v in xs):
         raise LPError("negativity crept in")
-    if sum(y[i] * RAT(b[i]) for i in range(m)) != value:
+    # y.b = ys.bs / (Dy Da) against V / (Dc Dx)
+    if sum(u * v for u, v in zip(ys, bs) if u and v) * Dc * Dx != V * Dy * Da:
         raise LPError("dual objective mismatch")
+    # y.A_j = sum ys_i a_ij / (Dy Da) against c_j = cs_j / Dc
     for j in range(n):
-        s = sum(y[i] * RAT(A[i][j]) for i in range(m))
-        if s > RAT(cost[j]):
+        s = sum(ys[i] * a[i][j] for i in range(m) if ys[i] and a[i][j])
+        if s * Dc > cs[j] * Dy * Da:
             raise LPError("dual feasibility failed")
     return x, value, y
 
 
-def _pivot(T, rhs, basis, leave, enter):
-    piv = T[leave][enter]
+def _pivot(T, basis, leave, enter, costs):
+    """Pivot the int tableau T on (leave, enter) and carry each reduced-cost
+    row in `costs` ([int row, positive denominator], updated in place)."""
     Tl = T[leave]
-    inv = ONE / piv
-    T[leave] = [v * inv for v in Tl]
-    rhs[leave] = rhs[leave] * inv
-    Tl = T[leave]
-    width = len(Tl)
-    for i in range(len(T)):
-        if i == leave:
-            continue
-        f = T[i][enter]
-        if f:
-            Ti = T[i]
-            for j in range(width):
-                if Tl[j]:
-                    Ti[j] -= f * Tl[j]
-            rhs[i] -= f * rhs[leave]
+    p = Tl[enter]
+    if p < 0:
+        Tl = T[leave] = [-v for v in Tl]
+        p = -p
+    nz = [(j, v) for j, v in enumerate(Tl) if v]
+
+    def eliminated(row):
+        # p * (row - (row[enter] / p) * Tl), with p > 0
+        f = row[enter]
+        new = [v * p for v in row]
+        for j, v in nz:
+            new[j] -= f * v
+        return new
+
+    for i, Ti in enumerate(T):
+        if Ti[enter] and i != leave:
+            new = eliminated(Ti)
+            g = gcd(*new)
+            T[i] = [v // g for v in new] if g > 1 else new
+    for z in costs:
+        if z[0][enter]:
+            new, D = eliminated(z[0]), z[1] * p
+            g = gcd(D, *new)
+            z[0], z[1] = [v // g for v in new], D // g
     basis[leave] = enter
 
 
@@ -460,29 +483,28 @@ class LinfProblem:
         A = []
         b = []
         for i, r in enumerate(self.rows):
-            row = [ZERO] * N
+            row = [0] * N
             for j, v in r.items():
-                row[j] = RAT(v)
-                row[n + j] = RAT(-v)
+                row[j] = v
+                row[n + j] = -v
             A.append(row)
             b.append(omega[i])
         for j in range(n):
-            row = [ZERO] * N
-            row[j] = ONE
-            row[n + j] = -ONE
-            row[it] = -ONE
-            row[2 * n + 1 + j] = ONE
+            row = [0] * N
+            row[j] = 1
+            row[n + j] = -1
+            row[it] = -1
+            row[2 * n + 1 + j] = 1
             A.append(row)
-            b.append(ZERO)
-            row = [ZERO] * N
-            row[j] = -ONE
-            row[n + j] = ONE
-            row[it] = -ONE
-            row[3 * n + 1 + j] = ONE
+            row = [0] * N
+            row[j] = -1
+            row[n + j] = 1
+            row[it] = -1
+            row[3 * n + 1 + j] = 1
             A.append(row)
-            b.append(ZERO)
-        c = [ZERO] * N
-        c[it] = ONE
+        b += [0] * (2 * n)
+        c = [0] * N
+        c[it] = 1
         try:
             x, value, _ = exact_simplex(A, b, c)
         except Infeasible:
@@ -497,18 +519,20 @@ class LinfProblem:
 def l1_min(rows, ncols, target):
     """min ||tau||_1 s.t. B tau = target, exact via the dense simplex.
 
-    rows: sparse rows of B (one per target coordinate), ncols variables.
+    rows: sparse integer rows of B (one per target coordinate), ncols
+    variables.  LPError when a row names a column outside range(ncols) or
+    target does not have one entry per row.
     """
-    m = len(rows)
     n = ncols
     A = []
     for r in rows:
-        row = [ZERO] * (2 * n)
+        row = [0] * (2 * n)
         for j, v in r.items():
-            row[j] = RAT(v)
-            row[n + j] = RAT(-v)
+            if not 0 <= j < n:
+                raise LPError(f"column {j} outside the {n} variables")
+            row[j] = v
+            row[n + j] = -v
         A.append(row)
-    c = [ONE] * (2 * n)
-    x, value, _ = exact_simplex(A, [RAT(v) for v in target], c)
+    x, value, _ = exact_simplex(A, target, [1] * (2 * n))
     tau = [x[j] - x[n + j] for j in range(n)]
     return tau, value

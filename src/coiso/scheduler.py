@@ -21,7 +21,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .exact import RAT, rat_floor, is_integral
 from .homalg import Cochain, IntegerMatrix, boundary_matrix, norm_inf
 from .linalg import residual_rows
 from .complexes import top_cells
@@ -183,6 +182,12 @@ def degree_schedule(X, omega: Cochain, alpha: Cochain, layers: int) -> PrismSche
     alpha must be an integral fill of the integral cocycle omega; layers
     should be at least ||alpha||_inf or the norm invariant cannot hold.
     """
+    return _verified_schedule(X, omega, alpha, layers)[0]
+
+
+def _verified_schedule(X, omega, alpha, layers):
+    """(schedule, its verify_schedule report); ScheduleInvariantError when a
+    check fails."""
     m = X.dim
     if omega.k != m:
         raise SchedulerError(f"omega degree {omega.k}, expected top dimension {m}")
@@ -209,13 +214,14 @@ def degree_schedule(X, omega: Cochain, alpha: Cochain, layers: int) -> PrismSche
             continue
         prev = 0
         for i in range(T):
-            nxt = rat_floor(RAT((i + 1) * a, T))
+            nxt = (i + 1) * a // T
             v = nxt - prev
             if v:
                 vertical[(p, i)] = v
             prev = nxt
     horizontal = {}
-    cols = boundary_matrix(X, m).col_dicts()
+    # the boundary of top cell q is row q of delta
+    cols = ctx.delta.rows
     for q in range(prism.n_top):
         w = int(omega(q))
         for i in range(T):
@@ -223,7 +229,7 @@ def degree_schedule(X, omega: Cochain, alpha: Cochain, layers: int) -> PrismSche
             for p, sgn in cols[q].items():
                 a = int(alpha(p))
                 if a:
-                    s += sgn * rat_floor(RAT(i * a, T))
+                    s += sgn * (i * a // T)
             if s:
                 horizontal[(q, i)] = s
         # top level is zero by construction; nothing stored
@@ -232,7 +238,7 @@ def degree_schedule(X, omega: Cochain, alpha: Cochain, layers: int) -> PrismSche
     report = verify_schedule(sched)
     if not report["all_passed"]:
         raise ScheduleInvariantError(report)
-    return sched
+    return sched, report
 
 
 def verify_schedule(s: PrismSchedule) -> dict:
@@ -323,8 +329,7 @@ def s2_null_demo(L: int, seed) -> dict:
     fill = integral_fill(X, omega)
     alpha = fill.alpha
     layers = max(1, int(norm_inf(alpha)))
-    sched = degree_schedule(X, omega, alpha, layers)
-    report = verify_schedule(sched)
+    sched, report = _verified_schedule(X, omega, alpha, layers)
 
     tube_counts = [[p, int(v)] for p, v in sorted(alpha.entries.items())]
     return {

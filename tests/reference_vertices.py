@@ -1,6 +1,8 @@
-"""Reference ell-1 ball vertices: the sign-facet enumeration that found the
-vertices of {b in span(basis): ||b||_1 <= 1} before the elementary-vector
-enumeration in `filling._vertices_one_ball`, kept here as a test oracle."""
+"""Reference unit-ball vertices, kept as test oracles: the sign-facet
+enumeration that found the vertices of {b in span(basis): ||b||_1 <= 1}
+before the elementary-vector enumeration in `filling._vertices_one_ball`, and
+the ell-infinity enumeration from before `filling._vertices_inf_ball` formed
+basis . A^-1 once per coordinate set (one solve per sign pattern)."""
 
 from itertools import combinations, product
 
@@ -38,4 +40,26 @@ def vertices_one_ball_reference(basis, n):
             b = [sum(basis[j][i] * x[j] for j in range(d)) for i in range(n)]
             if sum(v if v >= 0 else -v for v in b) <= 1:
                 verts.add(tuple(b))
+    return verts
+
+
+def vertices_inf_ball_reference(basis, n):
+    """Vertices of {w in span(basis): ||w||_inf <= 1}, as a set of tuples:
+    one active-set solve per d-set of coordinates and sign pattern."""
+    d = len(basis)
+    if d == 0:
+        return set()
+    verts = set()
+    for idxs in combinations(range(n), d):
+        rows = [{j: basis[j][i] for j in range(d) if basis[j][i]} for i in idxs]
+        solver = RationalSolver(rows, d)
+        if solver.rank < d:
+            continue
+        for signs in product((1, -1), repeat=d):
+            x = solver.solve([RAT(s) for s in signs])
+            if x is None:
+                continue
+            w = [sum(basis[j][i] * x[j] for j in range(d)) for i in range(n)]
+            if max(v if v >= 0 else -v for v in w) <= 1:
+                verts.add(tuple(w))
     return verts

@@ -7,25 +7,30 @@ over the solution affine space), so it shares no code path with the LP.
 
 import random
 from itertools import combinations, product
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coiso.exact import RAT, ZERO, ONE, is_integral
 from coiso.complexes import (build_complex, cycle_complex, simplex_boundary)
 from coiso.homalg import Cochain, boundary_matrix, norm_inf
 from coiso.linalg import RationalSolver, mat_vec
+from coiso.lp import l1_min
 from coiso import filling
 from coiso.filling import (DualityMismatch, FillingError, LiftError,
                            NotACoboundary, bounded_lift, coiso_constants_tiny,
                            estimate_cip, get_fill_context, integral_fill,
                            linf_fill_rational, sample_integral_coboundary,
                            trial_rng, _any_cocycle_lift, _check_lift,
-                           _image_basis, _vertices_one_ball)
+                           _image_basis, _one_per_pair, _vertices_inf_ball,
+                           _vertices_one_ball)
 from coiso.subdivision import edgewise_subdivide
 from coiso.trees import (greedy_spanning_tree, lifting_basis, wrapping_tree,
                          telescope_complex)
 from reference_solver import ReferenceSolver, reference_witness
-from reference_vertices import vertices_one_ball_reference
+from reference_vertices import (vertices_inf_ball_reference,
+                                vertices_one_ball_reference)
 
 
 def linf_oracle(rows, ncols, om):
@@ -461,3 +466,92 @@ def test_random_bases_have_dependent_coordinate_sets():
             rows = [{j: basis[j][i] for j in range(d) if basis[j][i]} for i in idxs]
             dependent += RationalSolver(rows, d).rank < d - 1
     assert dependent >= 10
+
+
+# -- the ell-infinity ball's vertices against one solve per sign pattern ----------
+
+def _inf_ball(X, k):
+    delta = boundary_matrix(X, k).transpose()
+    basis = _image_basis(delta.rows, delta.ncols, delta.nrows)
+    verts = [tuple(v) for v in _vertices_inf_ball(basis, delta.nrows)]
+    assert len(verts) == len(set(verts))
+    assert all(type(v) is RAT for w in verts for v in w)
+    return basis, delta.nrows, set(verts)
+
+
+@pytest.mark.parametrize("X,k,count", [
+    (simplex_boundary(3), 1, 14),
+    (simplex_boundary(3), 2, 6),
+    (simplex_boundary(4), 2, 24),
+    (simplex_boundary(4), 3, 30),
+    (cycle_complex(4), 1, 6),
+    (cycle_complex(5), 1, 30),
+], ids=["dDelta3-1", "dDelta3-2", "dDelta4-2", "dDelta4-3", "C4-1", "C5-1"])
+def test_inf_ball_vertices_match_per_pattern_solves(X, k, count):
+    basis, n, verts = _inf_ball(X, k)
+    assert len(verts) == count
+    assert verts == vertices_inf_ball_reference(basis, n)
+
+
+@pytest.mark.parametrize("n,d,seed", RANDOM_SHAPES, ids=str)
+def test_inf_ball_vertices_match_per_pattern_solves_on_random_bases(n, d, seed):
+    basis = random_coordinate_basis(random.Random(f"inf/{n}/{d}/{seed}"), n, d)
+    verts = {tuple(v) for v in _vertices_inf_ball(basis, n)}
+    assert verts == vertices_inf_ball_reference(basis, n)
+    for w in verts:
+        assert max(abs(v) for v in w) == 1
+
+
+def test_one_per_pair_keeps_one_vertex_of_each_antipodal_pair():
+    _, _, verts = _inf_ball(simplex_boundary(4), 2)
+    half = [tuple(w) for w in _one_per_pair([list(w) for w in verts])]
+    assert 2 * len(half) == len(verts)
+    assert set(half) | {tuple(-v for v in w) for w in half} == verts
+
+
+# -- duality on random small complexes ----------------------------------------------
+
+@st.composite
+def small_complexes(draw):
+    """Face closures of 1-4 random top cells on at most 6 vertices, of
+    dimension at most 3, with a degree k in [1, dim]."""
+    tops = draw(st.lists(st.sets(st.integers(0, 5), min_size=2, max_size=4)
+                         .map(lambda s: tuple(sorted(s))),
+                         min_size=1, max_size=4, unique=True))
+    X = build_complex(tops)
+    return X, draw(st.integers(1, X.dim))
+
+
+@given(small_complexes())
+@settings(max_examples=60, deadline=None)
+def test_duality_holds_on_random_small_complexes(Xk):
+    X, k = Xk
+    try:
+        co, fi = coiso_constants_tiny(X, k)
+    except FillingError as e:
+        assert "enumeration cap" in str(e)
+        return
+    assert co == fi
+
+
+@given(small_complexes())
+@settings(max_examples=40, deadline=None)
+def test_one_lp_per_antipodal_pair_gives_the_max_over_all_vertices(Xk):
+    X, k = Xk
+    Bk = boundary_matrix(X, k)
+    delta = Bk.transpose()
+    d = Bk.rank()
+    if comb(Bk.ncols, d) * 2 ** d > 2000:     # keep the per-vertex LPs few
+        return
+    ctx = filling.get_fill_context(X, k)
+    for fill, rows, basis in (
+            (lambda w: ctx.lp.solve(w)[1], delta,
+             _vertices_inf_ball),
+            (lambda b: l1_min(Bk.rows, Bk.ncols, b)[1], Bk,
+             _vertices_one_ball)):
+        verts = basis(_image_basis(rows.rows, rows.ncols, rows.nrows), rows.nrows)
+        value = {tuple(w): fill(w) for w in verts}
+        for w, t in value.items():
+            assert value[tuple(-v for v in w)] == t
+        assert (max((value[tuple(w)] for w in _one_per_pair(verts)), default=0)
+                == max(value.values(), default=0))

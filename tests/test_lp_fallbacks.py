@@ -11,6 +11,16 @@ from coiso.lp import LinfProblem, LPError, exact_simplex, Infeasible, l1_min
 from coiso.filling import integral_fill, sample_integral_coboundary, trial_rng
 from coiso.subdivision import edgewise_subdivide
 from coiso.trees import gnarledness_exact_tiny, gnarledness_upper, greedy_spanning_tree
+from reference_simplex import simplex_against_reference
+
+
+@pytest.fixture(autouse=True)
+def simplex_checked_against_reference(monkeypatch):
+    """Every exact-simplex call made through the module, from l1_min and
+    LinfProblem's fallback, matches the all-RAT reference and its pivots."""
+    real = lp.exact_simplex
+    monkeypatch.setattr(lp, "exact_simplex",
+                        lambda A, b, c: simplex_against_reference(A, b, c, real))
 
 
 def _reference_problem(L):

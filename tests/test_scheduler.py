@@ -1,8 +1,11 @@
 import json
+from fractions import Fraction
+from math import floor
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coiso import scheduler
 from coiso.complexes import build_complex, simplex_boundary
 from coiso.homalg import Cochain, apply_coboundary, boundary_matrix, norm_inf
 from coiso.filling import integral_fill, sample_integral_coboundary, trial_rng
@@ -90,6 +93,21 @@ def test_two_triangles_hand_evaluated():
                 total -= sgn * s.value("vertical", p, i)
             assert total == 0
     assert verify_schedule(s)["all_passed"]
+
+
+def test_floor_spread_of_negative_values():
+    # alpha = -3 and +2 over three layers: the floors of (i/3) * alpha
+    X = TWO_TRIANGLES
+    e12, e01 = X.cell_index(1, (1, 2)), X.cell_index(1, (0, 1))
+    alpha = Cochain(1, {e12: -3, e01: 2}, "int")
+    omega = apply_coboundary(X, alpha).map(int, "int")
+    s = degree_schedule(X, omega, alpha, 3)
+    for p, a in ((e12, -3), (e01, 2)):
+        spread = [floor(Fraction((i + 1) * a, 3)) - floor(Fraction(i * a, 3))
+                  for i in range(3)]
+        assert [s.value("vertical", p, i) for i in range(3)] == spread
+    assert [s.value("vertical", e12, i) for i in range(3)] == [-1, -1, -1]
+    assert [s.value("vertical", e01, i) for i in range(3)] == [0, 1, 1]
 
 
 def test_schedule_requires_exact_fill():
@@ -211,3 +229,29 @@ def test_demo_tube_counts_match_alpha():
     alpha = dict(r["tube_counts"])
     entries = {int(i): int(v) for i, v in r["alpha"]["entries"]}
     assert alpha == entries
+
+
+def test_demo_verifies_the_schedule_once(monkeypatch):
+    calls = []
+    verify = scheduler.verify_schedule
+
+    def counted(s):
+        calls.append(s)
+        return verify(s)
+
+    monkeypatch.setattr(scheduler, "verify_schedule", counted)
+    r = s2_null_demo(2, 9)
+    assert r["all_passed"] and len(calls) == 1
+
+
+def test_demo_raises_on_a_corrupted_schedule(monkeypatch):
+    build = scheduler.PrismSchedule
+
+    def corrupted(prism, vertical, horizontal, omega, alpha):
+        horizontal = dict(horizontal)
+        horizontal[(0, 0)] = horizontal.get((0, 0), 0) + 1
+        return build(prism, vertical, horizontal, omega, alpha)
+
+    monkeypatch.setattr(scheduler, "PrismSchedule", corrupted)
+    with pytest.raises(ScheduleInvariantError, match="closedness, bottom_trace"):
+        s2_null_demo(2, 9)
