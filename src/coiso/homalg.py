@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from .exact import ZERO, rat, rat_str, is_integral
 from .linalg import (NeedsSmithForm, RationalSolver, UnimodularEchelon,
-                     sparse_rows_from_entries)
+                     sparse_rows_from_entries, transpose_rows)
 
 
 class HomalgError(ValueError):
@@ -153,11 +153,7 @@ class IntegerMatrix:
             del self.rows[i][j]
 
     def col_dicts(self):
-        cols = [dict() for _ in range(self.ncols)]
-        for i, r in enumerate(self.rows):
-            for j, v in r.items():
-                cols[j][i] = v
-        return cols
+        return transpose_rows(self.rows, self.ncols)
 
     def transpose(self) -> "IntegerMatrix":
         return IntegerMatrix(self.ncols, self.nrows, self.col_dicts())

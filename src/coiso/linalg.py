@@ -6,6 +6,12 @@ Factorizations record the elimination so the same matrix can be solved
 against many right-hand sides; this is what keeps the per-trial cost of the
 coisoperimetry sweeps low.
 
+One class does all elimination: `RationalSolver` owns the pivot queue, the
+recorded row operations and the back-substitution.  Its subclasses change
+only which row a column pivots on: `_LowestRowEchelon` (the greedy bases of
+`greedy_basis`) takes the lowest live row, and `UnimodularEchelon` (integral
+solves) takes only +-1 entries and raises `NeedsSmithForm` when none is left.
+
 Integers first: almost every number here is an integer, so rows, recorded
 factors and intermediate vectors hold Python ints, and an exact rational
 (`RAT`) is made only where a division leaves a remainder.  A rational vector
@@ -80,13 +86,29 @@ def scale_to_ints(x):
                else int(v.numerator) * (D // int(v.denominator)) for v in x]
 
 
-class _Echelon:
-    """Shared elimination driver; subclasses fix the pivot rule and division."""
+class RationalSolver:
+    """Echelon factorization over Q, reusable across right-hand sides.
+
+    Pivoting prefers sparse columns and sparse rows (Markowitz-flavoured) to
+    limit fill-in: the next pivot column is the one with the fewest live rows,
+    ties to the lower column, taken from the elimination's (count, col)
+    queue; within it the row with the fewest entries wins, ties to the lower
+    row.  The choice is deterministic, and it fixes which particular solution
+    solve() returns: free variables set to zero, or None when inconsistent.
+    Subclasses override only `_pick_row`, which may refuse a column with
+    None, and `_stuck`, called when rows are left that no pivot can clear.
+
+    Rows, factors and substitutions hold ints; a RAT appears only where a
+    division by a non-unit pivot leaves a remainder, which the boundary-type
+    matrices of this package almost never do.  The pivot rule looks at
+    supports only, so the representation cannot change a pivot.  solve()
+    and nullspace() return RAT entries only.
+    """
 
     def __init__(self, rows, ncols):
         self.m = len(rows)
         self.n = ncols
-        self.rows = [self._convert_row(r) for r in rows]
+        self.rows = [{j: _exact(v) for j, v in r.items() if v} for r in rows]
         self.ops = []       # (target_row, pivot_row, factor)
         self.pivots = []    # (row, col) in elimination order
         self._eliminate()
@@ -140,7 +162,7 @@ class _Echelon:
             pval = prow_row[col]
             int_prow = all(type(v) is int for v in prow_row.values())
             for t in sorted(col_rows[col] - {prow}):
-                f = self._factor(rows[t][col], pval)
+                f = _div(rows[t][col], pval)
                 self.ops.append((t, prow, f))
                 rt = rows[t]
                 for j, v in prow_row.items():
@@ -167,14 +189,8 @@ class _Echelon:
         if any(rows[i] for i in active):
             self._stuck()
 
-    def _convert_row(self, r):
-        raise NotImplementedError
-
     def _pick_row(self, col, live):
-        raise NotImplementedError
-
-    def _factor(self, entry, pval):
-        raise NotImplementedError
+        return min(live, key=lambda i: (len(self.rows[i]), i))
 
     def _stuck(self):
         raise AssertionError("elimination stalled")
@@ -188,43 +204,9 @@ class _Echelon:
                 y[t] = y[t] - f * ys
         return y
 
-
-class RationalSolver(_Echelon):
-    """Echelon factorization over Q, reusable across right-hand sides.
-
-    Pivoting prefers sparse columns and sparse rows (Markowitz-flavoured) to
-    limit fill-in: the next pivot column is the one with the fewest live rows,
-    ties to the lower column, taken from the elimination's (count, col)
-    queue; within it the row with the fewest entries wins, ties to the lower
-    row.  The choice is deterministic, and it fixes which particular solution
-    solve() returns: free variables set to zero, or None when inconsistent.
-
-    Rows, factors and substitutions hold ints; a RAT appears only where a
-    division by a non-unit pivot leaves a remainder, which the boundary-type
-    matrices of this package almost never do.  The pivot rule looks at
-    supports only, so the representation cannot change a pivot.  solve()
-    and nullspace() return RAT entries only.
-    """
-
-    def _convert_row(self, r):
-        return {j: _exact(v) for j, v in r.items() if v}
-
-    def _pick_row(self, col, live):
-        return min(live, key=lambda i: (len(self.rows[i]), i))
-
-    def _factor(self, entry, pval):
-        return _div(entry, pval)
-
-    def solve(self, b, denominator=1):
-        """x with A x = b / denominator as RATs (free variables 0), or None
-        if inconsistent.
-
-        b may mix ints and RATs; it is scaled to ints by the lcm of its
-        denominators, solved in ints and divided by the whole denominator D
-        once at the end.
-        """
-        D, y = scale_to_ints(b)
-        D *= denominator
+    def _substitute(self, y):
+        """x with A x = y (free variables 0) for an int y, in ints except
+        where a division leaves a remainder; None if inconsistent."""
         y = self.reduce_rhs(y)
         for i in self.zero_rows:
             if y[i]:
@@ -240,6 +222,21 @@ class RationalSolver(_Echelon):
                         s -= v * xj
             if s:
                 x[col] = _div(s, row[col])
+        return x
+
+    def solve(self, b, denominator=1):
+        """x with A x = b / denominator as RATs (free variables 0), or None
+        if inconsistent.
+
+        b may mix ints and RATs; it is scaled to ints by the lcm of its
+        denominators, solved in ints and divided by the whole denominator D
+        once at the end.
+        """
+        D, y = scale_to_ints(b)
+        x = self._substitute(y)
+        if x is None:
+            return None
+        D *= denominator
         return [_to_rat(v, D) if v else ZERO for v in x]
 
     def nullspace(self):
@@ -277,7 +274,7 @@ def greedy_basis(vectors, n):
     return sorted(p for p, _ in E.pivots), E.rank
 
 
-class UnimodularEchelon(_Echelon):
+class UnimodularEchelon(RationalSolver):
     """Row echelon form over Z using only +-1 pivots (unimodular row ops).
 
     When construction succeeds, integral consistency of A x = b coincides
@@ -286,36 +283,18 @@ class UnimodularEchelon(_Echelon):
     available; callers fall back to a Smith normal form solve.
     """
 
-    def _convert_row(self, r):
-        return {j: int(v) for j, v in r.items() if v}
-
     def _pick_row(self, col, live):
         units = [i for i in live if self.rows[i][col] in (1, -1)]
         if not units:
             return None
         return min(units, key=lambda i: (len(self.rows[i]), i))
 
-    def _factor(self, entry, pval):
-        return entry * pval  # pval is +-1, so this is entry / pval
-
     def _stuck(self):
         raise NeedsSmithForm()
 
     def solve_int(self, b):
         """Integer solution of A x = b (free vars 0), or None when none exists."""
-        y = self.reduce_rhs([int(v) for v in b])
-        for i in self.zero_rows:
-            if y[i]:
-                return None
-        x = [0] * self.n
-        for prow, col in reversed(self.pivots):
-            s = y[prow]
-            row = self.rows[prow]
-            for j, v in row.items():
-                if j != col and x[j]:
-                    s -= v * x[j]
-            x[col] = s * row[col]  # pivot is +-1
-        return x
+        return self._substitute([int(v) for v in b])
 
 
 def mat_vec(rows, x):

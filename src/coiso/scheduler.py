@@ -251,7 +251,8 @@ def verify_schedule(s: PrismSchedule) -> dict:
     X, m, T = prism.X, prism.m, prism.layers
     s.omega.dense_checked(prism.n_top, SchedulerError, "omega")
     s.alpha.dense_checked(prism.n_low, SchedulerError, "alpha")
-    cols = boundary_matrix(X, m).col_dicts()
+    # the boundary of top cell q is row q of delta
+    cols = get_fill_context(X, m).delta.rows
 
     bad_closed = []
     for q in range(prism.n_top):

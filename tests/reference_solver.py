@@ -1,10 +1,16 @@
-"""Reference exact solver, kept as a test oracle: the elimination loop of
-`linalg._Echelon` before its pivot queue (re-sort every live column per
-pivot), and `RationalSolver`'s solve, nullspace and `mat_vec` from before the
-kernel held ints, every number a RAT."""
+"""Reference exact solvers, kept as test oracles.
+
+`_ReferenceEchelon` is the elimination driver from before the pivot queue
+(re-sort every live column per pivot), with the row conversion and the
+factor as per-class hooks.  On it, `ReferenceSolver` is `RationalSolver`'s
+solve, nullspace and `mat_vec` from before the kernel held ints, every
+number a RAT, and `ReferenceUnimodular` is `UnimodularEchelon` from before it
+was folded into `RationalSolver`: int rows, unit pivots, factor entry * pivot
+and its own `solve_int` loop.  Neither uses the package's elimination class.
+"""
 
 from coiso.exact import RAT, ZERO
-from coiso.linalg import _Echelon
+from coiso.linalg import NeedsSmithForm
 
 
 def reference_eliminate(self):
@@ -52,10 +58,39 @@ def reference_eliminate(self):
         self._stuck()
 
 
-class ReferenceSolver(_Echelon):
-    """The all-RAT RationalSolver: same pivot rule, RAT rows and factors."""
+class _ReferenceEchelon:
+    """The shared driver: subclasses fix the pivot rule and the division."""
 
     _eliminate = reference_eliminate
+
+    def __init__(self, rows, ncols):
+        self.m = len(rows)
+        self.n = ncols
+        self.rows = [self._convert_row(r) for r in rows]
+        self.ops = []       # (target_row, pivot_row, factor)
+        self.pivots = []    # (row, col) in elimination order
+        self._eliminate()
+        self.rank = len(self.pivots)
+        pivot_rows = {p for p, _ in self.pivots}
+        self.zero_rows = sorted(i for i in range(self.m)
+                                if i not in pivot_rows and not self.rows[i])
+        self.pivot_cols = {c for _, c in self.pivots}
+        self.free_cols = [j for j in range(self.n) if j not in self.pivot_cols]
+
+    def _stuck(self):
+        raise AssertionError("elimination stalled")
+
+    def reduce_rhs(self, b):
+        y = list(b)
+        for t, s, f in self.ops:
+            ys = y[s]
+            if ys:
+                y[t] = y[t] - f * ys
+        return y
+
+
+class ReferenceSolver(_ReferenceEchelon):
+    """The all-RAT RationalSolver: same pivot rule, RAT rows and factors."""
 
     def _convert_row(self, r):
         return {j: RAT(v) for j, v in r.items() if v}
@@ -99,6 +134,40 @@ class ReferenceSolver(_Echelon):
                     x[col] = val
             basis.append(x)
         return basis
+
+
+class ReferenceUnimodular(_ReferenceEchelon):
+    """UnimodularEchelon with its own int rows, factor and solve_int loop."""
+
+    def _convert_row(self, r):
+        return {j: int(v) for j, v in r.items() if v}
+
+    def _pick_row(self, col, live):
+        units = [i for i in live if self.rows[i][col] in (1, -1)]
+        if not units:
+            return None
+        return min(units, key=lambda i: (len(self.rows[i]), i))
+
+    def _factor(self, entry, pval):
+        return entry * pval  # pval is +-1, so this is entry / pval
+
+    def _stuck(self):
+        raise NeedsSmithForm()
+
+    def solve_int(self, b):
+        y = self.reduce_rhs([int(v) for v in b])
+        for i in self.zero_rows:
+            if y[i]:
+                return None
+        x = [0] * self.n
+        for prow, col in reversed(self.pivots):
+            s = y[prow]
+            row = self.rows[prow]
+            for j, v in row.items():
+                if j != col and x[j]:
+                    s -= v * x[j]
+            x[col] = s * row[col]  # pivot is +-1
+        return x
 
 
 def reference_mat_vec(rows, x):

@@ -48,6 +48,20 @@ CASES = dict([
         _fill("fill-dD3L4-k2-mixed-rat", "dD3_L4.json", "dD3_L4_k2_mixed.json",
               "rat"))),
     ("duality-dD3-k2", (["duality", "--complex", "dD3.json", "--k", "2"], 0)),
+    # the lowest-row pivot rule of greedy_basis, through both tree kinds
+    *((f"tree-{kind}-dD3L4-k1", (["tree", "--in", "dD3_L4.json", "--k", "1",
+                                  "--kind", kind, "--out", "tree.json"], 0))
+      for kind in ("spanning", "wrapping")),
+    # alpha is the integral fill of fill-dD3L4-k2-int (unit-row pivots), and
+    # dD3_L4_k2_schedule.json is the schedule case's own artifact
+    ("schedule-dD3L4-k2", (["schedule", "--complex", "dD3_L4.json",
+                            "--omega", "dD3_L4_k2.json",
+                            "--alpha", "dD3_L4_k2_alpha.json",
+                            "--layers", "2", "--out", "sched.json"], 0)),
+    ("verify-schedule-dD3L4-k2", (["verify", "--kind", "schedule",
+                                   "--in", "dD3_L4_k2_schedule.json",
+                                   "--complex", "dD3_L4.json",
+                                   "--out", "verify.json"], 0)),
     # NotACoboundary: the certificate's cycle and its pairing (-1/15 on C4)
     *((name, (argv, 1)) for name, argv in (
         _fill("not-a-coboundary-C4-rat", "c4.json", "c4_foreign.json", "rat"),
@@ -88,6 +102,11 @@ def test_cli_artifacts_match_the_goldens(name, tmp_path):
     for key in want:
         assert got[key] == want[key], f"{name}/{key} differs from its golden"
     assert got["exit_code"] == b"%d\n" % CASES[name][1]
+
+
+def test_verify_input_is_the_schedule_golden():
+    assert (INPUTS / "dD3_L4_k2_schedule.json").read_bytes() == \
+        (GOLDEN / "schedule-dD3L4-k2" / "sched.json").read_bytes()
 
 
 def _regenerate():

@@ -1,12 +1,15 @@
 """The elimination kernel against reference copies of its older forms.
 
 Particular solutions, and so every CLI artifact, depend on which columns
-become pivots; the pivot queue in `_Echelon._eliminate` must reproduce the
-order of re-sorting every live column on every pivot, exactly.  The greedy
-bases the kernel gives (`greedy_basis`) must equal those of the incremental
-greedy rank in `reference_rank.py`.  `solve`, `nullspace` and `mat_vec`,
-which work in ints, must return exactly what the all-RAT solver in
-`reference_solver.py` returns, and only RATs.
+become pivots; the pivot queue in `RationalSolver._eliminate` must reproduce
+the order of re-sorting every live column on every pivot, exactly, under the
+sparsest-row rule of `RationalSolver` and the unit-row rule of
+`UnimodularEchelon` alike.  The greedy bases the kernel gives
+(`greedy_basis`) must equal those of the incremental greedy rank in
+`reference_rank.py`.  `solve`, `nullspace` and `mat_vec`, which work in
+ints, must return exactly what the all-RAT solver in `reference_solver.py`
+returns, and only RATs; `solve_int` must return exactly the int vectors of
+the separate unimodular echelon there (`ReferenceUnimodular`).
 """
 
 import random
@@ -23,16 +26,8 @@ from coiso.subdivision import edgewise_subdivide
 from coiso.trees import greedy_spanning_tree, telescope_complex
 
 from reference_rank import greedy_reference
-from reference_solver import (ReferenceSolver, reference_eliminate,
+from reference_solver import (ReferenceSolver, ReferenceUnimodular,
                               reference_mat_vec)
-
-
-class _ReferenceRational(RationalSolver):
-    _eliminate = reference_eliminate
-
-
-class _ReferenceUnimodular(UnimodularEchelon):
-    _eliminate = reference_eliminate
 
 
 def _state(E):
@@ -47,8 +42,8 @@ def _build(cls, rows, ncols):
 
 
 def assert_same_elimination(rows, ncols):
-    for new, ref in ((RationalSolver, _ReferenceRational),
-                     (UnimodularEchelon, _ReferenceUnimodular)):
+    for new, ref in ((RationalSolver, ReferenceSolver),
+                     (UnimodularEchelon, ReferenceUnimodular)):
         got, want = _build(new, rows, ncols), _build(ref, rows, ncols)
         assert got == want, new.__name__
 
@@ -86,12 +81,16 @@ def _random_rows(rng, m, n, density, values):
     return rows
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_random_sparse_integer_matrices_pivot_like_reference(seed):
+def _integer_matrix(seed):
     rng = random.Random(seed)
     m, n = rng.randint(1, 14), rng.randint(1, 14)
     values = [1, -1] if seed % 4 == 0 else [1, -1, 1, -1, 2, -2, 3]
-    rows = _random_rows(rng, m, n, rng.choice([0.15, 0.3, 0.5]), values)
+    return rng, _random_rows(rng, m, n, rng.choice([0.15, 0.3, 0.5]), values), n
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_sparse_integer_matrices_pivot_like_reference(seed):
+    _, rows, n = _integer_matrix(seed)
     assert_same_elimination(rows, n)
 
 
@@ -103,16 +102,61 @@ def test_column_without_unit_is_skipped_then_retried():
     rows = [{1: -2}, {0: -2, 1: -1}, {0: 3, 1: 1}]
     E = UnimodularEchelon(rows, 2)
     assert E.pivots == [(1, 1), (2, 0)]
-    assert _state(E) == _state(_ReferenceUnimodular(rows, 2))
+    assert _state(E) == _state(ReferenceUnimodular(rows, 2))
 
 
 def test_no_unit_pivot_raises_needs_smith_form_like_reference():
     # one pivot on column 0, then columns 1 and 2 hold only +-2
     rows = [{0: 2, 1: 4}, {0: 1, 1: 1, 2: 1}, {1: 2, 2: 2}]
-    for cls in (UnimodularEchelon, _ReferenceUnimodular):
+    for cls in (UnimodularEchelon, ReferenceUnimodular):
         with pytest.raises(NeedsSmithForm):
             cls(rows, 3)
-    assert _build(RationalSolver, rows, 3) == _build(_ReferenceRational, rows, 3)
+    assert _build(RationalSolver, rows, 3) == _build(ReferenceSolver, rows, 3)
+
+
+# -- solve_int against the separate unimodular echelon ---------------------------
+
+def check_solve_int_like_reference(rows, ncols, rng):
+    """The same int vector (or None) as ReferenceUnimodular for consistent
+    right-hand sides, as ints and as RATs, random ones and a unit right-hand
+    side on each dependent row.  False when no unit-pivot echelon exists."""
+    try:
+        E = UnimodularEchelon(rows, ncols)
+    except NeedsSmithForm:
+        return False
+    R = ReferenceUnimodular(rows, ncols)
+    m = len(rows)
+    consistent, other = [], []
+    for _ in range(3):
+        x = [rng.randint(-3, 3) for _ in range(ncols)]
+        b = [sum(v * x[j] for j, v in r.items()) for r in rows]
+        consistent += [b, [RAT(v) for v in b]]
+        other.append([rng.randint(-3, 3) for _ in range(m)])
+    other += [[1 if i == z else 0 for i in range(m)] for z in E.zero_rows]
+    for b in consistent + other:
+        got = E.solve_int(b)
+        assert got == R.solve_int(b)
+        if got is not None:
+            assert all(type(v) is int for v in got)
+        else:
+            assert b not in consistent
+    return True
+
+
+@pytest.mark.parametrize("name,X,k", BOUNDARIES, ids=[b[0] for b in BOUNDARIES])
+def test_solve_int_of_boundaries_like_reference(name, X, k):
+    rng = random.Random(name)
+    B = boundary_matrix(X, k)
+    assert check_solve_int_like_reference(B.rows, B.ncols, rng)
+    assert check_solve_int_like_reference(B.col_dicts(), B.nrows, rng)
+
+
+def test_solve_int_of_random_integer_matrices_like_reference():
+    built = 0
+    for seed in range(40):
+        rng, rows, n = _integer_matrix(seed)
+        built += check_solve_int_like_reference(rows, n, rng)
+    assert built >= 20
 
 
 # -- greedy_basis against the incremental greedy rank ---------------------------
