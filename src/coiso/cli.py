@@ -24,7 +24,7 @@ from .cubetree import cube_tree, cube_tree_recursive, verify_cube_tree, CubeTree
 from .filling import (linf_fill_rational, integral_fill, estimate_cip,
                       coiso_constants_tiny, FillingError, NotACoboundary)
 from .lp import LPError
-from .scheduler import (_verified_schedule, verify_schedule, s2_null_demo,
+from .scheduler import (degree_schedule, verify_schedule, s2_null_demo,
                         SchedulerError, ScheduleInvariantError, PrismSchedule,
                         PrismComplex)
 
@@ -208,7 +208,7 @@ def schedule(complex_path, omega_path, alpha_path, layers, out):
     X = load_complex(complex_path)
     omega = load_cochain(omega_path)
     alpha = load_cochain(alpha_path)
-    sched, report = _verified_schedule(X, omega, alpha, layers)
+    sched, report = degree_schedule(X, omega, alpha, layers)
     config = {"subcommand": "schedule", "complex": complex_path,
               "omega": omega_path, "alpha": alpha_path, "layers": layers,
               "out": out}

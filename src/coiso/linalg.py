@@ -6,11 +6,13 @@ Factorizations record the elimination so the same matrix can be solved
 against many right-hand sides; this is what keeps the per-trial cost of the
 coisoperimetry sweeps low.
 
-One class does all elimination: `RationalSolver` owns the pivot queue, the
-recorded row operations and the back-substitution.  Its subclasses change
-only which row a column pivots on: `_LowestRowEchelon` (the greedy bases of
-`greedy_basis`) takes the lowest live row, and `UnimodularEchelon` (integral
-solves) takes only +-1 entries and raises `NeedsSmithForm` when none is left.
+One driver does all elimination: `_Echelon` owns the pivot queue, the
+recorded row operations and the int back-substitution.  Its subclasses fix
+only which row a column pivots on and what a solve returns:
+`RationalSolver` takes the sparsest live row and returns RATs,
+`_LowestRowEchelon` (the greedy bases of `greedy_basis`) the lowest live
+row, and `UnimodularEchelon` (integral solves) only +-1 entries, raising
+`NeedsSmithForm` when none is left.
 
 Integers first: almost every number here is an integer, so rows, recorded
 factors and intermediate vectors hold Python ints, and an exact rational
@@ -86,23 +88,12 @@ def scale_to_ints(x):
                else int(v.numerator) * (D // int(v.denominator)) for v in x]
 
 
-class RationalSolver:
-    """Echelon factorization over Q, reusable across right-hand sides.
+class _Echelon:
+    """Elimination shared by every pivot rule, reusable across right-hand sides.
 
-    Pivoting prefers sparse columns and sparse rows (Markowitz-flavoured) to
-    limit fill-in: the next pivot column is the one with the fewest live rows,
-    ties to the lower column, taken from the elimination's (count, col)
-    queue; within it the row with the fewest entries wins, ties to the lower
-    row.  The choice is deterministic, and it fixes which particular solution
-    solve() returns: free variables set to zero, or None when inconsistent.
-    Subclasses override only `_pick_row`, which may refuse a column with
-    None, and `_stuck`, called when rows are left that no pivot can clear.
-
-    Rows, factors and substitutions hold ints; a RAT appears only where a
-    division by a non-unit pivot leaves a remainder, which the boundary-type
-    matrices of this package almost never do.  The pivot rule looks at
-    supports only, so the representation cannot change a pivot.  solve()
-    and nullspace() return RAT entries only.
+    Subclasses give `_pick_row`, which may refuse a column with None, and
+    may override `_stuck`, called when rows are left that no pivot can
+    clear.  The factor of every row operation is `_div`.
     """
 
     def __init__(self, rows, ncols):
@@ -189,9 +180,6 @@ class RationalSolver:
         if any(rows[i] for i in active):
             self._stuck()
 
-    def _pick_row(self, col, live):
-        return min(live, key=lambda i: (len(self.rows[i]), i))
-
     def _stuck(self):
         raise AssertionError("elimination stalled")
 
@@ -223,6 +211,27 @@ class RationalSolver:
             if s:
                 x[col] = _div(s, row[col])
         return x
+
+
+class RationalSolver(_Echelon):
+    """Echelon factorization over Q, reusable across right-hand sides.
+
+    Pivoting prefers sparse columns and sparse rows (Markowitz-flavoured) to
+    limit fill-in: the next pivot column is the one with the fewest live rows,
+    ties to the lower column, taken from the elimination's (count, col)
+    queue; within it the row with the fewest entries wins, ties to the lower
+    row.  The choice is deterministic, and it fixes which particular solution
+    solve() returns: free variables set to zero, or None when inconsistent.
+
+    Rows, factors and substitutions hold ints; a RAT appears only where a
+    division by a non-unit pivot leaves a remainder, which the boundary-type
+    matrices of this package almost never do.  The pivot rule looks at
+    supports only, so the representation cannot change a pivot.  solve()
+    and nullspace() return RAT entries only.
+    """
+
+    def _pick_row(self, col, live):
+        return min(live, key=lambda i: (len(self.rows[i]), i))
 
     def solve(self, b, denominator=1):
         """x with A x = b / denominator as RATs (free variables 0), or None
@@ -274,7 +283,7 @@ def greedy_basis(vectors, n):
     return sorted(p for p, _ in E.pivots), E.rank
 
 
-class UnimodularEchelon(RationalSolver):
+class UnimodularEchelon(_Echelon):
     """Row echelon form over Z using only +-1 pivots (unimodular row ops).
 
     When construction succeeds, integral consistency of A x = b coincides

@@ -176,18 +176,14 @@ def obstruction_cocycle(X, f_deg: Cochain, g_deg: Cochain) -> Cochain:
     return f_deg.sub(g_deg, ring="int")
 
 
-def degree_schedule(X, omega: Cochain, alpha: Cochain, layers: int) -> PrismSchedule:
-    """The floor-spread schedule; all invariants verified before return.
+def degree_schedule(X, omega: Cochain, alpha: Cochain,
+                    layers: int) -> tuple[PrismSchedule, dict]:
+    """(schedule, its verify_schedule report) for the floor-spread schedule;
+    ScheduleInvariantError when a check fails.
 
     alpha must be an integral fill of the integral cocycle omega; layers
     should be at least ||alpha||_inf or the norm invariant cannot hold.
     """
-    return _verified_schedule(X, omega, alpha, layers)[0]
-
-
-def _verified_schedule(X, omega, alpha, layers):
-    """(schedule, its verify_schedule report); ScheduleInvariantError when a
-    check fails."""
     m = X.dim
     if omega.k != m:
         raise SchedulerError(f"omega degree {omega.k}, expected top dimension {m}")
@@ -251,8 +247,7 @@ def verify_schedule(s: PrismSchedule) -> dict:
     X, m, T = prism.X, prism.m, prism.layers
     s.omega.dense_checked(prism.n_top, SchedulerError, "omega")
     s.alpha.dense_checked(prism.n_low, SchedulerError, "alpha")
-    # the boundary of top cell q is row q of delta
-    cols = get_fill_context(X, m).delta.rows
+    cols = boundary_matrix(X, m).col_dicts()
 
     bad_closed = []
     for q in range(prism.n_top):
@@ -330,7 +325,7 @@ def s2_null_demo(L: int, seed) -> dict:
     fill = integral_fill(X, omega)
     alpha = fill.alpha
     layers = max(1, int(norm_inf(alpha)))
-    sched, report = _verified_schedule(X, omega, alpha, layers)
+    sched, report = degree_schedule(X, omega, alpha, layers)
 
     tube_counts = [[p, int(v)] for p, v in sorted(alpha.entries.items())]
     return {

@@ -5,8 +5,9 @@
 factor as per-class hooks.  On it, `ReferenceSolver` is `RationalSolver`'s
 solve, nullspace and `mat_vec` from before the kernel held ints, every
 number a RAT, and `ReferenceUnimodular` is `UnimodularEchelon` from before it
-was folded into `RationalSolver`: int rows, unit pivots, factor entry * pivot
-and its own `solve_int` loop.  Neither uses the package's elimination class.
+shared the int rows, `_div` and the back-substitution of `linalg._Echelon`:
+int rows, unit pivots, factor entry * pivot and its own `solve_int` loop.
+Neither uses the package's elimination driver.
 """
 
 from coiso.exact import RAT, ZERO

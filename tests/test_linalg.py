@@ -1,7 +1,7 @@
 """The elimination kernel against reference copies of its older forms.
 
 Particular solutions, and so every CLI artifact, depend on which columns
-become pivots; the pivot queue in `RationalSolver._eliminate` must reproduce
+become pivots; the pivot queue in `_Echelon._eliminate` must reproduce
 the order of re-sorting every live column on every pivot, exactly, under the
 sparsest-row rule of `RationalSolver` and the unit-row rule of
 `UnimodularEchelon` alike.  The greedy bases the kernel gives

@@ -69,7 +69,7 @@ def test_prism_rejects_impure_base():
 
 def test_zero_schedule():
     X = simplex_boundary(3)
-    s = degree_schedule(X, Cochain(2, {}, "int"), Cochain(1, {}, "int"), 2)
+    s, _ = degree_schedule(X, Cochain(2, {}, "int"), Cochain(1, {}, "int"), 2)
     assert not s.vertical and not s.horizontal
     assert verify_schedule(s)["all_passed"]
 
@@ -80,7 +80,7 @@ def test_two_triangles_hand_evaluated():
     shared = X.cell_index(1, (1, 2))
     alpha = Cochain(1, {shared: 1}, "int")
     omega = apply_coboundary(X, alpha).map(int, "int")
-    s = degree_schedule(X, omega, alpha, 2)
+    s, _ = degree_schedule(X, omega, alpha, 2)
     # floor spread of +1 over two layers: floor(1/2)=0 then floor(1)=1
     assert s.value("vertical", shared, 0) == 0
     assert s.value("vertical", shared, 1) == 1
@@ -101,7 +101,7 @@ def test_floor_spread_of_negative_values():
     e12, e01 = X.cell_index(1, (1, 2)), X.cell_index(1, (0, 1))
     alpha = Cochain(1, {e12: -3, e01: 2}, "int")
     omega = apply_coboundary(X, alpha).map(int, "int")
-    s = degree_schedule(X, omega, alpha, 3)
+    s, _ = degree_schedule(X, omega, alpha, 3)
     for p, a in ((e12, -3), (e01, 2)):
         spread = [floor(Fraction((i + 1) * a, 3)) - floor(Fraction(i * a, 3))
                   for i in range(3)]
@@ -123,8 +123,8 @@ def test_pipeline_schedule_on_sphere():
     om = sample_integral_coboundary(X, 2, trial_rng(4, 1, 0))
     fill = integral_fill(X, om)
     layers = max(1, int(norm_inf(fill.alpha)))
-    s = degree_schedule(X, om, fill.alpha, layers)
-    rep = verify_schedule(s)
+    s, rep = degree_schedule(X, om, fill.alpha, layers)
+    assert rep == verify_schedule(s)
     assert rep["all_passed"]
     assert rep["max_abs_vertical"] <= 1
     assert s.norm_inf() <= int(norm_inf(om)) + 2 + 1
@@ -135,7 +135,7 @@ def test_corrupting_a_horizontal_value_breaks_one_or_two_prisms():
     shared = X.cell_index(1, (1, 2))
     alpha = Cochain(1, {shared: 1}, "int")
     omega = apply_coboundary(X, alpha).map(int, "int")
-    s = degree_schedule(X, omega, alpha, 2)
+    s, _ = degree_schedule(X, omega, alpha, 2)
     s.horizontal[(0, 1)] = s.horizontal.get((0, 1), 0) + 1
     rep = verify_schedule(s)
     assert not rep["closedness"]["passed"]
@@ -149,7 +149,7 @@ def test_telescoping_vertical_sums_recover_alpha():
     om = sample_integral_coboundary(X, 2, trial_rng(4, 2, 1))
     fill = integral_fill(X, om)
     layers = max(1, int(norm_inf(fill.alpha))) + 2
-    s = degree_schedule(X, om, fill.alpha, layers)
+    s, _ = degree_schedule(X, om, fill.alpha, layers)
     for p in range(X.n_cells(1)):
         total = sum(s.value("vertical", p, i) for i in range(layers))
         assert total == int(fill.alpha(p))
@@ -161,7 +161,7 @@ def test_degree_conservation_per_column():
     om = sample_integral_coboundary(X, 2, trial_rng(4, 3, 2))
     fill = integral_fill(X, om)
     layers = max(1, int(norm_inf(fill.alpha)))
-    s = degree_schedule(X, om, fill.alpha, layers)
+    s, _ = degree_schedule(X, om, fill.alpha, layers)
     cols = boundary_matrix(X, 2).col_dicts()
     for q in range(X.n_cells(2)):
         acc = 0
@@ -195,8 +195,8 @@ def test_layers_below_alpha_norm_violate_the_bound():
     with pytest.raises(ScheduleInvariantError):
         degree_schedule(X, omega, ecc, 1)
     # generous layering restores every invariant
-    ok = degree_schedule(X, omega, ecc, int(norm_inf(ecc)))
-    assert verify_schedule(ok)["all_passed"]
+    ok, rep = degree_schedule(X, omega, ecc, int(norm_inf(ecc)))
+    assert rep["all_passed"] and rep == verify_schedule(ok)
 
 
 # -- the demo ----------------------------------------------------------------------
