@@ -23,7 +23,7 @@ from .exact import RAT, ZERO, is_integral
 from .homalg import (Cochain, IntegralSystem, boundary_matrix, norm_inf)
 from .linalg import (RationalSolver, greedy_basis, mat_vec, residual_rows,
                      scale_to_ints)
-from .lp import LinfProblem, l1_min
+from .lp import LinfProblem, LPError, l1_min
 from .trees import (SpanningTree, WrappingTree, greedy_spanning_tree,
                     wrapping_tree, lifting_basis)
 
@@ -493,7 +493,8 @@ def estimate_cip(X, k: int, L_list, trials: int, rng_seed: int):
 # each, on the ell-1 side; C(n, d) coordinate sets times 2^d sign patterns on
 # the ell-infinity side (one factorization and d unit solves per set, then a
 # signed sum per pattern pair).  A complex over the cap on either side is
-# refused before any enumeration.
+# refused before any enumeration, as is one whose ell-infinity LP tableau
+# exceeds lp.SIMPLEX_CAP, which is checked first.
 ENUMERATION_CAP = 20000
 
 
@@ -504,10 +505,21 @@ def coiso_constants_tiny(X, k: int):
     ||omega||_inf <= 1.  Filling: the largest ell-1-minimal fill over
     boundaries with volume <= 1.  The duality lemma makes these equal, and
     the implementation raises DualityMismatch if they ever are not.
+
+    Every LP is solved by the exact simplex, so no float enters the check.
+    A FillingError refuses the complex before any enumeration when k is out
+    of range, when the ell-infinity LP (over the (k-1)-cells that lie in
+    some k-cell's boundary) would need a tableau above lp.SIMPLEX_CAP, or
+    when either enumeration count exceeds ENUMERATION_CAP.
     """
     if not 1 <= k <= X.dim:
         raise FillingError(f"k={k} out of range")
     Bk = boundary_matrix(X, k)
+    problem = _inf_problem(Bk.transpose())
+    try:
+        problem.check_simplex_cap()
+    except LPError as e:
+        raise FillingError(f"complex exceeds the duality LP cap: {e}") from None
     d = Bk.rank()
     one = comb(Bk.nrows, d - 1) if d else 0
     inf = comb(Bk.ncols, d) * 2 ** d
@@ -515,9 +527,8 @@ def coiso_constants_tiny(X, k: int):
         raise FillingError(
             f"complex exceeds the duality enumeration cap of {ENUMERATION_CAP} "
             f"solves: {one} on the ell-1 side, {inf} on the ell-infinity side")
-    delta = Bk.transpose()
 
-    co = _max_min_fill_inf(X, k, delta)
+    co = _max_min_fill_inf(problem)
     fi = _max_min_fill_one(Bk)
     if co != fi:
         raise DualityMismatch(f"cofilling {co} != filling {fi}")
@@ -579,23 +590,30 @@ def _vertices_one_ball(basis, n):
     norm 1, with both signs (Rockafellar 1969).  An elementary vector spans
     the part of the span that vanishes on some d-1 coordinates whose rows
     have rank d-1, and every such part is spanned by an elementary vector:
-    one kernel solve per (d-1)-set of coordinates finds them all.
+    one kernel solve per (d-1)-set of coordinates finds them all.  Each b is
+    formed in ints, from the basis and the kernel vector scaled to ints, and
+    b / ||b||_1 is kept over its reduced denominator.
     """
     d = len(basis)
     if d == 0:
         return []
-    verts = set()
+    _, bint = scale_to_ints([v for col in basis for v in col])
+    bcols = [bint[j * n:(j + 1) * n] for j in range(d)]
+    verts = set()                   # (denominator, int numerators), reduced
     for idxs in combinations(range(n), d - 1):
-        rows = [{j: basis[j][i] for j in range(d) if basis[j][i]} for i in idxs]
+        rows = [{j: bcols[j][i] for j in range(d) if bcols[j][i]} for i in idxs]
         solver = RationalSolver(rows, d)
         if solver.rank < d - 1:
             continue
         x, = solver.nullspace()
-        b = [sum((basis[j][i] * v for j, v in x.items()), ZERO) for i in range(n)]
-        norm = sum(v if v >= 0 else -v for v in b)
-        verts.add(tuple(v / norm for v in b))
-        verts.add(tuple(-v / norm for v in b))
-    return [list(v) for v in verts]
+        _, xs = scale_to_ints(list(x.values()))
+        terms = [(bcols[j], v) for j, v in zip(x, xs)]
+        b = [sum(col[i] * v for col, v in terms) for i in range(n)]
+        q = gcd(*b)
+        norm = sum(v if v >= 0 else -v for v in b) // q
+        verts.add((norm, tuple(v // q for v in b)))
+        verts.add((norm, tuple(-v // q for v in b)))
+    return [[RAT(v, q) for v in w] for q, w in verts]
 
 
 def _one_per_pair(verts):
@@ -605,12 +623,21 @@ def _one_per_pair(verts):
     return [w for w in verts if next(v for v in w if v) > 0]
 
 
-def _max_min_fill_inf(X, k, delta):
-    basis = _image_basis(delta.rows, delta.ncols, delta.nrows)
-    ctx = get_fill_context(X, k)
+def _inf_problem(delta):
+    """The LinfProblem of delta without its zero columns.  Those are the
+    (k-1)-cells in no k-cell's boundary; alpha = 0 there in every minimal
+    fill, so each optimum is unchanged."""
+    used = sorted({j for r in delta.rows for j in r})
+    pos = {j: i for i, j in enumerate(used)}
+    return LinfProblem([{pos[j]: v for j, v in r.items()} for r in delta.rows],
+                       len(used))
+
+
+def _max_min_fill_inf(problem):
+    basis = _image_basis(problem.rows, problem.n, problem.m)
     best = ZERO
-    for w in _one_per_pair(_vertices_inf_ball(basis, delta.nrows)):
-        _, t, _ = ctx.lp.solve(w)
+    for w in _one_per_pair(_vertices_inf_ball(basis, problem.m)):
+        _, t = problem.solve_exact(w)
         if t > best:
             best = t
     return best

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from .exact import ZERO, rat, rat_str, is_integral
 from .linalg import (NeedsSmithForm, RationalSolver, UnimodularEchelon,
-                     sparse_rows_from_entries, transpose_rows)
+                     scale_to_ints, sparse_rows_from_entries, transpose_rows)
 
 
 class HomalgError(ValueError):
@@ -399,10 +399,15 @@ class IntegralSystem:
             self._snf = smith_normal_form(M)
 
     def solve(self, b):
+        """Integer solution of M x = b, or None when none exists (as for a b
+        that is not integral)."""
         if self._umr is not None:
             return self._umr.solve_int(b)
+        scale, bs = scale_to_ints(b)
+        if scale != 1:
+            return None
         U, D, V = self._snf
-        ub = U.mat_vec([int(v) for v in b])
+        ub = U.mat_vec(bs)
         y = [0] * self.M.ncols
         for i in range(min(self.M.nrows, self.M.ncols)):
             d = D[i, i]

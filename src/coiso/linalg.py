@@ -302,8 +302,10 @@ class UnimodularEchelon(_Echelon):
         raise NeedsSmithForm()
 
     def solve_int(self, b):
-        """Integer solution of A x = b (free vars 0), or None when none exists."""
-        return self._substitute([int(v) for v in b])
+        """Integer solution of A x = b (free vars 0), or None when none exists,
+        as for a b that is not integral (A x is integral for integral x)."""
+        D, y = scale_to_ints(b)
+        return self._substitute(y) if D == 1 else None
 
 
 def mat_vec(rows, x):

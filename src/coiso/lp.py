@@ -9,10 +9,13 @@ Two layers:
   through the pivots.  The pivots are those of the all-rational tableau, and
   every result carries a dual verified in ints.
 
-* LinfProblem: minimize ||alpha||_inf subject to D alpha = omega.  Floating
-  point (scipy/HiGHS) is used only to guess the optimal active set; primal
-  and dual solutions are then reconstructed and verified in exact rational
-  arithmetic:
+* LinfProblem: minimize ||alpha||_inf subject to D alpha = omega.
+  `solve_exact` hands the LP to exact_simplex, with no float anywhere; it is
+  the only LP path of the filling/cofilling duality check, and SIMPLEX_CAP
+  bounds its tableau.  `solve`, for the fills and the sweep, uses floating
+  point (scipy/HiGHS, imported on first use) only to guess the optimal
+  active set; primal and dual solutions are then reconstructed and verified
+  in exact rational arithmetic:
 
       y with ||D^T y||_1 <= 1 and y.omega = t  certifies  min >= t,
       alpha with D alpha = omega, ||alpha||_inf <= t  certifies  min <= t.
@@ -20,8 +23,8 @@ Two layers:
   When the vertex guess fails to verify, a recursive scheme fixes the
   certified dual support at +-t and re-solves the strictly smaller residual
   problem; each level is certified on its own, so the assembled answer is
-  proven optimal no matter what the floats did.  The dense exact simplex
-  remains as the last resort.
+  proven optimal no matter what the floats did.  `solve_exact` remains as
+  the last resort.
 
 No float ever enters a returned value.
 """
@@ -198,8 +201,8 @@ def _pivot(T, basis, leave, enter, costs):
 _ATTEMPTS = (("highs-ipm", (1e-7, 1e-9, 1e-5)), ("highs-ds", (1e-7,)))
 _TINY = 48          # below this many variables the dense simplex is cheap
 _MAX_LEVELS = 512
-# the last-resort dense simplex refuses a tableau larger than this: at
-# dDelta3, L=16 it would be (1024 + 3072) x 6145, about 25M exact entries
+# solve_exact refuses a tableau larger than this: at dDelta3, L=16 it
+# would be (1024 + 3072) x 6145, about 25M exact entries
 SIMPLEX_CAP = 100_000
 
 
@@ -234,7 +237,7 @@ class LinfProblem:
             if out is not None:
                 return out[0], out[1], "recursive"
 
-        alpha, t = self._solve_exact_simplex(omega)
+        alpha, t = self.solve_exact(omega)
         return alpha, t, "simplex"
 
     # -- float machinery -----------------------------------------------------
@@ -467,18 +470,25 @@ class LinfProblem:
             return None
         return alpha, t_exact
 
-    # -- airtight fallback ----------------------------------------------------
+    # -- float-free path -------------------------------------------------------
 
-    def _solve_exact_simplex(self, omega):
+    def check_simplex_cap(self):
+        """LPError when the tableau of solve_exact exceeds SIMPLEX_CAP."""
+        rows, cols = self.m + 2 * self.n, 4 * self.n + 1
+        if rows * cols > SIMPLEX_CAP:
+            raise LPError(
+                f"the exact simplex needs a {rows}x{cols} tableau "
+                f"({rows * cols} entries), above the cap of {SIMPLEX_CAP}")
+
+    def solve_exact(self, omega):
+        """(alpha, t): an optimal alpha and the certified optimum
+        t = ||alpha||_inf, from exact_simplex alone.  LPError when the
+        tableau exceeds SIMPLEX_CAP or omega has no rational preimage."""
+        self.check_simplex_cap()
         # standard form: alpha = u - v, slacks s+, s-:
         #   D(u - v) = omega;  u - v - t + s+ = 0;  -u + v - t + s- = 0
         n = self.n
         N = 4 * n + 1
-        size = (self.m + 2 * n) * N
-        if size > SIMPLEX_CAP:
-            raise LPError(
-                f"the exact simplex fallback needs a {self.m + 2 * n}x{N} "
-                f"tableau ({size} entries), above the cap of {SIMPLEX_CAP}")
         it = 2 * n
         A = []
         b = []

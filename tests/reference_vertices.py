@@ -1,12 +1,14 @@
 """Reference unit-ball vertices, kept as test oracles: the sign-facet
 enumeration that found the vertices of {b in span(basis): ||b||_1 <= 1}
-before the elementary-vector enumeration in `filling._vertices_one_ball`, and
-the ell-infinity enumeration from before `filling._vertices_inf_ball` formed
-basis . A^-1 once per coordinate set (one solve per sign pattern)."""
+before the elementary-vector enumeration in `filling._vertices_one_ball`;
+that elementary-vector enumeration as it was before it formed each vertex in
+ints (every entry a RAT); and the ell-infinity enumeration from before
+`filling._vertices_inf_ball` formed basis . A^-1 once per coordinate set (one
+solve per sign pattern)."""
 
 from itertools import combinations, product
 
-from coiso.exact import RAT, ONE
+from coiso.exact import RAT, ONE, ZERO
 from coiso.linalg import RationalSolver
 
 
@@ -40,6 +42,27 @@ def vertices_one_ball_reference(basis, n):
             b = [sum(basis[j][i] * x[j] for j in range(d)) for i in range(n)]
             if sum(v if v >= 0 else -v for v in b) <= 1:
                 verts.add(tuple(b))
+    return verts
+
+
+def vertices_one_ball_elementary_reference(basis, n):
+    """Vertices of {b in span(basis): ||b||_1 <= 1}, as a set of tuples: the
+    normalized elementary vectors, one kernel solve per (d-1)-set of
+    coordinates, with b and its norm formed in RATs."""
+    d = len(basis)
+    if d == 0:
+        return set()
+    verts = set()
+    for idxs in combinations(range(n), d - 1):
+        rows = [{j: basis[j][i] for j in range(d) if basis[j][i]} for i in idxs]
+        solver = RationalSolver(rows, d)
+        if solver.rank < d - 1:
+            continue
+        x, = solver.nullspace()
+        b = [sum((basis[j][i] * v for j, v in x.items()), ZERO) for i in range(n)]
+        norm = sum(v if v >= 0 else -v for v in b)
+        verts.add(tuple(v / norm for v in b))
+        verts.add(tuple(-v / norm for v in b))
     return verts
 
 

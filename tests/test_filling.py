@@ -5,9 +5,13 @@ the feasible polytope directly (every subset of d+1 active bound constraints
 over the solution affine space), so it shares no code path with the LP.
 """
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations, product
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,20 +20,22 @@ from coiso.exact import RAT, ZERO, ONE, is_integral
 from coiso.complexes import (build_complex, cycle_complex, simplex_boundary)
 from coiso.homalg import Cochain, boundary_matrix, norm_inf
 from coiso.linalg import RationalSolver, mat_vec
-from coiso.lp import l1_min
+from coiso import lp
+from coiso.lp import LinfProblem, LPError, l1_min
 from coiso import filling
 from coiso.filling import (DualityMismatch, FillingError, LiftError,
                            NotACoboundary, bounded_lift, coiso_constants_tiny,
                            estimate_cip, get_fill_context, integral_fill,
                            linf_fill_rational, sample_integral_coboundary,
                            trial_rng, _any_cocycle_lift, _check_lift,
-                           _image_basis, _one_per_pair, _vertices_inf_ball,
-                           _vertices_one_ball)
+                           _image_basis, _inf_problem, _one_per_pair,
+                           _vertices_inf_ball, _vertices_one_ball)
 from coiso.subdivision import edgewise_subdivide
 from coiso.trees import (greedy_spanning_tree, lifting_basis, wrapping_tree,
                          telescope_complex)
 from reference_solver import ReferenceSolver, reference_witness
 from reference_vertices import (vertices_inf_ball_reference,
+                                vertices_one_ball_elementary_reference,
                                 vertices_one_ball_reference)
 
 
@@ -391,6 +397,56 @@ def test_duality_size_cap_builds_no_enumeration(monkeypatch):
         coiso_constants_tiny(X, 2)
 
 
+def test_duality_tableau_cap_builds_no_enumeration(monkeypatch):
+    # dDelta3, k=2: 4 triangles over 6 edges, a 16x25 ell-infinity tableau
+    def refuse(basis, n):
+        raise AssertionError("enumeration ran above the cap")
+    monkeypatch.setattr(filling, "_vertices_inf_ball", refuse)
+    monkeypatch.setattr(filling, "_vertices_one_ball", refuse)
+    monkeypatch.setattr(lp, "SIMPLEX_CAP", 399)
+    with pytest.raises(FillingError, match=r"duality LP cap: the exact simplex "
+                                           r"needs a 16x25 tableau \(400 entries\), "
+                                           r"above the cap of 399"):
+        coiso_constants_tiny(simplex_boundary(3), 2)
+
+
+def test_duality_at_the_tableau_cap_answers(monkeypatch):
+    monkeypatch.setattr(lp, "SIMPLEX_CAP", 400)
+    assert coiso_constants_tiny(simplex_boundary(3), 2) == (RAT(1, 2), RAT(1, 2))
+
+
+def test_cells_in_no_boundary_leave_the_ell_infinity_lp():
+    # 197 isolated vertices: the full LP would need a 403x801 tableau, above
+    # the cap; without them it is 9x13
+    X = build_complex([(0, 1, 2)] + [(i,) for i in range(3, 200)])
+    delta = boundary_matrix(X, 1).transpose()
+    with pytest.raises(LPError, match="403x801 tableau"):
+        LinfProblem(delta.rows, delta.ncols).check_simplex_cap()
+    problem = _inf_problem(delta)
+    assert (problem.m, problem.n) == (3, 3)
+    assert coiso_constants_tiny(X, 1) == (RAT(1, 2), RAT(1, 2))
+
+
+@pytest.mark.parametrize("X,k,value", GOLDEN, ids=lambda v: repr(v))
+def test_duality_makes_no_float_solve(monkeypatch, X, k, value):
+    def refuse(self, omega, method):
+        raise AssertionError("a float LP ran in the duality check")
+    monkeypatch.setattr(LinfProblem, "_float_solve", refuse)
+    assert coiso_constants_tiny(X, k) == (value, value)
+
+
+def test_duality_never_imports_scipy():
+    code = ("import sys\n"
+            "from coiso import coiso_constants_tiny, simplex_boundary\n"
+            "assert coiso_constants_tiny(simplex_boundary(3), 2)[0] == 1 / 2\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+    src = str(Path(filling.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    r = subprocess.run([sys.executable, "-c", code], env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+
+
 def test_duality_mismatch_raises_when_the_sides_disagree(monkeypatch):
     real = filling._vertices_one_ball
 
@@ -424,6 +480,22 @@ def test_one_ball_vertices_match_sign_facets_on_corpus(X, k, count):
     assert verts == vertices_one_ball_reference(basis, Bk.nrows)
 
 
+@pytest.mark.parametrize("X,k", [
+    (cycle_complex(4), 1),
+    (build_complex([(0, 1, 2)]), 1),
+    (simplex_boundary(3), 1),
+    (simplex_boundary(3), 2),
+    (simplex_boundary(4), 2),
+    (simplex_boundary(4), 3),
+], ids=["C4-1", "Delta2-1", "dDelta3-1", "dDelta3-2", "dDelta4-2", "dDelta4-3"])
+def test_one_ball_vertices_match_the_rational_enumeration(X, k):
+    Bk = boundary_matrix(X, k)
+    basis = _image_basis(Bk.rows, Bk.ncols, Bk.nrows)
+    verts = _one_ball(basis, Bk.nrows)
+    assert all(type(v) is RAT for w in verts for v in w)
+    assert verts == vertices_one_ball_elementary_reference(basis, Bk.nrows)
+
+
 def random_coordinate_basis(rng, n, d):
     """d independent integer columns over n coordinates; coordinate rows are
     repeated, rescaled or zero often, so some (d-1)-sets are dependent."""
@@ -454,6 +526,7 @@ def test_one_ball_vertices_match_sign_facets_on_random_bases(n, d, seed):
     basis = random_coordinate_basis(random.Random(f"{n}/{d}/{seed}"), n, d)
     verts = _one_ball(basis, n)
     assert verts == vertices_one_ball_reference(basis, n)
+    assert verts == vertices_one_ball_elementary_reference(basis, n)
     for b in verts:
         assert sum(abs(v) for v in b) == 1
 
@@ -502,6 +575,31 @@ def test_inf_ball_vertices_match_per_pattern_solves_on_random_bases(n, d, seed):
         assert max(abs(v) for v in w) == 1
 
 
+def _exact_against_highs(X, k):
+    """Every ell-infinity vertex's optimum from solve_exact on the duality's
+    LP (zero columns dropped) equals the HiGHS-reconstruction path's on the
+    full FillContext LP."""
+    delta = boundary_matrix(X, k).transpose()
+    problem = _inf_problem(delta)
+    ctx = get_fill_context(X, k)
+    basis = _image_basis(delta.rows, delta.ncols, delta.nrows)
+    verts = _vertices_inf_ball(basis, delta.nrows)
+    for w in verts:
+        alpha, t = problem.solve_exact(w)
+        assert t == ctx.lp.solve(w)[1]
+        assert max((abs(v) for v in alpha), default=0) == t
+        assert mat_vec(problem.rows, alpha) == w
+    return len(verts)
+
+
+@pytest.mark.parametrize("X,k", [(X, k) for X, k, _ in GOLDEN]
+                         + [(simplex_boundary(3), 1), (simplex_boundary(4), 3)],
+                         ids=["C4-1", "Delta2-1", "dDelta3-2", "dDelta4-2",
+                              "dDelta3-1", "dDelta4-3"])
+def test_exact_ell_infinity_optima_match_highs_on_corpus(X, k):
+    assert _exact_against_highs(X, k) > 0
+
+
 def test_one_per_pair_keeps_one_vertex_of_each_antipodal_pair():
     _, _, verts = _inf_ball(simplex_boundary(4), 2)
     half = [tuple(w) for w in _one_per_pair([list(w) for w in verts])]
@@ -543,9 +641,9 @@ def test_one_lp_per_antipodal_pair_gives_the_max_over_all_vertices(Xk):
     d = Bk.rank()
     if comb(Bk.ncols, d) * 2 ** d > 2000:     # keep the per-vertex LPs few
         return
-    ctx = filling.get_fill_context(X, k)
+    problem = _inf_problem(delta)
     for fill, rows, basis in (
-            (lambda w: ctx.lp.solve(w)[1], delta,
+            (lambda w: problem.solve_exact(w)[1], delta,
              _vertices_inf_ball),
             (lambda b: l1_min(Bk.rows, Bk.ncols, b)[1], Bk,
              _vertices_one_ball)):
@@ -555,3 +653,13 @@ def test_one_lp_per_antipodal_pair_gives_the_max_over_all_vertices(Xk):
             assert value[tuple(-v for v in w)] == t
         assert (max((value[tuple(w)] for w in _one_per_pair(verts)), default=0)
                 == max(value.values(), default=0))
+
+
+@given(small_complexes())
+@settings(max_examples=40, deadline=None)
+def test_exact_ell_infinity_optima_match_highs_on_random_complexes(Xk):
+    X, k = Xk
+    Bk = boundary_matrix(X, k)
+    if comb(Bk.ncols, Bk.rank()) * 2 ** Bk.rank() > 2000:
+        return
+    _exact_against_highs(X, k)

@@ -48,6 +48,7 @@ CASES = dict([
         _fill("fill-dD3L4-k2-mixed-rat", "dD3_L4.json", "dD3_L4_k2_mixed.json",
               "rat"))),
     ("duality-dD3-k2", (["duality", "--complex", "dD3.json", "--k", "2"], 0)),
+    ("duality-dD4-k2", (["duality", "--complex", "dD4.json", "--k", "2"], 0)),
     # the lowest-row pivot rule of greedy_basis, through both tree kinds
     *((f"tree-{kind}-dD3L4-k1", (["tree", "--in", "dD3_L4.json", "--k", "1",
                                   "--kind", kind, "--out", "tree.json"], 0))

@@ -8,7 +8,7 @@ from coiso.exact import RAT
 from coiso.complexes import (build_complex, build_grid_cube_complex,
                              cycle_complex, simplex_boundary)
 from coiso.homalg import (Chain, Cochain, HomalgError, IntegerMatrix,
-                          apply_coboundary, betti_numbers, boundary_matrix,
+                          IntegralSystem, apply_coboundary, betti_numbers, boundary_matrix,
                           norm_inf, pairing, smith_normal_form,
                           solve_integral_linear, volume_norm)
 
@@ -136,6 +136,33 @@ def test_c4_coboundary_solvable():
             found = True
             break
     assert found
+
+
+# an integer matrix sends integer vectors to integer vectors, so a rhs that
+# is not integral has no integer solution; it is never truncated to one
+@pytest.mark.parametrize("rows,b,unit_pivots", [
+    ([{0: 1}], [RAT(1, 2)], True),
+    ([{0: 1}, {1: 1}], [1, RAT(-1, 3)], True),
+    ([{0: 2}], [RAT(5, 2)], False),
+    # no +-1 entry: the unit-pivot echelon refuses and the Smith form solves
+    ([{0: 2, 1: 3}, {0: 4, 1: 5}], [RAT(1, 2), 0], False),
+    ([{0: 2, 1: 3}, {0: 4, 1: 5}], [0, RAT(7, 3)], False),
+], ids=["unit", "unit-2x2", "snf-1x1", "snf-2x2-a", "snf-2x2-b"])
+def test_non_integral_rhs_has_no_integer_solution(rows, b, unit_pivots):
+    M = IntegerMatrix(len(rows), max(j for r in rows for j in r) + 1, rows)
+    assert (IntegralSystem(M)._umr is not None) == unit_pivots
+    assert solve_integral_linear(M, b) is None
+
+
+@pytest.mark.parametrize("rows,b,x", [
+    ([{0: 1}, {1: 1}], [RAT(3), RAT(-1)], [3, -1]),
+    ([{0: 2}], [RAT(6)], [3]),
+    ([{0: 2, 1: 3}, {0: 4, 1: 5}], [RAT(1), RAT(1)], [-1, 1]),
+], ids=["unit", "snf-1x1", "snf-2x2"])
+def test_integral_rationals_in_the_rhs_still_solve(rows, b, x):
+    M = IntegerMatrix(len(rows), len(x), rows)
+    got = solve_integral_linear(M, b)
+    assert got == x and all(type(v) is int for v in got)
 
 
 def test_integral_solve_dimension_mismatch():

@@ -11,6 +11,7 @@ from coiso import lp
 from coiso.complexes import build_complex, cycle_complex, simplex_boundary
 from coiso.exact import RAT
 from coiso.filling import coiso_constants_tiny
+from coiso.homalg import boundary_matrix
 from coiso.lp import LPError, Unbounded, exact_simplex, l1_min
 from reference_simplex import outcome_and_pivots, simplex_against_reference
 
@@ -93,7 +94,8 @@ def test_hypothesis_lps_match_the_reference(lp_data):
         pass
 
 
-# every exact-simplex call of the tier-1 duality corpus (all from l1_min)
+# every exact-simplex call of the tier-1 duality corpus: the ell-1 LPs of
+# l1_min and the ell-infinity LPs of LinfProblem.solve_exact
 DUALITY_CORPUS = [
     (cycle_complex(4), 1),
     (build_complex([(0, 1, 2)]), 1),
@@ -110,12 +112,20 @@ def test_duality_corpus_lps_match_the_reference(monkeypatch, X, k):
     calls = []
 
     def checked(A, b, c):
-        calls.append(len(A))
+        calls.append((len(A), len(c)))
         return simplex_against_reference(A, b, c, real)
 
     monkeypatch.setattr(lp, "exact_simplex", checked)
     co, fi = coiso_constants_tiny(X, k)
-    assert co == fi and calls
+    assert co == fi
+    # rows of the k-th boundary: the (k-1)-cells; the ell-infinity LP keeps
+    # those in some k-cell's boundary
+    Bk = boundary_matrix(X, k)
+    n = sum(1 for r in Bk.rows if r)
+    linf = (Bk.ncols + 2 * n, 4 * n + 1)
+    l1 = (Bk.nrows, 2 * Bk.ncols)
+    assert linf in calls and l1 in calls
+    assert set(calls) == {linf, l1}
 
 
 # -- mis-shaped input is an LPError, never reinterpreted --------------------------
