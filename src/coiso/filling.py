@@ -22,8 +22,8 @@ from math import comb, gcd, lcm
 from .exact import RAT, ZERO, is_integral
 from .homalg import (Cochain, IntegralSystem, boundary_matrix, norm_inf)
 from .linalg import (RationalSolver, greedy_basis, mat_vec, residual_rows,
-                     scale_to_ints)
-from .lp import LinfProblem, LPError, l1_min
+                     scale_to_ints, transpose_rows)
+from .lp import LinfProblem, LPError, check_l1_cap, l1_min
 from .trees import (SpanningTree, WrappingTree, greedy_spanning_tree,
                     wrapping_tree, lifting_basis)
 
@@ -138,13 +138,22 @@ def get_fill_context(X, k: int) -> FillContext:
 
 
 class LiftData:
-    """The F-basis machinery of the bounded-lift construction in degree k.
+    """The bounded-lift construction in degree k, on the tree system A.
 
-    T is a k-spanning tree, U a (k-1)-wrapping tree.  F(p), for each
-    (k-1)-cell p outside U, is the unique chain in T whose boundary is p
-    modulo U; together with lifted representatives of the relative-class
-    basis these coordinates determine every k-cocycle, and normalizing them
-    into [0,1) by integer shifts is what produces the bounded lift.
+    T is a k-spanning tree, U a (k-1)-wrapping tree.  A is the square part
+    of the k-th boundary map with rows the (k-1)-cells outside U and columns
+    the tree cells; it is nonsingular, and its inverse's column p is the
+    chain F(p) in T whose boundary is p modulo U.  The F-coordinates
+    <F(p), z> and the pairings with the lifted relative-class basis b~
+    determine every k-cocycle z, and normalizing them into [0,1) by integer
+    shifts is what produces the bounded lift.  No F(p) is formed:
+
+    * the F-coordinates of z are c = A^-T z|_T, one solve with the
+      factorization of A^T per lift;
+    * <F(p), z> = r_p for every p is z|_T = A^T r, one unit row per tree
+      cell in the lift system (z(u,v) = r_v - r_u on a tree edge when k = 1);
+    * b~ = b_hat - A^-1 (boundary of b_hat outside U), one solve with A per
+      basis vector.
     """
 
     def __init__(self, X, k: int, T: SpanningTree, U):
@@ -163,100 +172,94 @@ class LiftData:
     def _build(self):
         X, k = self.X, self.k
         nk = X.n_cells(k)
-        tree_cells = sorted(self.T.cells)
-        u_cells = set(self.U.cells) if k >= 1 else set()
-        n_low = X.n_cells(k - 1) if k >= 1 else 0
-        self.f_supports = [p for p in range(n_low) if p not in u_cells]
+        self._tree_cells = tree_cells = sorted(self.T.cells)
+        B = boundary_matrix(X, k) if k >= 1 else None
+        bcols = B.col_dicts() if B is not None else []
+        u_cells = set(self.U.cells)
+        row_pos = {p: i for i, p in enumerate(
+            p for p in range(X.n_cells(k - 1)) if p not in u_cells)}
+        if len(row_pos) != len(tree_cells):
+            raise LiftError(
+                "F-basis count mismatch: %d cells outside the wrapping "
+                "tree vs %d tree cells" % (len(row_pos), len(tree_cells)))
 
-        # F(p): solve boundary(x) = e_p on the rows outside U, x in C_k(T)
-        self.F = {}
-        if self.f_supports:
-            cols = boundary_matrix(X, k).col_dicts()
-            row_pos = {p: i for i, p in enumerate(self.f_supports)}
-            rows = [dict() for _ in self.f_supports]
-            for cpos, j in enumerate(tree_cells):
-                for i, v in cols[j].items():
-                    if i in row_pos:
-                        rows[row_pos[i]][cpos] = v
-            if len(self.f_supports) != len(tree_cells):
-                raise LiftError(
-                    "F-basis count mismatch: %d cells outside the wrapping "
-                    "tree vs %d tree cells" % (len(self.f_supports), len(tree_cells)))
-            solver = RationalSolver(rows, len(tree_cells))
-            if solver.rank != len(tree_cells):
+        # A^T: one row per tree cell, over the (k-1)-cells outside U
+        self._tree_rows = [{row_pos[p]: v for p, v in bcols[t].items()
+                            if p in row_pos} for t in tree_cells]
+        if tree_cells:
+            self._tree_solver = RationalSolver(self._tree_rows, len(row_pos))
+            if self._tree_solver.rank != len(tree_cells):
                 raise LiftError("tree filling system is singular")
-            for p in self.f_supports:
-                rhs = [1 if q == p else 0 for q in self.f_supports]
-                x = solver.solve(rhs)
-                self.F[p] = {tree_cells[c]: v for c, v in enumerate(x) if v}
-            self._bcols = cols
-        else:
-            self._bcols = boundary_matrix(X, k).col_dicts() if k >= 1 else []
 
-        # lifted basis of H_k(X): b_hat - F(boundary b_hat); in degree 0 the
-        # boundary is empty and b~ = b_hat
-        rel = self.T.rel_data()
-        basis_cells = rel["basis_cells"]
+        # lifted basis of H_k(X): b_hat - A^-1 (boundary of b_hat outside U)
+        basis_cells = self.T.rel_data()["basis_cells"]
+        A = None
+        if self.basis_vectors and tree_cells:
+            A = RationalSolver(transpose_rows(self._tree_rows, len(row_pos)),
+                               len(tree_cells))
         self.b_tilde = []
         for vec in self.basis_vectors:
-            b_hat = {}
+            chain = {}
             for j, coef in zip(basis_cells, vec):
                 if coef:
-                    b_hat[j] = b_hat.get(j, ZERO) + coef
-            chain = dict(b_hat)
-            if k >= 1:
-                for j, coef in b_hat.items():
-                    for p, sgn in self._bcols[j].items():
-                        if p in self.F and coef:
-                            for cell, fv in self.F[p].items():
-                                nv = chain.get(cell, ZERO) - coef * RAT(sgn) * fv
-                                if nv:
-                                    chain[cell] = nv
-                                elif cell in chain:
-                                    del chain[cell]
-                # must be an absolute cycle
-                bd = {}
+                    chain[j] = chain.get(j, ZERO) + coef
+            if A is not None:
+                y = [ZERO] * len(row_pos)
                 for j, coef in chain.items():
-                    for p, sgn in self._bcols[j].items():
-                        nv = bd.get(p, ZERO) + coef * RAT(sgn)
-                        if nv:
-                            bd[p] = nv
-                        elif p in bd:
-                            del bd[p]
-                if bd:
-                    raise LiftError("lifted basis element is not a cycle")
+                    for p, sgn in bcols[j].items():
+                        if p in row_pos:
+                            y[row_pos[p]] += coef * sgn
+                for cell, v in zip(tree_cells, A.solve(y)):
+                    chain[cell] = chain.get(cell, ZERO) - v
+                chain = {j: v for j, v in chain.items() if v}
+            # must be an absolute cycle; in degree 0 every chain is one
+            dense = [chain.get(j, ZERO) for j in range(nk)]
+            if B is not None and any(mat_vec(B.rows, dense)):
+                raise LiftError("lifted basis element is not a cycle")
             self.b_tilde.append(chain)
 
-        # cocycle coordinates: stack (cocycle condition; <., F(p)>; <., b~>)
+        # cocycle coordinates: stack (cocycle condition; z_t for t in T; <., b~>)
         sys_rows = []
-        self.n_cocycle_rows = 0
         if k + 1 <= X.dim:
-            delta_rows = boundary_matrix(X, k + 1).transpose().rows
-            sys_rows.extend(delta_rows)
-            self.n_cocycle_rows = len(delta_rows)
-        self.coord_chains = [self.F[p] for p in self.f_supports] + self.b_tilde
-        # each chain as (D, integer chain D * ch)
-        self._int_chains = []
-        for ch in self.coord_chains:
-            sys_rows.append(dict(ch))
+            sys_rows = boundary_matrix(X, k + 1).transpose().rows
+        self.n_cocycle_rows = len(sys_rows)
+        # each b~ as (D, integer chain D * b~)
+        self._int_b_tilde = []
+        for ch in self.b_tilde:
             D, vals = scale_to_ints(list(ch.values()))
-            self._int_chains.append((D, dict(zip(ch, vals))))
-        self.solver = RationalSolver(sys_rows, nk)
+            self._int_b_tilde.append((D, dict(zip(ch, vals))))
+        self.solver = RationalSolver(
+            sys_rows + [{t: 1} for t in tree_cells] + self.b_tilde, nk)
         if self.solver.rank != nk:
             raise LiftError("cocycle coordinates do not determine the cocycle")
 
     def lift(self, z0_dense, denominator=1):
         """The normalized cocycle lift of the cocycle z0 = z0_dense /
-        denominator, values shifted into [0,1) on the coordinate chains;
-        differs from z0 by integers cellwise.
+        denominator, values shifted into [0,1) on the F-coordinates and the
+        b~ pairings; differs from z0 by integers cellwise.
 
-        A coordinate <ch, z0> is s / m in ints, and its fractional part is
-        (s mod m) / m; the targets are solved over their common denominator.
+        Every target is s / m in ints, and its fractional part is
+        (s mod m) / m: the F-coordinates A^-T z0|_T share one m, and the
+        targets are solved over their common denominator.
         """
         D, w = scale_to_ints(z0_dense)
         D *= denominator
         parts = []
-        for dc, ch in self._int_chains:
+        if self._tree_cells:
+            # c = x / (Dx D) with A^T x = D z0|_T, int where pivots allow
+            x = self._tree_solver.substitute([w[t] for t in self._tree_cells])
+            Dx, xs = scale_to_ints(x)
+            m = Dx * D
+            r = [v % m for v in xs]
+            # z|_T = A^T r
+            for row in self._tree_rows:
+                s = 0
+                for i, v in row.items():
+                    ri = r[i]
+                    if ri:
+                        s += v * ri
+                parts.append((s, m))
+        for dc, ch in self._int_b_tilde:
             s = 0
             for j, v in ch.items():
                 wj = w[j]
@@ -493,8 +496,8 @@ def estimate_cip(X, k: int, L_list, trials: int, rng_seed: int):
 # each, on the ell-1 side; C(n, d) coordinate sets times 2^d sign patterns on
 # the ell-infinity side (one factorization and d unit solves per set, then a
 # signed sum per pattern pair).  A complex over the cap on either side is
-# refused before any enumeration, as is one whose ell-infinity LP tableau
-# exceeds lp.SIMPLEX_CAP, which is checked first.
+# refused before any enumeration, as is one whose ell-infinity or ell-1 LP
+# tableau exceeds lp.SIMPLEX_CAP, which is checked first.
 ENUMERATION_CAP = 20000
 
 
@@ -508,9 +511,10 @@ def coiso_constants_tiny(X, k: int):
 
     Every LP is solved by the exact simplex, so no float enters the check.
     A FillingError refuses the complex before any enumeration when k is out
-    of range, when the ell-infinity LP (over the (k-1)-cells that lie in
-    some k-cell's boundary) would need a tableau above lp.SIMPLEX_CAP, or
-    when either enumeration count exceeds ENUMERATION_CAP.
+    of range, when the ell-infinity LP or the ell-1 LP (each over the
+    (k-1)-cells that lie in some k-cell's boundary) would need a tableau
+    above lp.SIMPLEX_CAP, or when either enumeration count exceeds
+    ENUMERATION_CAP.
     """
     if not 1 <= k <= X.dim:
         raise FillingError(f"k={k} out of range")
@@ -518,6 +522,7 @@ def coiso_constants_tiny(X, k: int):
     problem = _inf_problem(Bk.transpose())
     try:
         problem.check_simplex_cap()
+        check_l1_cap(Bk.rows, Bk.ncols)
     except LPError as e:
         raise FillingError(f"complex exceeds the duality LP cap: {e}") from None
     d = Bk.rank()

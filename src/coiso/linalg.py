@@ -192,7 +192,7 @@ class _Echelon:
                 y[t] = y[t] - f * ys
         return y
 
-    def _substitute(self, y):
+    def substitute(self, y):
         """x with A x = y (free variables 0) for an int y, in ints except
         where a division leaves a remainder; None if inconsistent."""
         y = self.reduce_rhs(y)
@@ -242,7 +242,7 @@ class RationalSolver(_Echelon):
         once at the end.
         """
         D, y = scale_to_ints(b)
-        x = self._substitute(y)
+        x = self.substitute(y)
         if x is None:
             return None
         D *= denominator
@@ -305,7 +305,7 @@ class UnimodularEchelon(_Echelon):
         """Integer solution of A x = b (free vars 0), or None when none exists,
         as for a b that is not integral (A x is integral for integral x)."""
         D, y = scale_to_ints(b)
-        return self._substitute(y) if D == 1 else None
+        return self.substitute(y) if D == 1 else None
 
 
 def mat_vec(rows, x):

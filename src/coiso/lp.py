@@ -20,11 +20,11 @@ Two layers:
       y with ||D^T y||_1 <= 1 and y.omega = t  certifies  min >= t,
       alpha with D alpha = omega, ||alpha||_inf <= t  certifies  min <= t.
 
-  When the vertex guess fails to verify, a recursive scheme fixes the
-  certified dual support at +-t and re-solves the strictly smaller residual
-  problem; each level is certified on its own, so the assembled answer is
-  proven optimal no matter what the floats did.  `solve_exact` remains as
-  the last resort.
+  When no HiGHS guess verifies, `solve_exact` is the last resort, and past
+  SIMPLEX_CAP it raises LPError.
+
+* l1_min: the ell-1 minimal filling of the duality check, also through
+  exact_simplex and also refused past SIMPLEX_CAP (`check_l1_cap`).
 
 No float ever enters a returned value.
 """
@@ -199,11 +199,16 @@ def _pivot(T, basis, leave, enter, costs):
 
 # (method, tolerances): one HiGHS run per method, read at each tolerance
 _ATTEMPTS = (("highs-ipm", (1e-7, 1e-9, 1e-5)), ("highs-ds", (1e-7,)))
-_TINY = 48          # below this many variables the dense simplex is cheap
-_MAX_LEVELS = 512
-# solve_exact refuses a tableau larger than this: at dDelta3, L=16 it
-# would be (1024 + 3072) x 6145, about 25M exact entries
+# solve_exact and l1_min refuse a tableau larger than this: at dDelta3, L=16
+# solve_exact's would be (1024 + 3072) x 6145, about 25M exact entries
 SIMPLEX_CAP = 100_000
+
+
+def _check_cap(rows, cols):
+    if rows * cols > SIMPLEX_CAP:
+        raise LPError(
+            f"the exact simplex needs a {rows}x{cols} tableau "
+            f"({rows * cols} entries), above the cap of {SIMPLEX_CAP}")
 
 
 class LinfProblem:
@@ -222,7 +227,13 @@ class LinfProblem:
 
     def solve(self, omega):
         """(alpha, t, mode): exact optimal alpha, certified optimal norm, and
-        which path produced it ('reconstructed', 'recursive' or 'simplex')."""
+        which path produced it.
+
+        'zero' for omega = 0; 'reconstructed' when a HiGHS guess (per
+        method and tolerance in _ATTEMPTS) yields a verified dual
+        certificate and primal; else 'simplex', from solve_exact, which
+        raises LPError past SIMPLEX_CAP.
+        """
         omega = [RAT(v) for v in omega]
         if all(v == 0 for v in omega):
             return [ZERO] * self.n, ZERO, "zero"
@@ -231,12 +242,6 @@ class LinfProblem:
             out = self._reconstruct(omega, res, tol)
             if out is not None:
                 return out[0], out[1], "reconstructed"
-
-        if self.n > _TINY:
-            out = self._solve_recursive(omega, 0)
-            if out is not None:
-                return out[0], out[1], "recursive"
-
         alpha, t = self.solve_exact(omega)
         return alpha, t, "simplex"
 
@@ -288,9 +293,9 @@ class LinfProblem:
     # -- exact reconstruction pieces ------------------------------------------
 
     def _dual_certificate(self, omega, res, tol):
-        """(t_exact, support) with t_exact > 0 a proven lower bound for the
-        optimum and support the complementary-slackness signs read off the
-        HiGHS result res, or None."""
+        """t_exact > 0, a proven lower bound for the optimum, from the dual
+        supported on the complementary-slackness signs read off the HiGHS
+        result res; or None."""
         if res.status != 0:
             return None
         t_f = float(res.x[-1])
@@ -341,7 +346,7 @@ class LinfProblem:
         t = sum(a * b for a, b in zip(ys, ws) if a and b)
         if t <= 0:
             return None
-        return RAT(t, Dy * Dw), dsup
+        return RAT(t, Dy * Dw)
 
     def _primal_at(self, omega, fixed, bound, guess=None):
         """Exact alpha with D alpha = omega, alpha_i pinned by `fixed`, and
@@ -406,10 +411,9 @@ class LinfProblem:
         return certified(xfree)
 
     def _reconstruct(self, omega, res, tol):
-        cert = self._dual_certificate(omega, res, tol)
-        if cert is None:
+        t_exact = self._dual_certificate(omega, res, tol)
+        if t_exact is None:
             return None
-        t_exact, _ = cert
         t_f = float(res.x[-1])
         eps = tol * max(1.0, t_f)
         fixed = {}
@@ -424,61 +428,11 @@ class LinfProblem:
             return None
         return alpha, t_exact
 
-    def _solve_recursive(self, omega, depth):
-        """Fix the certified dual support at +-t and recurse on the rest.
-
-        Every level is exactly certified, so success proves optimality even
-        if the float guidance was wrong; failure returns None.
-        """
-        if depth > _MAX_LEVELS:
-            return None
-        if all(v == 0 for v in omega):
-            return [ZERO] * self.n, ZERO
-        cert = None
-        for res, tol in self._guesses(omega):
-            cert = self._dual_certificate(omega, res, tol)
-            if cert is not None:
-                break
-        if cert is None:
-            return None
-        t_exact, dsup = cert
-        fixed = {i: s * t_exact for i, s in dsup.items()}
-        resid = list(omega)
-        for i, fv in fixed.items():
-            for cell, v in self.cols[i].items():
-                resid[cell] -= RAT(v) * fv
-        keep = [j for j in range(self.n) if j not in fixed]
-        remap = {j: idx for idx, j in enumerate(keep)}
-        sub_rows = []
-        for r in self.rows:
-            sub_rows.append({remap[j]: v for j, v in r.items() if j in remap})
-        sub = LinfProblem(sub_rows, len(keep))
-        out = sub._solve_recursive(resid, depth + 1)
-        if out is None:
-            return None
-        sub_alpha, sub_t = out
-        if sub_t > t_exact:
-            return None
-        alpha = [ZERO] * self.n
-        for i, v in fixed.items():
-            alpha[i] = v
-        for j, idx in remap.items():
-            alpha[j] = sub_alpha[idx]
-        if residual_rows(self.rows, alpha, omega):
-            return None
-        if any((v if v >= 0 else -v) > t_exact for v in alpha):
-            return None
-        return alpha, t_exact
-
     # -- float-free path -------------------------------------------------------
 
     def check_simplex_cap(self):
         """LPError when the tableau of solve_exact exceeds SIMPLEX_CAP."""
-        rows, cols = self.m + 2 * self.n, 4 * self.n + 1
-        if rows * cols > SIMPLEX_CAP:
-            raise LPError(
-                f"the exact simplex needs a {rows}x{cols} tableau "
-                f"({rows * cols} entries), above the cap of {SIMPLEX_CAP}")
+        _check_cap(self.m + 2 * self.n, 4 * self.n + 1)
 
     def solve_exact(self, omega):
         """(alpha, t): an optimal alpha and the certified optimum
@@ -526,16 +480,37 @@ class LinfProblem:
 # ---------------------------------------------------------------------------
 # ell-one minimal filling (tiny instances; used by the duality check)
 
+def check_l1_cap(rows, ncols):
+    """LPError when the tableau of l1_min on these rows exceeds SIMPLEX_CAP.
+
+    Zero rows are dropped, so only the nonzero ones count; each keeps one
+    artificial column, which dominates when the rows outnumber the 2 ncols
+    variables.
+    """
+    m = sum(1 for r in rows if r)
+    _check_cap(m, 2 * ncols + m + 1)
+
+
 def l1_min(rows, ncols, target):
     """min ||tau||_1 s.t. B tau = target, exact via the dense simplex.
 
     rows: sparse integer rows of B (one per target coordinate), ncols
-    variables.  LPError when a row names a column outside range(ncols) or
-    target does not have one entry per row.
+    variables.  A zero row with target 0 says nothing and is dropped; one
+    with a nonzero target makes the problem Infeasible.  LPError when a row
+    names a column outside range(ncols), target does not have one entry per
+    row, or the tableau exceeds SIMPLEX_CAP (`check_l1_cap`).
     """
+    if len(target) != len(rows):
+        raise LPError(f"{len(rows)} constraint rows but {len(target)} right-hand sides")
+    check_l1_cap(rows, ncols)
     n = ncols
     A = []
-    for r in rows:
+    b = []
+    for r, t in zip(rows, target):
+        if not r:
+            if t:
+                raise Infeasible()
+            continue
         row = [0] * (2 * n)
         for j, v in r.items():
             if not 0 <= j < n:
@@ -543,6 +518,7 @@ def l1_min(rows, ncols, target):
             row[j] = v
             row[n + j] = -v
         A.append(row)
-    x, value, _ = exact_simplex(A, target, [1] * (2 * n))
+        b.append(t)
+    x, value, _ = exact_simplex(A, b, [1] * (2 * n))
     tau = [x[j] - x[n + j] for j in range(n)]
     return tau, value

@@ -333,7 +333,6 @@ def test_exact_simplex_cap_exits_one_with_a_structured_error(runner, monkeypatch
     from coiso.complexes import load_complex
     from coiso.lp import LinfProblem
     monkeypatch.setattr(LinfProblem, "_reconstruct", lambda *a, **k: None)
-    monkeypatch.setattr(LinfProblem, "_solve_recursive", lambda *a, **k: None)
     with runner.isolated_filesystem():
         json.dump({"dim": 1, "simplices": [[i, (i + 1) % 100] for i in range(100)]},
                   open("c100.json", "w"))

@@ -21,9 +21,9 @@ from coiso.complexes import (build_complex, cycle_complex, simplex_boundary)
 from coiso.homalg import Cochain, boundary_matrix, norm_inf
 from coiso.linalg import RationalSolver, mat_vec
 from coiso import lp
-from coiso.lp import LinfProblem, LPError, l1_min
+from coiso.lp import Infeasible, LinfProblem, LPError, l1_min
 from coiso import filling
-from coiso.filling import (DualityMismatch, FillingError, LiftError,
+from coiso.filling import (DualityMismatch, FillingError, LiftData, LiftError,
                            NotACoboundary, bounded_lift, coiso_constants_tiny,
                            estimate_cip, get_fill_context, integral_fill,
                            linf_fill_rational, sample_integral_coboundary,
@@ -31,8 +31,9 @@ from coiso.filling import (DualityMismatch, FillingError, LiftError,
                            _image_basis, _inf_problem, _one_per_pair,
                            _vertices_inf_ball, _vertices_one_ball)
 from coiso.subdivision import edgewise_subdivide
-from coiso.trees import (greedy_spanning_tree, lifting_basis, wrapping_tree,
-                         telescope_complex)
+from coiso.trees import (SpanningTree, WrappingTree, greedy_spanning_tree,
+                         lifting_basis, wrapping_tree, telescope_complex)
+from reference_lift import ReferenceLiftData, random_mod_z_cocycle
 from reference_solver import ReferenceSolver, reference_witness
 from reference_vertices import (vertices_inf_ball_reference,
                                 vertices_one_ball_elementary_reference,
@@ -151,26 +152,6 @@ def test_lift_on_sphere_halves():
         assert (zl(i) - z(i)).denominator == 1
 
 
-def random_mod_z_cocycle(X, k, rng):
-    """Fractional part of a random rational cocycle: always liftable."""
-    if k + 1 > X.dim:
-        nullspace = None
-        n = X.n_cells(k)
-        vec = [RAT(rng.randint(-8, 8), rng.choice((2, 3, 4))) for _ in range(n)]
-    else:
-        delta = boundary_matrix(X, k + 1).transpose()
-        basis = RationalSolver(delta.rows, delta.ncols).nullspace()
-        n = X.n_cells(k)
-        vec = [ZERO] * n
-        for b in basis:
-            c = RAT(rng.randint(-8, 8), rng.choice((2, 3, 4)))
-            if c:
-                for i, v in b.items():
-                    vec[i] += c * v
-    return Cochain(k, {i: v - (v.numerator // v.denominator)
-                       for i, v in enumerate(vec)}, "rat")
-
-
 LIFT_CORPUS = [
     (cycle_complex(4), 1),
     (build_complex([(0, 1, 2)]), 1),
@@ -215,6 +196,85 @@ def test_lift_checks_raise_on_corrupted_lifts():
     lifted = _any_cocycle_lift(up, one_edge)
     assert not any(mat_vec(up.delta.rows, lifted))
     assert all(is_integral(a - b) for a, b in zip(lifted, one_edge))
+
+
+# -- the safety checks of the lift data, each on corrupted trees -------------------
+
+@pytest.mark.parametrize("Lift", [LiftData, ReferenceLiftData],
+                         ids=["tree-system", "per-cell-oracle"])
+def test_lift_data_refuses_a_wrapping_tree_of_the_wrong_size(Lift):
+    # C4 with no wrapping vertex: 4 vertices outside U against 3 tree edges
+    X = cycle_complex(4)
+    T = greedy_spanning_tree(X, 1)
+    with pytest.raises(LiftError, match="count mismatch: 4 cells outside the "
+                                        "wrapping tree vs 3 tree cells"):
+        Lift(X, 1, T, WrappingTree(X, 0, ()))
+
+
+@pytest.mark.parametrize("Lift", [LiftData, ReferenceLiftData],
+                         ids=["tree-system", "per-cell-oracle"])
+def test_lift_data_refuses_a_singular_tree_system(Lift):
+    # two triangles; U holds two vertices of the first and none of the second,
+    # so the second's two tree edges cannot reach its three vertices
+    X = build_complex([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    T = greedy_spanning_tree(X, 1)
+    assert wrapping_tree(X, 0).cells == (0, 3)
+    with pytest.raises(LiftError, match="tree filling system is singular"):
+        Lift(X, 1, T, WrappingTree(X, 0, (0, 1)))
+
+
+@pytest.mark.parametrize("Lift", [LiftData, ReferenceLiftData],
+                         ids=["tree-system", "per-cell-oracle"])
+def test_lift_data_refuses_a_lifted_basis_element_that_is_no_cycle(Lift):
+    # the sphere with a 2-cell "tree" of two triangles and a 1-cell U holding
+    # the bounding cycle (0,2), (0,3), (2,3): the system is square and
+    # nonsingular, but the lift of triangle 3 keeps a boundary on U
+    X = simplex_boundary(3)
+    rel = greedy_spanning_tree(X, 2).rel_data()
+    T = SpanningTree(X, 2, (0, 1), _rel=rel)
+    assert rel["basis_cells"] == (3,)
+    with pytest.raises(LiftError, match="lifted basis element is not a cycle"):
+        Lift(X, 2, T, WrappingTree(X, 1, (0, 1, 2, 5)))
+
+
+@pytest.mark.parametrize("Lift", [LiftData, ReferenceLiftData],
+                         ids=["tree-system", "per-cell-oracle"])
+def test_lift_data_refuses_coordinates_that_miss_the_cocycle(Lift):
+    # a tree triangle as the basis cell: its lift is 0, so the coordinates
+    # lose the one dimension of H^2 of the sphere
+    X = simplex_boundary(3)
+    T = greedy_spanning_tree(X, 2)
+    bad = SpanningTree(X, 2, T.cells, _rel={"basis_cells": (T.cells[0],),
+                                            "classes": T.rel_data()["classes"]})
+    with pytest.raises(LiftError, match="do not determine the cocycle"):
+        Lift(X, 2, bad, wrapping_tree(X, 1))
+
+
+@pytest.mark.parametrize("Lift", [LiftData, ReferenceLiftData],
+                         ids=["tree-system", "per-cell-oracle"])
+def test_lift_refuses_an_inconsistent_system(Lift):
+    # the telescope with a basis of two cells for its rank-one H_1: the
+    # second lifts to twice the first, so their targets frac(2s) and frac(s)
+    # disagree whenever frac(s) >= 1/2
+    X = telescope_complex()
+    T = greedy_spanning_tree(X, 1)
+    rel = T.rel_data()
+    e0, = rel["basis_cells"]
+    e2 = next(q for q, c in enumerate(rel["classes"]) if c == (2,))
+    bad = SpanningTree(X, 1, T.cells, _rel={
+        "basis_cells": (e0, e2), "classes": [(c, 0) for c, in rel["classes"]]})
+    data = Lift(X, 1, bad, wrapping_tree(X, 0))
+    up = get_fill_context(X, 2)
+    for t, consistent in [(0, True), (1, False)]:
+        z0 = _any_cocycle_lift(
+            up, random_mod_z_cocycle(X, 1, trial_rng(5, 1, t)).dense(X.n_cells(1)))
+        s = sum(v * z0[j] for j, v in data.b_tilde[0].items())
+        assert (s - s.numerator // s.denominator < RAT(1, 2)) == consistent
+        if consistent:
+            data.lift(z0)
+        else:
+            with pytest.raises(LiftError, match="lift system inconsistent"):
+                data.lift(z0)
 
 
 # -- integral filling ------------------------------------------------------------
@@ -425,6 +485,63 @@ def test_cells_in_no_boundary_leave_the_ell_infinity_lp():
     problem = _inf_problem(delta)
     assert (problem.m, problem.n) == (3, 3)
     assert coiso_constants_tiny(X, 1) == (RAT(1, 2), RAT(1, 2))
+
+
+def _triangle_and_isolated_vertices(count):
+    return build_complex([(0, 1, 2)] + [(i,) for i in range(3, 3 + count)])
+
+
+def test_zero_rows_leave_the_ell_one_lp(monkeypatch):
+    # 800 isolated vertices: with their zero rows the ell-1 tableau would be
+    # 803x810, above the cap; without them every LP is 3 rows over 6 columns
+    X = _triangle_and_isolated_vertices(800)
+    B = boundary_matrix(X, 1)
+    assert sum(1 for r in B.rows if r) == 3
+    real = lp.exact_simplex
+    l1_shapes = []
+
+    def recorded(A, b, c):
+        if len(c) == 2 * B.ncols:
+            l1_shapes.append((len(A), len(c)))
+        return real(A, b, c)
+
+    monkeypatch.setattr(lp, "exact_simplex", recorded)
+    assert coiso_constants_tiny(X, 1) == (RAT(1, 2), RAT(1, 2))
+    assert l1_shapes and set(l1_shapes) == {(3, 6)}
+
+
+def test_l1_min_drops_zero_rows_only_on_a_zero_target():
+    assert l1_min([{0: 1}, {}], 1, [2, 0]) == ([2], 2)
+    with pytest.raises(Infeasible):
+        l1_min([{0: 1}, {}], 1, [2, 1])
+
+
+def test_l1_min_refuses_a_tableau_over_the_cap(monkeypatch):
+    # 3 nonzero rows over 6 variables, with 3 artificials and the right-hand
+    # side: 3x10; the 800 zero rows do not count
+    B = boundary_matrix(_triangle_and_isolated_vertices(800), 1)
+    target = [1, -1] + [0] * (B.nrows - 2)
+    monkeypatch.setattr(lp, "SIMPLEX_CAP", 30)
+    assert l1_min(B.rows, B.ncols, target)[1] == 1
+    monkeypatch.setattr(lp, "SIMPLEX_CAP", 29)
+    with pytest.raises(LPError, match=r"3x10 tableau \(30 entries\), "
+                                      r"above the cap of 29"):
+        l1_min(B.rows, B.ncols, target)
+
+
+def test_duality_ell_one_tableau_cap_builds_no_enumeration(monkeypatch):
+    # the ell-infinity tableau over the same cells is the larger one (9x13
+    # here), so its check is lifted to reach the ell-1 refusal
+    def refuse(basis, n):
+        raise AssertionError("enumeration ran above the cap")
+    monkeypatch.setattr(filling, "_vertices_inf_ball", refuse)
+    monkeypatch.setattr(filling, "_vertices_one_ball", refuse)
+    monkeypatch.setattr(LinfProblem, "check_simplex_cap", lambda self: None)
+    monkeypatch.setattr(lp, "SIMPLEX_CAP", 29)
+    with pytest.raises(FillingError, match=r"duality LP cap: the exact simplex "
+                                           r"needs a 3x10 tableau \(30 entries\), "
+                                           r"above the cap of 29"):
+        coiso_constants_tiny(_triangle_and_isolated_vertices(800), 1)
 
 
 @pytest.mark.parametrize("X,k,value", GOLDEN, ids=lambda v: repr(v))

@@ -30,18 +30,6 @@ def _reference_problem(L):
     return delta, om
 
 
-def test_recursive_path_matches_reconstruction():
-    delta, om = _reference_problem(4)
-    P = LinfProblem(delta.rows, delta.ncols)
-    _, t_fast, mode = P.solve(om)
-    assert mode == "reconstructed"
-    out = P._solve_recursive([RAT(v) for v in om], 0)
-    assert out is not None
-    alpha, t_rec = out
-    assert t_rec == t_fast
-    assert max(abs(v) for v in alpha) <= t_fast
-
-
 def test_forced_fallback_small_uses_exact_simplex(monkeypatch):
     X = cycle_complex(4)
     delta = boundary_matrix(X, 1).transpose()
@@ -52,15 +40,26 @@ def test_forced_fallback_small_uses_exact_simplex(monkeypatch):
     assert t == RAT(1, 2)
 
 
-def test_forced_fallback_large_uses_recursion(monkeypatch):
-    delta, om = _reference_problem(4)
+def test_forced_fallback_on_the_subdivided_sphere_uses_exact_simplex(monkeypatch):
+    # L=2: a 64x97 tableau, under the cap
+    delta, om = _reference_problem(2)
     P = LinfProblem(delta.rows, delta.ncols)
-    _, t_ref, _ = P.solve(om)
-    P2 = LinfProblem(delta.rows, delta.ncols)
+    _, t_ref, mode = P.solve(om)
+    assert mode == "reconstructed"
     monkeypatch.setattr(LinfProblem, "_reconstruct", lambda *a, **k: None)
-    alpha, t, mode = P2.solve(om)
-    assert mode == "recursive"
-    assert t == t_ref
+    alpha, t, mode = P.solve(om)
+    assert (mode, t) == ("simplex", t_ref)
+    assert max(abs(v) for v in alpha) <= t
+
+
+def test_forced_fallback_on_the_finer_sphere_raises_at_the_cap(monkeypatch):
+    # L=8: a 1024x1537 tableau, over the cap
+    delta, om = _reference_problem(8)
+    P = LinfProblem(delta.rows, delta.ncols)
+    monkeypatch.setattr(LinfProblem, "_reconstruct", lambda *a, **k: None)
+    with pytest.raises(LPError, match=r"1024x1537 tableau \(1573888 entries\), "
+                                      r"above the cap of 100000"):
+        P.solve(om)
 
 
 def _raise_bug(*a, **k):
@@ -74,15 +73,6 @@ def test_bug_in_reconstruction_surfaces_instead_of_falling_back(monkeypatch):
     monkeypatch.setattr(LinfProblem, "_primal_at", _raise_bug)
     with pytest.raises(RuntimeError, match="bug in our own code"):
         P.solve([RAT(1), RAT(0), RAT(0), RAT(-1)])
-
-
-def test_bug_in_recursive_certificate_surfaces(monkeypatch):
-    delta, om = _reference_problem(4)
-    P = LinfProblem(delta.rows, delta.ncols)
-    monkeypatch.setattr(LinfProblem, "_reconstruct", lambda *a, **k: None)
-    monkeypatch.setattr(LinfProblem, "_dual_certificate", _raise_bug)
-    with pytest.raises(RuntimeError, match="bug in our own code"):
-        P.solve(om)
 
 
 def test_one_highs_run_per_method(monkeypatch):
@@ -123,7 +113,6 @@ def _cycle_problem(n):
 
 def _force_simplex(monkeypatch):
     monkeypatch.setattr(LinfProblem, "_reconstruct", lambda *a, **k: None)
-    monkeypatch.setattr(LinfProblem, "_solve_recursive", lambda *a, **k: None)
 
 
 def test_exact_simplex_past_the_cap_raises(monkeypatch):
@@ -179,7 +168,6 @@ def test_degenerate_sweep_draw_is_reconstructed(monkeypatch):
     monkeypatch.setattr(LinfProblem, "_primal_at",
                         lambda self, omega, fixed, bound, guess=None:
                         primal_at(self, omega, fixed, bound))
-    monkeypatch.setattr(LinfProblem, "_solve_recursive", lambda *a, **k: None)
     monkeypatch.setattr(lp, "SIMPLEX_CAP", 0)
     with pytest.raises(LPError, match="above the cap of 0"):
         P.solve(om)

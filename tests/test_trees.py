@@ -2,9 +2,11 @@ import pytest
 
 from coiso.exact import RAT
 from coiso.complexes import build_complex, cycle_complex, simplex_boundary
-from coiso.filling import LiftData
+from coiso.filling import (LiftData, _any_cocycle_lift, get_fill_context,
+                           linf_fill_rational, sample_integral_coboundary,
+                           trial_rng)
 from coiso.homalg import boundary_matrix
-from coiso.linalg import RationalSolver
+from coiso.linalg import RationalSolver, scale_to_ints
 from coiso.subdivision import edgewise_subdivide
 from coiso import trees
 from coiso.trees import (BasisIntegralityError, SpanningTree, TreeError,
@@ -14,6 +16,7 @@ from coiso.trees import (BasisIntegralityError, SpanningTree, TreeError,
                          telescope_circles_tree, wrapping_tree,
                          _relative_classes, _verify_wrapping)
 
+from reference_lift import ReferenceLiftData, random_mod_z_cocycle
 from reference_rank import IncrementalRank
 
 CORPUS = [
@@ -220,6 +223,40 @@ def test_relative_classes_of_telescope_circles_tree():
     assert T.rel_data()["classes"] == _classes_by_cell_solves(T)
 
 
+@pytest.mark.parametrize("X,k", REL_CORPUS, ids=lambda v: repr(v))
+def test_lift_data_matches_the_per_cell_oracle(X, k):
+    T = greedy_spanning_tree(X, k)
+    U = wrapping_tree(X, k - 1)
+    _lifts_match_the_oracle(LiftData(X, k, T, U), ReferenceLiftData(X, k, T, U),
+                            _mod_z_draws(X, k, 6))
+
+
+def test_lift_data_matches_the_per_cell_oracle_on_a_lattice_basis():
+    T = telescope_circles_tree()
+    X = T.X
+    assert lifting_basis(T)[2] == "lattice"
+    U = wrapping_tree(X, 0)
+    _lifts_match_the_oracle(LiftData(X, 1, T, U), ReferenceLiftData(X, 1, T, U),
+                            _mod_z_draws(X, 1, 6))
+
+
+def test_lift_data_matches_the_per_cell_oracle_on_sweep_draws():
+    # the lifts integral_fill makes in the k=2 sweep at L=8: alpha - eta, in
+    # degree 1
+    X, k = edgewise_subdivide(simplex_boundary(3), 8).result, 2
+    ctx = get_fill_context(X, k)
+    got = ctx.lift_data()
+    want = ReferenceLiftData(X, k - 1, got.T, got.U)
+    z0s = []
+    for t in range(4):
+        omega = sample_integral_coboundary(X, k, trial_rng(17, 8, t))
+        eta = ctx.integral_system().solve([int(v) for v in
+                                           omega.dense(X.n_cells(k))])
+        alpha = linf_fill_rational(X, omega).alpha.dense(X.n_cells(k - 1))
+        z0s.append([a - e for a, e in zip(alpha, eta)])
+    _lifts_match_the_oracle(got, want, z0s)
+
+
 def test_zero_wrapping_tree_is_smallest_vertex_per_component():
     X = build_complex([(5, 6, 7), (0, 1, 2), (3, 4), (8,)])
     assert wrapping_tree(X, 0).cells == (0, 3, 5, 8)
@@ -237,6 +274,27 @@ def test_zero_wrapping_tree_matches_greedy_rank_rule(X):
     assert wrapping_tree(X, 0).cells == greedy
 
 
+def _lifts_match_the_oracle(got, want, z0s):
+    """b~ and every lift of the tree-system LiftData equal the per-cell
+    oracle's; each z0 is lifted as given and as ints over its denominator."""
+    assert got.b_tilde == want.b_tilde
+    assert got.bound == want.bound
+    for z0 in z0s:
+        lifted = got.lift(z0)
+        assert lifted == want.lift(z0)
+        assert all(type(v) is RAT for v in lifted)
+        D, ints = scale_to_ints(z0)
+        assert got.lift(ints, D) == lifted
+
+
+def _mod_z_draws(X, k, count, seed=13):
+    """Rational cocycles from random_mod_z_cocycle draws."""
+    up = get_fill_context(X, k + 1) if k + 1 <= X.dim else None
+    return [_any_cocycle_lift(up, random_mod_z_cocycle(
+                X, k, trial_rng(seed, k, t)).dense(X.n_cells(k)))
+            for t in range(count)]
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_lift_data_unchanged_against_per_cell_classes(k):
     X = edgewise_subdivide(simplex_boundary(3), 4).result
@@ -244,9 +302,8 @@ def test_lift_data_unchanged_against_per_cell_classes(k):
     ref = _reference_tree(T)
     assert lifting_basis(T) == lifting_basis(ref)
     U = wrapping_tree(X, k - 1)
-    got, want = LiftData(X, k, T, U), LiftData(X, k, ref, U)
-    assert got.F == want.F
-    assert got.b_tilde == want.b_tilde
+    got, want = LiftData(X, k, T, U), ReferenceLiftData(X, k, ref, U)
+    _lifts_match_the_oracle(got, want, _mod_z_draws(X, k, 4))
     assert got.g_upper == want.g_upper
     if k == 2:
         assert got.b_tilde
