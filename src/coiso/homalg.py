@@ -10,8 +10,8 @@ import json
 from dataclasses import dataclass, field
 
 from .exact import ZERO, rat, rat_str, is_integral
-from .linalg import (NeedsSmithForm, RationalSolver, UnimodularEchelon,
-                     scale_to_ints, sparse_rows_from_entries, transpose_rows)
+from .linalg import (RationalSolver, UnimodularEchelon, scale_to_ints,
+                     sparse_rows_from_entries, transpose_rows)
 
 
 class HomalgError(ValueError):
@@ -235,8 +235,8 @@ def apply_coboundary(X, c: Cochain) -> Cochain:
 def smith_normal_form(M: IntegerMatrix):
     """(U, D, V) with U*M*V = D, D diagonal with d1 | d2 | ..., U, V unimodular.
 
-    Dense working copy; pivots prefer small magnitude entries.  Intended for
-    the moderate sizes appearing in this package.
+    Dense working copy; pivots prefer small magnitude entries.  Integral
+    solving takes it only of the block that unit pivots leave (BLOCK_CAP).
     """
     m, n = M.nrows, M.ncols
     A = M.dense()
@@ -381,45 +381,61 @@ def betti_numbers(X, field: str = "Q") -> list:
     return betti
 
 
+# entries of the stuck block that IntegralSystem hands to the dense Smith form
+BLOCK_CAP = 100_000
+
+
 class IntegralSystem:
     """Cached integral solver for M x = b over Z.
 
-    Fast path: unimodular row echelon with unit pivots (exact for these
-    incidence-flavoured systems); falls back to Smith normal form when a unit
-    pivot is unavailable.
+    One path for every matrix: `UnimodularEchelon` pivots on +-1 entries,
+    and the rows it leaves stuck, which lie in non-pivot columns only, form
+    a block (stuck rows x the columns they touch) solved through its Smith
+    form.  The block's integer solution fills those free columns and
+    back-substitutes through the unit pivots, so every solution is integral,
+    and one is found whenever one exists.  Complexes without torsion leave
+    no stuck row and take no Smith form; a block over BLOCK_CAP entries
+    raises HomalgError.
     """
 
     def __init__(self, M: IntegerMatrix):
         self.M = M
-        try:
-            self._umr = UnimodularEchelon(M.rows, M.ncols)
-            self._snf = None
-        except NeedsSmithForm:
-            self._umr = None
-            self._snf = smith_normal_form(M)
+        E = self._echelon = UnimodularEchelon(M.rows, M.ncols)
+        self._cols = sorted({j for i in E.stuck_rows for j in E.rows[i]})
+        self.block_shape = (len(E.stuck_rows), len(self._cols))
+        size = self.block_shape[0] * self.block_shape[1]
+        if size > BLOCK_CAP:
+            raise HomalgError("integral solve: the %dx%d block left without "
+                              "unit pivots exceeds %d entries"
+                              % (*self.block_shape, BLOCK_CAP))
+        self._block_snf = None
+        if size:
+            pos = {j: c for c, j in enumerate(self._cols)}
+            self._block_snf = smith_normal_form(IntegerMatrix(
+                *self.block_shape,
+                [{pos[j]: v for j, v in E.rows[i].items()} for i in E.stuck_rows]))
 
     def solve(self, b):
         """Integer solution of M x = b, or None when none exists (as for a b
         that is not integral)."""
-        if self._umr is not None:
-            return self._umr.solve_int(b)
-        scale, bs = scale_to_ints(b)
-        if scale != 1:
+        D, y = scale_to_ints(b)
+        E = self._echelon
+        if D != 1 or (y := E.reduce_rhs(y)) is None:
             return None
-        U, D, V = self._snf
-        ub = U.mat_vec(bs)
-        y = [0] * self.M.ncols
-        for i in range(min(self.M.nrows, self.M.ncols)):
-            d = D[i, i]
-            if d:
-                if ub[i] % d != 0:
+        x = [0] * self.M.ncols
+        if self._block_snf is not None:
+            # U B V = S: B z = c  <=>  S w = U c with z = V w
+            U, S, V = self._block_snf
+            w = [0] * V.nrows
+            for i, u in enumerate(U.mat_vec([y[i] for i in E.stuck_rows])):
+                d = S[i, i]
+                if d and u % d == 0:
+                    w[i] = u // d
+                elif u:
                     return None
-                y[i] = ub[i] // d
-        for i in range(self.M.nrows):
-            d = D[i, i] if i < self.M.ncols else 0
-            if not d and ub[i] != 0:
-                return None
-        return V.mat_vec(y)
+            for j, v in zip(self._cols, V.mat_vec(w)):
+                x[j] = v
+        return E.back_substitute(y, x)
 
 
 def solve_integral_linear(M: IntegerMatrix, b):

@@ -11,8 +11,9 @@ recorded row operations and the int back-substitution.  Its subclasses fix
 only which row a column pivots on and what a solve returns:
 `RationalSolver` takes the sparsest live row and returns RATs,
 `_LowestRowEchelon` (the greedy bases of `greedy_basis`) the lowest live
-row, and `UnimodularEchelon` (integral solves) only +-1 entries, raising
-`NeedsSmithForm` when none is left.
+row, and `UnimodularEchelon` (integral solves) only +-1 entries, keeping the
+rows that no unit pivot can clear as `stuck_rows`; `homalg.IntegralSystem`
+solves those through the Smith form of their block alone.
 
 Integers first: almost every number here is an integer, so rows, recorded
 factors and intermediate vectors hold Python ints, and an exact rational
@@ -28,10 +29,6 @@ import heapq
 from math import gcd
 
 from .exact import RAT, ZERO
-
-
-class NeedsSmithForm(Exception):
-    """Unit-pivot echelon failed; integral solving must go through SNF."""
 
 
 def sparse_rows_from_entries(entries, nrows):
@@ -91,9 +88,9 @@ def scale_to_ints(x):
 class _Echelon:
     """Elimination shared by every pivot rule, reusable across right-hand sides.
 
-    Subclasses give `_pick_row`, which may refuse a column with None, and
-    may override `_stuck`, called when rows are left that no pivot can
-    clear.  The factor of every row operation is `_div`.
+    Subclasses give `_pick_row`, which may refuse a column with None; the
+    rows that are left with entries when every column is refused are
+    `stuck_rows`.  The factor of every row operation is `_div`.
     """
 
     def __init__(self, rows, ncols):
@@ -105,8 +102,11 @@ class _Echelon:
         self._eliminate()
         self.rank = len(self.pivots)
         pivot_rows = {p for p, _ in self.pivots}
-        self.zero_rows = sorted(i for i in range(self.m)
-                                if i not in pivot_rows and not self.rows[i])
+        rest = [i for i in range(self.m) if i not in pivot_rows]
+        self.zero_rows = [i for i in rest if not self.rows[i]]
+        # every live row lost each pivot column, so these lie in the
+        # non-pivot columns only
+        self.stuck_rows = [i for i in rest if self.rows[i]]
         self.pivot_cols = {c for _, c in self.pivots}
         self.free_cols = [j for j in range(self.n) if j not in self.pivot_cols]
 
@@ -120,9 +120,8 @@ class _Echelon:
         # _pick_row gives None are held aside and pushed back after the pick,
         # so the order is exactly that of sorting every live column per pivot.
         rows = self.rows
-        active = set(range(self.m))
         col_rows = {}
-        for i in active:
+        for i in range(self.m):
             for j in rows[i]:
                 col_rows.setdefault(j, set()).add(i)
         heap = [(len(owners), j) for j, owners in col_rows.items()]
@@ -170,36 +169,34 @@ class _Echelon:
                     for j, v in rt.items():
                         rt[j] = _exact(v)
             self.pivots.append((prow, col))
-            active.discard(prow)
             for j, old in counts:
                 owners = col_rows[j]
                 owners.discard(prow)
                 if owners and len(owners) != old:
                     heapq.heappush(heap, (len(owners), j))
 
-        if any(rows[i] for i in active):
-            self._stuck()
-
-    def _stuck(self):
-        raise AssertionError("elimination stalled")
-
     def reduce_rhs(self, b):
-        """Apply the recorded row operations to a dense rhs."""
+        """The dense rhs b through the recorded row operations, or None when
+        a zero row is left nonzero (A x = b is inconsistent)."""
         y = list(b)
         for t, s, f in self.ops:      # f is never 0: only nonzeros are eliminated
             ys = y[s]
             if ys:
                 y[t] = y[t] - f * ys
+        for i in self.zero_rows:
+            if y[i]:
+                return None
         return y
 
     def substitute(self, y):
         """x with A x = y (free variables 0) for an int y, in ints except
         where a division leaves a remainder; None if inconsistent."""
         y = self.reduce_rhs(y)
-        for i in self.zero_rows:
-            if y[i]:
-                return None
-        x = [0] * self.n
+        return None if y is None else self.back_substitute(y, [0] * self.n)
+
+    def back_substitute(self, y, x):
+        """x, given in the free columns and 0 in the pivot columns, with its
+        pivot entries solved from the pivot rows of the reduced rhs y."""
         for prow, col in reversed(self.pivots):
             s = y[prow]
             row = self.rows[prow]
@@ -286,10 +283,10 @@ def greedy_basis(vectors, n):
 class UnimodularEchelon(_Echelon):
     """Row echelon form over Z using only +-1 pivots (unimodular row ops).
 
-    When construction succeeds, integral consistency of A x = b coincides
-    with rational consistency, and back-substitution returns integer
-    solutions for integer rhs.  Raises NeedsSmithForm when no unit pivot is
-    available; callers fall back to a Smith normal form solve.
+    The row operations have int factors and the pivots are units, so an int
+    reduced rhs and int free values back-substitute to an int solution.  The
+    rows no unit pivot can clear stay as `stuck_rows`; without any, integral
+    consistency of A x = b coincides with rational consistency.
     """
 
     def _pick_row(self, col, live):
@@ -297,15 +294,6 @@ class UnimodularEchelon(_Echelon):
         if not units:
             return None
         return min(units, key=lambda i: (len(self.rows[i]), i))
-
-    def _stuck(self):
-        raise NeedsSmithForm()
-
-    def solve_int(self, b):
-        """Integer solution of A x = b (free vars 0), or None when none exists,
-        as for a b that is not integral (A x is integral for integral x)."""
-        D, y = scale_to_ints(b)
-        return self.substitute(y) if D == 1 else None
 
 
 def mat_vec(rows, x):

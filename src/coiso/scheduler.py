@@ -168,9 +168,8 @@ def obstruction_cocycle(X, f_deg: Cochain, g_deg: Cochain) -> Cochain:
     m = X.dim
     if f_deg.k != m or g_deg.k != m:
         raise SchedulerError("degree cochains must live in the top dimension")
-    n = X.n_cells(m)
-    if any(i >= n for i in f_deg.entries) or any(i >= n for i in g_deg.entries):
-        raise SchedulerError("cochain indexed against a different complex")
+    f_deg.dense_checked(X.n_cells(m), SchedulerError, "f")
+    g_deg.dense_checked(X.n_cells(m), SchedulerError, "g")
     if not (f_deg.is_integral() and g_deg.is_integral()):
         raise SchedulerError("degrees must be integers")
     return f_deg.sub(g_deg, ring="int")

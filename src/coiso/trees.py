@@ -27,7 +27,7 @@ from math import gcd
 from .exact import RAT, ZERO, ONE, is_integral
 from .complexes import SimplicialComplex, build_complex
 from .homalg import boundary_matrix
-from .linalg import RationalSolver, greedy_basis
+from .linalg import RationalSolver, greedy_basis, scale_to_ints
 
 
 class TreeError(ValueError):
@@ -269,11 +269,8 @@ def _hnf_lattice_basis(vectors, d):
     vectors: nonzero rational d-tuples.  Returns a list of d basis vectors
     (rational d-tuples) whose integer span contains every input vector.
     """
-    denom = 1
-    for v in vectors:
-        for x in v:
-            denom = denom * RAT(x).denominator // gcd(denom, RAT(x).denominator)
-    cols = [[int(RAT(x) * denom) for x in v] for v in vectors]
+    denom, flat = scale_to_ints([x for v in vectors for x in v])
+    cols = [flat[i:i + d] for i in range(0, len(flat), d)]
     # integer column echelon via Euclidean column ops (unimodular, so the
     # integer span is preserved), row by row
     basis = []

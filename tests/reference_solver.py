@@ -6,12 +6,16 @@ factor as per-class hooks.  On it, `ReferenceSolver` is `RationalSolver`'s
 solve, nullspace and `mat_vec` from before the kernel held ints, every
 number a RAT, and `ReferenceUnimodular` is `UnimodularEchelon` from before it
 shared the int rows, `_div` and the back-substitution of `linalg._Echelon`:
-int rows, unit pivots, factor entry * pivot and its own `solve_int` loop.
-Neither uses the package's elimination driver.
+int rows, unit pivots, factor entry * pivot, its own record of the rows no
+unit pivot clears and its own `solve_int` loop (valid when none is left).
+Neither uses the package's elimination driver.  `reference_snf_solve` is the
+integral solve through the Smith form of the whole matrix, which
+`IntegralSystem` used whenever a row was left without a unit pivot.
 """
 
 from coiso.exact import RAT, ZERO
-from coiso.linalg import NeedsSmithForm
+from coiso.homalg import smith_normal_form
+from coiso.linalg import scale_to_ints
 
 
 def reference_eliminate(self):
@@ -55,8 +59,9 @@ def reference_eliminate(self):
             if owners is not None:
                 owners.discard(prow)
 
-    if any(rows[i] for i in active):
-        self._stuck()
+    stuck = sorted(i for i in active if rows[i])
+    if stuck:
+        self._stuck(stuck)
 
 
 class _ReferenceEchelon:
@@ -70,6 +75,7 @@ class _ReferenceEchelon:
         self.rows = [self._convert_row(r) for r in rows]
         self.ops = []       # (target_row, pivot_row, factor)
         self.pivots = []    # (row, col) in elimination order
+        self.stuck_rows = []
         self._eliminate()
         self.rank = len(self.pivots)
         pivot_rows = {p for p, _ in self.pivots}
@@ -78,7 +84,7 @@ class _ReferenceEchelon:
         self.pivot_cols = {c for _, c in self.pivots}
         self.free_cols = [j for j in range(self.n) if j not in self.pivot_cols]
 
-    def _stuck(self):
+    def _stuck(self, stuck):
         raise AssertionError("elimination stalled")
 
     def reduce_rhs(self, b):
@@ -152,10 +158,11 @@ class ReferenceUnimodular(_ReferenceEchelon):
     def _factor(self, entry, pval):
         return entry * pval  # pval is +-1, so this is entry / pval
 
-    def _stuck(self):
-        raise NeedsSmithForm()
+    def _stuck(self, stuck):
+        self.stuck_rows = stuck
 
     def solve_int(self, b):
+        assert not self.stuck_rows, "back-substitution alone needs no stuck row"
         y = self.reduce_rhs([int(v) for v in b])
         for i in self.zero_rows:
             if y[i]:
@@ -169,6 +176,28 @@ class ReferenceUnimodular(_ReferenceEchelon):
                     s -= v * x[j]
             x[col] = s * row[col]  # pivot is +-1
         return x
+
+
+def reference_snf_solve(M, b):
+    """Integer solution of M x = b through U M V = D for the whole M, or
+    None when none exists (as for a b that is not integral)."""
+    scale, bs = scale_to_ints(b)
+    if scale != 1:
+        return None
+    U, D, V = smith_normal_form(M)
+    ub = U.mat_vec(bs)
+    y = [0] * M.ncols
+    for i in range(min(M.nrows, M.ncols)):
+        d = D[i, i]
+        if d:
+            if ub[i] % d != 0:
+                return None
+            y[i] = ub[i] // d
+    for i in range(M.nrows):
+        d = D[i, i] if i < M.ncols else 0
+        if not d and ub[i] != 0:
+            return None
+    return V.mat_vec(y)
 
 
 def reference_mat_vec(rows, x):

@@ -68,6 +68,11 @@ CASES = dict([
         _fill("not-a-coboundary-C4-rat", "c4.json", "c4_foreign.json", "rat"),
         _fill("not-a-coboundary-dD3L4-int", "dD3_L4.json",
               "dD3_L4_k2_foreign.json", "int"))),
+    # torsion on RP^2: a 2-cochain fills integrally exactly when its entry
+    # sum is even, through the Smith form of the stuck 1x3 block
+    *((name, (argv, code)) for (name, argv), code in (
+        (_fill("fill-RP2-int", "rp2.json", "rp2_e0_e1.json", "int"), 0),
+        (_fill("fill-RP2-e0-int", "rp2.json", "rp2_e0.json", "int"), 1))),
 ])
 
 

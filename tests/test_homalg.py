@@ -140,17 +140,17 @@ def test_c4_coboundary_solvable():
 
 # an integer matrix sends integer vectors to integer vectors, so a rhs that
 # is not integral has no integer solution; it is never truncated to one
-@pytest.mark.parametrize("rows,b,unit_pivots", [
-    ([{0: 1}], [RAT(1, 2)], True),
-    ([{0: 1}, {1: 1}], [1, RAT(-1, 3)], True),
-    ([{0: 2}], [RAT(5, 2)], False),
-    # no +-1 entry: the unit-pivot echelon refuses and the Smith form solves
-    ([{0: 2, 1: 3}, {0: 4, 1: 5}], [RAT(1, 2), 0], False),
-    ([{0: 2, 1: 3}, {0: 4, 1: 5}], [0, RAT(7, 3)], False),
+@pytest.mark.parametrize("rows,b,block", [
+    ([{0: 1}], [RAT(1, 2)], (0, 0)),
+    ([{0: 1}, {1: 1}], [1, RAT(-1, 3)], (0, 0)),
+    ([{0: 2}], [RAT(5, 2)], (1, 1)),
+    # no +-1 entry: no unit pivot, and the Smith form of the whole block solves
+    ([{0: 2, 1: 3}, {0: 4, 1: 5}], [RAT(1, 2), 0], (2, 2)),
+    ([{0: 2, 1: 3}, {0: 4, 1: 5}], [0, RAT(7, 3)], (2, 2)),
 ], ids=["unit", "unit-2x2", "snf-1x1", "snf-2x2-a", "snf-2x2-b"])
-def test_non_integral_rhs_has_no_integer_solution(rows, b, unit_pivots):
+def test_non_integral_rhs_has_no_integer_solution(rows, b, block):
     M = IntegerMatrix(len(rows), max(j for r in rows for j in r) + 1, rows)
-    assert (IntegralSystem(M)._umr is not None) == unit_pivots
+    assert IntegralSystem(M).block_shape == block
     assert solve_integral_linear(M, b) is None
 
 

@@ -8,8 +8,10 @@ sparsest-row rule of `RationalSolver` and the unit-row rule of
 (`greedy_basis`) must equal those of the incremental greedy rank in
 `reference_rank.py`.  `solve`, `nullspace` and `mat_vec`, which work in
 ints, must return exactly what the all-RAT solver in `reference_solver.py`
-returns, and only RATs; `solve_int` must return exactly the int vectors of
-the separate unimodular echelon there (`ReferenceUnimodular`).
+returns, and only RATs.  `IntegralSystem.solve` must return exactly the int
+vectors of the separate unimodular echelon there (`ReferenceUnimodular`)
+when no row is stuck, and otherwise agree on solvability with the Smith
+form of the whole matrix (`reference_snf_solve`), with every solution exact.
 """
 
 import random
@@ -19,26 +21,24 @@ import pytest
 from coiso.complexes import build_complex, cycle_complex, simplex_boundary
 from coiso.exact import RAT
 from coiso.filling import _image_basis
-from coiso.homalg import boundary_matrix
-from coiso.linalg import (NeedsSmithForm, RationalSolver, UnimodularEchelon,
-                          greedy_basis, mat_vec, residual_rows, scale_to_ints)
+from coiso.homalg import IntegerMatrix, IntegralSystem, boundary_matrix
+from coiso.linalg import (RationalSolver, UnimodularEchelon, greedy_basis,
+                          mat_vec, residual_rows, scale_to_ints)
 from coiso.subdivision import edgewise_subdivide
 from coiso.trees import greedy_spanning_tree, telescope_complex
 
 from reference_rank import greedy_reference
 from reference_solver import (ReferenceSolver, ReferenceUnimodular,
-                              reference_mat_vec)
+                              reference_mat_vec, reference_snf_solve)
 
 
 def _state(E):
-    return E.pivots, E.ops, E.rows, E.zero_rows, E.free_cols, E.rank
+    return (E.pivots, E.ops, E.rows, E.zero_rows, E.stuck_rows, E.free_cols,
+            E.rank)
 
 
 def _build(cls, rows, ncols):
-    try:
-        return _state(cls(rows, ncols))
-    except NeedsSmithForm:
-        return NeedsSmithForm
+    return _state(cls(rows, ncols))
 
 
 def assert_same_elimination(rows, ncols):
@@ -105,26 +105,29 @@ def test_column_without_unit_is_skipped_then_retried():
     assert _state(E) == _state(ReferenceUnimodular(rows, 2))
 
 
-def test_no_unit_pivot_raises_needs_smith_form_like_reference():
+def test_no_unit_pivot_leaves_stuck_rows_like_reference():
     # one pivot on column 0, then columns 1 and 2 hold only +-2
     rows = [{0: 2, 1: 4}, {0: 1, 1: 1, 2: 1}, {1: 2, 2: 2}]
-    for cls in (UnimodularEchelon, ReferenceUnimodular):
-        with pytest.raises(NeedsSmithForm):
-            cls(rows, 3)
+    E = UnimodularEchelon(rows, 3)
+    assert E.pivots == [(1, 0)] and E.stuck_rows == [0, 2]
+    assert E.rows[0] == {1: 2, 2: -2} and E.rows[2] == {1: 2, 2: 2}
+    assert _state(E) == _state(ReferenceUnimodular(rows, 3))
     assert _build(RationalSolver, rows, 3) == _build(ReferenceSolver, rows, 3)
+    assert RationalSolver(rows, 3).stuck_rows == []
 
 
-# -- solve_int against the separate unimodular echelon ---------------------------
+# -- IntegralSystem.solve against the separate unimodular echelon ---------------
 
 def check_solve_int_like_reference(rows, ncols, rng):
-    """The same int vector (or None) as ReferenceUnimodular for consistent
-    right-hand sides, as ints and as RATs, random ones and a unit right-hand
-    side on each dependent row.  False when no unit-pivot echelon exists."""
-    try:
-        E = UnimodularEchelon(rows, ncols)
-    except NeedsSmithForm:
-        return False
-    R = ReferenceUnimodular(rows, ncols)
+    """For consistent right-hand sides, as ints and as RATs, random ones and
+    a unit right-hand side on each dependent row: the same int vector (or
+    None) as ReferenceUnimodular when no row is stuck, else the solvability
+    of the whole-matrix Smith form; every solution satisfies M x = b in ints.
+    False when some row is stuck."""
+    S = IntegralSystem(IntegerMatrix(len(rows), ncols, rows))
+    E, R = S._echelon, ReferenceUnimodular(rows, ncols)
+    assert E.stuck_rows == R.stuck_rows
+    assert all(j not in E.pivot_cols for i in E.stuck_rows for j in E.rows[i])
     m = len(rows)
     consistent, other = [], []
     for _ in range(3):
@@ -134,13 +137,17 @@ def check_solve_int_like_reference(rows, ncols, rng):
         other.append([rng.randint(-3, 3) for _ in range(m)])
     other += [[1 if i == z else 0 for i in range(m)] for z in E.zero_rows]
     for b in consistent + other:
-        got = E.solve_int(b)
-        assert got == R.solve_int(b)
+        got = S.solve(b)
+        if not R.stuck_rows:
+            assert got == R.solve_int(b)
+        else:
+            assert (got is None) == (reference_snf_solve(S.M, b) is None)
         if got is not None:
             assert all(type(v) is int for v in got)
+            assert S.M.mat_vec(got) == b
         else:
             assert b not in consistent
-    return True
+    return not R.stuck_rows
 
 
 @pytest.mark.parametrize("name,X,k", BOUNDARIES, ids=[b[0] for b in BOUNDARIES])

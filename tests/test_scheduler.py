@@ -40,6 +40,13 @@ def test_obstruction_rejects_foreign_indices():
         obstruction_cocycle(X, Cochain(2, {5: 1}, "int"), Cochain(2, {}, "int"))
 
 
+@pytest.mark.parametrize("f,g", [({-1: 1}, {}), ({}, {-1: 1})], ids=["f", "g"])
+def test_obstruction_rejects_negative_indices(f, g):
+    X = simplex_boundary(3)
+    with pytest.raises(SchedulerError, match=r"at indices \[-1\]"):
+        obstruction_cocycle(X, Cochain(2, f, "int"), Cochain(2, g, "int"))
+
+
 def test_prism_counts_sphere_one_layer():
     P = build_prism_complex(simplex_boundary(3), 1)
     assert (P.n_vertical, P.n_horizontal, P.n_prisms) == (6, 8, 4)
