@@ -17,7 +17,7 @@ import click
 from . import __version__
 from .exact import rat_str
 from .complexes import load_complex, ComplexError
-from .homalg import Cochain, load_cochain, norm_inf, HomalgError
+from .homalg import load_cochain, HomalgError
 from .subdivision import edgewise_subdivide, SubdivisionError
 from .trees import (greedy_spanning_tree, wrapping_tree, TreeError)
 from .cubetree import cube_tree, cube_tree_recursive, verify_cube_tree, CubeTreeError
@@ -25,8 +25,7 @@ from .filling import (linf_fill_rational, integral_fill, estimate_cip,
                       coiso_constants_tiny, FillingError, NotACoboundary)
 from .lp import LPError
 from .scheduler import (degree_schedule, verify_schedule, s2_null_demo,
-                        SchedulerError, ScheduleInvariantError, PrismSchedule,
-                        PrismComplex)
+                        SchedulerError, ScheduleInvariantError, PrismSchedule)
 
 _DOMAIN_ERRORS = (ComplexError, HomalgError, SubdivisionError, TreeError,
                   CubeTreeError, FillingError, SchedulerError, LPError)
@@ -259,21 +258,13 @@ def verify(kind, in_path, complex_path, n, k, r, out):
         if in_path is None or complex_path is None:
             raise click.UsageError("schedule verification needs --in and --complex")
         X = load_complex(complex_path)
-        try:
-            with open(in_path) as fh:
+        with open(in_path) as fh:
+            try:
                 doc = json.load(fh)
-            sd = doc["schedule"] if "schedule" in doc else doc
-            layers = int(sd["layers"])
-            vertical = {(int(p), int(i)): int(v) for p, i, v in sd["vertical"]}
-            horizontal = {(int(q), int(j)): int(v) for q, j, v in sd["horizontal"]}
-            omega, alpha = sd["omega"], sd["alpha"]
-        except (ValueError, KeyError, TypeError) as e:
-            raise SchedulerError(
-                f"malformed schedule JSON: {type(e).__name__}: {e}") from e
-        sched = PrismSchedule(PrismComplex(X, layers), vertical, horizontal,
-                              Cochain.from_json_dict(omega),
-                              Cochain.from_json_dict(alpha))
-        report = verify_schedule(sched)
+            except ValueError as e:     # JSONDecodeError, UnicodeDecodeError
+                raise SchedulerError(
+                    f"malformed schedule JSON: {type(e).__name__}: {e}") from e
+        report = verify_schedule(PrismSchedule.from_json_dict(doc, X))
         _write_artifact(out, config, {"report": _jsonable(report)})
         ok = report["all_passed"]
     if not ok:

@@ -364,8 +364,10 @@ def _int_difference(a, b):
 
 def _check_lift(up, z_dense, lifted, bound):
     """The lift is congruent to z mod Z, within the bound, and a cocycle of
-    the coboundary in up (the next degree's FillContext, None at the top)."""
-    if _int_difference(lifted, z_dense) is None:
+    the coboundary in up (the next degree's FillContext, None at the top);
+    returns the ints z - lift."""
+    diff = _int_difference(z_dense, lifted)
+    if diff is None:
         raise LiftError("lift is not congruent to the input mod Z")
     D, xs = scale_to_ints(lifted)
     worst = RAT(max(map(abs, xs), default=0), D)
@@ -373,6 +375,7 @@ def _check_lift(up, z_dense, lifted, bound):
         raise LiftError(f"lift norm {worst} exceeds the bound {bound}")
     if up is not None and any(v != 0 for v in mat_vec(up.delta.rows, lifted)):
         raise LiftError("lift is not a cocycle")
+    return diff
 
 
 def integral_fill(X, omega: Cochain) -> FillingResult:
@@ -401,11 +404,7 @@ def integral_fill(X, omega: Cochain) -> FillingResult:
     data = ctx.lift_data()
     D, a = scale_to_ints(alpha_vec)
     lifted = data.lift([ai - ei * D for ai, ei in zip(a, eta)], D)
-    _check_lift(ctx, alpha_vec, lifted, data.bound)
-
-    tilde = _int_difference(alpha_vec, lifted)
-    if tilde is None:
-        raise FillingError("integral correction failed to clear denominators")
+    tilde = _check_lift(ctx, alpha_vec, lifted, data.bound)
     alpha_t = Cochain(k - 1, {i: v for i, v in enumerate(tilde) if v}, "int")
     resid = _residual(ctx, tilde, dense)
     nrm = norm_inf(alpha_t)

@@ -2,6 +2,8 @@
 
 Everything here is exact: integer matrices hold python ints, rational data
 holds exact rationals, and no floating point appears anywhere in this module.
+`euclid_step` is the one integer Euclidean reduction: the Smith normal form
+clears its diagonal with it, and `trees` builds its lattice basis on it.
 """
 
 from __future__ import annotations
@@ -16,6 +18,13 @@ from .linalg import (RationalSolver, UnimodularEchelon, scale_to_ints,
 
 class HomalgError(ValueError):
     pass
+
+
+def json_int(x) -> int:
+    """x if it is a JSON integer; a float, a boolean or a string raises."""
+    if type(x) is not int:
+        raise TypeError(f"{x!r} is not a JSON integer")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -78,12 +87,16 @@ class Cochain:
 
     @classmethod
     def from_json_dict(cls, d):
+        """Inverse of to_json_dict: k and the cell indices are JSON integers,
+        the values "p/q" strings or JSON integers."""
         try:
-            return cls(int(d["k"]), {int(i): rat(s) for i, s in d["entries"]},
+            return cls(json_int(d["k"]),
+                       {json_int(i): rat(s if isinstance(s, str) else json_int(s))
+                        for i, s in d["entries"]},
                        d.get("ring", "rat"))
         except HomalgError:
             raise
-        except (ValueError, KeyError, TypeError) as e:
+        except (ValueError, KeyError, TypeError, ZeroDivisionError) as e:
             raise HomalgError(f"malformed cochain JSON: {type(e).__name__}: {e}") from e
 
 
@@ -230,134 +243,109 @@ def apply_coboundary(X, c: Cochain) -> Cochain:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
+# the integer Euclid step and the Smith normal form
+
+def euclid_step(keys, entry, subtract):
+    """Clear all but one of the nonzero integers entry(k), k in keys, by
+    unimodular steps; returns (the key left nonzero or None, the keys cleared
+    in the order they cleared).
+
+    Each pass the key of least |entry| (the first among equals) takes floor
+    multiples of itself off the others, through subtract(k, p, q): vector k
+    -= q * vector p.  The least |entry| drops every pass until one is left
+    (Cohen, A Course in Computational Algebraic Number Theory, ch. 2).
+    """
+    keys = list(keys)
+    cleared = []
+    while len(keys) > 1:
+        keys.sort(key=lambda k: abs(entry(k)))
+        p = keys[0]
+        a = entry(p)
+        keep = [p]
+        for k in keys[1:]:
+            q = entry(k) // a
+            if q:
+                subtract(k, p, q)
+            (keep if entry(k) else cleared).append(k)
+        keys = keep
+    return (keys[0] if keys else None), cleared
+
 
 def smith_normal_form(M: IntegerMatrix):
     """(U, D, V) with U*M*V = D, D diagonal with d1 | d2 | ..., U, V unimodular.
 
-    Dense working copy; pivots prefer small magnitude entries.  Integral
-    solving takes it only of the block that unit pivots leave (BLOCK_CAP).
+    Dense working copy.  Each diagonal position is cleared by `euclid_step`,
+    on the rows below it and then on the columns to its right, until both
+    are clear.  Integral solving takes it only of the block that unit pivots
+    leave (BLOCK_CAP).
     """
     m, n = M.nrows, M.ncols
-    A = M.dense()
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def unit(i, size):
+        return [0] * i + [1] + [0] * (size - i - 1)
+
+    def sparse(rows):
+        return [{j: v for j, v in enumerate(r) if v} for r in rows]
+
+    # row i of A carries row i of U after its n entries; the rows of V take
+    # the column operations with A's, so AV holds the same row objects and
+    # every row changes in place
+    A = [r + unit(i, m) for i, r in enumerate(M.dense())]
+    V = [unit(i, n) for i in range(n)]
+    AV = A + V
 
     def row_op(i, j, f):       # row_i -= f * row_j
         Ai, Aj = A[i], A[j]
-        for t in range(n):
+        for t in range(n + m):
             if Aj[t]:
                 Ai[t] -= f * Aj[t]
-        Ui, Uj = U[i], U[j]
-        for t in range(m):
-            if Uj[t]:
-                Ui[t] -= f * Uj[t]
 
     def col_op(i, j, f):       # col_i -= f * col_j
-        for r in A:
+        for r in AV:
             if r[j]:
                 r[i] -= f * r[j]
-        for r in V:
-            if r[j]:
-                r[i] -= f * r[j]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
-        for r in A:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
+        for r in AV:
             r[i], r[j] = r[j], r[i]
 
-    def negate_row(i):
-        A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
-
-    def eliminate_from(s0):
-        """Diagonalize the trailing block starting at position s0."""
-        s = s0
+    def eliminate_from(s):
+        """Diagonalize the trailing block starting at position s."""
         while s < min(m, n):
-            # smallest nonzero |entry| in the trailing block becomes the pivot
-            best = None
-            for i in range(s, m):
-                Ai = A[i]
-                for j in range(s, n):
-                    v = Ai[j]
-                    if v:
-                        a = -v if v < 0 else v
-                        if best is None or a < best[0]:
-                            best = (a, i, j)
-                            if a == 1:
-                                break
-                if best and best[0] == 1:
-                    break
-            if best is None:
+            i = next((i for i in range(s, m) if any(A[i][s:n])), None)
+            if i is None:
                 break
-            _, bi, bj = best
-            if bi != s:
-                swap_rows(s, bi)
-            if bj != s:
-                swap_cols(s, bj)
-            if A[s][s] < 0:
-                negate_row(s)
-            # clear row and column s; remainders force a re-pivot, and the
-            # pivot magnitude strictly decreases, so this terminates
+            j = next(j for j in range(s, n) if A[i][j])
+            if j != s:
+                swap_cols(s, j)
+            # each round that leaves column s dirty shrinks |A[s][s]|
             while True:
-                piv = A[s][s]
-                dirty = False
-                for i in range(s + 1, m):
-                    if A[i][s]:
-                        q = A[i][s] // piv
-                        if q:
-                            row_op(i, s, q)
-                        if A[i][s]:
-                            swap_rows(s, i)
-                            if A[s][s] < 0:
-                                negate_row(s)
-                            dirty = True
-                            break
-                if dirty:
-                    continue
-                for j in range(s + 1, n):
-                    if A[s][j]:
-                        q = A[s][j] // piv
-                        if q:
-                            col_op(j, s, q)
-                        if A[s][j]:
-                            swap_cols(s, j)
-                            dirty = True
-                            break
-                if not dirty:
+                p, _ = euclid_step([i for i in range(s, m) if A[i][s]],
+                                   lambda i: A[i][s], row_op)
+                A[s], A[p] = A[p], A[s]
+                p, _ = euclid_step([j for j in range(s, n) if A[s][j]],
+                                   lambda j: A[s][j], col_op)
+                if p != s:
+                    swap_cols(s, p)
+                if not any(A[i][s] for i in range(s + 1, m)):
                     break
+            if A[s][s] < 0:
+                A[s][:] = [-x for x in A[s]]
             s += 1
         return s
-
-    rank = eliminate_from(0)
 
     # enforce the divisibility chain d1 | d2 | ...: folding column i+1 into
     # column i and re-eliminating replaces d_i by gcd(d_i, d_{i+1}), which
     # strictly divides it, so the pass terminates
-    while True:
-        bad = None
-        for i in range(rank - 1):
-            a, b = A[i][i], A[i + 1][i + 1]
-            if a and b % a != 0:
-                bad = i
-                break
-        if bad is None:
-            break
-        col_op(bad, bad + 1, -1)   # col_bad += col_{bad+1}
-        eliminate_from(bad)
-
-    Um = IntegerMatrix(m, m, [{j: v for j, v in enumerate(row) if v} for row in U])
-    Vm = IntegerMatrix(n, n, [{j: v for j, v in enumerate(row) if v} for row in V])
-    Dm = IntegerMatrix(m, n)
-    for i in range(min(m, n)):
-        if A[i][i]:
-            Dm.set(i, i, A[i][i])
-    return Um, Dm, Vm
+    rank = eliminate_from(0)
+    while (i := next((i for i in range(rank - 1)
+                      if A[i + 1][i + 1] % A[i][i]), None)) is not None:
+        col_op(i, i + 1, -1)   # col_i += col_{i+1}
+        eliminate_from(i)
+    return (IntegerMatrix(m, m, sparse(r[n:] for r in A)),
+            IntegerMatrix(m, n, [{i: r[i]} if i < n else {}
+                                 for i, r in enumerate(A)]),
+            IntegerMatrix(n, n, sparse(V)))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +369,8 @@ def betti_numbers(X, field: str = "Q") -> list:
     return betti
 
 
-# entries of the stuck block that IntegralSystem hands to the dense Smith form
+# dense entries of the Smith form of the stuck block that IntegralSystem
+# builds: the m x n block with its m x m U and n x n V
 BLOCK_CAP = 100_000
 
 
@@ -394,22 +383,23 @@ class IntegralSystem:
     form.  The block's integer solution fills those free columns and
     back-substitutes through the unit pivots, so every solution is integral,
     and one is found whenever one exists.  Complexes without torsion leave
-    no stuck row and take no Smith form; a block over BLOCK_CAP entries
-    raises HomalgError.
+    no stuck row and take no Smith form.  A block whose Smith form needs over
+    BLOCK_CAP dense entries (m*n + m*m + n*n for U, D and V) raises HomalgError.
     """
 
     def __init__(self, M: IntegerMatrix):
         self.M = M
         E = self._echelon = UnimodularEchelon(M.rows, M.ncols)
         self._cols = sorted({j for i in E.stuck_rows for j in E.rows[i]})
-        self.block_shape = (len(E.stuck_rows), len(self._cols))
-        size = self.block_shape[0] * self.block_shape[1]
+        m, n = self.block_shape = (len(E.stuck_rows), len(self._cols))
+        size = m * n + m * m + n * n
         if size > BLOCK_CAP:
             raise HomalgError("integral solve: the %dx%d block left without "
-                              "unit pivots exceeds %d entries"
-                              % (*self.block_shape, BLOCK_CAP))
+                              "unit pivots, with the U and V of its Smith "
+                              "form, takes %d entries, which exceeds %d entries"
+                              % (m, n, size, BLOCK_CAP))
         self._block_snf = None
-        if size:
+        if m:
             pos = {j: c for c, j in enumerate(self._cols)}
             self._block_snf = smith_normal_form(IntegerMatrix(
                 *self.block_shape,

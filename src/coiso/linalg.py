@@ -6,14 +6,16 @@ Factorizations record the elimination so the same matrix can be solved
 against many right-hand sides; this is what keeps the per-trial cost of the
 coisoperimetry sweeps low.
 
-One driver does all elimination: `_Echelon` owns the pivot queue, the
-recorded row operations and the int back-substitution.  Its subclasses fix
-only which row a column pivots on and what a solve returns:
+One driver does all sparse elimination: `_Echelon` owns the pivot queue,
+the recorded row operations and the int back-substitution.  Its subclasses
+fix only which row a column pivots on and what a solve returns:
 `RationalSolver` takes the sparsest live row and returns RATs,
 `_LowestRowEchelon` (the greedy bases of `greedy_basis`) the lowest live
 row, and `UnimodularEchelon` (integral solves) only +-1 entries, keeping the
 rows that no unit pivot can clear as `stuck_rows`; `homalg.IntegralSystem`
-solves those through the Smith form of their block alone.
+solves those through the Smith form of their block alone.  That Smith form
+and the lattice basis of `trees` are the one other elimination engine:
+`homalg.euclid_step`, the integer Euclidean reduction of one coordinate.
 
 Integers first: almost every number here is an integer, so rows, recorded
 factors and intermediate vectors hold Python ints, and an exact rational

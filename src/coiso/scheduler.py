@@ -21,7 +21,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .homalg import Cochain, IntegerMatrix, boundary_matrix, norm_inf
+from .homalg import (Cochain, IntegerMatrix, boundary_matrix, json_int,
+                     norm_inf)
 from .linalg import residual_rows
 from .complexes import top_cells
 from .filling import (get_fill_context, integral_fill,
@@ -153,6 +154,15 @@ class PrismSchedule:
     def norm_inf(self) -> int:
         return max(self.max_abs_vertical(), self.max_abs_horizontal())
 
+    def off_prism_cells(self) -> list:
+        """Stored cells off the prism: vertical (p, i) outside [0, n_low) x
+        [0, layers), horizontal (q, j) outside [0, n_top) x [0, layers]."""
+        P = self.prism
+        return ([("vertical", p, i) for p, i in sorted(self.vertical)
+                 if not (0 <= p < P.n_low and 0 <= i < P.layers)]
+                + [("horizontal", q, j) for q, j in sorted(self.horizontal)
+                   if not (0 <= q < P.n_top and 0 <= j <= P.layers)])
+
     def to_json_dict(self):
         return {
             "layers": self.prism.layers,
@@ -161,6 +171,28 @@ class PrismSchedule:
             "omega": self.omega.to_json_dict(),
             "alpha": self.alpha.to_json_dict(),
         }
+
+    @classmethod
+    def from_json_dict(cls, d, X):
+        """Inverse of to_json_dict over the base complex X; d may also be a
+        schedule artifact that holds it.  The layer count and every cell
+        entry must be JSON integers, and every cell must lie on the prism."""
+        try:
+            d = d["schedule"] if "schedule" in d else d
+            layers = json_int(d["layers"])
+            vertical, horizontal = [
+                {(json_int(a), json_int(b)): json_int(v) for a, b, v in d[kind]}
+                for kind in ("vertical", "horizontal")]
+            omega, alpha = d["omega"], d["alpha"]
+        except (ValueError, KeyError, TypeError) as e:
+            raise SchedulerError(
+                f"malformed schedule JSON: {type(e).__name__}: {e}") from e
+        s = cls(PrismComplex(X, layers), vertical, horizontal,
+                Cochain.from_json_dict(omega), Cochain.from_json_dict(alpha))
+        if bad := s.off_prism_cells():
+            raise SchedulerError(
+                f"malformed schedule JSON: cells {bad[:4]} lie off the prism")
+        return s
 
 
 def obstruction_cocycle(X, f_deg: Cochain, g_deg: Cochain) -> Cochain:
@@ -239,13 +271,15 @@ def degree_schedule(X, omega: Cochain, alpha: Cochain,
 def verify_schedule(s: PrismSchedule) -> dict:
     """Re-checks closedness, bottom/top traces, and the norm bound.
 
-    omega and alpha entries off the cells are an error: they would loosen
-    the bound.
+    omega and alpha entries off the cells, and schedule cells off the prism,
+    are an error: the checks would never read them.
     """
     prism = s.prism
     X, m, T = prism.X, prism.m, prism.layers
     s.omega.dense_checked(prism.n_top, SchedulerError, "omega")
     s.alpha.dense_checked(prism.n_low, SchedulerError, "alpha")
+    if bad := s.off_prism_cells():
+        raise SchedulerError(f"schedule cells {bad[:4]} lie off the prism")
     cols = boundary_matrix(X, m).col_dicts()
 
     bad_closed = []

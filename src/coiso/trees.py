@@ -26,7 +26,7 @@ from math import gcd
 
 from .exact import RAT, ZERO, ONE, is_integral
 from .complexes import SimplicialComplex, build_complex
-from .homalg import boundary_matrix
+from .homalg import boundary_matrix, euclid_step
 from .linalg import RationalSolver, greedy_basis, scale_to_ints
 
 
@@ -256,13 +256,6 @@ def _relative_classes(X, k, tree_cells):
     return {"basis_cells": tuple(ext), "classes": classes}
 
 
-def _l1(vec):
-    s = ZERO
-    for v in vec:
-        s += v if v >= 0 else -v
-    return s
-
-
 def _hnf_lattice_basis(vectors, d):
     """Columns of a Hermite-style basis of the lattice spanned by `vectors`.
 
@@ -271,35 +264,21 @@ def _hnf_lattice_basis(vectors, d):
     """
     denom, flat = scale_to_ints([x for v in vectors for x in v])
     cols = [flat[i:i + d] for i in range(0, len(flat), d)]
-    # integer column echelon via Euclidean column ops (unimodular, so the
-    # integer span is preserved), row by row
+
+    def subtract(c, a, q):
+        c[:] = [x - q * y for x, y in zip(c, a)]
+
+    # integer column echelon: the Euclid step on each row in turn (unimodular,
+    # so the integer span is preserved); cleared vectors go on to later rows
     basis = []
     work = [c[:] for c in cols]
-    row = 0
-    while row < d and work:
-        nz = [c for c in work if c[row] != 0]
-        rest = [c for c in work if c[row] == 0]
-        if not nz:
-            work = rest
-            row += 1
-            continue
-        while len(nz) > 1:
-            nz.sort(key=lambda c: abs(c[row]))
-            a = nz[0]
-            keep = [a]
-            for c in nz[1:]:
-                q = c[row] // a[row]
-                if q:
-                    for i in range(d):
-                        c[i] -= q * a[i]
-                (keep if c[row] != 0 else rest).append(c)
-            nz = keep
-        piv = nz[0]
-        if piv[row] < 0:
-            piv[:] = [-x for x in piv]
-        basis.append(piv)
-        work = rest
-        row += 1
+    for row in range(d):
+        rest = [c for c in work if not c[row]]
+        piv, cleared = euclid_step([c for c in work if c[row]],
+                                   lambda c: c[row], subtract)
+        if piv is not None:
+            basis.append(piv if piv[row] > 0 else [-x for x in piv])
+        work = rest + cleared
     rank = RationalSolver([{i: v for i, v in enumerate(c) if v} for c in cols],
                           d).rank
     if len(basis) != rank:
@@ -353,7 +332,7 @@ def gnarledness_upper(T: SpanningTree, basis="greedy"):
                  if not all(is_integral(v) for v in c)]
     if offenders:
         raise BasisIntegralityError(offenders)
-    return max(_l1(c) for c in coords)
+    return max(sum(map(abs, c), ZERO) for c in coords)
 
 
 def lifting_basis(T: SpanningTree):

@@ -8,13 +8,16 @@ number a RAT, and `ReferenceUnimodular` is `UnimodularEchelon` from before it
 shared the int rows, `_div` and the back-substitution of `linalg._Echelon`:
 int rows, unit pivots, factor entry * pivot, its own record of the rows no
 unit pivot clears and its own `solve_int` loop (valid when none is left).
-Neither uses the package's elimination driver.  `reference_snf_solve` is the
-integral solve through the Smith form of the whole matrix, which
-`IntegralSystem` used whenever a row was left without a unit pivot.
+Neither uses the package's elimination driver.  `reference_smith_normal_form`
+is `homalg.smith_normal_form` from before it cleared each position with the
+shared `euclid_step`: its own smallest-entry pivot search and re-pivot loop.
+`reference_snf_solve` is the integral solve through that Smith form of the
+whole matrix, which `IntegralSystem` used whenever a row was left without a
+unit pivot.
 """
 
 from coiso.exact import RAT, ZERO
-from coiso.homalg import smith_normal_form
+from coiso.homalg import IntegerMatrix
 from coiso.linalg import scale_to_ints
 
 
@@ -178,13 +181,141 @@ class ReferenceUnimodular(_ReferenceEchelon):
         return x
 
 
+def reference_smith_normal_form(M):
+    """(U, D, V) with U*M*V = D, D diagonal with d1 | d2 | ..., U, V unimodular.
+
+    Dense working copy; the smallest |entry| of the trailing block is the
+    pivot, and a remainder left in its row or column re-pivots.
+    """
+    m, n = M.nrows, M.ncols
+    A = M.dense()
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def row_op(i, j, f):       # row_i -= f * row_j
+        Ai, Aj = A[i], A[j]
+        for t in range(n):
+            if Aj[t]:
+                Ai[t] -= f * Aj[t]
+        Ui, Uj = U[i], U[j]
+        for t in range(m):
+            if Uj[t]:
+                Ui[t] -= f * Uj[t]
+
+    def col_op(i, j, f):       # col_i -= f * col_j
+        for r in A:
+            if r[j]:
+                r[i] -= f * r[j]
+        for r in V:
+            if r[j]:
+                r[i] -= f * r[j]
+
+    def swap_rows(i, j):
+        A[i], A[j] = A[j], A[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for r in A:
+            r[i], r[j] = r[j], r[i]
+        for r in V:
+            r[i], r[j] = r[j], r[i]
+
+    def negate_row(i):
+        A[i] = [-x for x in A[i]]
+        U[i] = [-x for x in U[i]]
+
+    def eliminate_from(s0):
+        """Diagonalize the trailing block starting at position s0."""
+        s = s0
+        while s < min(m, n):
+            # smallest nonzero |entry| in the trailing block becomes the pivot
+            best = None
+            for i in range(s, m):
+                Ai = A[i]
+                for j in range(s, n):
+                    v = Ai[j]
+                    if v:
+                        a = -v if v < 0 else v
+                        if best is None or a < best[0]:
+                            best = (a, i, j)
+                            if a == 1:
+                                break
+                if best and best[0] == 1:
+                    break
+            if best is None:
+                break
+            _, bi, bj = best
+            if bi != s:
+                swap_rows(s, bi)
+            if bj != s:
+                swap_cols(s, bj)
+            if A[s][s] < 0:
+                negate_row(s)
+            # clear row and column s; remainders force a re-pivot, and the
+            # pivot magnitude strictly decreases, so this terminates
+            while True:
+                piv = A[s][s]
+                dirty = False
+                for i in range(s + 1, m):
+                    if A[i][s]:
+                        q = A[i][s] // piv
+                        if q:
+                            row_op(i, s, q)
+                        if A[i][s]:
+                            swap_rows(s, i)
+                            if A[s][s] < 0:
+                                negate_row(s)
+                            dirty = True
+                            break
+                if dirty:
+                    continue
+                for j in range(s + 1, n):
+                    if A[s][j]:
+                        q = A[s][j] // piv
+                        if q:
+                            col_op(j, s, q)
+                        if A[s][j]:
+                            swap_cols(s, j)
+                            dirty = True
+                            break
+                if not dirty:
+                    break
+            s += 1
+        return s
+
+    rank = eliminate_from(0)
+
+    # enforce the divisibility chain d1 | d2 | ...: folding column i+1 into
+    # column i and re-eliminating replaces d_i by gcd(d_i, d_{i+1}), which
+    # strictly divides it, so the pass terminates
+    while True:
+        bad = None
+        for i in range(rank - 1):
+            a, b = A[i][i], A[i + 1][i + 1]
+            if a and b % a != 0:
+                bad = i
+                break
+        if bad is None:
+            break
+        col_op(bad, bad + 1, -1)   # col_bad += col_{bad+1}
+        eliminate_from(bad)
+
+    Um = IntegerMatrix(m, m, [{j: v for j, v in enumerate(row) if v} for row in U])
+    Vm = IntegerMatrix(n, n, [{j: v for j, v in enumerate(row) if v} for row in V])
+    Dm = IntegerMatrix(m, n)
+    for i in range(min(m, n)):
+        if A[i][i]:
+            Dm.set(i, i, A[i][i])
+    return Um, Dm, Vm
+
+
 def reference_snf_solve(M, b):
     """Integer solution of M x = b through U M V = D for the whole M, or
     None when none exists (as for a b that is not integral)."""
     scale, bs = scale_to_ints(b)
     if scale != 1:
         return None
-    U, D, V = smith_normal_form(M)
+    U, D, V = reference_smith_normal_form(M)
     ub = U.mat_vec(bs)
     y = [0] * M.ncols
     for i in range(min(M.nrows, M.ncols)):

@@ -1,9 +1,13 @@
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from coiso.cli import main
+
+INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 
 @pytest.fixture()
@@ -167,7 +171,11 @@ def test_schedule_roundtrip_and_verify(runner):
     ({"k": 1, "ring": "rat", "entries": [[0, "1.5"], [3, "-1"]]}, "HomalgError"),
     ({"k": 1, "ring": "int"}, "HomalgError"),
     ({"ring": "int", "entries": [[0, "1"], [3, "-1"]]}, "HomalgError"),
-], ids=["index-99", "negative-index", "decimal-entry", "no-entries", "no-k"])
+    ({"k": 1.9, "entries": [[0.5, "1"], [1.9, "1"]]}, "HomalgError"),
+    ({"k": 1, "entries": [[0, True], [1, True]]}, "HomalgError"),
+    ({"k": 1, "entries": [[0, "1/0"], [3, "-1"]]}, "HomalgError"),
+], ids=["index-99", "negative-index", "decimal-entry", "no-entries", "no-k",
+        "float-k-and-indices", "boolean-values", "zero-denominator"])
 @pytest.mark.parametrize("ring", ["int", "rat"])
 def test_fill_rejects_malformed_omega(runner, omega, etype, ring):
     with runner.isolated_filesystem():
@@ -236,18 +244,38 @@ def test_malformed_complex_json_exits_one(runner, doc, command):
         assert err["error"]["message"]
 
 
+def _committed_schedule(edit):
+    """The committed dD3_L4 k=2 schedule artifact, edited in place."""
+    doc = json.loads((INPUTS / "dD3_L4_k2_schedule.json").read_text())
+    edit(doc["schedule"])
+    return doc
+
+
+def _float_layers_and_vertical(sd):
+    sd["layers"] = 2.7
+    sd["vertical"] = [[p + 0.2, i + 0.2, v] for p, i, v in sd["vertical"]]
+
+
+def _foreign_cells(sd):
+    sd["vertical"].append([9999, 0, 1])
+    sd["horizontal"].append([5, 77, -1])
+
+
 @pytest.mark.parametrize("doc", [
     {"vertical": [], "horizontal": []},
     {"schedule": {"layers": 1, "horizontal": []}},
     {"schedule": {"layers": "x", "vertical": [], "horizontal": []}},
     [1, 2],
-], ids=["no-layers", "no-vertical", "layers-not-int", "not-an-object"])
+    _committed_schedule(_float_layers_and_vertical),
+    _committed_schedule(_foreign_cells),
+], ids=["no-layers", "no-vertical", "layers-not-int", "not-an-object",
+        "float-layers-and-vertical", "foreign-cells"])
 def test_verify_schedule_rejects_malformed_schedule(runner, doc):
     with runner.isolated_filesystem():
-        write_inputs()
+        shutil.copy(INPUTS / "dD3_L4.json", "dD3_L4.json")
         json.dump(doc, open("sch.json", "w"))
         r = runner.invoke(main, ["verify", "--kind", "schedule", "--in",
-                                 "sch.json", "--complex", "sphere.json",
+                                 "sch.json", "--complex", "dD3_L4.json",
                                  "--out", "v.json"])
         assert r.exit_code == 1, r.output
         err = json.loads(r.stderr)

@@ -9,8 +9,10 @@ from coiso.complexes import (build_complex, build_grid_cube_complex,
                              cycle_complex, simplex_boundary)
 from coiso.homalg import (Chain, Cochain, HomalgError, IntegerMatrix,
                           IntegralSystem, apply_coboundary, betti_numbers, boundary_matrix,
-                          norm_inf, pairing, smith_normal_form,
+                          euclid_step, norm_inf, pairing, smith_normal_form,
                           solve_integral_linear, volume_norm)
+
+from reference_solver import reference_smith_normal_form
 
 CORPUS = [
     build_complex([(0, 1, 2)]),
@@ -65,6 +67,7 @@ def test_betti_grid_is_contractible():
 def assert_valid_snf(M):
     U, D, V = smith_normal_form(M)
     assert U.matmul(M).matmul(V) == D
+    assert D == reference_smith_normal_form(M)[1]
     diag = [D[i, i] for i in range(min(M.nrows, M.ncols))]
     nz = [d for d in diag if d]
     assert all(d > 0 for d in nz)
@@ -91,13 +94,30 @@ def test_snf_zero_and_identity():
     assert d == [1, 1, 1]
 
 
-@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 10 ** 6))
-@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 10 ** 6))
+@settings(max_examples=150, deadline=None)
 def test_snf_random(m, n, seed):
     rng = random.Random(seed)
     M = IntegerMatrix(m, n, [{j: rng.randint(-6, 6) for j in range(n)
                               if rng.random() < 0.7} for _ in range(m)])
     assert_valid_snf(M)
+
+
+def test_euclid_step_leaves_one_entry_in_first_among_equals_order():
+    vecs = {"a": [6, 1], "b": [-4, 0], "c": [4, 5], "d": [3, 0]}
+
+    def subtract(k, p, q):
+        vecs[k] = [x - q * y for x, y in zip(vecs[k], vecs[p])]
+
+    piv, cleared = euclid_step("abcd", lambda k: vecs[k][0], subtract)
+    # d (3) leaves b = 2 and c = 1 and clears a; then c clears b and d
+    assert (piv, cleared) == ("c", ["a", "b", "d"])
+    assert vecs == {"a": [0, 1], "b": [0, -10], "c": [1, 5], "d": [0, -15]}
+    # a tie keeps the first key: x clears y
+    vecs.update(x=[2, 0], y=[-2, 1])
+    assert euclid_step("xy", lambda k: vecs[k][0], subtract) == ("x", ["y"])
+    assert euclid_step([], None, None) == (None, [])
+    assert euclid_step(["x"], None, None) == ("x", [])
 
 
 def test_snf_agrees_with_betti_on_corpus():

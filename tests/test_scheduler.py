@@ -9,7 +9,8 @@ from coiso import scheduler
 from coiso.complexes import build_complex, simplex_boundary
 from coiso.homalg import Cochain, apply_coboundary, boundary_matrix, norm_inf
 from coiso.filling import integral_fill, sample_integral_coboundary, trial_rng
-from coiso.scheduler import (SchedulerError, ScheduleInvariantError,
+from coiso.scheduler import (PrismSchedule, SchedulerError,
+                             ScheduleInvariantError,
                              build_prism_complex, degree_schedule,
                              obstruction_cocycle, s2_null_demo,
                              verify_schedule)
@@ -149,6 +150,32 @@ def test_corrupting_a_horizontal_value_breaks_one_or_two_prisms():
     assert 1 <= len(rep["closedness"]["offenders"]) <= 2
     # interior level (0,1) borders prisms (0,0) and (0,1)
     assert sorted(o[:2] for o in rep["closedness"]["offenders"]) == [[0, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("kind,cell", [
+    ("vertical", (-1, 0)), ("vertical", (0, 2)), ("vertical", (5, 0)),
+    ("horizontal", (0, 3)), ("horizontal", (2, 0)), ("horizontal", (0, -1))])
+def test_verify_rejects_cells_off_the_prism(kind, cell):
+    # TWO_TRIANGLES with 2 layers: 5 edges x [0, 2) vertical, 2 triangles x
+    # [0, 2] horizontal
+    X = TWO_TRIANGLES
+    alpha = Cochain(1, {X.cell_index(1, (1, 2)): 1}, "int")
+    s, _ = degree_schedule(X, apply_coboundary(X, alpha).map(int, "int"),
+                           alpha, 2)
+    getattr(s, kind)[cell] = 1
+    with pytest.raises(SchedulerError, match="off the prism"):
+        verify_schedule(s)
+
+
+def test_schedule_json_round_trip():
+    X = TWO_TRIANGLES
+    alpha = Cochain(1, {X.cell_index(1, (1, 2)): 1}, "int")
+    s, _ = degree_schedule(X, apply_coboundary(X, alpha).map(int, "int"),
+                           alpha, 2)
+    doc = json.loads(json.dumps({"schedule": s.to_json_dict()}))
+    back = PrismSchedule.from_json_dict(doc, X)
+    assert back.to_json_dict() == s.to_json_dict()
+    assert PrismSchedule.from_json_dict(doc["schedule"], X).vertical == s.vertical
 
 
 def test_telescoping_vertical_sums_recover_alpha():

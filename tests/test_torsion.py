@@ -20,10 +20,10 @@ from coiso.complexes import build_complex
 from coiso.filling import (NotIntegrallyFillable, integral_fill,
                            sample_integral_coboundary, trial_rng)
 from coiso.homalg import (Cochain, HomalgError, IntegralSystem, betti_numbers,
-                          coboundary_matrix)
+                          coboundary_matrix, smith_normal_form)
 from coiso.subdivision import edgewise_subdivide
 
-from reference_solver import reference_snf_solve
+from reference_solver import reference_smith_normal_form, reference_snf_solve
 
 RP2_TRIANGLES = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
                  (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
@@ -58,6 +58,18 @@ def test_sampled_coboundaries_fill_within_the_bound(L):
         assert res.norm_inf_alpha <= d["rational_norm"] + 2 + 1 + d["g_upper"]
 
 
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_smith_form_of_the_coboundaries_equals_the_reference(L, k):
+    M = coboundary_matrix(rp2(L), k - 1)
+    U, D, V = smith_normal_form(M)
+    assert U.matmul(M).matmul(V) == D
+    assert D == reference_smith_normal_form(M)[1]
+    # the last diagonal entry is 0 for b_0 = 1, and 2 for H^2(RP^2; Z) = Z/2
+    diag = [D[i, i] for i in range(min(M.nrows, M.ncols))]
+    assert diag == [1] * (len(diag) - 1) + [2 if k == 2 else 0]
+
+
 def _rhs_corpus(M, rng):
     """40 right-hand sides: 20 images of random int vectors, 16 random
     {-1, 0, 1} vectors, and unit vectors."""
@@ -89,11 +101,13 @@ def test_solve_agrees_with_the_whole_matrix_smith_form(L, k):
 
 
 def test_stuck_block_over_the_cap_is_a_structured_error(monkeypatch):
+    # the cap counts the 1x12 block and its 1x1 U and 12x12 V: 157 entries
     M = coboundary_matrix(rp2(4), 1)
-    monkeypatch.setattr(homalg, "BLOCK_CAP", 12)
+    monkeypatch.setattr(homalg, "BLOCK_CAP", 157)
     assert IntegralSystem(M).block_shape == (1, 12)
-    monkeypatch.setattr(homalg, "BLOCK_CAP", 11)
-    with pytest.raises(HomalgError, match="1x12 block"):
+    monkeypatch.setattr(homalg, "BLOCK_CAP", 156)
+    with pytest.raises(HomalgError, match="1x12 block .* takes 157 entries, "
+                                          "which exceeds 156 entries"):
         IntegralSystem(M)
 
 

@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coiso.exact import RAT
 from coiso.complexes import build_complex, cycle_complex, simplex_boundary
@@ -16,6 +19,7 @@ from coiso.trees import (BasisIntegralityError, SpanningTree, TreeError,
                          telescope_circles_tree, wrapping_tree,
                          _relative_classes, _verify_wrapping)
 
+from reference_lattice import reference_lattice_basis
 from reference_lift import ReferenceLiftData, random_mod_z_cocycle
 from reference_rank import IncrementalRank
 
@@ -27,6 +31,50 @@ CORPUS = [
     (telescope_complex(), 1),
     (telescope_complex(), 2),
 ]
+
+
+@pytest.fixture(autouse=True)
+def lattice_basis_checked_against_the_reference(monkeypatch):
+    """Every lattice basis a tree test builds equals the frozen loop's."""
+    live = trees._hnf_lattice_basis
+
+    def checked(vectors, d):
+        got = live(vectors, d)
+        assert got == reference_lattice_basis(vectors, d)
+        return got
+
+    monkeypatch.setattr(trees, "_hnf_lattice_basis", checked)
+
+
+def _random_lattice_input(rng):
+    """1-8 nonzero rational d-tuples, d in 1..4, with small numerators and
+    denominators, so that ties in |entry| and dependent vectors are common."""
+    d, n = rng.randint(1, 4), rng.randint(1, 8)
+    vectors = []
+    while len(vectors) < n:
+        v = tuple(RAT(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4)))
+                  if rng.random() < 0.7 else RAT(0) for _ in range(d))
+        if any(v):
+            vectors.append(v)
+    return vectors, d
+
+
+def test_lattice_basis_equals_the_reference_on_seeded_inputs():
+    for seed in range(400):
+        vectors, d = _random_lattice_input(random.Random(f"lattice/{seed}"))
+        assert trees._hnf_lattice_basis(vectors, d) == \
+            reference_lattice_basis(vectors, d), (seed, vectors)
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.tuples(*[st.fractions(min_value=-5, max_value=5, max_denominator=6)
+                for _ in range(d)]).filter(any), min_size=1, max_size=6)))
+@settings(max_examples=100, deadline=None)
+def test_lattice_basis_equals_the_reference(vectors):
+    vectors = [tuple(RAT(x) for x in v) for v in vectors]
+    d = len(vectors[0])
+    assert trees._hnf_lattice_basis(vectors, d) == \
+        reference_lattice_basis(vectors, d)
 
 
 def homology_conditions_hold(T):
