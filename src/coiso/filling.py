@@ -289,6 +289,12 @@ def linf_fill_rational(X, omega: Cochain) -> FillingResult:
     wit = ctx.coboundary_witness(dense)
     if wit is not None:
         raise NotACoboundary(*wit)
+    return _rational_fill(ctx, omega, dense)
+
+
+def _rational_fill(ctx, omega: Cochain, dense) -> FillingResult:
+    """linf_fill_rational for the rational coboundary omega, dense its
+    values, without the coboundary check."""
     alpha_vec, t, mode = ctx.lp.solve(dense)
     alpha = Cochain(omega.k - 1, {i: v for i, v in enumerate(alpha_vec) if v}, "rat")
     resid = _residual(ctx, alpha_vec, dense)
@@ -398,7 +404,7 @@ def integral_fill(X, omega: Cochain) -> FillingResult:
         raise NotIntegrallyFillable(
             "omega is a rational but not an integral coboundary (torsion)")
 
-    rational = linf_fill_rational(X, omega)
+    rational = _rational_fill(ctx, omega, dense)
     alpha_vec = rational.alpha.dense(X.n_cells(k - 1))
 
     data = ctx.lift_data()
@@ -432,7 +438,7 @@ def sample_integral_coboundary(X, k: int, rng: random.Random) -> Cochain:
     ctx = get_fill_context(X, k)
     nk = X.n_cells(k)
     for _ in range(MAX_SAMPLE_TRIES):
-        vals = [rng.choice((-1, 0, 1)) for _ in range(nk)]
+        vals = _draw_signs(rng, nk)
         if not any(vals):
             continue
         if ctx.coboundary_witness(vals) is not None:
@@ -442,6 +448,30 @@ def sample_integral_coboundary(X, k: int, rng: random.Random) -> Cochain:
         return Cochain(k, {i: v for i, v in enumerate(vals) if v}, "int")
     raise FillingError(
         f"no nonzero integral coboundary found in {MAX_SAMPLE_TRIES} draws")
+
+
+# choice((-1, 0, 1)) reads the top 2 bits of one 32-bit word and draws again
+# on a 3: as signed bytes, the top byte of a word maps to -1, 0 or 1, and the
+# bytes whose top bits are 3 are deleted
+_SIGN_OF_TOP_BYTE = bytes([255] * 64 + [0] * 64 + [1] * 64 + [0] * 64)
+_REDRAWN_TOP_BYTES = bytes(range(192, 256))
+
+
+def _draw_signs(rng: random.Random, n: int) -> list:
+    """[rng.choice((-1, 0, 1)) for _ in range(n)], drawn in bulk: the same
+    values, and rng is left in the same state.
+
+    getrandbits(32 * w) is w words of the stream, the first one least
+    significant.  Each round asks for one word per missing value, so no word
+    is drawn that choice would not have drawn.
+    """
+    out = []
+    while len(out) < n:
+        w = n - len(out)
+        top = rng.getrandbits(32 * w).to_bytes(4 * w, "little")[3::4]
+        out += memoryview(
+            top.translate(_SIGN_OF_TOP_BYTE, _REDRAWN_TOP_BYTES)).cast("b").tolist()
+    return out
 
 
 def trial_rng(seed, L, trial) -> random.Random:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .exact import ZERO, rat, rat_str, is_integral
+from .exact import RAT, ZERO, rat, rat_str, is_integral
 from .linalg import (RationalSolver, UnimodularEchelon, scale_to_ints,
                      sparse_rows_from_entries, transpose_rows)
 
@@ -41,9 +41,10 @@ class Cochain:
     def __post_init__(self):
         clean = {}
         for i, v in self.entries.items():
-            v = rat(v)
+            if type(v) is not RAT:
+                v = rat(v)
             if v:
-                clean[int(i)] = v
+                clean[i if type(i) is int else int(i)] = v
         self.entries = clean
         if self.ring not in ("int", "rat"):
             raise HomalgError(f"unknown ring tag {self.ring!r}")
@@ -88,12 +89,15 @@ class Cochain:
     @classmethod
     def from_json_dict(cls, d):
         """Inverse of to_json_dict: k and the cell indices are JSON integers,
-        the values "p/q" strings or JSON integers."""
+        each cell listed once, the values "p/q" strings or JSON integers."""
         try:
-            return cls(json_int(d["k"]),
-                       {json_int(i): rat(s if isinstance(s, str) else json_int(s))
-                        for i, s in d["entries"]},
-                       d.get("ring", "rat"))
+            k = json_int(d["k"])
+            entries = {}
+            for i, s in d["entries"]:
+                if json_int(i) in entries:
+                    raise HomalgError(f"malformed cochain JSON: repeated cell {i}")
+                entries[i] = rat(s if isinstance(s, str) else json_int(s))
+            return cls(k, entries, d.get("ring", "rat"))
         except HomalgError:
             raise
         except (ValueError, KeyError, TypeError, ZeroDivisionError) as e:

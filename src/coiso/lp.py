@@ -13,15 +13,20 @@ Two layers:
   `solve_exact` hands the LP to exact_simplex, with no float anywhere; it is
   the only LP path of the filling/cofilling duality check, and SIMPLEX_CAP
   bounds its tableau.  `solve`, for the fills and the sweep, uses floating
-  point (scipy/HiGHS, imported on first use) only to guess the optimal
-  active set; primal and dual solutions are then reconstructed and verified
-  in exact rational arithmetic:
+  point only to guess the optimal active set; primal and dual solutions are
+  then reconstructed and verified in exact rational arithmetic:
 
       y with ||D^T y||_1 <= 1 and y.omega = t  certifies  min >= t,
       alpha with D alpha = omega, ||alpha||_inf <= t  certifies  min <= t.
 
   When no HiGHS guess verifies, `solve_exact` is the last resort, and past
-  SIMPLEX_CAP it raises LPError.
+  SIMPLEX_CAP it raises LPError.  The guesses come from HiGHS through
+  scipy's private binding `scipy.optimize._highspy._core` (imported on the
+  first float solve), not through `linprog`: each LinfProblem builds the
+  HiGHS model of its LP once, the one linprog would build, and keeps one
+  HiGHS instance per method with linprog's options.  A solve only sets the
+  row bounds D alpha = omega and passes the model again, a cold start, so
+  every guess is bitwise the one linprog returns.
 
 * l1_min: the ell-1 minimal filling of the duality check, also through
   exact_simplex and also refused past SIMPLEX_CAP (`check_l1_cap`).
@@ -31,7 +36,8 @@ No float ever enters a returned value.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd, lcm, sqrt
+from typing import NamedTuple
 
 from .exact import RAT, ZERO
 from .linalg import RationalSolver, residual_rows, scale_to_ints, transpose_rows
@@ -199,6 +205,10 @@ def _pivot(T, basis, leave, enter, costs):
 
 # (method, tolerances): one HiGHS run per method, read at each tolerance
 _ATTEMPTS = (("highs-ipm", (1e-7, 1e-9, 1e-5)), ("highs-ds", (1e-7,)))
+# the HiGHS solver option of each method, as linprog maps it
+_HIGHS_SOLVER = {"highs-ipm": "ipm", "highs-ds": "simplex"}
+# linprog's check of an optimum: rows and bounds met within 10 sqrt(1e-9)
+_CHECK_TOL = sqrt(1e-9) * 10
 # solve_exact and l1_min refuse a tableau larger than this: at dDelta3, L=16
 # solve_exact's would be (1024 + 3072) x 6145, about 25M exact entries
 SIMPLEX_CAP = 100_000
@@ -209,6 +219,15 @@ def _check_cap(rows, cols):
         raise LPError(
             f"the exact simplex needs a {rows}x{cols} tableau "
             f"({rows * cols} entries), above the cap of {SIMPLEX_CAP}")
+
+
+class _FloatSolution(NamedTuple):
+    """One HiGHS solve: status 0 for an optimum, with x = (alpha, t) and the
+    marginals of the 2n rows +-alpha_i - t <= 0; else linprog's status 4
+    and no solution."""
+    status: int
+    x: object
+    marginals: object
 
 
 class LinfProblem:
@@ -223,7 +242,8 @@ class LinfProblem:
         self.m = len(rows)
         self.n = ncols
         self.cols = transpose_rows(self.rows, ncols)
-        self._scipy = None
+        self._model = None         # built on the first float solve
+        self._solvers = {}         # method -> its HiGHS instance
 
     def solve(self, omega):
         """(alpha, t, mode): exact optimal alpha, certified optimal norm, and
@@ -247,9 +267,20 @@ class LinfProblem:
 
     # -- float machinery -----------------------------------------------------
 
-    def _scipy_setup(self):
-        if self._scipy is None:
-            import numpy as np
+    def _highs(self, method):
+        """The HiGHS instance of `method`; it and the model it solves,
+        self._model, are built once.
+
+        The model is linprog's for this LP, as HiGHS takes it: the CSC
+        matrix [A_ub; A_eq] over the variables (alpha, t), cost t, alpha
+        free and t >= 0, rows A_ub (alpha - t, -alpha - t) <= 0 and
+        A_eq (D alpha) = omega.  Each instance carries the options linprog
+        sets for its method.
+        """
+        import numpy as np
+        from scipy.optimize._highspy import _core
+
+        if self._model is None:
             from scipy import sparse
 
             n, m = self.n, self.m
@@ -259,26 +290,76 @@ class LinfProblem:
                     ri.append(i)
                     ci.append(j)
                     data.append(float(v))
-            A_eq = sparse.csr_matrix((data, (ri, ci)), shape=(m, n + 1))
+            A_eq = sparse.coo_array((data, (ri, ci)), shape=(m, n + 1))
             ri2, ci2, d2 = [], [], []
             for j in range(n):
                 ri2 += [2 * j, 2 * j, 2 * j + 1, 2 * j + 1]
                 ci2 += [j, n, j, n]
                 d2 += [1.0, -1.0, -1.0, -1.0]
-            A_ub = sparse.csr_matrix((d2, (ri2, ci2)), shape=(2 * n, n + 1))
-            cvec = np.zeros(n + 1)
-            cvec[n] = 1.0
-            bounds = [(None, None)] * n + [(0, None)]
-            self._scipy = (np, A_eq, A_ub, cvec, bounds)
-        return self._scipy
+            A_ub = sparse.coo_array((d2, (ri2, ci2)), shape=(2 * n, n + 1))
+            A = sparse.csc_array(sparse.vstack((A_ub, A_eq)))
+            inf = _core.kHighsInf
+            lp = _core.HighsLp()
+            lp.num_col_ = lp.a_matrix_.num_col_ = n + 1
+            lp.num_row_ = lp.a_matrix_.num_row_ = 2 * n + m
+            lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+            lp.a_matrix_.start_ = A.indptr
+            lp.a_matrix_.index_ = A.indices
+            lp.a_matrix_.value_ = A.data
+            cost = np.zeros(n + 1)
+            cost[n] = 1.0
+            lp.col_cost_ = cost
+            lower = np.full(n + 1, -inf)
+            lower[n] = 0.0
+            lp.col_lower_ = lower
+            lp.col_upper_ = np.full(n + 1, inf)
+            # rows 2n.. take omega on both sides per solve
+            lhs = np.full(2 * n + m, -inf)
+            rhs = np.zeros(2 * n + m)
+            self._model = (lp, lhs, rhs)
+        highs = self._solvers.get(method)
+        if highs is None:
+            highs = self._solvers[method] = _core._Highs()
+            options = _core.HighsOptions()
+            options.presolve = "on"
+            options.solver = _HIGHS_SOLVER[method]
+            options.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
+            options.log_to_console = False
+            options.output_flag = False
+            options.simplex_strategy = \
+                _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+            highs.passOptions(options)
+        return highs
 
     def _float_solve(self, omega, method):
-        np, A_eq, A_ub, cvec, bounds = self._scipy_setup()
-        from scipy.optimize import linprog
+        """HiGHS `method` on D alpha = omega: a _FloatSolution whose status
+        is 0 only for an optimum that meets the rows within linprog's check
+        tolerance, as linprog's would be.  OverflowError when omega is
+        beyond float range."""
+        import numpy as np
+        from scipy.optimize._highspy import _core
 
-        return linprog(cvec, A_ub=A_ub, b_ub=np.zeros(2 * self.n), A_eq=A_eq,
-                       b_eq=np.array([float(v) for v in omega]), bounds=bounds,
-                       method=method)
+        highs = self._highs(method)
+        lp, lhs, rhs = self._model
+        n2 = 2 * self.n
+        b = np.array([float(v) for v in omega])
+        lhs[n2:] = b
+        rhs[n2:] = b
+        lp.row_lower_ = lhs
+        lp.row_upper_ = rhs
+        # passModel drops any earlier solution and basis: a cold start
+        highs.passModel(lp)
+        highs.run()
+        if highs.getModelStatus() != _core.HighsModelStatus.kOptimal:
+            return _FloatSolution(4, None, None)
+        sol = highs.getSolution()
+        x = sol.col_value
+        row = np.array(sol.row_value)
+        tol = _CHECK_TOL
+        if (np.isnan(x).any() or np.isnan(row).any() or x[-1] < -tol
+                or (row[:n2] > tol).any() or (np.abs(b - row[n2:]) > tol).any()):
+            return _FloatSolution(4, None, None)
+        return _FloatSolution(0, x, sol.row_dual[:n2])
 
     def _guesses(self, omega):
         """(HiGHS result, tolerance) per attempt, solving lazily per method."""
@@ -302,7 +383,7 @@ class LinfProblem:
         if t_f <= 0:
             return None
         eps = tol * max(1.0, t_f)
-        marg = res.ineqlin.marginals
+        marg = res.marginals
         dsup = {}
         for i in range(self.n):
             mu_p = -float(marg[2 * i])

@@ -176,14 +176,22 @@ class PrismSchedule:
     def from_json_dict(cls, d, X):
         """Inverse of to_json_dict over the base complex X; d may also be a
         schedule artifact that holds it.  The layer count and every cell
-        entry must be JSON integers, and every cell must lie on the prism."""
+        entry must be JSON integers, each cell listed once, and every cell
+        must lie on the prism."""
         try:
             d = d["schedule"] if "schedule" in d else d
             layers = json_int(d["layers"])
-            vertical, horizontal = [
-                {(json_int(a), json_int(b)): json_int(v) for a, b, v in d[kind]}
-                for kind in ("vertical", "horizontal")]
+            vertical, horizontal = {}, {}
+            for kind, cells in (("vertical", vertical), ("horizontal", horizontal)):
+                for a, b, v in d[kind]:
+                    cell = (json_int(a), json_int(b))
+                    if cell in cells:
+                        raise SchedulerError(
+                            f"malformed schedule JSON: repeated {kind} cell {list(cell)}")
+                    cells[cell] = json_int(v)
             omega, alpha = d["omega"], d["alpha"]
+        except SchedulerError:
+            raise
         except (ValueError, KeyError, TypeError) as e:
             raise SchedulerError(
                 f"malformed schedule JSON: {type(e).__name__}: {e}") from e
@@ -234,9 +242,10 @@ def degree_schedule(X, omega: Cochain, alpha: Cochain,
 
     prism = PrismComplex(X, layers)
     T = layers
+    a_int = [int(v) for v in dense_a]
     vertical = {}
     for p in range(prism.n_low):
-        a = int(alpha(p))
+        a = a_int[p]
         if a == 0:
             continue
         prev = 0
@@ -254,7 +263,7 @@ def degree_schedule(X, omega: Cochain, alpha: Cochain,
         for i in range(T):
             s = -w
             for p, sgn in cols[q].items():
-                a = int(alpha(p))
+                a = a_int[p]
                 if a:
                     s += sgn * (i * a // T)
             if s:

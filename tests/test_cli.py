@@ -174,8 +174,11 @@ def test_schedule_roundtrip_and_verify(runner):
     ({"k": 1.9, "entries": [[0.5, "1"], [1.9, "1"]]}, "HomalgError"),
     ({"k": 1, "entries": [[0, True], [1, True]]}, "HomalgError"),
     ({"k": 1, "entries": [[0, "1/0"], [3, "-1"]]}, "HomalgError"),
+    ({"k": 1, "entries": [[0, "1"], [0, "-1"]]}, "HomalgError"),
+    ({"k": 1, "entries": [[0, "1"], [3, "-1"], [0, "0"]]}, "HomalgError"),
 ], ids=["index-99", "negative-index", "decimal-entry", "no-entries", "no-k",
-        "float-k-and-indices", "boolean-values", "zero-denominator"])
+        "float-k-and-indices", "boolean-values", "zero-denominator",
+        "repeated-cell", "repeated-cell-zeroed"])
 @pytest.mark.parametrize("ring", ["int", "rat"])
 def test_fill_rejects_malformed_omega(runner, omega, etype, ring):
     with runner.isolated_filesystem():
@@ -261,6 +264,16 @@ def _foreign_cells(sd):
     sd["horizontal"].append([5, 77, -1])
 
 
+def _repeated_vertical_cell(sd):
+    p, i, v = sd["vertical"][0]
+    sd["vertical"].append([p, i, -v])
+
+
+def _repeated_horizontal_cell(sd):
+    q, j, v = sd["horizontal"][-1]
+    sd["horizontal"].append([q, j, v])
+
+
 @pytest.mark.parametrize("doc", [
     {"vertical": [], "horizontal": []},
     {"schedule": {"layers": 1, "horizontal": []}},
@@ -268,8 +281,11 @@ def _foreign_cells(sd):
     [1, 2],
     _committed_schedule(_float_layers_and_vertical),
     _committed_schedule(_foreign_cells),
+    _committed_schedule(_repeated_vertical_cell),
+    _committed_schedule(_repeated_horizontal_cell),
 ], ids=["no-layers", "no-vertical", "layers-not-int", "not-an-object",
-        "float-layers-and-vertical", "foreign-cells"])
+        "float-layers-and-vertical", "foreign-cells", "repeated-vertical-cell",
+        "repeated-horizontal-cell"])
 def test_verify_schedule_rejects_malformed_schedule(runner, doc):
     with runner.isolated_filesystem():
         shutil.copy(INPUTS / "dD3_L4.json", "dD3_L4.json")

@@ -68,10 +68,11 @@ CASES = dict([
         _fill("not-a-coboundary-C4-rat", "c4.json", "c4_foreign.json", "rat"),
         _fill("not-a-coboundary-dD3L4-int", "dD3_L4.json",
               "dD3_L4_k2_foreign.json", "int"))),
-    # foreign input: a float cell index (3.0) in omega, and a horizontal
-    # schedule cell at level 77 of 2
+    # foreign input: a float cell index (3.0) in omega, a cell listed twice
+    # in omega, and a horizontal schedule cell at level 77 of 2
     *((name, (argv, 1)) for name, argv in (
         _fill("fill-C4-float-index", "c4.json", "c4_float_index.json", "int"),
+        _fill("fill-C4-repeated-cell", "c4.json", "c4_repeated_cell.json", "int"),
         ("verify-schedule-dD3L4-foreign-cell",
          ["verify", "--kind", "schedule", "--in",
           "dD3_L4_k2_schedule_foreign.json", "--complex", "dD3_L4.json",

@@ -232,6 +232,23 @@ def test_cochain_json_roundtrip():
     assert d.k == c.k and d.entries == c.entries and d.ring == c.ring
 
 
+@pytest.mark.parametrize("entries", [[[0, "1"], [0, "-1"]],
+                                     [[0, "1"], [2, "1/2"], [0, "0"]],
+                                     [[4, 1], [4, 1]]])
+def test_cochain_json_rejects_a_repeated_cell(entries):
+    with pytest.raises(HomalgError, match=r"malformed cochain JSON: repeated cell"):
+        Cochain.from_json_dict({"k": 1, "entries": entries})
+
+
+def test_cochain_keeps_rationals_and_normalizes_the_rest():
+    half = RAT(1, 2)
+    c = Cochain(1, {0: half, 1.0: 3, 2: RAT(0), 3: "-2/4"}, "rat")
+    assert c.entries == {0: half, 1: 3, 3: RAT(-1, 2)}
+    assert c.entries[0] is half
+    assert all(type(i) is int for i in c.entries)
+    assert all(type(v) is RAT for v in c.entries.values())
+
+
 def test_int_ring_tag_enforced():
     with pytest.raises(HomalgError):
         Cochain(1, {0: RAT(1, 2)}, "int")

@@ -178,6 +178,20 @@ def test_schedule_json_round_trip():
     assert PrismSchedule.from_json_dict(doc["schedule"], X).vertical == s.vertical
 
 
+@pytest.mark.parametrize("kind", ["vertical", "horizontal"])
+def test_schedule_json_rejects_a_repeated_cell(kind):
+    X = TWO_TRIANGLES
+    alpha = Cochain(1, {X.cell_index(1, (1, 2)): 1}, "int")
+    s, _ = degree_schedule(X, apply_coboundary(X, alpha).map(int, "int"),
+                           alpha, 2)
+    doc = s.to_json_dict()
+    a, b, v = doc[kind][0]
+    doc[kind].append([a, b, v])
+    with pytest.raises(SchedulerError, match=rf"malformed schedule JSON: "
+                                             rf"repeated {kind} cell \[{a}, {b}\]"):
+        PrismSchedule.from_json_dict(doc, X)
+
+
 def test_telescoping_vertical_sums_recover_alpha():
     X = simplex_boundary(3)
     om = sample_integral_coboundary(X, 2, trial_rng(4, 2, 1))
