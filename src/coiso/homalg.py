@@ -197,9 +197,6 @@ class IntegerMatrix:
             out.append(s)
         return out
 
-    def is_zero(self) -> bool:
-        return all(not r for r in self.rows)
-
     def dense(self):
         return [[r.get(j, 0) for j in range(self.ncols)] for r in self.rows]
 

@@ -21,12 +21,22 @@ Two layers:
 
   When no HiGHS guess verifies, `solve_exact` is the last resort, and past
   SIMPLEX_CAP it raises LPError.  The guesses come from HiGHS through
-  scipy's private binding `scipy.optimize._highspy._core` (imported on the
-  first float solve), not through `linprog`: each LinfProblem builds the
-  HiGHS model of its LP once, the one linprog would build, and keeps one
-  HiGHS instance per method with linprog's options.  A solve only sets the
-  row bounds D alpha = omega and passes the model again, a cold start, so
-  every guess is bitwise the one linprog returns.
+  scipy's private binding `scipy.optimize._highspy._core`, not through
+  `linprog`: each LinfProblem builds the HiGHS model of its LP once, the
+  one linprog would build (its CSC matrix written by hand, without
+  scipy.sparse), and keeps one HiGHS instance per method with linprog's
+  options.  A solve only sets the row bounds D alpha = omega and passes the
+  model again, a cold start, so every guess is bitwise the one linprog
+  returns.
+
+  `_highs_core` loads that extension on the first float solve, from its
+  file in the installed scipy, without running scipy's package imports
+  (those of scipy.optimize take 0.5-0.9 s and about 40 MB, measured with
+  scipy 1.17 on a 2-core x86-64 Linux machine).  It is registered under
+  its real dotted name: pybind11 refuses a second load of the same types
+  under any other name, so a later `import scipy.optimize` (linprog, say)
+  has to find this module in sys.modules.  There is no fallback to the
+  package import; a missing file is an ImportError.
 
 * l1_min: the ell-1 minimal filling of the duality check, also through
   exact_simplex and also refused past SIMPLEX_CAP (`check_l1_cap`).
@@ -36,6 +46,10 @@ No float ever enters a returned value.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from math import gcd, lcm, sqrt
 from typing import NamedTuple
 
@@ -214,6 +228,35 @@ _CHECK_TOL = sqrt(1e-9) * 10
 SIMPLEX_CAP = 100_000
 
 
+_CORE = "scipy.optimize._highspy._core"
+
+
+def _highs_core():
+    """scipy's HiGHS extension module `_CORE`: the loaded one if there is
+    one, else loaded from its file under that name (see the module
+    docstring).  find_spec locates scipy without running its __init__."""
+    core = sys.modules.get(_CORE)
+    if core is not None:
+        return core
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("scipy is not installed: LinfProblem needs its "
+                          "HiGHS extension", name=_CORE)
+    where = os.path.join(spec.submodule_search_locations[0], "optimize", "_highspy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(where, "_core" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"scipy's HiGHS extension _core is not in {where}",
+                          name=_CORE, path=where)
+    spec = importlib.util.spec_from_file_location(_CORE, path)
+    core = importlib.util.module_from_spec(spec)
+    sys.modules[_CORE] = core
+    spec.loader.exec_module(core)
+    return core
+
+
 def _check_cap(rows, cols):
     if rows * cols > SIMPLEX_CAP:
         raise LPError(
@@ -278,34 +321,32 @@ class LinfProblem:
         sets for its method.
         """
         import numpy as np
-        from scipy.optimize._highspy import _core
 
+        _core = _highs_core()
         if self._model is None:
-            from scipy import sparse
-
             n, m = self.n, self.m
-            data, ri, ci = [], [], []
-            for i, r in enumerate(self.rows):
-                for j, v in r.items():
-                    ri.append(i)
-                    ci.append(j)
-                    data.append(float(v))
-            A_eq = sparse.coo_array((data, (ri, ci)), shape=(m, n + 1))
-            ri2, ci2, d2 = [], [], []
-            for j in range(n):
-                ri2 += [2 * j, 2 * j, 2 * j + 1, 2 * j + 1]
-                ci2 += [j, n, j, n]
-                d2 += [1.0, -1.0, -1.0, -1.0]
-            A_ub = sparse.coo_array((d2, (ri2, ci2)), shape=(2 * n, n + 1))
-            A = sparse.csc_array(sparse.vstack((A_ub, A_eq)))
+            n2 = 2 * n
+            # column j < n: +1 at row 2j, -1 at row 2j+1, then D's column
+            # at rows 2n+i; column n (t): -1 at rows 0..2n-1
+            start, index, value = [0], [], []
+            for j, col in enumerate(self.cols):
+                index += (2 * j, 2 * j + 1)
+                value += (1.0, -1.0)
+                for i, v in col.items():      # increasing i, as built
+                    index.append(n2 + i)
+                    value.append(float(v))
+                start.append(len(index))
+            index += range(n2)
+            value += [-1.0] * n2
+            start.append(len(index))
             inf = _core.kHighsInf
             lp = _core.HighsLp()
             lp.num_col_ = lp.a_matrix_.num_col_ = n + 1
-            lp.num_row_ = lp.a_matrix_.num_row_ = 2 * n + m
+            lp.num_row_ = lp.a_matrix_.num_row_ = n2 + m
             lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
-            lp.a_matrix_.start_ = A.indptr
-            lp.a_matrix_.index_ = A.indices
-            lp.a_matrix_.value_ = A.data
+            lp.a_matrix_.start_ = start
+            lp.a_matrix_.index_ = index
+            lp.a_matrix_.value_ = value
             cost = np.zeros(n + 1)
             cost[n] = 1.0
             lp.col_cost_ = cost
@@ -314,8 +355,8 @@ class LinfProblem:
             lp.col_lower_ = lower
             lp.col_upper_ = np.full(n + 1, inf)
             # rows 2n.. take omega on both sides per solve
-            lhs = np.full(2 * n + m, -inf)
-            rhs = np.zeros(2 * n + m)
+            lhs = np.full(n2 + m, -inf)
+            rhs = np.zeros(n2 + m)
             self._model = (lp, lhs, rhs)
         highs = self._solvers.get(method)
         if highs is None:
@@ -337,8 +378,8 @@ class LinfProblem:
         tolerance, as linprog's would be.  OverflowError when omega is
         beyond float range."""
         import numpy as np
-        from scipy.optimize._highspy import _core
 
+        _core = _highs_core()
         highs = self._highs(method)
         lp, lhs, rhs = self._model
         n2 = 2 * self.n

@@ -21,8 +21,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .homalg import (Cochain, IntegerMatrix, boundary_matrix, json_int,
-                     norm_inf)
+# boundary_matrix is unused here, but perfbench's tracer test reads it as
+# coiso.scheduler.boundary_matrix
+from .homalg import Cochain, boundary_matrix, json_int, norm_inf  # noqa: F401
 from .linalg import residual_rows
 from .complexes import top_cells
 from .filling import (get_fill_context, integral_fill,
@@ -77,55 +78,6 @@ class PrismComplex:
 
     def n_cells_mid(self) -> int:
         return self.n_vertical + self.n_horizontal
-
-    # -- boundary maps ---------------------------------------------------------
-
-    def boundary_top(self) -> IntegerMatrix:
-        """(m+1)-cells -> m-cells: top - bottom - signed verticals."""
-        B = boundary_matrix(self.X, self.m)
-        M = IntegerMatrix(self.n_cells_mid(), self.n_prisms)
-        cols = B.col_dicts()
-        for q in range(self.n_top):
-            for i in range(self.layers):
-                c = self.prism_index(q, i)
-                M.set(self.horizontal_index(q, i + 1), c, 1)
-                M.set(self.horizontal_index(q, i), c, -1)
-                for p, sgn in cols[q].items():
-                    M.set(self.vertical_index(p, i), c, -sgn)
-        return M
-
-    def boundary_mid(self) -> IntegerMatrix:
-        """m-cells -> (m-1)-cells of the prism complex."""
-        m, T = self.m, self.layers
-        n_low_h = self.n_low * (T + 1)
-        n_low_v = (self.X.n_cells(m - 2) * T) if m >= 2 else 0
-
-        def low_h(p, j):
-            return p * (T + 1) + j
-
-        def low_v(s, i):
-            return n_low_h + s * T + i
-
-        M = IntegerMatrix(n_low_h + n_low_v, self.n_cells_mid())
-        B = boundary_matrix(self.X, self.m)
-        colsB = B.col_dicts()
-        if m >= 2:
-            Bl = boundary_matrix(self.X, self.m - 1)
-            colsBl = Bl.col_dicts()
-        for p in range(self.n_low):
-            for i in range(T):
-                c = self.vertical_index(p, i)
-                M.set(low_h(p, i + 1), c, 1)
-                M.set(low_h(p, i), c, -1)
-                if m >= 2:
-                    for s, sgn in colsBl[p].items():
-                        M.set(low_v(s, i), c, -sgn)
-        for q in range(self.n_top):
-            for j in range(T + 1):
-                c = self.horizontal_index(q, j)
-                for p, sgn in colsB[q].items():
-                    M.set(low_h(p, j), c, sgn)
-        return M
 
 
 def build_prism_complex(X, layers: int) -> PrismComplex:
@@ -289,7 +241,7 @@ def verify_schedule(s: PrismSchedule) -> dict:
     s.alpha.dense_checked(prism.n_low, SchedulerError, "alpha")
     if bad := s.off_prism_cells():
         raise SchedulerError(f"schedule cells {bad[:4]} lie off the prism")
-    cols = boundary_matrix(X, m).col_dicts()
+    cols = get_fill_context(X, m).delta.rows
 
     bad_closed = []
     for q in range(prism.n_top):

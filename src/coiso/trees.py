@@ -64,10 +64,6 @@ class SpanningTree:
             self._rel = _relative_classes(self.X, self.k, set(self.cells))
         return self._rel
 
-    @property
-    def rel_rank(self) -> int:
-        return len(self.rel_data()["basis_cells"])
-
 
 @dataclass
 class WrappingTree:

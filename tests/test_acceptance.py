@@ -184,7 +184,7 @@ def test_criterion_8_homology_smoke():
               edgewise_subdivide(simplex_boundary(3), 2).result]
     for X in corpus:
         for k in range(2, X.dim + 1):
-            assert boundary_matrix(X, k - 1).matmul(boundary_matrix(X, k)).is_zero()
+            assert not any(boundary_matrix(X, k - 1).matmul(boundary_matrix(X, k)).rows)
     print("CRITERION 8: PASS - Betti numbers (1,0,1) and (1,1); "
           "dd == 0 on every corpus complex")
 

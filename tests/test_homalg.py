@@ -37,13 +37,13 @@ def test_sphere_boundary_rank():
 
 def test_dd_zero_on_triangle():
     X = build_complex([(0, 1, 2)])
-    assert boundary_matrix(X, 1).matmul(boundary_matrix(X, 2)).is_zero()
+    assert not any(boundary_matrix(X, 1).matmul(boundary_matrix(X, 2)).rows)
 
 
 @pytest.mark.parametrize("X", CORPUS, ids=lambda X: repr(X))
 def test_dd_zero_everywhere(X):
     for k in range(2, X.dim + 1):
-        assert boundary_matrix(X, k - 1).matmul(boundary_matrix(X, k)).is_zero()
+        assert not any(boundary_matrix(X, k - 1).matmul(boundary_matrix(X, k)).rows)
 
 
 def test_boundary_k_out_of_range():
