@@ -10,11 +10,15 @@ Two layers:
   every result carries a dual verified in ints.
 
 * LinfProblem: minimize ||alpha||_inf subject to D alpha = omega.
-  `solve_exact` hands the LP to exact_simplex, with no float anywhere; it is
-  the only LP path of the filling/cofilling duality check, and SIMPLEX_CAP
-  bounds its tableau.  `solve`, for the fills and the sweep, uses floating
-  point only to guess the optimal active set; primal and dual solutions are
-  then reconstructed and verified in exact rational arithmetic:
+  `solve_exact` hands the LP to exact_simplex, with no float anywhere, in
+  its shifted form alpha = a - t 1 over the columns (a >= 0, t, slacks s):
+  D a - t D1 = omega and a + s - 2t = 0, an (m + n) x (2n + 1) tableau
+  for m rows and n variables.  It checks its answer in ints before
+  returning.  It is the only LP path of the filling/cofilling duality
+  check, and SIMPLEX_CAP bounds its tableau.  `solve`, for the fills and
+  the sweep, uses floating point only to guess the optimal active set;
+  primal and dual solutions are then reconstructed and verified in exact
+  rational arithmetic:
 
       y with ||D^T y||_1 <= 1 and y.omega = t  certifies  min >= t,
       alpha with D alpha = omega, ||alpha||_inf <= t  certifies  min <= t.
@@ -224,7 +228,7 @@ _HIGHS_SOLVER = {"highs-ipm": "ipm", "highs-ds": "simplex"}
 # linprog's check of an optimum: rows and bounds met within 10 sqrt(1e-9)
 _CHECK_TOL = sqrt(1e-9) * 10
 # solve_exact and l1_min refuse a tableau larger than this: at dDelta3, L=16
-# solve_exact's would be (1024 + 3072) x 6145, about 25M exact entries
+# solve_exact's would be (1024 + 1536) x 3073, about 7.9M exact entries
 SIMPLEX_CAP = 100_000
 
 
@@ -554,49 +558,45 @@ class LinfProblem:
 
     def check_simplex_cap(self):
         """LPError when the tableau of solve_exact exceeds SIMPLEX_CAP."""
-        _check_cap(self.m + 2 * self.n, 4 * self.n + 1)
+        _check_cap(self.m + self.n, 2 * self.n + 1)
 
     def solve_exact(self, omega):
         """(alpha, t): an optimal alpha and the certified optimum
         t = ||alpha||_inf, from exact_simplex alone.  LPError when the
-        tableau exceeds SIMPLEX_CAP or omega has no rational preimage."""
+        tableau exceeds SIMPLEX_CAP, omega has no rational preimage, or the
+        answer fails its own check (D alpha = omega, max |alpha_i| = t)."""
         self.check_simplex_cap()
-        # standard form: alpha = u - v, slacks s+, s-:
-        #   D(u - v) = omega;  u - v - t + s+ = 0;  -u + v - t + s- = 0
+        # shifted form alpha = a - t 1, slacks s, over the columns (a, t, s):
+        #   D a - t (D 1) = omega;  a + s - 2t = 0
+        # a, s >= 0 makes 0 <= a_i <= 2t, which is |alpha_i| <= t
         n = self.n
-        N = 4 * n + 1
-        it = 2 * n
+        N = 2 * n + 1
         A = []
-        b = []
-        for i, r in enumerate(self.rows):
+        for r in self.rows:
             row = [0] * N
             for j, v in r.items():
                 row[j] = v
-                row[n + j] = -v
+            row[n] = -sum(r.values())
             A.append(row)
-            b.append(omega[i])
         for j in range(n):
             row = [0] * N
             row[j] = 1
-            row[n + j] = -1
-            row[it] = -1
-            row[2 * n + 1 + j] = 1
+            row[n] = -2
+            row[n + 1 + j] = 1
             A.append(row)
-            row = [0] * N
-            row[j] = -1
-            row[n + j] = 1
-            row[it] = -1
-            row[3 * n + 1 + j] = 1
-            A.append(row)
-        b += [0] * (2 * n)
         c = [0] * N
-        c[it] = 1
+        c[n] = 1
         try:
-            x, value, _ = exact_simplex(A, b, c)
+            x, t, _ = exact_simplex(A, list(omega) + [0] * n, c)
         except Infeasible:
             raise LPError("no rational solution of D alpha = omega")
-        alpha = [x[j] - x[n + j] for j in range(n)]
-        return alpha, value
+        alpha = [v - t for v in x[:n]]
+        Da, xs = scale_to_ints(alpha)
+        if (residual_rows(self.rows, alpha, omega)
+                or max(map(abs, xs), default=0) * t.denominator != t.numerator * Da):
+            raise LPError("the exact simplex's alpha fails D alpha = omega, "
+                          "||alpha||_inf = t")
+        return alpha, t
 
 
 # ---------------------------------------------------------------------------

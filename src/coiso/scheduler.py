@@ -76,9 +76,6 @@ class PrismComplex:
     def prism_index(self, q: int, i: int) -> int:
         return q * self.layers + i
 
-    def n_cells_mid(self) -> int:
-        return self.n_vertical + self.n_horizontal
-
 
 def build_prism_complex(X, layers: int) -> PrismComplex:
     return PrismComplex(X, layers)

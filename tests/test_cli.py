@@ -378,13 +378,15 @@ def test_exact_simplex_cap_exits_one_with_a_structured_error(runner, monkeypatch
     from coiso.lp import LinfProblem
     monkeypatch.setattr(LinfProblem, "_reconstruct", lambda *a, **k: None)
     with runner.isolated_filesystem():
-        json.dump({"dim": 1, "simplices": [[i, (i + 1) % 100] for i in range(100)]},
-                  open("c100.json", "w"))
-        om = apply_coboundary(load_complex("c100.json"), Cochain(0, {0: 1}, "int"))
+        # C160: a 320x321 tableau, the shortest cycle over the cap is C158
+        json.dump({"dim": 1, "simplices": [[i, (i + 1) % 160] for i in range(160)]},
+                  open("c160.json", "w"))
+        om = apply_coboundary(load_complex("c160.json"), Cochain(0, {0: 1}, "int"))
         json.dump(om.to_json_dict(), open("om.json", "w"))
-        r = runner.invoke(main, ["fill", "--complex", "c100.json", "--omega",
+        r = runner.invoke(main, ["fill", "--complex", "c160.json", "--omega",
                                  "om.json", "--ring", "rat", "--out", "a.json"])
         assert r.exit_code == 1, r.output
         err = json.loads(r.stderr)["error"]
         assert err["type"] == "LPError"
-        assert err["message"].endswith("above the cap of 100000")
+        assert err["message"].endswith(
+            "320x321 tableau (102720 entries), above the cap of 100000")

@@ -458,29 +458,29 @@ def test_duality_size_cap_builds_no_enumeration(monkeypatch):
 
 
 def test_duality_tableau_cap_builds_no_enumeration(monkeypatch):
-    # dDelta3, k=2: 4 triangles over 6 edges, a 16x25 ell-infinity tableau
+    # dDelta3, k=2: 4 triangles over 6 edges, a 10x13 ell-infinity tableau
     def refuse(basis, n):
         raise AssertionError("enumeration ran above the cap")
     monkeypatch.setattr(filling, "_vertices_inf_ball", refuse)
     monkeypatch.setattr(filling, "_vertices_one_ball", refuse)
-    monkeypatch.setattr(lp, "SIMPLEX_CAP", 399)
+    monkeypatch.setattr(lp, "SIMPLEX_CAP", 129)
     with pytest.raises(FillingError, match=r"duality LP cap: the exact simplex "
-                                           r"needs a 16x25 tableau \(400 entries\), "
-                                           r"above the cap of 399"):
+                                           r"needs a 10x13 tableau \(130 entries\), "
+                                           r"above the cap of 129"):
         coiso_constants_tiny(simplex_boundary(3), 2)
 
 
 def test_duality_at_the_tableau_cap_answers(monkeypatch):
-    monkeypatch.setattr(lp, "SIMPLEX_CAP", 400)
+    monkeypatch.setattr(lp, "SIMPLEX_CAP", 130)
     assert coiso_constants_tiny(simplex_boundary(3), 2) == (RAT(1, 2), RAT(1, 2))
 
 
 def test_cells_in_no_boundary_leave_the_ell_infinity_lp():
-    # 197 isolated vertices: the full LP would need a 403x801 tableau, above
-    # the cap; without them it is 9x13
-    X = build_complex([(0, 1, 2)] + [(i,) for i in range(3, 200)])
+    # 297 isolated vertices: the full LP would need a 303x601 tableau, above
+    # the cap; without them it is 6x7
+    X = build_complex([(0, 1, 2)] + [(i,) for i in range(3, 300)])
     delta = boundary_matrix(X, 1).transpose()
-    with pytest.raises(LPError, match="403x801 tableau"):
+    with pytest.raises(LPError, match="303x601 tableau"):
         LinfProblem(delta.rows, delta.ncols).check_simplex_cap()
     problem = _inf_problem(delta)
     assert (problem.m, problem.n) == (3, 3)
@@ -530,7 +530,7 @@ def test_l1_min_refuses_a_tableau_over_the_cap(monkeypatch):
 
 
 def test_duality_ell_one_tableau_cap_builds_no_enumeration(monkeypatch):
-    # the ell-infinity tableau over the same cells is the larger one (9x13
+    # the ell-infinity tableau over the same cells is the larger one (6x7
     # here), so its check is lifted to reach the ell-1 refusal
     def refuse(basis, n):
         raise AssertionError("enumeration ran above the cap")

@@ -41,6 +41,10 @@ CASES = dict([
     *((name, (argv, 0)) for name, argv in (
         _fill("fill-C4-int", "c4.json", "c4_omega.json", "int"),
         _fill("fill-C4-rat", "c4.json", "c4_omega.json", "rat"),
+        # omega = +-10^400: no HiGHS guess can take it, so the exact simplex
+        # answers (lp_mode "simplex")
+        _fill("fill-C4-beyond-float-rat", "c4.json", "c4_beyond_float.json",
+              "rat"),
         _fill("fill-dD3L4-k1-int", "dD3_L4.json", "dD3_L4_k1.json", "int"),
         _fill("fill-dD3L4-k1-rat", "dD3_L4.json", "dD3_L4_k1.json", "rat"),
         _fill("fill-dD3L4-k2-int", "dD3_L4.json", "dD3_L4_k2.json", "int"),

@@ -41,7 +41,7 @@ def test_forced_fallback_small_uses_exact_simplex(monkeypatch):
 
 
 def test_forced_fallback_on_the_subdivided_sphere_uses_exact_simplex(monkeypatch):
-    # L=2: a 64x97 tableau, under the cap
+    # L=2: a 40x49 tableau, under the cap
     delta, om = _reference_problem(2)
     P = LinfProblem(delta.rows, delta.ncols)
     _, t_ref, mode = P.solve(om)
@@ -53,11 +53,11 @@ def test_forced_fallback_on_the_subdivided_sphere_uses_exact_simplex(monkeypatch
 
 
 def test_forced_fallback_on_the_finer_sphere_raises_at_the_cap(monkeypatch):
-    # L=8: a 1024x1537 tableau, over the cap
+    # L=8: a 640x769 tableau, over the cap
     delta, om = _reference_problem(8)
     P = LinfProblem(delta.rows, delta.ncols)
     monkeypatch.setattr(LinfProblem, "_reconstruct", lambda *a, **k: None)
-    with pytest.raises(LPError, match=r"1024x1537 tableau \(1573888 entries\), "
+    with pytest.raises(LPError, match=r"640x769 tableau \(492160 entries\), "
                                       r"above the cap of 100000"):
         P.solve(om)
 
@@ -116,26 +116,27 @@ def _force_simplex(monkeypatch):
 
 
 def test_exact_simplex_past_the_cap_raises(monkeypatch):
-    # 100 edges, 100 vertices: a 300 x 401 tableau, 120,300 entries
-    P, om = _cycle_problem(100)
+    # 160 edges, 160 vertices: a 320 x 321 tableau, 102,720 entries
+    P, om = _cycle_problem(160)
     _force_simplex(monkeypatch)
-    with pytest.raises(LPError, match=r"300x401 tableau \(120300 entries\), "
+    with pytest.raises(LPError, match=r"320x321 tableau \(102720 entries\), "
                                       r"above the cap of 100000"):
         P.solve(om)
 
 
 def test_exact_simplex_at_the_cap_answers(monkeypatch):
-    # 12 edges, 12 vertices: a 36 x 49 tableau, 1764 entries
+    # 12 edges, 12 vertices: a 24 x 25 tableau, 600 entries
     P, om = _cycle_problem(12)
     _, t_fast, mode = P.solve(om)
     assert mode == "reconstructed"
     _force_simplex(monkeypatch)
-    monkeypatch.setattr(lp, "SIMPLEX_CAP", 1764)
+    monkeypatch.setattr(lp, "SIMPLEX_CAP", 600)
     alpha, t, mode = P.solve(om)
     assert (mode, t) == ("simplex", t_fast)
     assert max(abs(v) for v in alpha) <= t
-    monkeypatch.setattr(lp, "SIMPLEX_CAP", 1763)
-    with pytest.raises(LPError, match="above the cap of 1763"):
+    monkeypatch.setattr(lp, "SIMPLEX_CAP", 599)
+    with pytest.raises(LPError, match=r"24x25 tableau \(600 entries\), "
+                                      r"above the cap of 599"):
         P.solve(om)
 
 

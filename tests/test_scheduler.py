@@ -62,6 +62,9 @@ def test_prism_counts_triangle_two_layers():
 class BoundaryPrism(PrismComplex):
     """The prism complex with its two boundary maps, for the dd = 0 check."""
 
+    def n_cells_mid(self) -> int:
+        return self.n_vertical + self.n_horizontal
+
     def boundary_top(self) -> IntegerMatrix:
         """(m+1)-cells -> m-cells: top - bottom - signed verticals."""
         B = boundary_matrix(self.X, self.m)

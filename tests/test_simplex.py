@@ -122,7 +122,7 @@ def test_duality_corpus_lps_match_the_reference(monkeypatch, X, k):
     # those in some k-cell's boundary
     Bk = boundary_matrix(X, k)
     n = sum(1 for r in Bk.rows if r)
-    linf = (Bk.ncols + 2 * n, 4 * n + 1)
+    linf = (Bk.ncols + n, 2 * n + 1)
     l1 = (Bk.nrows, 2 * Bk.ncols)
     assert linf in calls and l1 in calls
     assert set(calls) == {linf, l1}
