@@ -51,9 +51,6 @@ class SimplicialComplex:
             return len(self.cells[k])
         return 0
 
-    def cell(self, k: int, i: int):
-        return self.cells[k][i]
-
     def cell_index(self, k: int, c) -> int:
         return self.index[k][tuple(c)]
 
@@ -160,9 +157,6 @@ class GridCubeComplex:
         if 0 <= k <= self.n:
             return len(self.cells[k])
         return 0
-
-    def cell(self, k: int, i: int):
-        return self.cells[k][i]
 
     def cell_index(self, k: int, c) -> int:
         return self.index[k][tuple(c)]

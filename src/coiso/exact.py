@@ -41,4 +41,5 @@ def rat_str(x) -> str:
 
 
 def is_integral(x) -> bool:
-    return RAT(x).denominator == 1
+    """True for an exact rational or int with denominator 1."""
+    return x.denominator == 1

@@ -248,19 +248,15 @@ class RationalSolver(_Echelon):
         return [_to_rat(v, D) if v else ZERO for v in x]
 
     def nullspace(self):
-        """Basis of ker A, one sparse dict of RATs per free column."""
+        """Basis of ker A, one sparse dict of RATs per free column: the
+        back-substitution of a zero rhs from that column's unit vector."""
+        zero = [0] * self.m
         basis = []
         for f in self.free_cols:
-            x = {f: 1}
-            for prow, col in reversed(self.pivots):
-                row = self.rows[prow]
-                s = 0
-                for j, v in row.items():
-                    if j != col and j in x:
-                        s -= v * x[j]
-                if s:
-                    x[col] = _div(s, row[col])
-            basis.append({j: _to_rat(v) for j, v in x.items()})
+            x = [0] * self.n
+            x[f] = 1
+            x = self.back_substitute(zero, x)
+            basis.append({j: _to_rat(v) for j, v in enumerate(x) if v})
         return basis
 
 

@@ -7,7 +7,7 @@ Two layers:
   entry in its basic column and reduced by its gcd after every pivot, so no
   rational is built inside the pivot loop; the reduced-cost rows are carried
   through the pivots.  The pivots are those of the all-rational tableau, and
-  every result carries a dual verified in ints.
+  every (x, value) it returns is checked against a dual verified in ints.
 
 * LinfProblem: minimize ||alpha||_inf subject to D alpha = omega.
   `solve_exact` hands the LP to exact_simplex, with no float anywhere, in
@@ -28,10 +28,11 @@ Two layers:
   scipy's private binding `scipy.optimize._highspy._core`, not through
   `linprog`: each LinfProblem builds the HiGHS model of its LP once, the
   one linprog would build (its CSC matrix written by hand, without
-  scipy.sparse), and keeps one HiGHS instance per method with linprog's
-  options.  A solve only sets the row bounds D alpha = omega and passes the
-  model again, a cold start, so every guess is bitwise the one linprog
-  returns.
+  scipy.sparse), and keeps one HiGHS instance per solver, "ipm" and
+  "simplex", with linprog's options for "highs-ipm" and "highs-ds".  A
+  solve only sets the row bounds D alpha = omega and passes the model
+  again, a cold start, so every guess (x and the row duals, or None where
+  linprog's status is not 0) is bitwise the one linprog returns.
 
   `_highs_core` loads that extension on the first float solve, from its
   file in the installed scipy, without running scipy's package imports
@@ -55,7 +56,6 @@ import importlib.util
 import os
 import sys
 from math import gcd, lcm, sqrt
-from typing import NamedTuple
 
 from .exact import RAT, ZERO
 from .linalg import RationalSolver, residual_rows, scale_to_ints, transpose_rows
@@ -80,10 +80,10 @@ def exact_simplex(A, b, c):
     """min c.x  s.t.  A x = b, x >= 0, all data exact (ints or rationals).
 
     A: list of dense rows, each with one entry per entry of c; b: one entry
-    per row.  Returns (x, value, y) as rationals, where the dual vector y
-    satisfies y.A <= c and y.b = value; both sides are verified exactly
-    before returning.  Raises Infeasible/Unbounded, and LPError on
-    mis-shaped input.
+    per row.  Returns (x, value) as rationals.  Before returning it verifies
+    both certificates in ints: the primal x, and the dual y read off the
+    phase-2 cost row, with y.A <= c and y.b = value.  Raises
+    Infeasible/Unbounded, and LPError on mis-shaped input or a failed check.
 
     Two phases over an artificial identity block, with Bland's rule: the
     smallest index with a positive reduced cost enters, and the smallest
@@ -168,7 +168,6 @@ def exact_simplex(A, b, c):
     # row flips; y = ys / Dy
     Z2, Dy = z2
     ys = [(-Z2[n + i] if bs[i] < 0 else Z2[n + i]) for i in range(m)]
-    y = [RAT(v, Dy) for v in ys]
 
     # exact verification of both certificates, in ints
     for i in range(m):
@@ -184,7 +183,7 @@ def exact_simplex(A, b, c):
         s = sum(ys[i] * a[i][j] for i in range(m) if ys[i] and a[i][j])
         if s * Dc > cs[j] * Dy * Da:
             raise LPError("dual feasibility failed")
-    return x, value, y
+    return x, value
 
 
 def _pivot(T, basis, leave, enter, costs):
@@ -221,10 +220,9 @@ def _pivot(T, basis, leave, enter, costs):
 # ---------------------------------------------------------------------------
 # ell-infinity minimal preimage under a sparse integer map
 
-# (method, tolerances): one HiGHS run per method, read at each tolerance
-_ATTEMPTS = (("highs-ipm", (1e-7, 1e-9, 1e-5)), ("highs-ds", (1e-7,)))
-# the HiGHS solver option of each method, as linprog maps it
-_HIGHS_SOLVER = {"highs-ipm": "ipm", "highs-ds": "simplex"}
+# (HiGHS solver, tolerances): one HiGHS run per solver, read at each
+# tolerance; linprog calls them methods "highs-ipm" and "highs-ds"
+_ATTEMPTS = (("ipm", (1e-7, 1e-9, 1e-5)), ("simplex", (1e-7,)))
 # linprog's check of an optimum: rows and bounds met within 10 sqrt(1e-9)
 _CHECK_TOL = sqrt(1e-9) * 10
 # solve_exact and l1_min refuse a tableau larger than this: at dDelta3, L=16
@@ -268,20 +266,12 @@ def _check_cap(rows, cols):
             f"({rows * cols} entries), above the cap of {SIMPLEX_CAP}")
 
 
-class _FloatSolution(NamedTuple):
-    """One HiGHS solve: status 0 for an optimum, with x = (alpha, t) and the
-    marginals of the 2n rows +-alpha_i - t <= 0; else linprog's status 4
-    and no solution."""
-    status: int
-    x: object
-    marginals: object
-
-
 class LinfProblem:
     """min ||alpha||_inf s.t. D alpha = omega, for many omegas with one D.
 
     D is given as sparse rows (one per target cell) over ncols variables.
-    omega must be rationally solvable; Infeasible is raised otherwise.
+    omega, of ints or exact rationals, is read as given; it must be
+    rationally solvable, and Infeasible is raised otherwise.
     """
 
     def __init__(self, rows, ncols):
@@ -301,12 +291,12 @@ class LinfProblem:
         certificate and primal; else 'simplex', from solve_exact, which
         raises LPError past SIMPLEX_CAP.
         """
-        omega = [RAT(v) for v in omega]
+        omega = list(omega)
         if all(v == 0 for v in omega):
             return [ZERO] * self.n, ZERO, "zero"
 
-        for res, tol in self._guesses(omega):
-            out = self._reconstruct(omega, res, tol)
+        for x, duals, tol in self._guesses(omega):
+            out = self._reconstruct(omega, x, duals, tol)
             if out is not None:
                 return out[0], out[1], "reconstructed"
         alpha, t = self.solve_exact(omega)
@@ -315,14 +305,14 @@ class LinfProblem:
     # -- float machinery -----------------------------------------------------
 
     def _highs(self, method):
-        """The HiGHS instance of `method`; it and the model it solves,
-        self._model, are built once.
+        """The HiGHS instance of the solver `method` ("ipm" or "simplex");
+        it and the model it solves, self._model, are built once.
 
         The model is linprog's for this LP, as HiGHS takes it: the CSC
         matrix [A_ub; A_eq] over the variables (alpha, t), cost t, alpha
         free and t >= 0, rows A_ub (alpha - t, -alpha - t) <= 0 and
         A_eq (D alpha) = omega.  Each instance carries the options linprog
-        sets for its method.
+        sets for the matching method, "highs-ipm" or "highs-ds".
         """
         import numpy as np
 
@@ -367,7 +357,7 @@ class LinfProblem:
             highs = self._solvers[method] = _core._Highs()
             options = _core.HighsOptions()
             options.presolve = "on"
-            options.solver = _HIGHS_SOLVER[method]
+            options.solver = method
             options.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
             options.log_to_console = False
             options.output_flag = False
@@ -377,10 +367,10 @@ class LinfProblem:
         return highs
 
     def _float_solve(self, omega, method):
-        """HiGHS `method` on D alpha = omega: a _FloatSolution whose status
-        is 0 only for an optimum that meets the rows within linprog's check
-        tolerance, as linprog's would be.  OverflowError when omega is
-        beyond float range."""
+        """HiGHS's solver `method` on D alpha = omega: (x, duals), x = (alpha,
+        t) and the duals of the rows +-alpha_i - t <= 0, as linprog's; None
+        where linprog's status would not be 0 (no optimum within its check
+        tolerance).  OverflowError when omega is beyond float range."""
         import numpy as np
 
         _core = _highs_core()
@@ -396,43 +386,43 @@ class LinfProblem:
         highs.passModel(lp)
         highs.run()
         if highs.getModelStatus() != _core.HighsModelStatus.kOptimal:
-            return _FloatSolution(4, None, None)
+            return None
         sol = highs.getSolution()
         x = sol.col_value
         row = np.array(sol.row_value)
         tol = _CHECK_TOL
         if (np.isnan(x).any() or np.isnan(row).any() or x[-1] < -tol
                 or (row[:n2] > tol).any() or (np.abs(b - row[n2:]) > tol).any()):
-            return _FloatSolution(4, None, None)
-        return _FloatSolution(0, x, sol.row_dual[:n2])
+            return None
+        return x, sol.row_dual[:n2]
 
     def _guesses(self, omega):
-        """(HiGHS result, tolerance) per attempt, solving lazily per method."""
+        """(x, duals, tolerance) per attempt, solving lazily per method and
+        skipping a method whose solve failed."""
         for method, tols in _ATTEMPTS:
             try:
                 res = self._float_solve(omega, method)
             except OverflowError:       # omega beyond float range
                 continue
+            if res is None:
+                continue
             for tol in tols:
-                yield res, tol
+                yield *res, tol
 
     # -- exact reconstruction pieces ------------------------------------------
 
-    def _dual_certificate(self, omega, res, tol):
+    def _dual_certificate(self, omega, x, duals, tol):
         """t_exact > 0, a proven lower bound for the optimum, from the dual
         supported on the complementary-slackness signs read off the HiGHS
-        result res; or None."""
-        if res.status != 0:
-            return None
-        t_f = float(res.x[-1])
+        solution x and its row duals; or None."""
+        t_f = float(x[-1])
         if t_f <= 0:
             return None
         eps = tol * max(1.0, t_f)
-        marg = res.marginals
         dsup = {}
         for i in range(self.n):
-            mu_p = -float(marg[2 * i])
-            mu_m = -float(marg[2 * i + 1])
+            mu_p = -float(duals[2 * i])
+            mu_m = -float(duals[2 * i + 1])
             if mu_p > eps:
                 dsup[i] = 1
             elif mu_m > eps:
@@ -536,20 +526,20 @@ class LinfProblem:
                 xfree[k] = RAT(ck, q)
         return certified(xfree)
 
-    def _reconstruct(self, omega, res, tol):
-        t_exact = self._dual_certificate(omega, res, tol)
+    def _reconstruct(self, omega, x, duals, tol):
+        t_exact = self._dual_certificate(omega, x, duals, tol)
         if t_exact is None:
             return None
-        t_f = float(res.x[-1])
+        t_f = float(x[-1])
         eps = tol * max(1.0, t_f)
         fixed = {}
         for i in range(self.n):
-            v = float(res.x[i])
+            v = float(x[i])
             if v >= t_f - eps:
                 fixed[i] = t_exact
             elif v <= -(t_f - eps):
                 fixed[i] = -t_exact
-        alpha = self._primal_at(omega, fixed, t_exact, res.x)
+        alpha = self._primal_at(omega, fixed, t_exact, x)
         if alpha is None:
             return None
         return alpha, t_exact
@@ -587,7 +577,7 @@ class LinfProblem:
         c = [0] * N
         c[n] = 1
         try:
-            x, t, _ = exact_simplex(A, list(omega) + [0] * n, c)
+            x, t = exact_simplex(A, list(omega) + [0] * n, c)
         except Infeasible:
             raise LPError("no rational solution of D alpha = omega")
         alpha = [v - t for v in x[:n]]
@@ -641,6 +631,6 @@ def l1_min(rows, ncols, target):
             row[n + j] = -v
         A.append(row)
         b.append(t)
-    x, value, _ = exact_simplex(A, b, [1] * (2 * n))
+    x, value = exact_simplex(A, b, [1] * (2 * n))
     tau = [x[j] - x[n + j] for j in range(n)]
     return tau, value

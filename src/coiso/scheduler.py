@@ -65,17 +65,6 @@ class PrismComplex:
         self.n_horizontal = self.n_top * (layers + 1)
         self.n_prisms = self.n_top * layers
 
-    # -- m-cell indexing ------------------------------------------------------
-
-    def vertical_index(self, p: int, i: int) -> int:
-        return p * self.layers + i
-
-    def horizontal_index(self, q: int, j: int) -> int:
-        return self.n_vertical + q * (self.layers + 1) + j
-
-    def prism_index(self, q: int, i: int) -> int:
-        return q * self.layers + i
-
 
 def build_prism_complex(X, layers: int) -> PrismComplex:
     return PrismComplex(X, layers)

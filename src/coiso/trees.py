@@ -53,9 +53,6 @@ class SpanningTree:
     cells: tuple
     _rel: dict = field(default=None, repr=False, compare=False)
 
-    def cell_set(self):
-        return set(self.cells)
-
     # -- relative homology data --------------------------------------------
 
     def rel_data(self):
@@ -70,9 +67,6 @@ class WrappingTree:
     X: object
     k: int
     cells: tuple
-
-    def cell_set(self):
-        return set(self.cells)
 
 
 def _boundary_cols(X, k):

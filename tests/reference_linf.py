@@ -45,7 +45,7 @@ def reference_solve_exact(rows, ncols, omega):
     c = [0] * N
     c[it] = 1
     try:
-        x, value, _ = lp.exact_simplex(A, b, c)
+        x, value = lp.exact_simplex(A, b, c)
     except Infeasible:
         raise LPError("no rational solution of D alpha = omega")
     alpha = [x[j] - x[n + j] for j in range(n)]

@@ -57,14 +57,15 @@ def test_core_first_then_linprog_guesses_are_bitwise_equal():
         "P = get_fill_context(X, 2).lp\n"
         "omegas = [sample_integral_coboundary(X, 2, trial_rng(5, 4, t)).dense(X.n_cells(2))\n"
         "          for t in range(10)]\n"
-        "got = [P._float_solve(omega, 'highs-ipm') for omega in omegas]\n"
+        "got = [P._float_solve(omega, 'ipm') for omega in omegas]\n"
         "assert 'scipy.optimize' not in sys.modules\n"
         "from test_highs_model import linprog_reference\n"
         "for omega, g in zip(omegas, got):\n"
-        "    want = linprog_reference(P, omega, 'highs-ipm')\n"
-        "    assert want.status == g.status == 0\n"
-        "    assert np.array_equal(g.x, want.x)\n"
-        "    assert np.array_equal(g.marginals, want.ineqlin.marginals)\n",
+        "    want = linprog_reference(P, omega, 'ipm')\n"
+        "    assert want.status == 0 and g is not None\n"
+        "    x, duals = g\n"
+        "    assert np.array_equal(x, want.x)\n"
+        "    assert np.array_equal(duals, want.ineqlin.marginals)\n",
         TESTS)
 
 
@@ -121,7 +122,7 @@ def scipy_csc(P):
 def test_hand_csc_equals_the_sparse_assembly(L, k):
     X = edgewise_subdivide(simplex_boundary(3), L).result
     P = get_fill_context(X, k).lp
-    P._highs("highs-ipm")
+    P._highs("ipm")
     A = P._model[0].a_matrix_
     want = scipy_csc(P)
     assert (A.num_row_, A.num_col_) == want.shape

@@ -65,6 +65,15 @@ class BoundaryPrism(PrismComplex):
     def n_cells_mid(self) -> int:
         return self.n_vertical + self.n_horizontal
 
+    def vertical_index(self, p: int, i: int) -> int:
+        return p * self.layers + i
+
+    def horizontal_index(self, q: int, j: int) -> int:
+        return self.n_vertical + q * (self.layers + 1) + j
+
+    def prism_index(self, q: int, i: int) -> int:
+        return q * self.layers + i
+
     def boundary_top(self) -> IntegerMatrix:
         """(m+1)-cells -> m-cells: top - bottom - signed verticals."""
         B = boundary_matrix(self.X, self.m)

@@ -1,6 +1,7 @@
 """The integer-row exact simplex against the all-RAT reference tableau in
-reference_simplex.py: the same (x, value, y) or the same error, after the
-same pivots; and the input checks of exact_simplex and l1_min."""
+reference_simplex.py: the same (x, value) or the same error, after the
+same pivots; its own dual check; and the input checks of exact_simplex and
+l1_min."""
 
 import random
 
@@ -65,7 +66,7 @@ BEALE = ([[RAT(1, 4), -60, RAT(-1, 25), 9, 1, 0, 0],
 
 
 def test_degenerate_beale_lp_matches_the_reference():
-    _, value, _ = simplex_against_reference(*BEALE)
+    _, value = simplex_against_reference(*BEALE)
     assert value == RAT(-1, 20)
     _, pivots = outcome_and_pivots(exact_simplex, *BEALE)
     assert len(pivots) > 3
@@ -128,12 +129,49 @@ def test_duality_corpus_lps_match_the_reference(monkeypatch, X, k):
     assert set(calls) == {linf, l1}
 
 
+# -- the dual check fires, though y is not returned -------------------------------
+
+# min x0 s.t. x0 + x1 = 1: phase 1 pivots x0 in, at a cost of 1; phase 2
+# swaps it for x1, at 0
+TWO_COLUMNS = ([[1, 1]], [1], [1, 0])
+
+
+def test_a_cost_row_that_misses_an_update_fails_the_dual_objective(monkeypatch):
+    real = lp._pivot
+
+    def skipped(T, basis, leave, enter, costs):
+        # phase 1 carries (z1, z2); drop z2, the phase-2 cost row
+        return real(T, basis, leave, enter, costs[:1])
+
+    assert exact_simplex(*TWO_COLUMNS) == ([0, 1], 0)
+    monkeypatch.setattr(lp, "_pivot", skipped)
+    with pytest.raises(LPError, match="dual objective mismatch"):
+        exact_simplex(*TWO_COLUMNS)
+
+
+def test_phase_two_stopped_early_fails_dual_feasibility(monkeypatch):
+    real = lp._pivot
+    n = len(TWO_COLUMNS[2])
+
+    def priced_out(T, basis, leave, enter, costs):
+        # no reduced cost of the phase-2 row stays positive, so phase 2
+        # stops at phase 1's basis; the dual read off it still meets
+        # y.b = value
+        real(T, basis, leave, enter, costs)
+        z = costs[-1][0]
+        z[:n] = [min(v, 0) for v in z[:n]]
+
+    monkeypatch.setattr(lp, "_pivot", priced_out)
+    with pytest.raises(LPError, match="dual feasibility failed"):
+        exact_simplex(*TWO_COLUMNS)
+
+
 # -- mis-shaped input is an LPError, never reinterpreted --------------------------
 
 def test_no_rows_still_sees_every_variable():
     with pytest.raises(Unbounded):
         exact_simplex([], [], [-1])
-    assert exact_simplex([], [], [1, 0]) == ([0, 0], 0, [])
+    assert exact_simplex([], [], [1, 0]) == ([0, 0], 0)
 
 
 def test_ragged_rows_are_refused():
