@@ -35,11 +35,15 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _write_artifact(path, config, payload):
+def _artifact(config, payload) -> str:
     doc = {"config": config, "tool_version": __version__}
     doc.update(payload)
+    return _dump(doc)
+
+
+def _write_artifact(path, config, payload):
     with open(path, "w") as fh:
-        fh.write(_dump(doc))
+        fh.write(_artifact(config, payload))
 
 
 def _emit_error(e):
@@ -286,9 +290,7 @@ def duality(complex_path, k, out):
     if out:
         _write_artifact(out, config, payload)
     else:
-        doc = {"config": config, "tool_version": __version__}
-        doc.update(payload)
-        sys.stdout.write(_dump(doc))
+        sys.stdout.write(_artifact(config, payload))
 
 
 if __name__ == "__main__":

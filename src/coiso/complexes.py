@@ -13,6 +13,7 @@ Grid cells of the unit n-cube at resolution r are encoded per axis as
 from __future__ import annotations
 
 import json
+import operator
 from itertools import combinations, product
 
 from .exact import RAT
@@ -74,13 +75,17 @@ class SimplicialComplex:
 def build_complex(simplex_list, vertex_coords=None) -> SimplicialComplex:
     """Face closure of the given top simplices, with deterministic indexing.
 
-    Raises ComplexError naming the offending input index for repeated
-    vertices or duplicate top simplices.
+    Raises ComplexError naming the offending input index for a vertex id
+    that is not an integer, repeated vertices or duplicate top simplices.
     """
     tops = []
     seen = {}
     for idx, s in enumerate(simplex_list):
-        t = tuple(sorted(int(v) for v in s))
+        try:
+            t = tuple(sorted(map(operator.index, s)))
+        except TypeError:
+            raise ComplexError(f"simplex #{idx} is not a list of integer "
+                               f"vertex ids: {s!r:.40}") from None
         if len(set(t)) != len(t):
             raise ComplexError(f"simplex #{idx} {tuple(s)} has repeated vertices")
         if t in seen:

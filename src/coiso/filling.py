@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import comb, gcd, lcm
 
-from .exact import RAT, ZERO, is_integral
+from .exact import RAT, ZERO
 from .homalg import (Cochain, IntegralSystem, boundary_matrix, norm_inf)
-from .linalg import (RationalSolver, greedy_basis, mat_vec, residual_rows,
+from .linalg import (RationalSolver, dot, greedy_basis, residual_rows,
                      scale_to_ints, transpose_rows)
 from .lp import LinfProblem, LPError, check_l1_cap, l1_min
 from .trees import (SpanningTree, WrappingTree, greedy_spanning_tree,
@@ -94,11 +94,7 @@ class FillContext:
         """
         D, w = scale_to_ints(omega_dense)
         for z, (p, scale) in zip(self.cycles, self._int_cycles):
-            s = 0
-            for i, v in p.items():
-                wi = w[i]
-                if wi:
-                    s += v * wi
+            s = dot(p, w)
             if s:
                 return z, scale * RAT(s, D)
         return None
@@ -214,7 +210,7 @@ class LiftData:
                 chain = {j: v for j, v in chain.items() if v}
             # must be an absolute cycle; in degree 0 every chain is one
             dense = [chain.get(j, ZERO) for j in range(nk)]
-            if B is not None and any(mat_vec(B.rows, dense)):
+            if B is not None and residual_rows(B.rows, dense, [0] * B.nrows):
                 raise LiftError("lifted basis element is not a cycle")
             self.b_tilde.append(chain)
 
@@ -253,20 +249,10 @@ class LiftData:
             r = [v % m for v in xs]
             # z|_T = A^T r
             for row in self._tree_rows:
-                s = 0
-                for i, v in row.items():
-                    ri = r[i]
-                    if ri:
-                        s += v * ri
-                parts.append((s, m))
+                parts.append((dot(row, r), m))
         for dc, ch in self._int_b_tilde:
-            s = 0
-            for j, v in ch.items():
-                wj = w[j]
-                if wj:
-                    s += v * wj
             m = dc * D
-            parts.append((s % m, m))
+            parts.append((dot(ch, w) % m, m))
         M = lcm(*(m for _, m in parts))
         rhs = [0] * self.n_cocycle_rows + [r * (M // m) for r, m in parts]
         z = self.solver.solve(rhs, M)
@@ -342,12 +328,14 @@ def _any_cocycle_lift(up, dense):
     """
     if up is None:
         return list(dense)
-    dz = mat_vec(up.delta.rows, dense)
-    if any(not is_integral(v) for v in dz):
+    # D times the coboundary, in ints: integral iff D divides every entry
+    D, xs = scale_to_ints(dense)
+    dz = up.delta.mat_vec(xs)
+    if any(v % D for v in dz):
         raise LiftError("input is not a cocycle mod Z")
-    if all(v == 0 for v in dz):
+    if not any(dz):
         return list(dense)
-    eta = up.integral_system().solve([-int(v) for v in dz])
+    eta = up.integral_system().solve([-(v // D) for v in dz])
     if eta is None:
         raise LiftError("cochain does not lift to a rational cocycle")
     return [dense[i] + eta[i] for i in range(len(dense))]
@@ -379,7 +367,7 @@ def _check_lift(up, z_dense, lifted, bound):
     worst = RAT(max(map(abs, xs), default=0), D)
     if worst > bound:
         raise LiftError(f"lift norm {worst} exceeds the bound {bound}")
-    if up is not None and any(v != 0 for v in mat_vec(up.delta.rows, lifted)):
+    if up is not None and any(dot(r, xs) for r in up.delta.rows):
         raise LiftError("lift is not a cocycle")
     return diff
 
@@ -571,12 +559,9 @@ def coiso_constants_tiny(X, k: int):
 
 def _image_basis(rows, ncols, nrows):
     """Basis (as dense columns) of the column space of the given sparse rows."""
-    cols = [dict() for _ in range(ncols)]
-    for i, r in enumerate(rows):
-        for j, v in r.items():
-            cols[j][i] = RAT(v)
+    cols = transpose_rows(rows, ncols)
     picks, _ = greedy_basis(cols, nrows)
-    return [[cols[j].get(i, ZERO) for i in range(nrows)] for j in picks]
+    return [[RAT(cols[j].get(i, 0)) for i in range(nrows)] for j in picks]
 
 
 def _vertices_inf_ball(basis, n):

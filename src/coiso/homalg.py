@@ -9,10 +9,11 @@ clears its diagonal with it, and `trees` builds its lattice basis on it.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 
 from .exact import RAT, ZERO, rat, rat_str, is_integral
-from .linalg import (RationalSolver, UnimodularEchelon, scale_to_ints,
+from .linalg import (RationalSolver, UnimodularEchelon, dot, scale_to_ints,
                      sparse_rows_from_entries, transpose_rows)
 
 
@@ -41,10 +42,14 @@ class Cochain:
     def __post_init__(self):
         clean = {}
         for i, v in self.entries.items():
+            try:
+                i = operator.index(i)
+            except TypeError:
+                raise HomalgError(f"cochain cell index {i!r} is not an integer") from None
             if type(v) is not RAT:
                 v = rat(v)
             if v:
-                clean[i if type(i) is int else int(i)] = v
+                clean[i] = v
         self.entries = clean
         if self.ring not in ("int", "rat"):
             raise HomalgError(f"unknown ring tag {self.ring!r}")
@@ -188,14 +193,7 @@ class IntegerMatrix:
         return out
 
     def mat_vec(self, x):
-        out = []
-        for r in self.rows:
-            s = 0
-            for j, v in r.items():
-                if x[j]:
-                    s += v * x[j]
-            out.append(s)
-        return out
+        return [dot(r, x) for r in self.rows]
 
     def dense(self):
         return [[r.get(j, 0) for j in range(self.ncols)] for r in self.rows]

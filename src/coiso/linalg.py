@@ -1,7 +1,9 @@
 """Sparse exact linear algebra over the rationals and the integers.
 
 Internal engine behind ranks, homology, tree construction, lifting and the
-LP certification step.  Matrices are lists of sparse rows (dict col -> value).
+LP certification step.  Matrices are lists of sparse rows (dict col -> value),
+and `dot` is the one product of such a row with a dense vector: every
+residual, cocycle check, cycle pairing and certificate norm goes through it.
 Factorizations record the elimination so the same matrix can be solved
 against many right-hand sides; this is what keeps the per-trial cost of the
 coisoperimetry sweeps low.
@@ -294,22 +296,15 @@ class UnimodularEchelon(_Echelon):
         return min(units, key=lambda i: (len(self.rows[i]), i))
 
 
-def mat_vec(rows, x):
-    """rows: list of sparse dicts of ints, x: dense list of exact numbers.
-
-    Returns the dense product as RATs, computed in ints over the common
-    denominator of x.
-    """
-    D, xs = scale_to_ints(x)
-    out = []
-    for r in rows:
-        s = 0
-        for j, v in r.items():
-            xj = xs[j]
-            if xj:
-                s += v * xj
-        out.append(_to_rat(s, D))
-    return out
+def dot(row, x):
+    """The sparse row (dict col -> value) times the dense vector x, skipping
+    the zeros of x; exact for ints and RATs alike."""
+    s = 0
+    for j, v in row.items():
+        xj = x[j]
+        if xj:
+            s += v * xj
+    return s
 
 
 def residual_rows(rows, x, b):
@@ -319,12 +314,7 @@ def residual_rows(rows, x, b):
     Db, bs = scale_to_ints(b)
     bad = []
     for i, r in enumerate(rows):
-        s = 0
-        for j, v in r.items():
-            xj = xs[j]
-            if xj:
-                s += v * xj
-        if s * Db != bs[i] * Dx:
+        if dot(r, xs) * Db != bs[i] * Dx:
             bad.append(i)
     return bad
 

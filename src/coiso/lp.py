@@ -58,7 +58,8 @@ import sys
 from math import gcd, lcm, sqrt
 
 from .exact import RAT, ZERO
-from .linalg import RationalSolver, residual_rows, scale_to_ints, transpose_rows
+from .linalg import (RationalSolver, dot, residual_rows, scale_to_ints,
+                     transpose_rows)
 
 
 class LPError(ValueError):
@@ -448,15 +449,7 @@ class LinfProblem:
             return None
         # ||D^T y||_1 <= 1 and t = y.omega, over the denominators of y, omega
         Dy, ys = scale_to_ints(y)
-        l1 = 0
-        for col in self.cols:
-            s = 0
-            for cell, v in col.items():
-                yc = ys[cell]
-                if yc:
-                    s += v * yc
-            l1 += s if s >= 0 else -s
-        if l1 > Dy:
+        if sum(abs(dot(col, ys)) for col in self.cols) > Dy:
             return None
         Dw, ws = scale_to_ints(omega)
         t = sum(a * b for a, b in zip(ys, ws) if a and b)

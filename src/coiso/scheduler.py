@@ -266,8 +266,6 @@ def verify_schedule(s: PrismSchedule) -> dict:
 # ---------------------------------------------------------------------------
 # the sphere demo pipeline
 
-MAX_DEMO_RETRIES = 50
-
 _sphere_cache = {}
 
 
@@ -292,15 +290,10 @@ def s2_null_demo(L: int, seed) -> dict:
         raise SchedulerError("L must be >= 1")
     X = _subdivided_sphere(L)
     rng = random.Random(f"s2demo/{seed}/{L}")
-    omega = None
-    for _ in range(MAX_DEMO_RETRIES):
-        try:
-            omega = sample_integral_coboundary(X, 2, rng)
-            break
-        except FillingError:
-            continue
-    if omega is None:
-        raise SchedulerError("could not sample a nonzero degree cochain")
+    try:
+        omega = sample_integral_coboundary(X, 2, rng)
+    except FillingError as e:
+        raise SchedulerError("could not sample a nonzero degree cochain") from e
 
     fill = integral_fill(X, omega)
     alpha = fill.alpha

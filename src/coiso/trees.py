@@ -27,7 +27,7 @@ from math import gcd
 from .exact import RAT, ZERO, ONE, is_integral
 from .complexes import SimplicialComplex, build_complex
 from .homalg import boundary_matrix, euclid_step
-from .linalg import RationalSolver, greedy_basis, scale_to_ints
+from .linalg import RationalSolver, greedy_basis, scale_to_ints, transpose_rows
 
 
 class TreeError(ValueError):
@@ -174,10 +174,7 @@ def _verify_wrapping(U):
 
 def _cycles_of_subset(X, k, cells):
     cols = _boundary_cols(X, k)
-    rows = [dict() for _ in range(X.n_cells(k - 1))]
-    for pos, j in enumerate(cells):
-        for i, v in cols[j].items():
-            rows[i][pos] = v
+    rows = transpose_rows([cols[j] for j in cells], X.n_cells(k - 1))
     null = RationalSolver(rows, len(cells)).nullspace()
     out = []
     for vec in null:
@@ -278,11 +275,7 @@ def _hnf_lattice_basis(vectors, d):
 
 def _coords_in_basis(classes, basis, d):
     """Coordinates of every class in the given basis (list of d-tuples)."""
-    rows = [dict() for _ in range(d)]
-    for j, b in enumerate(basis):
-        for i in range(d):
-            if b[i]:
-                rows[i][j] = b[i]
+    rows = transpose_rows([{i: v for i, v in enumerate(b) if v} for b in basis], d)
     solver = RationalSolver(rows, len(basis))
     out = []
     for cl in classes:

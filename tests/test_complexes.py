@@ -1,6 +1,7 @@
 import json
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -37,6 +38,18 @@ def test_duplicate_top_simplex_rejected_with_index():
 def test_repeated_vertices_rejected():
     with pytest.raises(ComplexError, match="repeated"):
         build_complex([(0, 0, 1)])
+
+
+@pytest.mark.parametrize("v", [1.7, 1.0, "1"], ids=["float", "integral-float", "str"])
+def test_non_integer_vertex_id_rejected_with_index(v):
+    with pytest.raises(ComplexError, match="#1 is not a list of integer vertex ids"):
+        build_complex([(0, 2, 3), (0, v, 2)])
+
+
+def test_numpy_integer_vertex_ids_accepted():
+    X = build_complex([tuple(np.arange(3))])
+    assert X.cells[0] == [(0,), (1,), (2,)]
+    assert all(type(v) is int for c in X.cells[2] for v in c)
 
 
 def test_incidence_signs():

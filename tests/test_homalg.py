@@ -1,6 +1,7 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -242,11 +243,17 @@ def test_cochain_json_rejects_a_repeated_cell(entries):
 
 def test_cochain_keeps_rationals_and_normalizes_the_rest():
     half = RAT(1, 2)
-    c = Cochain(1, {0: half, 1.0: 3, 2: RAT(0), 3: "-2/4"}, "rat")
+    c = Cochain(1, {0: half, np.int64(1): 3, 2: RAT(0), 3: "-2/4"}, "rat")
     assert c.entries == {0: half, 1: 3, 3: RAT(-1, 2)}
     assert c.entries[0] is half
     assert all(type(i) is int for i in c.entries)
     assert all(type(v) is RAT for v in c.entries.values())
+
+
+@pytest.mark.parametrize("i", [1.5, 1.0, "3"], ids=["float", "integral-float", "str"])
+def test_cochain_refuses_a_cell_index_that_is_not_an_integer(i):
+    with pytest.raises(HomalgError, match="cell index .* is not an integer"):
+        Cochain(1, {i: 1})
 
 
 def test_int_ring_tag_enforced():

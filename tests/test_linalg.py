@@ -6,9 +6,9 @@ the order of re-sorting every live column on every pivot, exactly, under the
 sparsest-row rule of `RationalSolver` and the unit-row rule of
 `UnimodularEchelon` alike.  The greedy bases the kernel gives
 (`greedy_basis`) must equal those of the incremental greedy rank in
-`reference_rank.py`.  `solve`, `nullspace` and `mat_vec`, which work in
-ints, must return exactly what the all-RAT solver in `reference_solver.py`
-returns, and only RATs.  `IntegralSystem.solve` must return exactly the int
+`reference_rank.py`.  `solve` and `nullspace`, which work in ints, must
+return exactly what the all-RAT solver in `reference_solver.py` returns, and
+only RATs; `dot` must give each entry of its `reference_mat_vec`.  `IntegralSystem.solve` must return exactly the int
 vectors of the separate unimodular echelon there (`ReferenceUnimodular`)
 when no row is stuck, and otherwise agree on solvability with the Smith
 form of the whole matrix (`reference_snf_solve`), with every solution exact.
@@ -22,8 +22,8 @@ from coiso.complexes import build_complex, cycle_complex, simplex_boundary
 from coiso.exact import RAT
 from coiso.filling import _image_basis
 from coiso.homalg import IntegerMatrix, IntegralSystem, boundary_matrix
-from coiso.linalg import (RationalSolver, UnimodularEchelon, greedy_basis,
-                          mat_vec, residual_rows, scale_to_ints)
+from coiso.linalg import (RationalSolver, UnimodularEchelon, dot, greedy_basis,
+                          residual_rows, scale_to_ints)
 from coiso.subdivision import edgewise_subdivide
 from coiso.trees import greedy_spanning_tree, telescope_complex
 
@@ -232,7 +232,7 @@ def test_image_basis_on_sphere_like_reference(k):
     assert _image_basis(delta.rows, delta.ncols, delta.nrows) == want
 
 
-# -- solve, nullspace and mat_vec against the all-RAT reference -----------------
+# -- solve, nullspace and dot against the all-RAT reference ---------------------
 
 def _rational_vector(rng, n):
     """Mixed ints and RATs with denominators 1, 2, 3, 5 and 6, some zero."""
@@ -263,9 +263,7 @@ def assert_solver_like_reference(rows, ncols, rng):
     rhs = []
     for _ in range(3):
         x = _rational_vector(rng, ncols)
-        got = mat_vec(rows, x)
-        assert got == reference_mat_vec(rows, x) and _all_rats(got)
-        rhs.append(got)                          # consistent
+        rhs.append(reference_mat_vec(rows, x))   # consistent
         rhs.append(_rational_vector(rng, m))     # consistent only if full rank
     rhs += [[1 if i == z else 0 for i in range(m)] for z in S.zero_rows]
     for b in rhs:
@@ -329,7 +327,7 @@ def test_solve_divides_by_the_given_denominator():
     rng, rows, n = _non_unit_matrix(3)
     S = RationalSolver(rows, n)
     x = [RAT(v) for v in range(1, n + 1)]
-    b = mat_vec(rows, x)
+    b = reference_mat_vec(rows, x)
     want = S.solve(b)
     got = S.solve(scale_to_ints(b)[1], scale_to_ints(b)[0] * 7)
     assert got == [v / 7 for v in want] and _all_rats(got)
@@ -339,6 +337,20 @@ def test_scale_to_ints_takes_the_lcm_of_the_denominators():
     assert scale_to_ints([1, RAT(1, 2), RAT(-2, 3), 0, RAT(4)]) == (6, [6, 3, -4, 0, 24])
     D, xs = scale_to_ints([3, RAT(5), 0])
     assert (D, xs) == (1, [3, 5, 0]) and all(type(v) is int for v in xs)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_dot_like_reference(seed):
+    """Each entry of the reference product, on x as given and, in ints, on
+    its scaled form."""
+    rng, rows, n = _non_unit_matrix(seed)
+    x = _rational_vector(rng, n)
+    want = reference_mat_vec(rows, x)
+    assert [dot(r, x) for r in rows] == want
+    D, xs = scale_to_ints(x)
+    got = [dot(r, xs) for r in rows]
+    assert all(type(v) is int for v in got)
+    assert [RAT(v, D) for v in got] == want
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -9,7 +9,8 @@ from coiso import scheduler
 from coiso.complexes import build_complex, simplex_boundary
 from coiso.homalg import (Cochain, IntegerMatrix, apply_coboundary,
                           boundary_matrix, norm_inf)
-from coiso.filling import integral_fill, sample_integral_coboundary, trial_rng
+from coiso.filling import (FillingError, integral_fill,
+                           sample_integral_coboundary, trial_rng)
 from coiso.scheduler import (PrismComplex, PrismSchedule, SchedulerError,
                              ScheduleInvariantError,
                              build_prism_complex, degree_schedule,
@@ -354,6 +355,19 @@ def test_demo_verifies_the_schedule_once(monkeypatch):
     monkeypatch.setattr(scheduler, "verify_schedule", counted)
     r = s2_null_demo(2, 9)
     assert r["all_passed"] and len(calls) == 1
+
+
+def test_demo_refuses_when_the_sampler_finds_no_coboundary(monkeypatch):
+    calls = []
+
+    def exhausted(X, k, rng):
+        calls.append(k)
+        raise FillingError("no nonzero integral coboundary found")
+
+    monkeypatch.setattr(scheduler, "sample_integral_coboundary", exhausted)
+    with pytest.raises(SchedulerError, match="could not sample a nonzero degree cochain"):
+        s2_null_demo(2, 9)
+    assert calls == [2]
 
 
 def test_demo_raises_on_a_corrupted_schedule(monkeypatch):
