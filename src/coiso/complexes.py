@@ -13,10 +13,9 @@ Grid cells of the unit n-cube at resolution r are encoded per axis as
 from __future__ import annotations
 
 import json
-import operator
 from itertools import combinations, product
 
-from .exact import RAT
+from .exact import RAT, int_index
 
 
 class ComplexError(ValueError):
@@ -76,13 +75,14 @@ def build_complex(simplex_list, vertex_coords=None) -> SimplicialComplex:
     """Face closure of the given top simplices, with deterministic indexing.
 
     Raises ComplexError naming the offending input index for a vertex id
-    that is not an integer, repeated vertices or duplicate top simplices.
+    that is not an integer (a boolean is not one), repeated vertices or
+    duplicate top simplices.
     """
     tops = []
     seen = {}
     for idx, s in enumerate(simplex_list):
         try:
-            t = tuple(sorted(map(operator.index, s)))
+            t = tuple(sorted(map(int_index, s)))
         except TypeError:
             raise ComplexError(f"simplex #{idx} is not a list of integer "
                                f"vertex ids: {s!r:.40}") from None

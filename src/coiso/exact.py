@@ -10,6 +10,7 @@ form everywhere.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 try:
@@ -38,6 +39,14 @@ def rat(p, q=None):
 def rat_str(x) -> str:
     """Serialize an exact rational as 'p/q' (or 'p' when integral)."""
     return str(RAT(x))
+
+
+def int_index(x) -> int:
+    """operator.index(x), except that a bool raises TypeError: True is not
+    the index 1."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is a boolean, not an integer index")
+    return operator.index(x)
 
 
 def is_integral(x) -> bool:

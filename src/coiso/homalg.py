@@ -9,10 +9,9 @@ clears its diagonal with it, and `trees` builds its lattice basis on it.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass, field
 
-from .exact import RAT, ZERO, rat, rat_str, is_integral
+from .exact import RAT, ZERO, int_index, rat, rat_str, is_integral
 from .linalg import (RationalSolver, UnimodularEchelon, dot, scale_to_ints,
                      sparse_rows_from_entries, transpose_rows)
 
@@ -43,7 +42,7 @@ class Cochain:
         clean = {}
         for i, v in self.entries.items():
             try:
-                i = operator.index(i)
+                i = int_index(i)
             except TypeError:
                 raise HomalgError(f"cochain cell index {i!r} is not an integer") from None
             if type(v) is not RAT:
@@ -168,29 +167,11 @@ class IntegerMatrix:
         i, j = ij
         return self.rows[i].get(j, 0)
 
-    def set(self, i, j, v):
-        if v:
-            self.rows[i][j] = int(v)
-        elif j in self.rows[i]:
-            del self.rows[i][j]
-
     def col_dicts(self):
         return transpose_rows(self.rows, self.ncols)
 
     def transpose(self) -> "IntegerMatrix":
         return IntegerMatrix(self.ncols, self.nrows, self.col_dicts())
-
-    def matmul(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.ncols != other.nrows:
-            raise HomalgError("shape mismatch in matmul")
-        out = IntegerMatrix(self.nrows, other.ncols)
-        for i, r in enumerate(self.rows):
-            acc = {}
-            for k, v in r.items():
-                for j, w in other.rows[k].items():
-                    acc[j] = acc.get(j, 0) + v * w
-            out.rows[i] = {j: v for j, v in acc.items() if v}
-        return out
 
     def mat_vec(self, x):
         return [dot(r, x) for r in self.rows]

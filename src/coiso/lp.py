@@ -26,13 +26,17 @@ Two layers:
   When no HiGHS guess verifies, `solve_exact` is the last resort, and past
   SIMPLEX_CAP it raises LPError.  The guesses come from HiGHS through
   scipy's private binding `scipy.optimize._highspy._core`, not through
-  `linprog`: each LinfProblem builds the HiGHS model of its LP once, the
-  one linprog would build (its CSC matrix written by hand, without
-  scipy.sparse), and keeps one HiGHS instance per solver, "ipm" and
-  "simplex", with linprog's options for "highs-ipm" and "highs-ds".  A
-  solve only sets the row bounds D alpha = omega and passes the model
-  again, a cold start, so every guess (x and the row duals, or None where
-  linprog's status is not 0) is bitwise the one linprog returns.
+  `linprog`, and without numpy.  Each LinfProblem keeps one HiGHS instance
+  per solver, "ipm" and "simplex", with linprog's options for "highs-ipm"
+  and "highs-ds".  As an instance is made, it reads the model linprog
+  would build for this LP from a temp file of MPS text in ints (so the
+  text is exact), and the file is removed at once; a temp file that cannot
+  be written, or a model HiGHS does not read back whole, is an LPError.  A solve sets the equality rows
+  to omega with changeRowBounds, then clearSolver drops the last solution
+  and basis, a cold start as passing the model again would be; linprog's
+  NaN and bound checks of the answer run on the plain float lists HiGHS
+  returns.  So every guess (x and the row duals, or None where linprog's
+  status is not 0) is bitwise the one linprog returns.
 
   `_highs_core` loads that extension on the first float solve, from its
   file in the installed scipy, without running scipy's package imports
@@ -55,6 +59,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
+import tempfile
 from math import gcd, lcm, sqrt
 
 from .exact import RAT, ZERO
@@ -280,7 +285,6 @@ class LinfProblem:
         self.m = len(rows)
         self.n = ncols
         self.cols = transpose_rows(self.rows, ncols)
-        self._model = None         # built on the first float solve
         self._solvers = {}         # method -> its HiGHS instance
 
     def solve(self, omega):
@@ -305,95 +309,96 @@ class LinfProblem:
 
     # -- float machinery -----------------------------------------------------
 
-    def _highs(self, method):
-        """The HiGHS instance of the solver `method` ("ipm" or "simplex");
-        it and the model it solves, self._model, are built once.
+    def _mps(self):
+        """This LP's HiGHS model as MPS text, in ints, so the text is exact.
 
-        The model is linprog's for this LP, as HiGHS takes it: the CSC
-        matrix [A_ub; A_eq] over the variables (alpha, t), cost t, alpha
-        free and t >= 0, rows A_ub (alpha - t, -alpha - t) <= 0 and
-        A_eq (D alpha) = omega.  Each instance carries the options linprog
-        sets for the matching method, "highs-ipm" or "highs-ds".
+        It is linprog's model: cost t over the variables (alpha, t), alpha
+        free and t >= 0; rows r0..r(2n-1) (alpha_j - t, -alpha_j - t) <= 0,
+        then e0..e(m-1) (D alpha) = 0, set to omega per solve.  The rows and
+        columns, and each column's entries, come in the order of the CSC
+        matrix [A_ub; A_eq] linprog hands HiGHS.
         """
-        import numpy as np
+        n = self.n
+        n2 = 2 * n
+        lines = ["NAME linf", "ROWS", " N obj"]
+        lines += [f" L r{i}" for i in range(n2)]
+        lines += [f" E e{i}" for i in range(self.m)]
+        lines.append("COLUMNS")
+        for j, col in enumerate(self.cols):
+            lines += (f" c{j} r{2 * j} 1", f" c{j} r{2 * j + 1} -1")
+            lines += [f" c{j} e{i} {v}" for i, v in col.items()]   # increasing i
+        lines.append(" t obj 1")
+        lines += [f" t r{i} -1" for i in range(n2)]
+        lines.append("BOUNDS")
+        lines += [f" FR BND c{j}" for j in range(n)]
+        lines.append("ENDATA\n")
+        return "\n".join(lines)
 
-        _core = _highs_core()
-        if self._model is None:
-            n, m = self.n, self.m
-            n2 = 2 * n
-            # column j < n: +1 at row 2j, -1 at row 2j+1, then D's column
-            # at rows 2n+i; column n (t): -1 at rows 0..2n-1
-            start, index, value = [0], [], []
-            for j, col in enumerate(self.cols):
-                index += (2 * j, 2 * j + 1)
-                value += (1.0, -1.0)
-                for i, v in col.items():      # increasing i, as built
-                    index.append(n2 + i)
-                    value.append(float(v))
-                start.append(len(index))
-            index += range(n2)
-            value += [-1.0] * n2
-            start.append(len(index))
-            inf = _core.kHighsInf
-            lp = _core.HighsLp()
-            lp.num_col_ = lp.a_matrix_.num_col_ = n + 1
-            lp.num_row_ = lp.a_matrix_.num_row_ = n2 + m
-            lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
-            lp.a_matrix_.start_ = start
-            lp.a_matrix_.index_ = index
-            lp.a_matrix_.value_ = value
-            cost = np.zeros(n + 1)
-            cost[n] = 1.0
-            lp.col_cost_ = cost
-            lower = np.full(n + 1, -inf)
-            lower[n] = 0.0
-            lp.col_lower_ = lower
-            lp.col_upper_ = np.full(n + 1, inf)
-            # rows 2n.. take omega on both sides per solve
-            lhs = np.full(n2 + m, -inf)
-            rhs = np.zeros(n2 + m)
-            self._model = (lp, lhs, rhs)
+    def _highs(self, method):
+        """The HiGHS instance of the solver `method` ("ipm" or "simplex"),
+        built once, with the options linprog sets for "highs-ipm" or
+        "highs-ds", and the model `_mps` read from a temp file.  LPError
+        when the temp file cannot be written, or HiGHS does not read from it
+        a model of this LP's shape."""
         highs = self._solvers.get(method)
-        if highs is None:
-            highs = self._solvers[method] = _core._Highs()
-            options = _core.HighsOptions()
-            options.presolve = "on"
-            options.solver = method
-            options.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
-            options.log_to_console = False
-            options.output_flag = False
-            options.simplex_strategy = \
-                _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-            highs.passOptions(options)
+        if highs is not None:
+            return highs
+        _core = _highs_core()
+        highs = _core._Highs()
+        options = _core.HighsOptions()
+        options.presolve = "on"
+        options.solver = method
+        options.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
+        options.log_to_console = False
+        options.output_flag = False
+        options.simplex_strategy = \
+            _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+        highs.passOptions(options)
+        try:
+            fd, path = tempfile.mkstemp(suffix=".mps")
+        except OSError as e:
+            raise LPError(f"cannot make a temp file for the HiGHS model: {e}") from e
+        try:
+            with open(fd, "w") as f:
+                f.write(self._mps())
+            status = highs.readModel(path)
+        except OSError as e:
+            raise LPError(f"cannot write the HiGHS model to its temp file: {e}") from e
+        finally:
+            os.unlink(path)
+        shape = (highs.getNumRow(), highs.getNumCol())
+        if status != _core.HighsStatus.kOk or shape != (2 * self.n + self.m, self.n + 1):
+            raise LPError(f"HiGHS could not read its model from a temp file: "
+                          f"{status}, {shape[0]} rows, {shape[1]} columns")
+        self._solvers[method] = highs
         return highs
 
     def _float_solve(self, omega, method):
         """HiGHS's solver `method` on D alpha = omega: (x, duals), x = (alpha,
         t) and the duals of the rows +-alpha_i - t <= 0, as linprog's; None
         where linprog's status would not be 0 (no optimum within its check
-        tolerance).  OverflowError when omega is beyond float range."""
-        import numpy as np
-
-        _core = _highs_core()
+        tolerance).  OverflowError when omega is beyond float range; the
+        model is then left as it was."""
+        b = [float(v) for v in omega]
+        if len(b) != self.m:
+            raise LPError(f"{self.m} rows but {len(b)} right-hand sides")
         highs = self._highs(method)
-        lp, lhs, rhs = self._model
         n2 = 2 * self.n
-        b = np.array([float(v) for v in omega])
-        lhs[n2:] = b
-        rhs[n2:] = b
-        lp.row_lower_ = lhs
-        lp.row_upper_ = rhs
-        # passModel drops any earlier solution and basis: a cold start
-        highs.passModel(lp)
+        for i, v in enumerate(b, n2):
+            highs.changeRowBounds(i, v, v)
+        # drop the earlier solution and basis: a cold start, as passModel gives
+        highs.clearSolver()
         highs.run()
-        if highs.getModelStatus() != _core.HighsModelStatus.kOptimal:
+        if highs.getModelStatus() != _highs_core().HighsModelStatus.kOptimal:
             return None
         sol = highs.getSolution()
         x = sol.col_value
-        row = np.array(sol.row_value)
+        row = sol.row_value
         tol = _CHECK_TOL
-        if (np.isnan(x).any() or np.isnan(row).any() or x[-1] < -tol
-                or (row[:n2] > tol).any() or (np.abs(b - row[n2:]) > tol).any()):
+        # linprog's checks, with v != v for NaN
+        if (any(v != v for v in x) or any(v != v for v in row) or x[-1] < -tol
+                or any(v > tol for v in row[:n2])
+                or any(abs(u - v) > tol for u, v in zip(b, row[n2:]))):
             return None
         return x, sol.row_dual[:n2]
 

@@ -20,6 +20,8 @@ from coiso.exact import RAT, ZERO
 from coiso.homalg import IntegerMatrix
 from coiso.linalg import scale_to_ints
 
+from intmatrix import set_entry
+
 
 def reference_eliminate(self):
     """The kernel's loop before the pivot queue: sort all candidates per pivot."""
@@ -305,7 +307,7 @@ def reference_smith_normal_form(M):
     Dm = IntegerMatrix(m, n)
     for i in range(min(m, n)):
         if A[i][i]:
-            Dm.set(i, i, A[i][i])
+            set_entry(Dm, i, i, A[i][i])
     return Um, Dm, Vm
 
 

@@ -40,10 +40,17 @@ def test_repeated_vertices_rejected():
         build_complex([(0, 0, 1)])
 
 
-@pytest.mark.parametrize("v", [1.7, 1.0, "1"], ids=["float", "integral-float", "str"])
+@pytest.mark.parametrize("v", [1.7, 1.0, "1", True, False, np.True_],
+                         ids=["float", "integral-float", "str", "true", "false",
+                              "numpy-bool"])
 def test_non_integer_vertex_id_rejected_with_index(v):
     with pytest.raises(ComplexError, match="#1 is not a list of integer vertex ids"):
         build_complex([(0, 2, 3), (0, v, 2)])
+
+
+def test_boolean_vertex_ids_are_not_vertices_0_and_1():
+    with pytest.raises(ComplexError, match="#0 is not a list of integer vertex ids"):
+        build_complex([(False, True, 2)])
 
 
 def test_numpy_integer_vertex_ids_accepted():

@@ -1,11 +1,13 @@
 """lp._highs_core, the loader of scipy's HiGHS extension, in fresh processes:
-no scipy.optimize or scipy.sparse import, either load order against
-linprog, and a missing file named; and the model's hand-written CSC against
-the scipy.sparse assembly."""
+no numpy, scipy.optimize or scipy.sparse import, either load order against
+linprog, and a missing file named; the model HiGHS reads from its MPS text
+against the scipy.sparse assembly; and a temp file that cannot be made or
+read fails loudly and leaves no file behind."""
 
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,9 @@ from scipy import sparse
 
 from coiso import lp
 from coiso.complexes import simplex_boundary
-from coiso.filling import get_fill_context
+from coiso.filling import (get_fill_context, integral_fill,
+                           sample_integral_coboundary, trial_rng)
+from coiso.lp import LinfProblem, LPError
 from coiso.subdivision import edgewise_subdivide
 
 SRC = str(Path(lp.__file__).resolve().parents[1])
@@ -44,7 +48,7 @@ def test_fills_import_neither_scipy_optimize_nor_sparse():
         "assert s2_null_demo(4, 1)['all_passed']\n"
         "omega = sample_integral_coboundary(X, 2, trial_rng(1, 4, 0))\n"
         "integral_fill(X, omega)\n"
-        "for name in ('scipy.optimize', 'scipy.sparse'):\n"
+        "for name in ('numpy', 'scipy.optimize', 'scipy.sparse'):\n"
         "    assert name not in sys.modules, name\n")
 
 
@@ -122,10 +126,48 @@ def scipy_csc(P):
 def test_hand_csc_equals_the_sparse_assembly(L, k):
     X = edgewise_subdivide(simplex_boundary(3), L).result
     P = get_fill_context(X, k).lp
-    P._highs("ipm")
-    A = P._model[0].a_matrix_
+    model = P._highs("ipm").getLp()
+    A = model.a_matrix_
     want = scipy_csc(P)
     assert (A.num_row_, A.num_col_) == want.shape
     assert np.array_equal(A.start_, want.indptr)
     assert np.array_equal(A.index_, want.indices)
     assert np.array_equal(A.value_, want.data)
+    n = P.n
+    assert list(model.col_cost_) == [0] * n + [1]
+    assert list(model.col_lower_) == [-np.inf] * n + [0]
+    assert list(model.col_upper_) == [np.inf] * (n + 1)
+
+
+def _fresh_fill_inputs():
+    X = edgewise_subdivide(simplex_boundary(3), 2).result
+    return X, sample_integral_coboundary(X, 2, trial_rng(7, 2, 0))
+
+
+def test_a_temp_file_that_cannot_be_made_fails_the_first_fill(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+
+    def unwritable(*args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(tmp_path))
+
+    monkeypatch.setattr(tempfile, "mkstemp", unwritable)
+    X, omega = _fresh_fill_inputs()
+    for _ in range(2):      # nothing half-built is kept: the second fails alike
+        with pytest.raises(LPError, match="temp file for the HiGHS model") as e:
+            integral_fill(X, omega)
+        assert isinstance(e.value.__cause__, PermissionError)
+    assert not get_fill_context(X, 2).lp._solvers
+    assert not list(tmp_path.iterdir())
+
+
+# text HiGHS refuses (a status other than kOk), and text it reads as a model
+# of the wrong shape
+@pytest.mark.parametrize("text", ["garbage\n", "NAME empty\nENDATA\n"])
+def test_a_model_highs_cannot_read_raises_lp_error(text, tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(LinfProblem, "_mps", lambda self: text)
+    X, omega = _fresh_fill_inputs()
+    with pytest.raises(LPError, match="HiGHS could not read its model"):
+        integral_fill(X, omega)
+    assert not get_fill_context(X, 2).lp._solvers
+    assert not list(tmp_path.iterdir())

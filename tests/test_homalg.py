@@ -13,6 +13,7 @@ from coiso.homalg import (Chain, Cochain, HomalgError, IntegerMatrix,
                           euclid_step, norm_inf, pairing, smith_normal_form,
                           solve_integral_linear, volume_norm)
 
+from intmatrix import matmul
 from reference_solver import reference_smith_normal_form
 
 CORPUS = [
@@ -38,13 +39,13 @@ def test_sphere_boundary_rank():
 
 def test_dd_zero_on_triangle():
     X = build_complex([(0, 1, 2)])
-    assert not any(boundary_matrix(X, 1).matmul(boundary_matrix(X, 2)).rows)
+    assert not any(matmul(boundary_matrix(X, 1), boundary_matrix(X, 2)).rows)
 
 
 @pytest.mark.parametrize("X", CORPUS, ids=lambda X: repr(X))
 def test_dd_zero_everywhere(X):
     for k in range(2, X.dim + 1):
-        assert not any(boundary_matrix(X, k - 1).matmul(boundary_matrix(X, k)).rows)
+        assert not any(matmul(boundary_matrix(X, k - 1), boundary_matrix(X, k)).rows)
 
 
 def test_boundary_k_out_of_range():
@@ -67,7 +68,7 @@ def test_betti_grid_is_contractible():
 
 def assert_valid_snf(M):
     U, D, V = smith_normal_form(M)
-    assert U.matmul(M).matmul(V) == D
+    assert matmul(matmul(U, M), V) == D
     assert D == reference_smith_normal_form(M)[1]
     diag = [D[i, i] for i in range(min(M.nrows, M.ncols))]
     nz = [d for d in diag if d]
@@ -250,7 +251,9 @@ def test_cochain_keeps_rationals_and_normalizes_the_rest():
     assert all(type(v) is RAT for v in c.entries.values())
 
 
-@pytest.mark.parametrize("i", [1.5, 1.0, "3"], ids=["float", "integral-float", "str"])
+@pytest.mark.parametrize("i", [1.5, 1.0, "3", True, False, np.True_],
+                         ids=["float", "integral-float", "str", "true", "false",
+                              "numpy-bool"])
 def test_cochain_refuses_a_cell_index_that_is_not_an_integer(i):
     with pytest.raises(HomalgError, match="cell index .* is not an integer"):
         Cochain(1, {i: 1})
