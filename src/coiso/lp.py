@@ -377,8 +377,9 @@ class LinfProblem:
         """HiGHS's solver `method` on D alpha = omega: (x, duals), x = (alpha,
         t) and the duals of the rows +-alpha_i - t <= 0, as linprog's; None
         where linprog's status would not be 0 (no optimum within its check
-        tolerance).  OverflowError when omega is beyond float range; the
-        model is then left as it was."""
+        tolerance).  OverflowError when omega is beyond float range, and
+        LPError when it has not one entry per row; the model is then left
+        as it was."""
         b = [float(v) for v in omega]
         if len(b) != self.m:
             raise LPError(f"{self.m} rows but {len(b)} right-hand sides")
@@ -386,7 +387,7 @@ class LinfProblem:
         n2 = 2 * self.n
         for i, v in enumerate(b, n2):
             highs.changeRowBounds(i, v, v)
-        # drop the earlier solution and basis: a cold start, as passModel gives
+        # drop the earlier solution and basis: a cold start, as each linprog call is
         highs.clearSolver()
         highs.run()
         if highs.getModelStatus() != _highs_core().HighsModelStatus.kOptimal:

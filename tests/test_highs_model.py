@@ -15,7 +15,7 @@ from coiso.filling import (_draw_signs, get_fill_context, integral_fill,
                            sample_integral_coboundary, trial_rng)
 from coiso import filling
 from coiso.homalg import boundary_matrix
-from coiso.lp import _ATTEMPTS, LinfProblem
+from coiso.lp import _ATTEMPTS, LinfProblem, LPError
 from coiso.subdivision import edgewise_subdivide
 
 METHODS = [method for method, _ in _ATTEMPTS]
@@ -119,6 +119,16 @@ def test_omega_beyond_float_range_raises_overflow_and_keeps_the_model():
     assert (mode, t) == ("simplex", RAT(big, 2))
     _, t, mode = P.solve([1, 0, 0, -1])
     assert (mode, t) == ("reconstructed", RAT(1, 2))
+
+
+def test_a_right_hand_side_of_the_wrong_length_raises():
+    X = cycle_complex(4)
+    delta = boundary_matrix(X, 1).transpose()
+    P = LinfProblem(delta.rows, delta.ncols)
+    for omega in ([1], [1, 0, 0, -1, 0]):
+        for method in METHODS:
+            with pytest.raises(LPError, match="4 rows but"):
+                P._float_solve(omega, method)
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 96, 1024, 5000])
