@@ -76,23 +76,23 @@ class FillContext:
             raise FillingError(f"k={k} out of range for dim {X.dim}")
         self.X = X
         self.k = k
-        Bk = boundary_matrix(X, k)
-        self.delta = Bk.transpose()            # rows = k-cells, cols = (k-1)-cells
-        self.cycles = RationalSolver(Bk.rows, Bk.ncols).nullspace()
+        self.delta = boundary_matrix(X, k).transpose()   # rows = k-cells, cols = (k-1)-cells
+        self.lp = LinfProblem(self.delta.rows, self.delta.ncols)
+        # the LP's D^T is B_k: its one factorization gives the cycles too
+        self.cycles = self.lp.transpose_solver.nullspace()
         # cycle z = scale * p, p its primitive integer multiple
         self._int_cycles = [_primitive(z) for z in self.cycles]
-        self.lp = LinfProblem(self.delta.rows, self.delta.ncols)
         self._integral = None
         self._lift = None
 
     # -- coboundary tests ----------------------------------------------------
 
-    def coboundary_witness(self, omega_dense):
-        """None when omega is a rational coboundary, else (cycle, pairing).
+    def coboundary_witness(self, D, w):
+        """None when omega = w / D (w ints) is a rational coboundary, else
+        (cycle, pairing).
 
-        The pairings are taken in ints: <z, omega> = scale * <p, D omega> / D.
+        The pairings are taken in ints: <z, omega> = scale * <p, w> / D.
         """
-        D, w = scale_to_ints(omega_dense)
         for z, (p, scale) in zip(self.cycles, self._int_cycles):
             s = dot(p, w)
             if s:
@@ -209,8 +209,10 @@ class LiftData:
                     chain[cell] = chain.get(cell, ZERO) - v
                 chain = {j: v for j, v in chain.items() if v}
             # must be an absolute cycle; in degree 0 every chain is one
-            dense = [chain.get(j, ZERO) for j in range(nk)]
-            if B is not None and residual_rows(B.rows, dense, [0] * B.nrows):
+            dense = [0] * nk
+            for j, v in zip(chain, scale_to_ints(list(chain.values()))[1]):
+                dense[j] = v
+            if B is not None and any(dot(r, dense) for r in B.rows):
                 raise LiftError("lifted basis element is not a cycle")
             self.b_tilde.append(chain)
 
@@ -230,9 +232,10 @@ class LiftData:
             raise LiftError("cocycle coordinates do not determine the cocycle")
 
     def lift(self, z0_dense, denominator=1):
-        """The normalized cocycle lift of the cocycle z0 = z0_dense /
-        denominator, values shifted into [0,1) on the F-coordinates and the
-        b~ pairings; differs from z0 by integers cellwise.
+        """(M, ints): the normalized cocycle lift ints / M of the cocycle
+        z0 = z0_dense / denominator, values shifted into [0,1) on the
+        F-coordinates and the b~ pairings; differs from z0 by integers
+        cellwise.
 
         Every target is s / m in ints, and its fractional part is
         (s mod m) / m: the F-coordinates A^-T z0|_T share one m, and the
@@ -255,10 +258,11 @@ class LiftData:
             parts.append((dot(ch, w) % m, m))
         M = lcm(*(m for _, m in parts))
         rhs = [0] * self.n_cocycle_rows + [r * (M // m) for r, m in parts]
-        z = self.solver.solve(rhs, M)
+        z = self.solver.substitute(rhs)
         if z is None:
             raise LiftError("lift system inconsistent")
-        return z
+        Dz, zs = scale_to_ints(z)
+        return M * Dz, zs
 
 
 # ---------------------------------------------------------------------------
@@ -271,35 +275,47 @@ def linf_fill_rational(X, omega: Cochain) -> FillingResult:
     achieved norm).  Raises NotACoboundary with a pairing witness otherwise.
     """
     ctx = get_fill_context(X, omega.k)
-    dense = _omega_dense(X, omega)
-    wit = ctx.coboundary_witness(dense)
-    if wit is not None:
-        raise NotACoboundary(*wit)
-    return _rational_fill(ctx, omega, dense)
-
-
-def _rational_fill(ctx, omega: Cochain, dense) -> FillingResult:
-    """linf_fill_rational for the rational coboundary omega, dense its
-    values, without the coboundary check."""
-    alpha_vec, t, mode = ctx.lp.solve(dense)
+    Dw, ws = _coboundary_ints(X, omega, ctx)
+    alpha_vec, _, t, mode = _rational_fill(ctx, Dw, ws, omega)
     alpha = Cochain(omega.k - 1, {i: v for i, v in enumerate(alpha_vec) if v}, "rat")
-    resid = _residual(ctx, alpha_vec, dense)
     return FillingResult(alpha=alpha, omega=omega, ring="rat",
-                         norm_inf_alpha=t, certificate=resid,
+                         norm_inf_alpha=t, certificate=Cochain(ctx.k, {}, "rat"),
                          details={"lp_mode": mode, "optimal": True})
 
 
-def _omega_dense(X, omega: Cochain):
-    """Dense values of omega; entries off the k-cells of X are an error,
-    never dropped."""
-    return omega.dense_checked(X.n_cells(omega.k), FillingError, "omega")
+def _coboundary_ints(X, omega: Cochain, ctx):
+    """(D, ints): omega's values scaled to ints over the lcm of their
+    denominators.  Entries off the k-cells of X are an error, never
+    dropped, and NotACoboundary (with its witness) is raised when omega is
+    not a rational coboundary."""
+    omega.check_cells(X.n_cells(omega.k), FillingError, "omega")
+    D, vals = scale_to_ints(list(omega.entries.values()))
+    ws = [0] * X.n_cells(omega.k)
+    for i, v in zip(omega.entries, vals):
+        ws[i] = v
+    wit = ctx.coboundary_witness(D, ws)
+    if wit is not None:
+        raise NotACoboundary(*wit)
+    return D, ws
 
 
-def _residual(ctx, alpha_vec, omega_dense) -> Cochain:
-    bad = residual_rows(ctx.delta.rows, alpha_vec, omega_dense)
+def _rational_fill(ctx, Dw, ws, omega: Cochain):
+    """(alpha, (Da, a), t, mode): the ell-infinity minimal fill of the
+    rational coboundary omega = ws / Dw, as RATs and as the ints a / Da,
+    its certified norm t and the LP path, with the residual checked in
+    ints."""
+    alpha, t, mode = ctx.lp.solve(ws if Dw == 1 else omega.dense(len(ws)))
+    Da, a = scale_to_ints(alpha)
+    _check_residual(ctx, a, ws, Da, Dw)
+    return alpha, (Da, a), t, mode
+
+
+def _check_residual(ctx, x, b, Dx=1, Db=1):
+    """delta(x / Dx) = b / Db on every k-cell, in ints; FillingError
+    naming the first offending cells otherwise."""
+    bad = residual_rows(ctx.delta.rows, x, b, Dx, Db)
     if bad:
         raise FillingError("residual is nonzero: %r" % (bad[:4],))
-    return Cochain(ctx.k, {}, "rat")
 
 
 def bounded_lift(z: Cochain, T: SpanningTree, U) -> Cochain:
@@ -316,9 +332,9 @@ def bounded_lift(z: Cochain, T: SpanningTree, U) -> Cochain:
     data = LiftData(X, k, T, U)
     up = get_fill_context(X, k + 1) if k + 1 <= X.dim else None
     z0 = _any_cocycle_lift(up, dense)
-    lifted = data.lift(z0)
-    _check_lift(up, dense, lifted, data.bound)
-    return Cochain(k, {i: v for i, v in enumerate(lifted) if v}, "rat")
+    M, lifted = data.lift(z0)
+    _check_lift(up, scale_to_ints(dense), (M, lifted), data.bound)
+    return Cochain(k, {i: RAT(v, M) for i, v in enumerate(lifted) if v}, "rat")
 
 
 def _any_cocycle_lift(up, dense):
@@ -342,9 +358,11 @@ def _any_cocycle_lift(up, dense):
 
 
 def _int_difference(a, b):
-    """[a_i - b_i] as ints, or None when some difference is not an integer."""
-    Da, xa = scale_to_ints(a)
-    Db, xb = scale_to_ints(b)
+    """[a_i - b_i] as ints for the vectors a = (Da, ints) and b = (Db, ints)
+    over their denominators, or None when some difference is not an
+    integer."""
+    Da, xa = a
+    Db, xb = b
     M = lcm(Da, Db)
     fa, fb = M // Da, M // Db
     out = []
@@ -356,17 +374,18 @@ def _int_difference(a, b):
     return out
 
 
-def _check_lift(up, z_dense, lifted, bound):
+def _check_lift(up, z, lifted, bound):
     """The lift is congruent to z mod Z, within the bound, and a cocycle of
     the coboundary in up (the next degree's FillContext, None at the top);
-    returns the ints z - lift."""
-    diff = _int_difference(z_dense, lifted)
+    z and the lift are (denominator, ints), and the ints z - lift are
+    returned."""
+    diff = _int_difference(z, lifted)
     if diff is None:
         raise LiftError("lift is not congruent to the input mod Z")
-    D, xs = scale_to_ints(lifted)
-    worst = RAT(max(map(abs, xs), default=0), D)
-    if worst > bound:
-        raise LiftError(f"lift norm {worst} exceeds the bound {bound}")
+    M, xs = lifted
+    worst = max(map(abs, xs), default=0)
+    if worst * bound.denominator > bound.numerator * M:
+        raise LiftError(f"lift norm {RAT(worst, M)} exceeds the bound {bound}")
     if up is not None and any(dot(r, xs) for r in up.delta.rows):
         raise LiftError("lift is not a cocycle")
     return diff
@@ -377,42 +396,38 @@ def integral_fill(X, omega: Cochain) -> FillingResult:
     ||alpha~||_inf <= ||alpha||_inf + k + 1 + G_upper(T).
 
     omega must be integral and an integral coboundary; the integral
-    certificate is part of the operation.
+    certificate is part of the operation.  Every stage after the LP works
+    on ints over one denominator: omega (read once), the rational fill
+    a / D, the lift and the difference; RATs are made only for the
+    result.
     """
     if not omega.is_integral():
         raise FillingError("integral_fill needs an integral omega")
     ctx = get_fill_context(X, omega.k)
     k = omega.k
-    dense = _omega_dense(X, omega)
-    wit = ctx.coboundary_witness(dense)
-    if wit is not None:
-        raise NotACoboundary(*wit)
-    eta = ctx.integral_system().solve([int(v) for v in dense])
+    _, ws = _coboundary_ints(X, omega, ctx)
+    eta = ctx.integral_system().solve(ws)
     if eta is None:
         raise NotIntegrallyFillable(
             "omega is a rational but not an integral coboundary (torsion)")
 
-    rational = _rational_fill(ctx, omega, dense)
-    alpha_vec = rational.alpha.dense(X.n_cells(k - 1))
-
+    _, (D, a), t, mode = _rational_fill(ctx, 1, ws, omega)
     data = ctx.lift_data()
-    D, a = scale_to_ints(alpha_vec)
     lifted = data.lift([ai - ei * D for ai, ei in zip(a, eta)], D)
-    tilde = _check_lift(ctx, alpha_vec, lifted, data.bound)
-    alpha_t = Cochain(k - 1, {i: v for i, v in enumerate(tilde) if v}, "int")
-    resid = _residual(ctx, tilde, dense)
-    nrm = norm_inf(alpha_t)
-    bound_total = rational.norm_inf_alpha + k + 1 + data.g_upper
-    if nrm > bound_total:
+    tilde = _check_lift(ctx, (D, a), lifted, data.bound)
+    _check_residual(ctx, tilde, ws)
+    nrm = max(map(abs, tilde), default=0)
+    if nrm > t + k + 1 + data.g_upper:
         raise FillingError("integral fill norm exceeds the guaranteed bound")
+    alpha_t = Cochain(k - 1, {i: v for i, v in enumerate(tilde) if v}, "int")
     return FillingResult(
-        alpha=alpha_t, omega=omega, ring="int", norm_inf_alpha=nrm,
-        certificate=resid,
-        details={"rational_norm": rational.norm_inf_alpha,
+        alpha=alpha_t, omega=omega, ring="int", norm_inf_alpha=RAT(nrm),
+        certificate=Cochain(k, {}, "rat"),
+        details={"rational_norm": t,
                  "lift_bound": data.bound,
                  "g_upper": data.g_upper,
                  "basis": data.basis_label,
-                 "lp_mode": rational.details["lp_mode"]})
+                 "lp_mode": mode})
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +444,7 @@ def sample_integral_coboundary(X, k: int, rng: random.Random) -> Cochain:
         vals = _draw_signs(rng, nk)
         if not any(vals):
             continue
-        if ctx.coboundary_witness(vals) is not None:
+        if ctx.coboundary_witness(1, vals) is not None:
             continue
         if ctx.integral_system().solve(vals) is None:
             continue

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .exact import RAT, ZERO, int_index, rat, rat_str, is_integral
+from .exact import RAT, ZERO, int_index, rat, is_integral
 from .linalg import (RationalSolver, UnimodularEchelon, dot, scale_to_ints,
                      sparse_rows_from_entries, transpose_rows)
 
@@ -61,12 +61,16 @@ class Cochain:
     def dense(self, n: int):
         return [self.entries.get(i, ZERO) for i in range(n)]
 
-    def dense_checked(self, n: int, error, name: str):
-        """dense(n), but entries off [0, n), which dense drops, raise error."""
+    def check_cells(self, n: int, error, name: str):
+        """Raise error when an entry lies off [0, n), the n k-cells."""
         bad = sorted(i for i in self.entries if not 0 <= i < n)
         if bad:
             raise error("%s has entries at indices %s outside the %d %d-cells"
                         % (name, bad[:4], n, self.k))
+
+    def dense_checked(self, n: int, error, name: str):
+        """dense(n), but entries off [0, n), which dense drops, raise error."""
+        self.check_cells(n, error, name)
         return self.dense(n)
 
     def is_integral(self) -> bool:
@@ -88,7 +92,7 @@ class Cochain:
 
     def to_json_dict(self):
         return {"k": self.k, "ring": self.ring,
-                "entries": [[i, rat_str(v)] for i, v in sorted(self.entries.items())]}
+                "entries": [[i, str(v)] for i, v in sorted(self.entries.items())]}
 
     @classmethod
     def from_json_dict(cls, d):

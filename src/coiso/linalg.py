@@ -19,6 +19,13 @@ solves those through the Smith form of their block alone.  That Smith form
 and the lattice basis of `trees` are the one other elimination engine:
 `homalg.euclid_step`, the integer Euclidean reduction of one coordinate.
 
+One factorization of B_k per (complex, degree): `filling.FillContext`
+takes the cycles (`nullspace`) from the factorization of D^T = B_k that its
+`lp.LinfProblem` keeps (`transpose_solver`), and every dual certificate of
+that LP solves through the same one, pushing unit vectors through its
+recorded row operations (`ops`) and reading the conditions for lying in
+its image off its `zero_rows`.
+
 Integers first: almost every number here is an integer, so rows, recorded
 factors and intermediate vectors hold Python ints, and an exact rational
 (`RAT`) is made only where a division leaves a remainder.  A rational vector
@@ -307,16 +314,10 @@ def dot(row, x):
     return s
 
 
-def residual_rows(rows, x, b):
-    """Indices i with rows[i] . x != b[i]: the identity A x = b checked in
-    ints over the common denominators of x and b."""
-    Dx, xs = scale_to_ints(x)
-    Db, bs = scale_to_ints(b)
-    bad = []
-    for i, r in enumerate(rows):
-        if dot(r, xs) * Db != bs[i] * Dx:
-            bad.append(i)
-    return bad
+def residual_rows(rows, x, b, Dx=1, Db=1):
+    """Indices i with rows[i] . x / Dx != b[i] / Db, for int vectors x and b:
+    the identity A x = b checked in ints over their denominators."""
+    return [i for i, r in enumerate(rows) if dot(r, x) * Db != b[i] * Dx]
 
 
 def transpose_rows(rows, ncols):

@@ -23,8 +23,24 @@ Two layers:
       y with ||D^T y||_1 <= 1 and y.omega = t  certifies  min >= t,
       alpha with D alpha = omega, ||alpha||_inf <= t  certifies  min <= t.
 
-  When no HiGHS guess verifies, `solve_exact` is the last resort, and past
-  SIMPLEX_CAP it raises LPError.  The guesses come from HiGHS through
+  The dual is built from its support S, the variables whose bound the guess
+  holds active with sign eps_i: v = D^T y lives on S, so it has only |S|
+  unknowns.  Each LinfProblem keeps one factorization of D^T (its rows
+  `cols`), built on first use; the unit vectors e_i, i in S, are pushed
+  through its recorded row operations in one pass, and their entries on
+  its zero rows are exactly the conditions for v to lie in im D^T (with no
+  cohomology representatives, whatever H^(k-1) is).  With the row
+  sum_i eps_i v_i = 1 they make an |S|-column system; its solution (free
+  variables 0) back-substitutes to y through the same factorization, and
+  the checks above decide.  The primal is pinned to +-t on the active
+  variables and solved over t's denominator.  Omega and both solutions are
+  held as (denominator, ints) and checked in ints; `solve` makes the RATs
+  of alpha once, as it returns.
+
+  When no HiGHS guess verifies, or HiGHS would refuse the model (an entry
+  of D of magnitude 1e15 or more, its large_matrix_value) or omega (beyond
+  float range), `solve_exact` is the last resort, and past SIMPLEX_CAP it
+  raises LPError.  The guesses come from HiGHS through
   scipy's private binding `scipy.optimize._highspy._core`, not through
   `linprog`, and without numpy.  Each LinfProblem keeps one HiGHS instance
   per solver, "ipm" and "simplex", with linprog's options for "highs-ipm"
@@ -60,6 +76,7 @@ import importlib.util
 import os
 import sys
 import tempfile
+from functools import cached_property
 from math import gcd, lcm, sqrt
 
 from .exact import RAT, ZERO
@@ -234,6 +251,9 @@ _CHECK_TOL = sqrt(1e-9) * 10
 # solve_exact and l1_min refuse a tableau larger than this: at dDelta3, L=16
 # solve_exact's would be (1024 + 1536) x 3073, about 7.9M exact entries
 SIMPLEX_CAP = 100_000
+# HiGHS refuses a model with a matrix entry of this magnitude or more (its
+# option large_matrix_value); such an LP gets no float guess
+_HIGHS_LARGE_MATRIX_VALUE = 10 ** 15
 
 
 _CORE = "scipy.optimize._highspy._core"
@@ -286,6 +306,15 @@ class LinfProblem:
         self.n = ncols
         self.cols = transpose_rows(self.rows, ncols)
         self._solvers = {}         # method -> its HiGHS instance
+        self._highs_reads = all(abs(v) < _HIGHS_LARGE_MATRIX_VALUE
+                                for r in self.rows for v in r.values())
+
+    @cached_property
+    def transpose_solver(self):
+        """The factorization of D^T (the rows `cols`), built on first use.
+        The dual certificates solve through it; in a FillContext, where D^T
+        is the boundary B_k, it also gives the cycles."""
+        return RationalSolver(self.cols, self.m)
 
     def solve(self, omega):
         """(alpha, t, mode): exact optimal alpha, certified optimal norm, and
@@ -297,13 +326,14 @@ class LinfProblem:
         raises LPError past SIMPLEX_CAP.
         """
         omega = list(omega)
-        if all(v == 0 for v in omega):
+        scaled = scale_to_ints(omega)
+        if not any(scaled[1]):
             return [ZERO] * self.n, ZERO, "zero"
-
         for x, duals, tol in self._guesses(omega):
-            out = self._reconstruct(omega, x, duals, tol)
+            out = self._reconstruct(scaled, x, duals, tol)
             if out is not None:
-                return out[0], out[1], "reconstructed"
+                Da, a, t = out
+                return [RAT(v, Da) if v else ZERO for v in a], t, "reconstructed"
         alpha, t = self.solve_exact(omega)
         return alpha, t, "simplex"
 
@@ -405,7 +435,10 @@ class LinfProblem:
 
     def _guesses(self, omega):
         """(x, duals, tolerance) per attempt, solving lazily per method and
-        skipping a method whose solve failed."""
+        skipping a method whose solve failed; none for a matrix HiGHS
+        refuses."""
+        if not self._highs_reads:
+            return
         for method, tols in _ATTEMPTS:
             try:
                 res = self._float_solve(omega, method)
@@ -419,9 +452,9 @@ class LinfProblem:
     # -- exact reconstruction pieces ------------------------------------------
 
     def _dual_certificate(self, omega, x, duals, tol):
-        """t_exact > 0, a proven lower bound for the optimum, from the dual
-        supported on the complementary-slackness signs read off the HiGHS
-        solution x and its row duals; or None."""
+        """t_exact > 0, a proven lower bound for the optimum at omega =
+        (Dw, ws), from the dual supported on the complementary-slackness
+        signs read off the HiGHS solution x and its row duals; or None."""
         t_f = float(x[-1])
         if t_f <= 0:
             return None
@@ -436,96 +469,115 @@ class LinfProblem:
                 dsup[i] = -1
         if not dsup:
             return None
-        # y with (D^T y)_i = 0 off the support, sum_i eps_i (D^T y)_i = 1;
-        # ||D^T y||_1 <= 1 then makes y.omega a certified lower bound
-        sys_rows = []
-        norm_row = {}
-        for i in range(self.n):
-            col = self.cols[i]
-            if i in dsup:
-                s = dsup[i]
-                for cell, v in col.items():
-                    norm_row[cell] = norm_row.get(cell, 0) + s * v
-            else:
-                sys_rows.append(col)
-        sys_rows.append(norm_row)
-        rhs = [0] * (len(sys_rows) - 1) + [1]
-        y = RationalSolver(sys_rows, self.m).solve(rhs)
-        if y is None:
+        # v = D^T y on the support, v = sum_c v_c e_(S_c): push each e_i
+        # through the row operations of D^T's factorization; red[r][c] is
+        # entry r of the reduced e_(S_c)
+        E = self.transpose_solver
+        red = {i: {c: 1} for c, i in enumerate(dsup)}
+        for tgt, src, f in E.ops:
+            rs = red.get(src)
+            if rs:
+                rt = red.get(tgt)
+                if rt is None:
+                    rt = red[tgt] = {}
+                for c, a in rs.items():
+                    nv = rt.get(c, 0) - f * a
+                    if nv:
+                        rt[c] = nv
+                    else:
+                        del rt[c]
+        # v lies in im D^T iff its reduction is 0 on every zero row; and
+        # sum_i eps_i v_i = 1
+        conds = [red[r] for r in E.zero_rows if red.get(r)]
+        conds.append({c: dsup[i] for c, i in enumerate(dsup)})
+        v = RationalSolver(conds, len(dsup)).solve([0] * (len(conds) - 1) + [1])
+        if v is None:
             return None
+        # y = ys / Dy: the reduced rhs is sum_c v_c red[.][c], then one
+        # back-substitution
+        Dv, vs = scale_to_ints(v)
+        rhs = [0] * self.n
+        for r, row in red.items():
+            rhs[r] = sum(a * vs[c] for c, a in row.items())
+        Dy, ys = scale_to_ints(E.back_substitute(rhs, [0] * self.m))
+        Dy *= Dv
         # ||D^T y||_1 <= 1 and t = y.omega, over the denominators of y, omega
-        Dy, ys = scale_to_ints(y)
         if sum(abs(dot(col, ys)) for col in self.cols) > Dy:
             return None
-        Dw, ws = scale_to_ints(omega)
+        Dw, ws = omega
         t = sum(a * b for a, b in zip(ys, ws) if a and b)
         if t <= 0:
             return None
         return RAT(t, Dy * Dw)
 
     def _primal_at(self, omega, fixed, bound, guess=None):
-        """Exact alpha with D alpha = omega, alpha_i pinned by `fixed`, and
-        ||alpha||_inf <= bound; None when the pinned system refuses.
+        """(Da, a): alpha = a / Da in ints with D alpha = omega = (Dw, ws),
+        alpha_i = fixed[i] * bound for each pinned i (fixed maps to signs
+        +-1), and ||alpha||_inf <= bound; None when the pinned system
+        refuses or the checks fail.
 
-        The free variables of the unpinned system are set to 0.  On a
-        degenerate optimal face that can break the bound; then, given a
-        float solution `guess`, they take its values rounded to the
+        The right-hand side is put over the common denominator of omega
+        and the bound.  The free variables of the unpinned system are set
+        to 0.  On a degenerate optimal face that can break the bound; then,
+        given a float solution `guess`, they take its values rounded to the
         denominator of the bound.
         """
+        Dw, ws = omega
+        p, q = int(bound.numerator), int(bound.denominator)
         free = [i for i in range(self.n) if i not in fixed]
         pos = {j: idx for idx, j in enumerate(free)}
-        # rhs omega - D_fixed alpha_fixed in ints over the common denominator
-        Dw, ws = scale_to_ints(omega)
-        Df, fs = scale_to_ints(list(fixed.values()))
-        D = lcm(Dw, Df)
-        fw, ff = D // Dw, D // Df
-        fixed_int = {j: v * ff for j, v in zip(fixed, fs) if v}
+        # rhs omega - D_fixed alpha_fixed in ints over D = lcm(Dw, q)
+        D = lcm(Dw, q)
+        fw, fb = D // Dw, D // q * p
         prows = []
         prhs = []
         for i, r in enumerate(self.rows):
             row = {}
             rv = ws[i] * fw
             for j, v in r.items():
-                if j in fixed:
-                    fv = fixed_int.get(j)
-                    if fv:
-                        rv -= v * fv
-                else:
+                s = fixed.get(j)
+                if s is None:
                     row[pos[j]] = v
+                else:
+                    rv -= v * s * fb
             prows.append(row)
             prhs.append(rv)
         solver = RationalSolver(prows, len(free))
 
-        def certified(xfree):
+        def certified(xfree, E):
+            # alpha = xfree / E on the free variables, +-bound on the pinned
             if xfree is None:
                 return None
-            alpha = [ZERO] * self.n
-            for i, v in fixed.items():
-                alpha[i] = v
-            for j, idx in pos.items():
-                alpha[j] = xfree[idx]
-            Da, xs = scale_to_ints(alpha)
-            if RAT(max(map(abs, xs), default=0), Da) > bound:
+            Dx, xs = scale_to_ints(xfree)
+            Da = Dx * E
+            top = Da // q * p          # bound * Da; q divides E
+            a = [0] * self.n
+            for i, s in fixed.items():
+                a[i] = s * top
+            for j, v in zip(free, xs):
+                a[j] = v
+            if max(map(abs, a), default=0) > top:
                 return None
-            if residual_rows(self.rows, alpha, omega):
+            if residual_rows(self.rows, a, ws, Da, Dw):
                 return None
-            return alpha
+            return Da, a
 
-        alpha = certified(solver.solve(prhs, D))
-        if alpha is not None or guess is None:
-            return alpha
+        out = certified(solver.substitute(prhs), D)
+        if out is not None or guess is None:
+            return out
         # free variable k at c[k] / q moves A_k c[k] / q to the right-hand side
-        q = int(bound.denominator)
         c = {k: round(float(guess[free[k]]) * q) for k in solver.free_cols}
         rhs = [b * q - D * sum(v * c[k] for k, v in row.items() if k in c)
                for b, row in zip(prhs, prows)]
-        xfree = solver.solve(rhs, D * q)
+        xfree = solver.substitute(rhs)
         if xfree is not None:
             for k, ck in c.items():
-                xfree[k] = RAT(ck, q)
-        return certified(xfree)
+                xfree[k] = ck * D
+        return certified(xfree, D * q)
 
     def _reconstruct(self, omega, x, duals, tol):
+        """(Da, a, t): the certified optimum t and alpha = a / Da at omega =
+        (Dw, ws), from the guess x and its row duals; or None."""
         t_exact = self._dual_certificate(omega, x, duals, tol)
         if t_exact is None:
             return None
@@ -535,13 +587,13 @@ class LinfProblem:
         for i in range(self.n):
             v = float(x[i])
             if v >= t_f - eps:
-                fixed[i] = t_exact
+                fixed[i] = 1
             elif v <= -(t_f - eps):
-                fixed[i] = -t_exact
-        alpha = self._primal_at(omega, fixed, t_exact, x)
-        if alpha is None:
+                fixed[i] = -1
+        out = self._primal_at(omega, fixed, t_exact, x)
+        if out is None:
             return None
-        return alpha, t_exact
+        return *out, t_exact
 
     # -- float-free path -------------------------------------------------------
 
@@ -581,7 +633,8 @@ class LinfProblem:
             raise LPError("no rational solution of D alpha = omega")
         alpha = [v - t for v in x[:n]]
         Da, xs = scale_to_ints(alpha)
-        if (residual_rows(self.rows, alpha, omega)
+        Dw, ws = scale_to_ints(omega)
+        if (residual_rows(self.rows, xs, ws, Da, Dw)
                 or max(map(abs, xs), default=0) * t.denominator != t.numerator * Da):
             raise LPError("the exact simplex's alpha fails D alpha = omega, "
                           "||alpha||_inf = t")

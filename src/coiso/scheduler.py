@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 # boundary_matrix is unused here, but perfbench's tracer test reads it as
 # coiso.scheduler.boundary_matrix
-from .homalg import Cochain, boundary_matrix, json_int, norm_inf  # noqa: F401
+from .homalg import Cochain, boundary_matrix, json_int  # noqa: F401
 from .linalg import residual_rows
 from .complexes import top_cells
 from .filling import (get_fill_context, integral_fill,
@@ -54,7 +54,7 @@ class PrismComplex:
         m = X.dim
         if m < 1:
             raise SchedulerError("base must have dimension >= 1")
-        if any(len(c) - 1 != m for c in top_cells(X)):
+        if not _is_pure(X):
             raise SchedulerError("base must be pure of top dimension")
         self.X = X
         self.m = m
@@ -64,6 +64,15 @@ class PrismComplex:
         self.n_vertical = self.n_low * layers
         self.n_horizontal = self.n_top * (layers + 1)
         self.n_prisms = self.n_top * layers
+
+
+def _is_pure(X) -> bool:
+    """Every top cell of X has dimension X.dim; found once per complex,
+    which is immutable, and kept on it."""
+    pure = getattr(X, "_pure", None)
+    if pure is None:
+        pure = X._pure = all(len(c) - 1 == X.dim for c in top_cells(X))
+    return pure
 
 
 def build_prism_complex(X, layers: int) -> PrismComplex:
@@ -153,6 +162,16 @@ def obstruction_cocycle(X, f_deg: Cochain, g_deg: Cochain) -> Cochain:
     return f_deg.sub(g_deg, ring="int")
 
 
+def _int_dense(c: Cochain, n: int, name: str) -> list:
+    """The values of c on the n cells as ints, each entry read by int();
+    entries off [0, n) raise SchedulerError."""
+    c.check_cells(n, SchedulerError, name)
+    out = [0] * n
+    for i, v in c.entries.items():
+        out[i] = int(v)
+    return out
+
+
 def degree_schedule(X, omega: Cochain, alpha: Cochain,
                     layers: int) -> tuple[PrismSchedule, dict]:
     """(schedule, its verify_schedule report) for the floor-spread schedule;
@@ -170,17 +189,16 @@ def degree_schedule(X, omega: Cochain, alpha: Cochain,
         raise SchedulerError("schedule needs integral omega and alpha")
     if layers < 1:
         raise SchedulerError("layers must be >= 1")
-    dense_o = omega.dense_checked(X.n_cells(m), SchedulerError, "omega")
-    dense_a = alpha.dense_checked(X.n_cells(m - 1), SchedulerError, "alpha")
+    w_int = _int_dense(omega, X.n_cells(m), "omega")
+    a_int = _int_dense(alpha, X.n_cells(m - 1), "alpha")
     ctx = get_fill_context(X, m)
-    residual = residual_rows(ctx.delta.rows, dense_a, dense_o)
+    residual = residual_rows(ctx.delta.rows, a_int, w_int)
     if residual:
         raise SchedulerError(
             "delta(alpha) != omega; residual on cells %s" % residual[:5])
 
     prism = PrismComplex(X, layers)
     T = layers
-    a_int = [int(v) for v in dense_a]
     vertical = {}
     for p in range(prism.n_low):
         a = a_int[p]
@@ -197,7 +215,7 @@ def degree_schedule(X, omega: Cochain, alpha: Cochain,
     # the boundary of top cell q is row q of delta
     cols = ctx.delta.rows
     for q in range(prism.n_top):
-        w = int(omega(q))
+        w = w_int[q]
         for i in range(T):
             s = -w
             for p, sgn in cols[q].items():
@@ -223,40 +241,46 @@ def verify_schedule(s: PrismSchedule) -> dict:
     """
     prism = s.prism
     X, m, T = prism.X, prism.m, prism.layers
-    s.omega.dense_checked(prism.n_top, SchedulerError, "omega")
-    s.alpha.dense_checked(prism.n_low, SchedulerError, "alpha")
+    w_int = _int_dense(s.omega, prism.n_top, "omega")
+    s.alpha.check_cells(prism.n_low, SchedulerError, "alpha")
     if bad := s.off_prism_cells():
         raise SchedulerError(f"schedule cells {bad[:4]} lie off the prism")
     cols = get_fill_context(X, m).delta.rows
+    H = s.horizontal
+    V = s.vertical
 
     bad_closed = []
     for q in range(prism.n_top):
+        col = cols[q]
         for i in range(T):
-            total = s.value("horizontal", q, i + 1) - s.value("horizontal", q, i)
-            for p, sgn in cols[q].items():
-                total -= sgn * s.value("vertical", p, i)
+            total = H.get((q, i + 1), 0) - H.get((q, i), 0)
+            for p, sgn in col.items():
+                v = V.get((p, i))
+                if v:
+                    total -= sgn * v
             if total:
                 bad_closed.append([q, i, total])
 
     bad_bottom = []
     bad_top = []
     for q in range(prism.n_top):
-        w = int(s.omega(q))
-        if s.value("horizontal", q, 0) != -w:
+        if H.get((q, 0), 0) != -w_int[q]:
             bad_bottom.append(q)
-        if s.value("horizontal", q, T) != 0:
+        if H.get((q, T), 0) != 0:
             bad_top.append(q)
 
-    bound = int(norm_inf(s.omega)) + m + 1
-    worst = s.norm_inf()
+    bound = max(map(abs, w_int), default=0) + m + 1
+    max_v = s.max_abs_vertical()
+    max_h = s.max_abs_horizontal()
+    worst = max(max_v, max_h)
 
     report = {
         "closedness": {"passed": not bad_closed, "offenders": bad_closed[:10]},
         "bottom_trace": {"passed": not bad_bottom, "offenders": bad_bottom[:10]},
         "top_trace": {"passed": not bad_top, "offenders": bad_top[:10]},
         "norm_bound": {"passed": worst <= bound, "norm": worst, "bound": bound},
-        "max_abs_vertical": s.max_abs_vertical(),
-        "max_abs_horizontal": s.max_abs_horizontal(),
+        "max_abs_vertical": max_v,
+        "max_abs_horizontal": max_h,
     }
     report["all_passed"] = all(v["passed"] for k, v in report.items()
                                if isinstance(v, dict) and "passed" in v)
@@ -297,15 +321,16 @@ def s2_null_demo(L: int, seed) -> dict:
 
     fill = integral_fill(X, omega)
     alpha = fill.alpha
-    layers = max(1, int(norm_inf(alpha)))
+    norm_alpha = int(fill.norm_inf_alpha)
+    layers = max(1, norm_alpha)
     sched, report = degree_schedule(X, omega, alpha, layers)
 
     tube_counts = [[p, int(v)] for p, v in sorted(alpha.entries.items())]
     return {
         "L": L,
         "seed": seed,
-        "norm_omega": int(norm_inf(omega)),
-        "norm_alpha": int(norm_inf(alpha)),
+        "norm_omega": max(abs(int(v)) for v in omega.entries.values()),
+        "norm_alpha": norm_alpha,
         "rational_norm": str(fill.details["rational_norm"]),
         "layers": layers,
         "max_abs_beta_horizontal": report["max_abs_horizontal"],

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from coiso.exact import RAT, ZERO, ONE, is_integral
 from coiso.complexes import (build_complex, cycle_complex, simplex_boundary)
 from coiso.homalg import Cochain, boundary_matrix, norm_inf
-from coiso.linalg import RationalSolver
+from coiso.linalg import RationalSolver, scale_to_ints
 from coiso import lp
 from coiso.lp import Infeasible, LinfProblem, LPError, l1_min
 from coiso import filling
@@ -183,14 +183,15 @@ def test_lift_checks_raise_on_corrupted_lifts():
     up = get_fill_context(X, 2)
     n = X.n_cells(1)
     zero = [ZERO] * n
-    _check_lift(up, zero, zero, RAT(0))
+    _check_lift(up, scale_to_ints(zero), scale_to_ints(zero), RAT(0))
     one_edge = [ONE] + [ZERO] * (n - 1)
     with pytest.raises(LiftError, match="not a cocycle"):
-        _check_lift(up, zero, one_edge, RAT(3))
+        _check_lift(up, scale_to_ints(zero), scale_to_ints(one_edge), RAT(3))
     with pytest.raises(LiftError, match="mod Z"):
-        _check_lift(up, zero, [RAT(1, 2)] + [ZERO] * (n - 1), RAT(3))
+        _check_lift(up, scale_to_ints(zero),
+                    scale_to_ints([RAT(1, 2)] + [ZERO] * (n - 1)), RAT(3))
     with pytest.raises(LiftError, match="exceeds the bound"):
-        _check_lift(up, zero, one_edge, RAT(1, 2))
+        _check_lift(up, scale_to_ints(zero), scale_to_ints(one_edge), RAT(1, 2))
     with pytest.raises(LiftError, match="not a cocycle mod Z"):
         _any_cocycle_lift(up, [RAT(1, 2)] + [ZERO] * (n - 1))
     # an integral cochain lifts to a cocycle through the context's solver
@@ -354,15 +355,17 @@ def test_sampler_yields_integral_coboundaries():
         om = sample_integral_coboundary(X, 2, trial_rng(5, 1, t))
         dense = om.dense(4)
         assert any(dense) and all(v in (-1, 0, 1) for v in dense)
-        assert ctx.coboundary_witness(dense) is None
+        assert ctx.coboundary_witness(*scale_to_ints(dense)) is None
 
 
 def test_int_difference_over_mixed_denominators():
     half, third = RAT(1, 2), RAT(1, 3)
-    got = filling._int_difference([half, 5 * third, 2, ZERO], [-half, 2 * third, RAT(0), -3])
+    def diff(a, b):
+        return filling._int_difference(scale_to_ints(a), scale_to_ints(b))
+    got = diff([half, 5 * third, 2, ZERO], [-half, 2 * third, RAT(0), -3])
     assert got == [1, 1, 2, 3] and all(type(v) is int for v in got)
-    assert filling._int_difference([half, third], [half, -third]) is None
-    assert filling._int_difference([half], [third]) is None
+    assert diff([half, third], [half, -third]) is None
+    assert diff([half], [third]) is None
 
 
 class _Incidence:
@@ -395,13 +398,13 @@ def test_witness_with_non_unit_cycle_denominators_like_the_rat_loop():
     assert any(v.denominator != 1 for z in ctx.cycles for v in z.values())
     pairings = []
     for omega in _witness_omegas(random.Random(3), X.n_cells(1)):
-        got = ctx.coboundary_witness(omega)
+        got = ctx.coboundary_witness(*scale_to_ints(omega))
         assert got == reference_witness(ctx.cycles, omega)
         if got is not None:
             assert type(got[1]) is RAT
             pairings.append(got[1])
     assert any(p.denominator != 1 for p in pairings)
-    assert ctx.coboundary_witness([0] * X.n_cells(1)) is None
+    assert ctx.coboundary_witness(1, [0] * X.n_cells(1)) is None
 
 
 def test_witness_on_sampler_draws_like_the_rat_loop():
@@ -411,10 +414,10 @@ def test_witness_on_sampler_draws_like_the_rat_loop():
     found = 0
     for _ in range(40):
         vals = [rng.choice((-1, 0, 1)) for _ in range(X.n_cells(2))]
-        got = ctx.coboundary_witness(vals)
+        got = ctx.coboundary_witness(1, vals)
         assert got == reference_witness(ctx.cycles, vals)
         dense = [RAT(v, 3) for v in vals]
-        assert ctx.coboundary_witness(dense) == reference_witness(ctx.cycles, dense)
+        assert ctx.coboundary_witness(3, vals) == reference_witness(ctx.cycles, dense)
         found += got is not None
     assert 0 < found < 40
 

@@ -154,7 +154,7 @@ def test_sampler_draws_what_the_choice_loop_drew():
         ctx = get_fill_context(X, 2)
         while True:
             vals = [ref.choice((-1, 0, 1)) for _ in range(nk)]
-            if (any(vals) and ctx.coboundary_witness(vals) is None
+            if (any(vals) and ctx.coboundary_witness(1, vals) is None
                     and ctx.integral_system().solve(vals) is not None):
                 break
         assert omega.dense(nk) == vals
@@ -167,9 +167,9 @@ def test_integral_fill_checks_the_coboundary_once(monkeypatch):
     calls = []
     real = filling.FillContext.coboundary_witness
 
-    def counted(self, dense):
+    def counted(self, D, w):
         calls.append(1)
-        return real(self, dense)
+        return real(self, D, w)
 
     monkeypatch.setattr(filling.FillContext, "coboundary_witness", counted)
     integral_fill(X, omega)

@@ -102,6 +102,29 @@ def test_omega_beyond_float_range_falls_back_to_exact_simplex():
     assert (mode, t) == ("simplex", RAT(big, 2))
 
 
+@pytest.mark.parametrize("entry", [2 ** 60 + 1, -10 ** 15])
+def test_a_matrix_highs_refuses_falls_back_to_exact_simplex(monkeypatch, entry):
+    # HiGHS refuses a matrix entry of magnitude 1e15 or more (its
+    # large_matrix_value): no float solve is tried
+    def no_float_solve(*a, **k):
+        raise AssertionError("a float solve was tried")
+
+    monkeypatch.setattr(LinfProblem, "_float_solve", no_float_solve)
+    P = LinfProblem([{0: entry, 1: -1}], 2)
+    _, t, mode = P.solve([3])
+    assert mode == "simplex"
+    assert t == P.solve_exact([3])[1]
+    if entry == 2 ** 60 + 1:
+        assert t == RAT(1, 384307168202282326)
+
+
+def test_a_matrix_just_below_what_highs_refuses_gets_float_solves():
+    P = LinfProblem([{0: 10 ** 15 - 1, 1: -1}], 2)
+    _, t, mode = P.solve([3])
+    assert (mode, t) == ("simplex", RAT(3, 10 ** 15))
+    assert set(P._solvers) == {"ipm", "simplex"}
+
+
 def _cycle_problem(n):
     """LinfProblem of delta on the n-cycle, and the coboundary of a vertex."""
     delta = boundary_matrix(cycle_complex(n), 1).transpose()
@@ -144,10 +167,10 @@ def test_primal_on_a_degenerate_face_takes_the_guess():
     # min ||a||_inf s.t. a0 + a1 = 2: free a1 = 0 gives a = (2, 0), over the
     # bound 1; the float guess (1, 1) puts a1 on the face
     P = LinfProblem([{0: 1, 1: 1}], 2)
-    assert P._primal_at([RAT(2)], {}, RAT(1)) is None
-    alpha = P._primal_at([RAT(2)], {}, RAT(1), [0.9999999, 1.0000001, 1.0])
-    assert alpha == [1, 1] and all(type(v) is RAT for v in alpha)
-    assert P._primal_at([RAT(2)], {}, RAT(1), [0.2, 1.8, 1.0]) is None
+    assert P._primal_at((1, [2]), {}, RAT(1)) is None
+    Da, a = P._primal_at((1, [2]), {}, RAT(1), [0.9999999, 1.0000001, 1.0])
+    assert (Da, a) == (1, [1, 1]) and all(type(v) is int for v in a)
+    assert P._primal_at((1, [2]), {}, RAT(1), [0.2, 1.8, 1.0]) is None
 
 
 def _degenerate_sweep_omega():

@@ -140,6 +140,21 @@ def test_prism_rejects_impure_base():
         build_prism_complex(build_complex([(0, 1, 2), (3, 4)]), 1)
 
 
+def test_an_impure_base_is_refused_on_every_build(monkeypatch):
+    # a triangle plus a dangling edge; its purity is found once per complex
+    X = build_complex([(0, 1, 2), (2, 3)])
+    calls = []
+    top_cells = scheduler.top_cells
+    monkeypatch.setattr(scheduler, "top_cells",
+                        lambda Y: calls.append(Y) or top_cells(Y))
+    for _ in range(2):
+        with pytest.raises(SchedulerError, match="base must be pure of top dimension"):
+            build_prism_complex(X, 1)
+    assert calls == [X]
+    build_prism_complex(simplex_boundary(3), 1)
+    assert len(calls) == 2
+
+
 # -- the schedule -----------------------------------------------------------------
 
 def test_zero_schedule():

@@ -328,11 +328,11 @@ def _lifts_match_the_oracle(got, want, z0s):
     assert got.b_tilde == want.b_tilde
     assert got.bound == want.bound
     for z0 in z0s:
-        lifted = got.lift(z0)
-        assert lifted == want.lift(z0)
-        assert all(type(v) is RAT for v in lifted)
+        M, lifted = got.lift(z0)
+        assert [RAT(v, M) for v in lifted] == want.lift(z0)
+        assert all(type(v) is int for v in lifted)
         D, ints = scale_to_ints(z0)
-        assert got.lift(ints, D) == lifted
+        assert got.lift(ints, D) == (M, lifted)
 
 
 def _mod_z_draws(X, k, count, seed=13):
