@@ -23,7 +23,7 @@ from .exact import RAT, ZERO
 from .homalg import (Cochain, IntegralSystem, boundary_matrix, norm_inf)
 from .linalg import (RationalSolver, dot, greedy_basis, residual_rows,
                      scale_to_ints, transpose_rows)
-from .lp import LinfProblem, LPError, check_l1_cap, l1_min
+from .lp import LinfProblem, LPError, check_l1_cap, l1_optima
 from .trees import (SpanningTree, WrappingTree, greedy_spanning_tree,
                     wrapping_tree, lifting_basis)
 
@@ -541,12 +541,12 @@ def coiso_constants_tiny(X, k: int):
     boundaries with volume <= 1.  The duality lemma makes these equal, and
     the implementation raises DualityMismatch if they ever are not.
 
-    Every LP is solved by the exact simplex, so no float enters the check.
-    A FillingError refuses the complex before any enumeration when k is out
-    of range, when the ell-infinity LP or the ell-1 LP (each over the
-    (k-1)-cells that lie in some k-cell's boundary) would need a tableau
-    above lp.SIMPLEX_CAP, or when either enumeration count exceeds
-    ENUMERATION_CAP.
+    Each side solves its vertices' LPs on one exact tableau
+    (`lp.exact_optima`), so no float enters the check.  A FillingError
+    refuses the complex before any enumeration when k is out of range, when
+    the ell-infinity LP or the ell-1 LP (each over the (k-1)-cells that lie
+    in some k-cell's boundary) would need a tableau above lp.SIMPLEX_CAP, or
+    when either enumeration count exceeds ENUMERATION_CAP.
     """
     if not 1 <= k <= X.dim:
         raise FillingError(f"k={k} out of range")
@@ -557,7 +557,8 @@ def coiso_constants_tiny(X, k: int):
         check_l1_cap(Bk.rows, Bk.ncols)
     except LPError as e:
         raise FillingError(f"complex exceeds the duality LP cap: {e}") from None
-    d = Bk.rank()
+    one_basis = _image_basis(Bk.rows, Bk.ncols, Bk.nrows)
+    d = len(one_basis)              # the rank of B_k
     one = comb(Bk.nrows, d - 1) if d else 0
     inf = comb(Bk.ncols, d) * 2 ** d
     if max(one, inf) > ENUMERATION_CAP:
@@ -565,8 +566,8 @@ def coiso_constants_tiny(X, k: int):
             f"complex exceeds the duality enumeration cap of {ENUMERATION_CAP} "
             f"solves: {one} on the ell-1 side, {inf} on the ell-infinity side")
 
-    co = _max_min_fill_inf(problem)
-    fi = _max_min_fill_one(Bk)
+    co = _max_min_fill_inf(problem, _image_basis(problem.rows, problem.n, problem.m))
+    fi = _max_min_fill_one(Bk, one_basis)
     if co != fi:
         raise DualityMismatch(f"cofilling {co} != filling {fi}")
     return co, fi
@@ -667,21 +668,15 @@ def _inf_problem(delta):
                        len(used))
 
 
-def _max_min_fill_inf(problem):
-    basis = _image_basis(problem.rows, problem.n, problem.m)
-    best = ZERO
-    for w in _one_per_pair(_vertices_inf_ball(basis, problem.m)):
-        _, t = problem.solve_exact(w)
-        if t > best:
-            best = t
-    return best
+def _max_min_fill_inf(problem, basis):
+    """The largest ell-infinity optimum over the vertices of the unit ball
+    of im delta, `basis` a basis of it."""
+    verts = _one_per_pair(_vertices_inf_ball(basis, problem.m))
+    return max(problem.optima(verts), default=ZERO)
 
 
-def _max_min_fill_one(Bk):
-    basis = _image_basis(Bk.rows, Bk.ncols, Bk.nrows)
-    best = ZERO
-    for b in _one_per_pair(_vertices_one_ball(basis, Bk.nrows)):
-        _, v = l1_min(Bk.rows, Bk.ncols, b)
-        if v > best:
-            best = v
-    return best
+def _max_min_fill_one(Bk, basis):
+    """The largest ell-1 optimum over the vertices of the unit ball of
+    im B_k, `basis` a basis of it."""
+    verts = _one_per_pair(_vertices_one_ball(basis, Bk.nrows))
+    return max(l1_optima(Bk.rows, Bk.ncols, verts), default=ZERO)

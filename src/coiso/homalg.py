@@ -40,19 +40,26 @@ class Cochain:
 
     def __post_init__(self):
         clean = {}
+        fractional = False          # an entry that did not come in as an int
         for i, v in self.entries.items():
-            try:
-                i = int_index(i)
-            except TypeError:
-                raise HomalgError(f"cochain cell index {i!r} is not an integer") from None
+            if type(i) is not int:
+                try:
+                    i = int_index(i)
+                except TypeError:
+                    raise HomalgError(f"cochain cell index {i!r} is not an integer") from None
+            if type(v) is int:
+                if v:
+                    clean[i] = RAT(v)
+                continue
             if type(v) is not RAT:
                 v = rat(v)
             if v:
                 clean[i] = v
+                fractional = fractional or not is_integral(v)
         self.entries = clean
         if self.ring not in ("int", "rat"):
             raise HomalgError(f"unknown ring tag {self.ring!r}")
-        if self.ring == "int" and not all(is_integral(v) for v in self.entries.values()):
+        if self.ring == "int" and fractional:
             raise HomalgError("ring tag 'int' but entries are not integers")
 
     def __call__(self, i: int):

@@ -9,13 +9,28 @@ Two layers:
   through the pivots.  The pivots are those of the all-rational tableau, and
   every (x, value) it returns is checked against a dual verified in ints.
 
+  exact_optima solves one A and c for many right-hand sides on one such
+  tableau, as each side of the filling/cofilling duality check needs: one
+  LP per vertex of a unit ball.  The first b is solved cold, as
+  exact_simplex solves it.  A new b leaves the last optimal basis dual
+  feasible, so the dual simplex (Lemke 1954) re-solves from it: each row's
+  right-hand side is rebuilt from its artificial block, the basic variable
+  of smallest index among the negative ones leaves, and the column of A of
+  smallest ratio enters, ties to the smaller index (Bland's rule on the
+  dual, so no basis repeats).  Every answer is verified in ints as
+  exact_simplex verifies its own.  Only the optimal values are returned:
+  after the first b, x depends on the order of the right-hand sides, and
+  the optimum does not.
+
 * LinfProblem: minimize ||alpha||_inf subject to D alpha = omega.
   `solve_exact` hands the LP to exact_simplex, with no float anywhere, in
   its shifted form alpha = a - t 1 over the columns (a >= 0, t, slacks s):
   D a - t D1 = omega and a + s - 2t = 0, an (m + n) x (2n + 1) tableau
   for m rows and n variables.  It checks its answer in ints before
-  returning.  It is the only LP path of the filling/cofilling duality
-  check, and SIMPLEX_CAP bounds its tableau.  `solve`, for the fills and
+  returning.  `optima` gives the optima of many omegas, the vertices of
+  the duality check, from one such tableau through exact_optima.  The two
+  are the only LP paths of that check, and SIMPLEX_CAP bounds their
+  tableau.  `solve`, for the fills and
   the sweep, uses floating point only to guess the optimal active set;
   primal and dual solutions are then reconstructed and verified in exact
   rational arithmetic:
@@ -63,8 +78,9 @@ Two layers:
   has to find this module in sys.modules.  There is no fallback to the
   package import; a missing file is an ImportError.
 
-* l1_min: the ell-1 minimal filling of the duality check, also through
-  exact_simplex and also refused past SIMPLEX_CAP (`check_l1_cap`).
+* l1_min: the ell-1 minimal filling, also through exact_simplex and also
+  refused past SIMPLEX_CAP (`check_l1_cap`); l1_optima gives its values for
+  the duality check's many targets from one tableau through exact_optima.
 
 No float ever enters a returned value.
 """
@@ -118,95 +134,197 @@ def exact_simplex(A, b, c):
     positive denominator.  Every choice reads a sign or compares two ratios
     within a column, so the pivots are those of the all-rational tableau.
     """
-    m = len(A)
-    n = len(c)
-    if len(b) != m:
-        raise LPError(f"{m} constraint rows but {len(b)} right-hand sides")
-    if any(len(row) != n for row in A):
-        raise LPError(f"every constraint row needs {n} entries, one per cost")
-    Da, flat = scale_to_ints([v for row in A for v in row] + list(b))
-    a = [flat[i * n:(i + 1) * n] for i in range(m)]
-    bs = flat[m * n:]
-    Dc, cs = scale_to_ints(c)
-    # row i of T: Da [A_i | e_i | b_i], the A_i and b_i parts negated where
-    # b_i < 0; the last entry is the right-hand side
-    W = n + m
-    T = []
-    for i in range(m):
-        row = a[i] + [0] * m + [bs[i]]
-        row[n + i] = Da
-        if bs[i] < 0:
-            row = [-v for v in row]
-            row[n + i] = Da
-        T.append(row)
-    basis = list(range(n, n + m))
-    # reduced costs z_j - c_j as [int row, positive denominator]: phase 1
-    # prices the artificials at 1, phase 2 at 0
-    z1 = [[sum(col) for col in zip(*T)] if m else [0] * (W + 1), Da]
-    for i in range(m):
-        z1[0][n + i] = 0
-    z2 = [[-v for v in cs] + [0] * (m + 1), Dc]
+    return _Tableau(A, b, c).verified()
+
+
+def exact_optima(A, c, bs):
+    """[min c.x s.t. A x = b, x >= 0 for each b in bs]: the optimal values
+    alone, each certified in ints by an explicit x and y as exact_simplex
+    certifies its own, and each equal to exact_simplex(A, b, c)'s.
+
+    One tableau serves every b: the first is solved cold, as exact_simplex
+    solves it, and each later one warm from the last optimal basis
+    (`_Tableau.resolve`).  Raises what exact_simplex raises on the first b
+    that it refuses.
+    """
+    values = []
+    tab = None
+    for b in bs:
+        if tab is None:
+            tab = _Tableau(A, b, c)
+        else:
+            tab.resolve(b)
+        values.append(tab.verified()[1])
+    return values
+
+
+class _Tableau:
+    """The int tableau of min c.x s.t. A x = b, x >= 0, held at an optimal
+    basis for one b after another.  Its three steps: the cold two-phase
+    solve of the first b (the constructor), the warm re-solve of a new b
+    (`resolve`), and the verification of the current answer in ints
+    (`verified`)."""
+
+    def __init__(self, A, b, c):
+        self.m = m = len(A)
+        self.n = n = len(c)
+        Db, bs = self._take(b)
+        if any(len(row) != n for row in A):
+            raise LPError(f"every constraint row needs {n} entries, one per cost")
+        self.DA, flat = scale_to_ints([v for row in A for v in row])
+        self.a = [flat[i * n:(i + 1) * n] for i in range(m)]
+        self.Dc, self.cs = scale_to_ints(c)
+        # row i of T: L [A_i | e_i | b_i], L the lcm of the denominators of A
+        # and b, the A_i and b_i parts negated where b_i < 0 (`flips`); the
+        # last entry is the right-hand side
+        L = lcm(self.DA, Db)
+        fa, fb = L // self.DA, L // Db
+        W = n + m
+        self.flips = [v < 0 for v in bs]
+        T = []
+        for i in range(m):
+            row = [v * fa for v in self.a[i]] + [0] * m + [bs[i] * fb]
+            if bs[i] < 0:
+                row = [-v for v in row]
+            row[n + i] = L
+            T.append(row)
+        basis = list(range(n, n + m))
+        # reduced costs z_j - c_j as [int row, positive denominator]: phase 1
+        # prices the artificials at 1, phase 2 at 0
+        z1 = [[sum(col) for col in zip(*T)] if m else [0] * (W + 1), L]
+        for i in range(m):
+            z1[0][n + i] = 0
+        z2 = [[-v for v in self.cs] + [0] * (m + 1), self.Dc]
+        _reduce_rows(T)
+
+        def run_phase(z, nmax, carried):
+            while True:
+                enter = next((j for j in range(nmax) if z[0][j] > 0), None)
+                if enter is None:
+                    return
+                leave = None
+                for i in range(m):
+                    p = T[i][enter]
+                    if p > 0:
+                        # ratio r / p below the best r0 / p0, ties to the
+                        # smaller basic index
+                        r = T[i][W]
+                        if leave is None or (r * p0, basis[i]) < (r0 * p, basis[leave]):
+                            leave, r0, p0 = i, r, p
+                if leave is None:
+                    raise Unbounded()
+                _pivot(T, basis, leave, enter, carried)
+
+        run_phase(z1, W, (z1, z2))
+        if any(T[i][W] for i in range(m) if basis[i] >= n):
+            raise Infeasible()
+        # drive leftover artificials out of the basis where possible; a row
+        # that keeps one is 0 on every column of A
+        for i in range(m):
+            if basis[i] >= n:
+                enter = next((j for j in range(n) if T[i][j]), None)
+                if enter is not None:
+                    _pivot(T, basis, i, enter, (z2,))
+        run_phase(z2, n, (z2,))
+        self.T, self.basis, self.z = T, basis, z2
+
+    def _take(self, b):
+        """b as (denominator, ints), kept as the current right-hand side;
+        LPError when b has not one entry per row."""
+        if len(b) != self.m:
+            raise LPError(f"{self.m} constraint rows but {len(b)} right-hand sides")
+        self.b = scale_to_ints(b)
+        return self.b
+
+    def resolve(self, b):
+        """Move the optimal basis to the right-hand side b by the dual
+        simplex.  A and c are unchanged, so the basis is still dual feasible;
+        only the last column of each row changes.  Row i holds a positive
+        multiple of row i of B^-1 [SA | I | Sb] (S the flips of the first b),
+        so its new right-hand side is its artificial block times S b.  Each
+        row is scaled by the lcm of b's denominators and reduced by its gcd.
+        Then the basic variable of smallest index among the negative ones
+        leaves, and the column of A with the smallest ratio (z_j - c_j) / T_rj
+        over T_rj < 0 enters, ties to the smaller index: Bland's rule on the
+        dual, so no basis repeats.  Infeasible when a row that kept an
+        artificial is left nonzero, or the leaving row has no negative entry.
+        """
+        m, n = self.m, self.n
+        Db, bs = self._take(b)
+        sb = [-v if f else v for v, f in zip(bs, self.flips)]
+        T, basis, z = self.T, self.basis, self.z
+        W = n + m
+        for row in (*T, z[0]):
+            r = sum(u * v for u, v in zip(row[n:W], sb) if u and v)
+            if Db > 1:
+                row[:W] = [v * Db for v in row[:W]]
+            row[W] = r
+        z[1] *= Db
+        _reduce_rows(T)
+        g = gcd(z[1], *z[0])
+        if g > 1:
+            z[0], z[1] = [v // g for v in z[0]], z[1] // g
+        if any(T[i][W] for i in range(m) if basis[i] >= n):
+            raise Infeasible()
+        Z = z[0]
+        while True:
+            leave = min((i for i in range(m) if T[i][W] < 0),
+                        key=basis.__getitem__, default=None)
+            if leave is None:
+                return
+            row = T[leave]
+            enter = None
+            for j in range(n):
+                p = row[j]
+                # Z_j / p below the best Z0 / p0, both p < 0
+                if p < 0 and (enter is None or Z[j] * p0 < Z0 * p):
+                    enter, Z0, p0 = j, Z[j], p
+            if enter is None:
+                raise Infeasible()
+            _pivot(T, basis, leave, enter, (z,))
+            Z = z[0]
+
+    def verified(self):
+        """(x, value) at the current basis and right-hand side, after both
+        certificates are checked in ints: A x = b with x >= 0, and the dual
+        y = ys / Dy read off the identity block of the cost row, with the
+        flips of the first b undone, meets y.A <= c and y.b = value."""
+        m, n, T, basis = self.m, self.n, self.T, self.basis
+        W = n + m
+        x = [ZERO] * n
+        for i in range(m):
+            if basis[i] < n:
+                x[basis[i]] = RAT(T[i][W], T[i][basis[i]])
+        Dx, xs = scale_to_ints(x)
+        cs, Dc, DA, a = self.cs, self.Dc, self.DA, self.a
+        V = sum(u * v for u, v in zip(cs, xs) if u and v)
+        value = RAT(V, Dc * Dx)
+        Z, Dy = self.z
+        ys = [(-Z[n + i] if f else Z[n + i]) for i, f in enumerate(self.flips)]
+        Db, bs = self.b
+        # A x = b: a_i.xs / (DA Dx) against bs_i / Db
+        for i in range(m):
+            if sum(u * v for u, v in zip(a[i], xs) if u and v) * Db != bs[i] * Dx * DA:
+                raise LPError("primal verification failed")
+        if any(v < 0 for v in xs):
+            raise LPError("negativity crept in")
+        # y.b = ys.bs / (Dy Db) against V / (Dc Dx)
+        if sum(u * v for u, v in zip(ys, bs) if u and v) * Dc * Dx != V * Dy * Db:
+            raise LPError("dual objective mismatch")
+        # y.A_j = sum ys_i a_ij / (Dy DA) against c_j = cs_j / Dc
+        for j in range(n):
+            s = sum(ys[i] * a[i][j] for i in range(m) if ys[i] and a[i][j])
+            if s * Dc > cs[j] * Dy * DA:
+                raise LPError("dual feasibility failed")
+        return x, value
+
+
+def _reduce_rows(T):
+    """Divide each int row of T by the gcd of its entries."""
     for i, row in enumerate(T):
         g = gcd(*row)
         if g > 1:
             T[i] = [v // g for v in row]
-
-    def run_phase(z, nmax, carried):
-        while True:
-            enter = next((j for j in range(nmax) if z[0][j] > 0), None)
-            if enter is None:
-                return
-            leave = None
-            for i in range(m):
-                p = T[i][enter]
-                if p > 0:
-                    # ratio r / p below the best r0 / p0, ties to the smaller
-                    # basic index
-                    r = T[i][W]
-                    if leave is None or (r * p0, basis[i]) < (r0 * p, basis[leave]):
-                        leave, r0, p0 = i, r, p
-            if leave is None:
-                raise Unbounded()
-            _pivot(T, basis, leave, enter, carried)
-
-    run_phase(z1, W, (z1, z2))
-    if any(T[i][W] for i in range(m) if basis[i] >= n):
-        raise Infeasible()
-    # drive leftover artificials out of the basis where possible
-    for i in range(m):
-        if basis[i] >= n:
-            enter = next((j for j in range(n) if T[i][j]), None)
-            if enter is not None:
-                _pivot(T, basis, i, enter, (z2,))
-    run_phase(z2, n, (z2,))
-
-    x = [ZERO] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = RAT(T[i][W], T[i][basis[i]])
-    Dx, xs = scale_to_ints(x)
-    V = sum(u * v for u, v in zip(cs, xs) if u and v)
-    value = RAT(V, Dc * Dx)
-    # dual from the identity block: y = c_B . B^-1 = z2 there, then undo the
-    # row flips; y = ys / Dy
-    Z2, Dy = z2
-    ys = [(-Z2[n + i] if bs[i] < 0 else Z2[n + i]) for i in range(m)]
-
-    # exact verification of both certificates, in ints
-    for i in range(m):
-        if sum(u * v for u, v in zip(a[i], xs) if u and v) != bs[i] * Dx:
-            raise LPError("primal verification failed")
-    if any(v < 0 for v in xs):
-        raise LPError("negativity crept in")
-    # y.b = ys.bs / (Dy Da) against V / (Dc Dx)
-    if sum(u * v for u, v in zip(ys, bs) if u and v) * Dc * Dx != V * Dy * Da:
-        raise LPError("dual objective mismatch")
-    # y.A_j = sum ys_i a_ij / (Dy Da) against c_j = cs_j / Dc
-    for j in range(n):
-        s = sum(ys[i] * a[i][j] for i in range(m) if ys[i] and a[i][j])
-        if s * Dc > cs[j] * Dy * Da:
-            raise LPError("dual feasibility failed")
-    return x, value
 
 
 def _pivot(T, basis, leave, enter, costs):
@@ -606,10 +724,42 @@ class LinfProblem:
         t = ||alpha||_inf, from exact_simplex alone.  LPError when the
         tableau exceeds SIMPLEX_CAP, omega has no rational preimage, or the
         answer fails its own check (D alpha = omega, max |alpha_i| = t)."""
+        A, c = self._shifted_lp()
+        try:
+            x, t = exact_simplex(A, list(omega) + [0] * self.n, c)
+        except Infeasible:
+            raise LPError("no rational solution of D alpha = omega")
+        alpha = [v - t for v in x[:self.n]]
+        Da, xs = scale_to_ints(alpha)
+        Dw, ws = scale_to_ints(omega)
+        if (residual_rows(self.rows, xs, ws, Da, Dw)
+                or max(map(abs, xs), default=0) * t.denominator != t.numerator * Da):
+            raise LPError("the exact simplex's alpha fails D alpha = omega, "
+                          "||alpha||_inf = t")
+        return alpha, t
+
+    def optima(self, omegas):
+        """[t per omega]: the certified optima solve_exact would give, from
+        one tableau through exact_optima, with no alpha (after the first
+        omega it would depend on their order).  LPError as solve_exact
+        raises it, at the first omega refused."""
+        A, c = self._shifted_lp()
+        zeros = [0] * self.n
+        try:
+            return exact_optima(A, c, (list(w) + zeros for w in omegas))
+        except Infeasible:
+            raise LPError("no rational solution of D alpha = omega")
+
+    def _shifted_lp(self):
+        """(A, c) of the shifted form alpha = a - t 1, slacks s, over the
+        columns (a, t, s):
+
+            D a - t (D 1) = omega;  a + s - 2t = 0
+
+        a, s >= 0 makes 0 <= a_i <= 2t, which is |alpha_i| <= t.  The
+        right-hand side of omega is omega and then n zeros.  LPError past
+        SIMPLEX_CAP."""
         self.check_simplex_cap()
-        # shifted form alpha = a - t 1, slacks s, over the columns (a, t, s):
-        #   D a - t (D 1) = omega;  a + s - 2t = 0
-        # a, s >= 0 makes 0 <= a_i <= 2t, which is |alpha_i| <= t
         n = self.n
         N = 2 * n + 1
         A = []
@@ -627,18 +777,7 @@ class LinfProblem:
             A.append(row)
         c = [0] * N
         c[n] = 1
-        try:
-            x, t = exact_simplex(A, list(omega) + [0] * n, c)
-        except Infeasible:
-            raise LPError("no rational solution of D alpha = omega")
-        alpha = [v - t for v in x[:n]]
-        Da, xs = scale_to_ints(alpha)
-        Dw, ws = scale_to_ints(omega)
-        if (residual_rows(self.rows, xs, ws, Da, Dw)
-                or max(map(abs, xs), default=0) * t.denominator != t.numerator * Da):
-            raise LPError("the exact simplex's alpha fails D alpha = omega, "
-                          "||alpha||_inf = t")
-        return alpha, t
+        return A, c
 
 
 # ---------------------------------------------------------------------------
@@ -664,25 +803,48 @@ def l1_min(rows, ncols, target):
     names a column outside range(ncols), target does not have one entry per
     row, or the tableau exceeds SIMPLEX_CAP (`check_l1_cap`).
     """
-    if len(target) != len(rows):
-        raise LPError(f"{len(rows)} constraint rows but {len(target)} right-hand sides")
+    b = _l1_rhs(rows, target)
+    A, c = _l1_lp(rows, ncols)
+    x, value = exact_simplex(A, b, c)
+    tau = [x[j] - x[ncols + j] for j in range(ncols)]
+    return tau, value
+
+
+def l1_optima(rows, ncols, targets):
+    """[l1_min's value per target], from one tableau through exact_optima,
+    with no tau; raised as l1_min raises, at the first target refused."""
+    A, c = _l1_lp(rows, ncols)
+    return exact_optima(A, c, (_l1_rhs(rows, t) for t in targets))
+
+
+def _l1_lp(rows, ncols):
+    """(A, c) of the ell-1 LP over the nonzero rows of B: tau = u - v with
+    u, v >= 0, B (u - v) = target, min sum (u + v).  LPError past
+    SIMPLEX_CAP or for a column outside range(ncols)."""
     check_l1_cap(rows, ncols)
     n = ncols
     A = []
+    for r in rows:
+        if r:
+            row = [0] * (2 * n)
+            for j, v in r.items():
+                if not 0 <= j < n:
+                    raise LPError(f"column {j} outside the {n} variables")
+                row[j] = v
+                row[n + j] = -v
+            A.append(row)
+    return A, [1] * (2 * n)
+
+
+def _l1_rhs(rows, target):
+    """target on the nonzero rows; Infeasible when a zero row has a nonzero
+    target, LPError when target has not one entry per row."""
+    if len(target) != len(rows):
+        raise LPError(f"{len(rows)} constraint rows but {len(target)} right-hand sides")
     b = []
     for r, t in zip(rows, target):
-        if not r:
-            if t:
-                raise Infeasible()
-            continue
-        row = [0] * (2 * n)
-        for j, v in r.items():
-            if not 0 <= j < n:
-                raise LPError(f"column {j} outside the {n} variables")
-            row[j] = v
-            row[n + j] = -v
-        A.append(row)
-        b.append(t)
-    x, value = exact_simplex(A, b, [1] * (2 * n))
-    tau = [x[j] - x[n + j] for j in range(n)]
-    return tau, value
+        if r:
+            b.append(t)
+        elif t:
+            raise Infeasible()
+    return b

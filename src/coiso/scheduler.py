@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 # boundary_matrix is unused here, but perfbench's tracer test reads it as
 # coiso.scheduler.boundary_matrix
+from .exact import is_integral
 from .homalg import Cochain, boundary_matrix, json_int  # noqa: F401
 from .linalg import residual_rows
 from .complexes import top_cells
@@ -163,9 +164,11 @@ def obstruction_cocycle(X, f_deg: Cochain, g_deg: Cochain) -> Cochain:
 
 
 def _int_dense(c: Cochain, n: int, name: str) -> list:
-    """The values of c on the n cells as ints, each entry read by int();
-    entries off [0, n) raise SchedulerError."""
+    """The values of c on the n cells as ints; an entry off [0, n), or one
+    that is not an integer, raises SchedulerError."""
     c.check_cells(n, SchedulerError, name)
+    if bad := sorted(i for i, v in c.entries.items() if not is_integral(v)):
+        raise SchedulerError(f"{name} has non-integer entries at indices {bad[:4]}")
     out = [0] * n
     for i, v in c.entries.items():
         out[i] = int(v)
@@ -237,12 +240,13 @@ def verify_schedule(s: PrismSchedule) -> dict:
     """Re-checks closedness, bottom/top traces, and the norm bound.
 
     omega and alpha entries off the cells, and schedule cells off the prism,
-    are an error: the checks would never read them.
+    are an error: the checks would never read them.  So is a non-integer
+    entry of omega or alpha: no integral schedule fills it.
     """
     prism = s.prism
     X, m, T = prism.X, prism.m, prism.layers
     w_int = _int_dense(s.omega, prism.n_top, "omega")
-    s.alpha.check_cells(prism.n_low, SchedulerError, "alpha")
+    _int_dense(s.alpha, prism.n_low, "alpha")
     if bad := s.off_prism_cells():
         raise SchedulerError(f"schedule cells {bad[:4]} lie off the prism")
     cols = get_fill_context(X, m).delta.rows

@@ -501,17 +501,18 @@ def test_zero_rows_leave_the_ell_one_lp(monkeypatch):
     X = _triangle_and_isolated_vertices(800)
     B = boundary_matrix(X, 1)
     assert sum(1 for r in B.rows if r) == 3
-    real = lp.exact_simplex
+    real = lp.exact_optima
     l1_shapes = []
 
-    def recorded(A, b, c):
+    def recorded(A, c, bs):
+        bs = list(bs)
         if len(c) == 2 * B.ncols:
-            l1_shapes.append((len(A), len(c)))
-        return real(A, b, c)
+            l1_shapes.extend((len(A), len(b), len(c)) for b in bs)
+        return real(A, c, bs)
 
-    monkeypatch.setattr(lp, "exact_simplex", recorded)
+    monkeypatch.setattr(lp, "exact_optima", recorded)
     assert coiso_constants_tiny(X, 1) == (RAT(1, 2), RAT(1, 2))
-    assert l1_shapes and set(l1_shapes) == {(3, 6)}
+    assert l1_shapes and set(l1_shapes) == {(3, 3, 6)}
 
 
 def test_l1_min_drops_zero_rows_only_on_a_zero_target():

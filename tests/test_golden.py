@@ -73,13 +73,18 @@ CASES = dict([
         _fill("not-a-coboundary-dD3L4-int", "dD3_L4.json",
               "dD3_L4_k2_foreign.json", "int"))),
     # foreign input: a float cell index (3.0) in omega, a cell listed twice
-    # in omega, and a horizontal schedule cell at level 77 of 2
+    # in omega, a horizontal schedule cell at level 77 of 2, and a schedule
+    # whose omega is 1/2 on a cell
     *((name, (argv, 1)) for name, argv in (
         _fill("fill-C4-float-index", "c4.json", "c4_float_index.json", "int"),
         _fill("fill-C4-repeated-cell", "c4.json", "c4_repeated_cell.json", "int"),
         ("verify-schedule-dD3L4-foreign-cell",
          ["verify", "--kind", "schedule", "--in",
           "dD3_L4_k2_schedule_foreign.json", "--complex", "dD3_L4.json",
+          "--out", "verify.json"]),
+        ("verify-schedule-dD3L4-half-omega",
+         ["verify", "--kind", "schedule", "--in",
+          "dD3_L4_k2_schedule_half.json", "--complex", "dD3_L4.json",
           "--out", "verify.json"]))),
     # torsion on RP^2: a 2-cochain fills integrally exactly when its entry
     # sum is even, through the Smith form of the stuck 1x3 block

@@ -262,3 +262,18 @@ def test_cochain_refuses_a_cell_index_that_is_not_an_integer(i):
 def test_int_ring_tag_enforced():
     with pytest.raises(HomalgError):
         Cochain(1, {0: RAT(1, 2)}, "int")
+
+
+def test_cochain_reads_ints_directly_and_keeps_every_refusal():
+    c = Cochain(1, {0: 2, 1: 0, 2: -3, 3: RAT(4, 2)}, "int")
+    assert c.entries == {0: 2, 2: -3, 3: 2}
+    assert all(type(v) is RAT for v in c.entries.values())
+    assert Cochain(1, {0: 1, 1: RAT(1, 2)}, "rat").entries == {0: 1, 1: RAT(1, 2)}
+    with pytest.raises(TypeError, match="floats are not accepted"):
+        Cochain(1, {0: 1, 1: 1.0})
+    with pytest.raises(HomalgError, match="cell index True is not an integer"):
+        Cochain(1, {0: 1, True: 1})
+    with pytest.raises(HomalgError, match="unknown ring tag 'real'"):
+        Cochain(1, {0: 1}, "real")
+    with pytest.raises(HomalgError, match="ring tag 'int' but entries are not integers"):
+        Cochain(1, {0: 1, 1: RAT(1, 2), 2: 3}, "int")

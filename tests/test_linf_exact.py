@@ -20,14 +20,19 @@ from test_simplex import DUALITY_CORPUS
 @pytest.mark.parametrize("X,k", DUALITY_CORPUS, ids=["C4-1", "Delta2-1", "dDelta3-1",
                                                      "dDelta3-2", "dDelta4-2"])
 def test_duality_corpus_vertices_match_the_reference(monkeypatch, X, k):
-    real = LinfProblem.solve_exact
+    # each vertex's optimum from the one tableau of LinfProblem.optima is
+    # solve_exact's, which matches the reference's
+    real = LinfProblem.optima
     omegas = []
 
-    def checked(self, omega):
-        omegas.append(omega)
-        return linf_against_reference(self, omega, real)
+    def checked(self, ws):
+        ws = list(ws)
+        omegas.extend(ws)
+        values = real(self, ws)
+        assert values == [linf_against_reference(self, w)[1] for w in ws]
+        return values
 
-    monkeypatch.setattr(LinfProblem, "solve_exact", checked)
+    monkeypatch.setattr(LinfProblem, "optima", checked)
     co, fi = coiso_constants_tiny(X, k)
     assert co == fi
     assert omegas

@@ -249,6 +249,22 @@ def test_verify_rejects_cells_off_the_prism(kind, cell):
         verify_schedule(s)
 
 
+@pytest.mark.parametrize("omega,alpha,name", [
+    ({0: Fraction(1, 2)}, {}, "omega"),
+    ({}, {0: Fraction(1, 3)}, "alpha"),
+], ids=["omega", "alpha"])
+def test_verify_refuses_a_non_integral_cochain(omega, alpha, name):
+    # an empty schedule on one layer over the sphere: omega = 1/2 on a cell
+    # used to read as int(1/2) = 0, and every check passed
+    s = PrismSchedule(PrismComplex(simplex_boundary(3), 1), {}, {},
+                      Cochain(2, omega, "rat"), Cochain(1, alpha, "rat"))
+    with pytest.raises(SchedulerError,
+                       match=rf"^{name} has non-integer entries at indices \[0\]$"):
+        verify_schedule(s)
+    whole = PrismSchedule(s.prism, {}, {}, Cochain(2, {}, "rat"), Cochain(1, {}, "rat"))
+    assert verify_schedule(whole)["all_passed"]
+
+
 def test_schedule_json_round_trip():
     X = TWO_TRIANGLES
     alpha = Cochain(1, {X.cell_index(1, (1, 2)): 1}, "int")

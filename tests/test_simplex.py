@@ -95,8 +95,8 @@ def test_hypothesis_lps_match_the_reference(lp_data):
         pass
 
 
-# every exact-simplex call of the tier-1 duality corpus: the ell-1 LPs of
-# l1_min and the ell-infinity LPs of LinfProblem.solve_exact
+# every LP of the tier-1 duality corpus: the ell-1 LPs of l1_optima and the
+# ell-infinity LPs of LinfProblem.optima, one exact_optima call per side
 DUALITY_CORPUS = [
     (cycle_complex(4), 1),
     (build_complex([(0, 1, 2)]), 1),
@@ -109,14 +109,21 @@ DUALITY_CORPUS = [
 @pytest.mark.parametrize("X,k", DUALITY_CORPUS, ids=["C4-1", "Delta2-1", "dDelta3-1",
                                                      "dDelta3-2", "dDelta4-2"])
 def test_duality_corpus_lps_match_the_reference(monkeypatch, X, k):
-    real = lp.exact_simplex
+    # each right-hand side is solved cold by exact_simplex against the
+    # reference (same pivots), and the values of exact_optima's one tableau
+    # must be those
+    real = lp.exact_optima
     calls = []
 
-    def checked(A, b, c):
+    def checked(A, c, bs):
+        bs = list(bs)
         calls.append((len(A), len(c)))
-        return simplex_against_reference(A, b, c, real)
+        cold = [simplex_against_reference(A, b, c)[1] for b in bs]
+        values = real(A, c, bs)
+        assert values == cold
+        return values
 
-    monkeypatch.setattr(lp, "exact_simplex", checked)
+    monkeypatch.setattr(lp, "exact_optima", checked)
     co, fi = coiso_constants_tiny(X, k)
     assert co == fi
     # rows of the k-th boundary: the (k-1)-cells; the ell-infinity LP keeps
