@@ -21,9 +21,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .exact import is_integral
 # boundary_matrix is unused here, but perfbench's tracer test reads it as
 # coiso.scheduler.boundary_matrix
-from .exact import is_integral
 from .homalg import Cochain, boundary_matrix, json_int  # noqa: F401
 from .linalg import residual_rows
 from .complexes import top_cells
