@@ -40,7 +40,7 @@ class Cochain:
 
     def __post_init__(self):
         clean = {}
-        fractional = False          # an entry that did not come in as an int
+        fractional = False
         for i, v in self.entries.items():
             if type(i) is not int:
                 try:

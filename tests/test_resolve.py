@@ -112,12 +112,9 @@ def test_values_do_not_depend_on_the_order():
         assert exact_optima(A, c, [bs[i] for i in order]) == [values[i] for i in order]
 
 
-# x0 + x1 = b0 and 2 x0 + 2 x1 = b1: the second row keeps its artificial
-DEPENDENT = ([[1, 1], [2, 2]], [1, 2])
-
-
 def test_a_row_that_keeps_its_artificial_refuses_an_inconsistent_b():
-    A, c = DEPENDENT
+    # x0 + x1 = b0 and 2 x0 + 2 x1 = b1: the second row keeps its artificial
+    A, c = [[1, 1], [2, 2]], [1, 2]
     tab = lp._Tableau(A, [1, 2], c)
     assert tab.basis[1] >= 2
     with pytest.raises(Infeasible):
