@@ -8,6 +8,10 @@ refers to these indices.  Orientation is always the increasing-vertex-id one.
 Grid cells of the unit n-cube at resolution r are encoded per axis as
 (lo, hi) with hi == lo (a point lo/r) or hi == lo + 1 (the interval
 [lo/r, (lo+1)/r]); a k-cell has exactly k interval axes.
+
+Both kinds give a cell's signed faces (`faces_of`) and dimension
+(`cell_dim`); counts, indices, boundaries, incidences and top cells are
+written once over those.
 """
 
 from __future__ import annotations
@@ -22,11 +26,42 @@ class ComplexError(ValueError):
     pass
 
 
-def _faces(simplex):
-    return [simplex[:i] + simplex[i + 1:] for i in range(len(simplex))]
+class _CellComplex:
+    """The shared part; a kind gives dim, cells[k] in sorted order, index[k]
+    its positions, and faces_of and cell_dim."""
+
+    def n_cells(self, k: int) -> int:
+        return len(self.cells[k]) if 0 <= k <= self.dim else 0
+
+    def cell_index(self, k: int, c) -> int:
+        return self.index[k][tuple(c)]
+
+    def boundary_entries(self, k: int):
+        """Yields (face_index, cell_index, sign) for the k-th boundary map."""
+        lower = self.index[k - 1]
+        faces_of = self.faces_of
+        for j, c in enumerate(self.cells[k]):
+            for f, sgn in faces_of(c):
+                yield lower[f], j, sgn
+
+    def incidence_sign(self, sigma, tau) -> int:
+        """The sign of tau in the boundary of sigma, 0 when tau is not one
+        of its faces; the dimensions must be k and k-1."""
+        sigma, tau = tuple(sigma), tuple(tau)
+        ks, kt = self.cell_dim(sigma), self.cell_dim(tau)
+        if ks - kt != 1:
+            raise ComplexError(
+                f"incidence needs dimensions k and k-1, got {ks} and {kt}")
+        if not (1 <= ks <= self.dim and sigma in self.index[ks]
+                and tau in self.index[kt]):
+            raise ComplexError("cells do not belong to the complex")
+        for f, sgn in self.faces_of(sigma):
+            if f == tau:
+                return sgn
+        return 0
 
 
-class SimplicialComplex:
+class SimplicialComplex(_CellComplex):
     """Immutable simplicial complex with face closure and stable cell indices."""
 
     def __init__(self, cells_by_dim, vertex_coords=None):
@@ -42,25 +77,22 @@ class SimplicialComplex:
         for k in range(1, self.dim + 1):
             lower = self.index[k - 1]
             for c in self.cells[k]:
-                for f in _faces(c):
+                for f, _ in self.faces_of(c):
                     if f not in lower:
                         raise ComplexError(f"face {f} of {c} is missing")
 
-    def n_cells(self, k: int) -> int:
-        if 0 <= k <= self.dim:
-            return len(self.cells[k])
-        return 0
+    @staticmethod
+    def cell_dim(c) -> int:
+        return len(c) - 1
 
-    def cell_index(self, k: int, c) -> int:
-        return self.index[k][tuple(c)]
-
-    def boundary_entries(self, k: int):
-        """Yields (face_index, cell_index, sign) for the k-th boundary map."""
-        lower = self.index[k - 1]
-        for j, c in enumerate(self.cells[k]):
-            for pos in range(len(c)):
-                f = c[:pos] + c[pos + 1:]
-                yield lower[f], j, (-1) ** pos
+    @staticmethod
+    def faces_of(c):
+        """Signed faces: (c without its i-th vertex, (-1)^i)."""
+        out, sgn = [], 1
+        for i in range(len(c)):
+            out.append((c[:i] + c[i + 1:], sgn))
+            sgn = -sgn
+        return out
 
     def to_json_dict(self):
         tops = top_cells(self)
@@ -104,40 +136,25 @@ def build_complex(simplex_list, vertex_coords=None) -> SimplicialComplex:
             continue
         cells[k].add(c)
         if k > 0:
-            stack.extend(_faces(c))
+            stack.extend(f for f, _ in SimplicialComplex.faces_of(c))
     return SimplicialComplex(cells, vertex_coords=vertex_coords)
 
 
-def top_cells(X: SimplicialComplex):
+def top_cells(X):
     """Cells that are not a face of any higher cell."""
     covered = set()
     for k in range(1, X.dim + 1):
         for c in X.cells[k]:
-            covered.update(_faces(c))
-    return [c for k in range(X.dim + 1) for c in X.cells[k] if c not in covered]
+            covered.update(f for f, _ in X.faces_of(c))
+    return [c for cs in X.cells for c in cs if c not in covered]
 
 
 def incidence_sign(X, sigma, tau) -> int:
-    """(-1)^i when tau is sigma with its i-th vertex dropped, else 0.
-
-    Works for simplicial and grid complexes; dimensions must differ by one.
-    """
-    if isinstance(X, GridCubeComplex):
-        return X.incidence_sign(sigma, tau)
-    sigma, tau = tuple(sigma), tuple(tau)
-    if len(sigma) - len(tau) != 1:
-        raise ComplexError(
-            f"incidence needs dimensions k and k-1, got {len(sigma)-1} and {len(tau)-1}")
-    k = len(sigma) - 1
-    if sigma not in X.index[k] or tau not in X.index[k - 1]:
-        raise ComplexError("cells do not belong to the complex")
-    for pos in range(len(sigma)):
-        if sigma[:pos] + sigma[pos + 1:] == tau:
-            return (-1) ** pos
-    return 0
+    """X.incidence_sign(sigma, tau), on either kind of complex."""
+    return X.incidence_sign(sigma, tau)
 
 
-class GridCubeComplex:
+class GridCubeComplex(_CellComplex):
     """The unit n-cube cubulated by an axis grid of side 1/r."""
 
     def __init__(self, n: int, r: int):
@@ -157,14 +174,6 @@ class GridCubeComplex:
             cs.sort()
             self.cells.append(cs)
         self.index = [{c: i for i, c in enumerate(cs)} for cs in self.cells]
-
-    def n_cells(self, k: int) -> int:
-        if 0 <= k <= self.n:
-            return len(self.cells[k])
-        return 0
-
-    def cell_index(self, k: int, c) -> int:
-        return self.index[k][tuple(c)]
 
     @staticmethod
     def cell_dim(c) -> int:
@@ -186,25 +195,6 @@ class GridCubeComplex:
             out.append((top, sgn))
             out.append((bot, -sgn))
         return out
-
-    def incidence_sign(self, sigma, tau) -> int:
-        sigma, tau = tuple(sigma), tuple(tau)
-        ks, kt = self.cell_dim(sigma), self.cell_dim(tau)
-        if ks - kt != 1:
-            raise ComplexError(
-                f"incidence needs dimensions k and k-1, got {ks} and {kt}")
-        if sigma not in self.index[ks] or tau not in self.index[kt]:
-            raise ComplexError("cells do not belong to the complex")
-        for f, sgn in self.faces_of(sigma):
-            if f == tau:
-                return sgn
-        return 0
-
-    def boundary_entries(self, k: int):
-        lower = self.index[k - 1]
-        for j, c in enumerate(self.cells[k]):
-            for f, sgn in self.faces_of(c):
-                yield lower[f], j, sgn
 
     def in_boundary(self, c) -> bool:
         """True when the cell lies in the boundary of the cube."""

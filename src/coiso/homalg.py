@@ -210,8 +210,10 @@ def boundary_matrix(X, k: int) -> IntegerMatrix:
     """
     if not 1 <= k <= X.dim:
         raise HomalgError(f"k={k} out of range for complex of dimension {X.dim}")
-    rows = sparse_rows_from_entries(X.boundary_entries(k), X.n_cells(k - 1))
-    return IntegerMatrix(X.n_cells(k - 1), X.n_cells(k), rows)
+    B = IntegerMatrix(X.n_cells(k - 1), X.n_cells(k))
+    # int entries with no zeros already, so the constructor's copy is skipped
+    B.rows = sparse_rows_from_entries(X.boundary_entries(k), B.nrows)
+    return B
 
 
 def coboundary_matrix(X, k: int) -> IntegerMatrix:

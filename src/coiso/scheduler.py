@@ -1,8 +1,8 @@
 """Obstruction cocycles and the layered degree schedule on X x I.
 
 The prism complex is the product cell structure with the unit interval cut
-into `layers` subintervals: m-cells are vertical (an (m-1)-simplex times a
-subinterval) or horizontal (an m-simplex at a level), and (m+1)-cells are
+into `layers` subintervals: m-cells are vertical (an (m-1)-cell times a
+subinterval) or horizontal (an m-cell at a level), and (m+1)-cells are
 the prisms themselves.  Orientation is the interval-first product
 convention, so the boundary of a prism is
 
@@ -72,7 +72,7 @@ def _is_pure(X) -> bool:
     which is immutable, and kept on it."""
     pure = getattr(X, "_pure", None)
     if pure is None:
-        pure = X._pure = all(len(c) - 1 == X.dim for c in top_cells(X))
+        pure = X._pure = all(X.cell_dim(c) == X.dim for c in top_cells(X))
     return pure
 
 

@@ -91,7 +91,10 @@ class SubdividedComplex:
 
 
 def edgewise_subdivide(X: SimplicialComplex, L: int) -> SubdividedComplex:
-    """L-fold edgewise subdivision of a complex of dimension <= 3."""
+    """L-fold edgewise subdivision of a simplicial complex of dimension <= 3."""
+    if not isinstance(X, SimplicialComplex):
+        raise SubdivisionError(f"edgewise subdivision needs a simplicial "
+                               f"complex, got {X!r}")
     if L < 1:
         raise SubdivisionError(f"subdivision parameter must be >= 1, got {L}")
     if X.dim > MAX_DIM:

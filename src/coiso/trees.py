@@ -193,9 +193,9 @@ def _components(X):
         return a
 
     if X.dim >= 1:
-        for a, b in X.cells[1]:
-            ia, ib = X.cell_index(0, (a,)), X.cell_index(0, (b,))
-            ra, rb = find(ia), find(ib)
+        for e in X.cells[1]:
+            (a, _), (b, _) = X.faces_of(e)
+            ra, rb = find(X.cell_index(0, a)), find(X.cell_index(0, b))
             if ra != rb:
                 parent[ra] = rb
     comps = {}

@@ -247,6 +247,25 @@ def test_malformed_complex_json_exits_one(runner, doc, command):
         assert err["error"]["message"]
 
 
+@pytest.mark.parametrize("args", [
+    ["subdivide", "--in", "grid.json", "--L", "2", "--out", "s.json"],
+    ["cip-sweep", "--complex", "grid.json", "--k", "1", "--L", "2",
+     "--trials", "1", "--seed", "0", "--out", "c.csv"],
+], ids=["subdivide", "cip-sweep"])
+def test_subdividing_a_grid_exits_one(runner, args):
+    with runner.isolated_filesystem():
+        json.dump({"n": 2, "r": 2}, open("grid.json", "w"))
+        r = runner.invoke(main, args)
+        assert r.exit_code == 1, r.output
+        assert r.exception is None or isinstance(r.exception, SystemExit), \
+            r.exception
+        assert json.loads(r.stderr) == {"error": {
+            "type": "SubdivisionError",
+            "message": "edgewise subdivision needs a simplicial complex, "
+                       "got GridCubeComplex(n=2, r=2)"}}
+        assert sorted(Path().iterdir()) == [Path("grid.json")]
+
+
 def _committed_schedule(edit):
     """The committed dD3_L4 k=2 schedule artifact, edited in place."""
     doc = json.loads((INPUTS / "dD3_L4_k2_schedule.json").read_text())

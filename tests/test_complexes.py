@@ -1,5 +1,6 @@
 import json
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from coiso.complexes import (ComplexError, build_complex,
                              build_grid_cube_complex, complex_from_json_dict,
-                             cycle_complex, incidence_sign, simplex_boundary,
-                             standard_simplex, top_cells)
+                             cycle_complex, incidence_sign, load_complex,
+                             simplex_boundary, standard_simplex, top_cells)
+from coiso.homalg import boundary_matrix
+from coiso.linalg import sparse_rows_from_entries
+from coiso.trees import telescope_complex
+
+INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 
 def cell_counts(X):
@@ -75,6 +81,14 @@ def test_incidence_dimension_mismatch_rejected():
     X = build_complex([(0, 1, 2)])
     with pytest.raises(ComplexError):
         incidence_sign(X, (0, 1, 2), (0,))
+
+
+def test_incidence_of_a_cell_above_the_top_dimension_is_refused():
+    X = build_complex([(0, 1)])
+    with pytest.raises(ComplexError, match="do not belong"):
+        incidence_sign(X, (0, 1, 2), (0, 1))
+    with pytest.raises(ComplexError, match="do not belong"):
+        incidence_sign(X, (0,), ())
 
 
 def test_cells_are_lexicographically_ordered_and_indexed():
@@ -187,3 +201,75 @@ def test_standard_simplex_coords_unit_edges():
     for a, b in X.cells[1]:
         d = sum((x - y) ** 2 for x, y in zip(c[a], c[b]))
         assert d == 2
+
+
+# -- one interface for both kinds --------------------------------------------
+
+def _simplicial_corpus():
+    """name -> complex: hand-built ones and every simplicial golden input."""
+    out = {"triangle": build_complex([(0, 1, 2)]),
+           "triangle-and-edge": build_complex([(0, 1, 2), (2, 3)]),
+           "four-components": build_complex([(5, 6, 7), (0, 1, 2), (3, 4), (8,)]),
+           "C4": cycle_complex(4), "dDelta3": simplex_boundary(3),
+           "dDelta4": simplex_boundary(4), "Delta3": build_complex([(0, 1, 2, 3)]),
+           "telescope": telescope_complex()}
+    for f in sorted(INPUTS.glob("*.json")):
+        if "simplices" in json.loads(f.read_text()):
+            out[f.stem] = load_complex(f)
+    return out
+
+
+SIMPLICIAL = _simplicial_corpus()
+
+
+def _old_boundary_entries(X, k):
+    # the simplicial formula before faces_of: drop vertex pos, sign (-1)^pos
+    lower = X.index[k - 1]
+    for j, c in enumerate(X.cells[k]):
+        for pos in range(len(c)):
+            yield lower[c[:pos] + c[pos + 1:]], j, (-1) ** pos
+
+
+def _old_top_cells(X):
+    covered = {c[:i] + c[i + 1:] for k in range(1, X.dim + 1)
+               for c in X.cells[k] for i in range(len(c))}
+    return [c for k in range(X.dim + 1) for c in X.cells[k] if c not in covered]
+
+
+@pytest.mark.parametrize("name", SIMPLICIAL)
+def test_simplicial_boundaries_and_tops_equal_the_vertex_drop_formulas(name):
+    X = SIMPLICIAL[name]
+    for k in range(1, X.dim + 1):
+        assert list(X.boundary_entries(k)) == list(_old_boundary_entries(X, k))
+        assert boundary_matrix(X, k).rows == sparse_rows_from_entries(
+            _old_boundary_entries(X, k), X.n_cells(k - 1))
+    assert top_cells(X) == _old_top_cells(X)
+
+
+@pytest.mark.parametrize("name", SIMPLICIAL)
+def test_simplicial_faces_of_drops_each_vertex_in_turn(name):
+    X = SIMPLICIAL[name]
+    for k in range(X.dim + 1):
+        for c in X.cells[k]:
+            assert X.cell_dim(c) == k
+            assert X.faces_of(c) == [(c[:i] + c[i + 1:], (-1) ** i)
+                                     for i in range(k + 1)]
+            if k:
+                assert [incidence_sign(X, c, f) for f, _ in X.faces_of(c)] \
+                    == [(-1) ** i for i in range(k + 1)]
+
+
+def test_top_cells_of_a_grid_are_its_top_dimensional_cubes():
+    assert top_cells(build_grid_cube_complex(2, 1)) == [((0, 1), (0, 1))]
+    G = build_grid_cube_complex(3, 2)
+    assert top_cells(G) == G.cells[3]
+
+
+def test_grid_incidence_through_the_module_function():
+    G = build_grid_cube_complex(2, 1)
+    sq = G.cells[2][0]
+    signs = {f: incidence_sign(G, sq, f) for f in G.cells[1]}
+    assert signs == dict(G.faces_of(sq))
+    assert sorted(signs.values()) == [-1, -1, 1, 1]
+    with pytest.raises(ComplexError, match="do not belong"):
+        incidence_sign(G, ((0, 1), (0, 1), (0, 0)), ((0, 1), (0, 0), (0, 0)))

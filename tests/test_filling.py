@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coiso.exact import RAT, ZERO, ONE, is_integral
-from coiso.complexes import (build_complex, cycle_complex, simplex_boundary)
-from coiso.homalg import Cochain, boundary_matrix, norm_inf
+from coiso.complexes import (build_complex, build_grid_cube_complex,
+                             cycle_complex, simplex_boundary)
+from coiso.homalg import Cochain, apply_coboundary, boundary_matrix, norm_inf
 from coiso.linalg import RationalSolver, scale_to_ints
 from coiso import lp
 from coiso.lp import Infeasible, LinfProblem, LPError, l1_min
@@ -314,6 +315,24 @@ def test_integral_fill_on_subdivided_sphere():
     diff = res.norm_inf_alpha - res.details["rational_norm"]
     assert diff <= 2 + 1 + res.details["g_upper"]
     assert res.norm_inf_alpha <= res.details["rational_norm"] + 2 + 1 + res.details["g_upper"]
+
+
+@pytest.mark.parametrize("n, r, k", [(n, r, k) for n, r in ((2, 2), (2, 3), (3, 2))
+                                     for k in range(1, n + 1)])
+def test_integral_fill_on_a_grid(n, r, k):
+    # omega is the coboundary of a seeded integer cochain: the sampler's
+    # {-1, 0, 1} draws hit no coboundary on the (2, 3) grid in degree 1
+    X = build_grid_cube_complex(n, r)
+    rng = random.Random(100 * n + 10 * r + k)
+    omega = apply_coboundary(X, Cochain(k - 1, {
+        i: rng.randint(-2, 2) for i in range(X.n_cells(k - 1))}, "int"))
+    assert omega.entries
+    res = filling.integral_fill(X, omega)
+    assert apply_coboundary(X, res.alpha).dense(X.n_cells(k)) == \
+        omega.dense(X.n_cells(k))
+    d = res.details
+    assert d["rational_norm"] == filling.linf_fill_rational(X, omega).norm_inf_alpha
+    assert res.norm_inf_alpha <= d["rational_norm"] + k + 1 + d["g_upper"]
 
 
 def test_integral_fill_requires_integral_omega():

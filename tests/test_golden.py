@@ -7,11 +7,17 @@ output change must therefore be deliberate: regenerate the goldens with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and declare the change.
+and declare the change.  With an installed console script,
+
+    python tests/test_golden.py --console
+
+runs every case through `coiso` in a subprocess instead, from a temp dir,
+and exits 1 when any differs.
 """
 
 import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -50,7 +56,9 @@ CASES = dict([
         _fill("fill-dD3L4-k2-int", "dD3_L4.json", "dD3_L4_k2.json", "int"),
         _fill("fill-dD3L4-k2-rat", "dD3_L4.json", "dD3_L4_k2.json", "rat"),
         _fill("fill-dD3L4-k2-mixed-rat", "dD3_L4.json", "dD3_L4_k2_mixed.json",
-              "rat"))),
+              "rat"),
+        # the 2x2 grid of the unit square, through the same trees and lift
+        _fill("fill-grid22-k2-int", "grid22.json", "grid22_k2.json", "int"))),
     ("duality-dD3-k2", (["duality", "--complex", "dD3.json", "--k", "2"], 0)),
     ("duality-dD4-k2", (["duality", "--complex", "dD4.json", "--k", "2"], 0)),
     # the lowest-row pivot rule of greedy_basis, through both tree kinds
@@ -86,6 +94,9 @@ CASES = dict([
          ["verify", "--kind", "schedule", "--in",
           "dD3_L4_k2_schedule_half.json", "--complex", "dD3_L4.json",
           "--out", "verify.json"]))),
+    # edgewise subdivision of the 2x2 grid of the unit square is refused
+    ("subdivide-grid-refused", (["subdivide", "--in", "grid22.json", "--L", "2",
+                                 "--out", "sub.json"], 1)),
     # torsion on RP^2: a 2-cochain fills integrally exactly when its entry
     # sum is even, through the Smith form of the stuck 1x3 block
     *((name, (argv, code)) for (name, argv), code in (
@@ -94,8 +105,22 @@ CASES = dict([
 ])
 
 
+def _artifacts(workdir, exit_code, stdout, stderr):
+    """{artifact name: bytes} of a finished run: its exit code, nonempty
+    stdout and stderr, and every file it wrote in workdir."""
+    out = {"exit_code": b"%d\n" % exit_code}
+    if stdout:
+        out["stdout"] = stdout
+    if stderr:
+        out["stderr"] = stderr
+    for f in sorted(workdir.iterdir()):
+        if not (INPUTS / f.name).exists():
+            out[f.name] = f.read_bytes()
+    return out
+
+
 def run_case(name, workdir):
-    """Run one case in workdir; returns {artifact name: bytes}."""
+    """Run one case in workdir through click; returns its artifacts."""
     argv, _ = CASES[name]
     for f in INPUTS.iterdir():
         shutil.copy(f, workdir / f.name)
@@ -107,15 +132,35 @@ def run_case(name, workdir):
         os.chdir(old)
     if r.exception is not None and not isinstance(r.exception, SystemExit):
         raise r.exception
-    out = {"exit_code": b"%d\n" % r.exit_code}
-    if r.stdout_bytes:
-        out["stdout"] = r.stdout_bytes
-    if r.stderr_bytes:
-        out["stderr"] = r.stderr_bytes
-    for f in sorted(workdir.iterdir()):
-        if not (INPUTS / f.name).exists():
-            out[f.name] = f.read_bytes()
-    return out
+    return _artifacts(workdir, r.exit_code, r.stdout_bytes, r.stderr_bytes)
+
+
+def run_console_case(name, workdir, command=("coiso",), env=None):
+    """Run one case in workdir through the console script `command` in a
+    subprocess; returns its artifacts."""
+    argv, _ = CASES[name]
+    for f in INPUTS.iterdir():
+        shutil.copy(f, workdir / f.name)
+    r = subprocess.run([*command, *argv], cwd=workdir, env=env,
+                       capture_output=True)
+    return _artifacts(workdir, r.returncode, r.stdout, r.stderr)
+
+
+def check_console_script():
+    """Every case through the console script, each in a fresh temp dir;
+    prints one line per case and returns the number that differ from their
+    goldens."""
+    import tempfile
+
+    bad = 0
+    for name in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            got = run_console_case(name, Path(tmp))
+        want = {f.name: f.read_bytes() for f in (GOLDEN / name).iterdir()}
+        diff = sorted(k for k in set(got) | set(want) if got.get(k) != want.get(k))
+        bad += bool(diff)
+        print(name, f"differs: {diff}" if diff else "ok")
+    return bad
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -126,6 +171,18 @@ def test_cli_artifacts_match_the_goldens(name, tmp_path):
     for key in want:
         assert got[key] == want[key], f"{name}/{key} differs from its golden"
     assert got["exit_code"] == b"%d\n" % CASES[name][1]
+
+
+@pytest.mark.parametrize("name", ["fill-grid22-k2-int", "subdivide-grid-refused"])
+def test_console_runs_match_the_goldens(name, tmp_path):
+    # the subprocess path that checks the installed console script, on a
+    # stand-in command
+    import coiso
+
+    env = dict(os.environ, PYTHONPATH=str(Path(coiso.__file__).parents[1]))
+    got = run_console_case(name, tmp_path, (sys.executable, "-c",
+                           "from coiso.cli import main; main()"), env)
+    assert got == {f.name: f.read_bytes() for f in (GOLDEN / name).iterdir()}
 
 
 def test_verify_input_is_the_schedule_golden():
@@ -149,4 +206,6 @@ def _regenerate():
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--console"]:
+        sys.exit(1 if check_console_script() else 0)
     _regenerate()

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from math import floor
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coiso import scheduler
-from coiso.complexes import build_complex, simplex_boundary
+from coiso.complexes import (build_complex, build_grid_cube_complex,
+                             simplex_boundary)
 from coiso.homalg import (Cochain, IntegerMatrix, apply_coboundary,
                           boundary_matrix, norm_inf)
 from coiso.filling import (FillingError, integral_fill,
@@ -130,6 +132,12 @@ def test_prism_dd_zero():
     assert not any(matmul(P.boundary_mid(), P.boundary_top()).rows)
 
 
+def test_prism_dd_zero_on_a_grid_base():
+    P = BoundaryPrism(build_grid_cube_complex(2, 2), 2)
+    assert P.n_prisms == 8
+    assert not any(matmul(P.boundary_mid(), P.boundary_top()).rows)
+
+
 def test_prism_rejects_zero_layers():
     with pytest.raises(SchedulerError):
         build_prism_complex(simplex_boundary(3), 0)
@@ -218,6 +226,22 @@ def test_pipeline_schedule_on_sphere():
     assert rep["all_passed"]
     assert rep["max_abs_vertical"] <= 1
     assert s.norm_inf() <= int(norm_inf(om)) + 2 + 1
+
+
+@pytest.mark.parametrize("n, r", [(2, 2), (2, 3), (3, 2)])
+def test_pipeline_schedule_on_a_grid(n, r):
+    # omega is the coboundary of a seeded integer (n-1)-cochain on the cube
+    X = build_grid_cube_complex(n, r)
+    rng = random.Random(10 * n + r)
+    om = apply_coboundary(X, Cochain(n - 1, {
+        i: rng.randint(-2, 2) for i in range(X.n_cells(n - 1))}, "int"))
+    assert om.entries
+    fill = integral_fill(X, om)
+    layers = max(1, int(norm_inf(fill.alpha)))
+    s, rep = degree_schedule(X, om, fill.alpha, layers)
+    assert rep == verify_schedule(s)
+    assert rep["all_passed"]
+    assert rep["max_abs_vertical"] <= 1
 
 
 def test_corrupting_a_horizontal_value_breaks_one_or_two_prisms():

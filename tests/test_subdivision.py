@@ -1,8 +1,9 @@
 import pytest
 
 from coiso.exact import RAT
-from coiso.complexes import (build_complex, cycle_complex, simplex_boundary,
-                             standard_simplex, top_cells)
+from coiso.complexes import (build_complex, build_grid_cube_complex,
+                             cycle_complex, simplex_boundary, standard_simplex,
+                             top_cells)
 from coiso.homalg import betti_numbers
 from coiso.subdivision import (SubdivisionError, edgewise_subdivide,
                                regularity_report)
@@ -174,3 +175,9 @@ def test_subdividing_glued_complexes_preserves_homology():
         for L in (2, 3):
             S = edgewise_subdivide(X, L)
             assert betti_numbers(S.result) == betti
+
+
+def test_a_grid_is_refused():
+    with pytest.raises(SubdivisionError, match="needs a simplicial complex, "
+                       r"got GridCubeComplex\(n=2, r=2\)"):
+        edgewise_subdivide(build_grid_cube_complex(2, 2), 2)

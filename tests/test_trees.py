@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coiso.exact import RAT
-from coiso.complexes import build_complex, cycle_complex, simplex_boundary
+from coiso.complexes import (build_complex, build_grid_cube_complex,
+                             cycle_complex, simplex_boundary)
 from coiso.filling import (LiftData, _any_cocycle_lift, get_fill_context,
                            linf_fill_rational, sample_integral_coboundary,
                            trial_rng)
@@ -136,6 +137,14 @@ def test_zero_dimensional_trees():
     assert greedy_spanning_tree(X, 0).cells == ()
     U0 = wrapping_tree(X, 0)
     assert len(U0.cells) == 1
+
+
+@pytest.mark.parametrize("n, r", [(1, 3), (2, 2), (3, 2)])
+def test_zero_wrapping_tree_of_a_grid_is_its_first_vertex(n, r):
+    # the cube is connected: one component, read from the edges' faces
+    G = build_grid_cube_complex(n, r)
+    assert wrapping_tree(G, 0).cells == (0,)
+    assert trees._components(G) == [set(range(G.n_cells(0)))]
 
 
 # -- gnarledness ----------------------------------------------------------------
