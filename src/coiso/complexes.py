@@ -126,17 +126,10 @@ def build_complex(simplex_list, vertex_coords=None) -> SimplicialComplex:
         tops.append(t)
     if not tops:
         raise ComplexError("empty simplex list")
-    dim = max(len(t) for t in tops) - 1
-    cells = [set() for _ in range(dim + 1)]
-    stack = list(tops)
-    while stack:
-        c = stack.pop()
-        k = len(c) - 1
-        if c in cells[k]:
-            continue
-        cells[k].add(c)
-        if k > 0:
-            stack.extend(f for f, _ in SimplicialComplex.faces_of(c))
+    cells = [set() for _ in range(max(map(len, tops)))]
+    for t in tops:
+        for k in range(len(t)):
+            cells[k].update(combinations(t, k + 1))
     return SimplicialComplex(cells, vertex_coords=vertex_coords)
 
 
