@@ -262,12 +262,15 @@ def verify(kind, in_path, complex_path, n, k, r, out):
         if in_path is None or complex_path is None:
             raise click.UsageError("schedule verification needs --in and --complex")
         X = load_complex(complex_path)
-        with open(in_path) as fh:
-            try:
+        try:
+            with open(in_path) as fh:
                 doc = json.load(fh)
-            except ValueError as e:     # JSONDecodeError, UnicodeDecodeError
-                raise SchedulerError(
-                    f"malformed schedule JSON: {type(e).__name__}: {e}") from e
+        except OSError as e:
+            raise SchedulerError(
+                f"cannot read schedule file {in_path}: {e.strerror or e}") from e
+        except ValueError as e:     # JSONDecodeError, UnicodeDecodeError
+            raise SchedulerError(
+                f"malformed schedule JSON: {type(e).__name__}: {e}") from e
         report = verify_schedule(PrismSchedule.from_json_dict(doc, X))
         _write_artifact(out, config, {"report": _jsonable(report)})
         ok = report["all_passed"]

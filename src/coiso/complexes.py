@@ -245,11 +245,13 @@ def complex_from_json_dict(d):
 
 
 def load_complex(path):
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             d = json.load(fh)
-        except ValueError as e:     # JSONDecodeError, UnicodeDecodeError
-            raise ComplexError(f"complex file is not JSON: {e}") from e
+    except OSError as e:
+        raise ComplexError(f"cannot read complex file {path}: {e.strerror or e}") from e
+    except ValueError as e:     # JSONDecodeError, UnicodeDecodeError
+        raise ComplexError(f"complex file is not JSON: {e}") from e
     return complex_from_json_dict(d)
 
 

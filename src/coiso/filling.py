@@ -15,8 +15,9 @@ of the operation, not an afterthought.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import product
 from math import comb, gcd, lcm
 
 from .exact import RAT, ZERO
@@ -524,10 +525,11 @@ def estimate_cip(X, k: int, L_list, trials: int, rng_seed: int):
 # filling/cofilling duality on tiny complexes
 
 # The cap bounds the candidate vertices each enumeration examines, n cells
-# and d the rank of the boundary: C(n, d-1) coordinate sets, one kernel solve
-# each, on the ell-1 side; C(n, d) coordinate sets times 2^d sign patterns on
-# the ell-infinity side (one factorization and d unit solves per set, then a
-# signed sum per pattern pair).  A complex over the cap on either side is
+# and d the rank of the boundary: C(n, d-1) coordinate sets on the ell-1
+# side, a circuit read off the minors for each; C(n, d) coordinate sets times
+# 2^d sign patterns on the ell-infinity side, a signed sum of d circuits per
+# pattern pair.  The wedge that makes the minors holds at most C(n, r)
+# entries after its r-th row.  A complex over the cap on either side is
 # refused before any enumeration, as is one whose ell-infinity or ell-1 LP
 # tableau exceeds lp.SIMPLEX_CAP, which is checked first.
 ENUMERATION_CAP = 20000
@@ -574,39 +576,80 @@ def coiso_constants_tiny(X, k: int):
 
 
 def _image_basis(rows, ncols, nrows):
-    """Basis (as dense columns) of the column space of the given sparse rows."""
+    """Basis (as dense int columns) of the column space of the given sparse
+    int rows."""
     cols = transpose_rows(rows, ncols)
     picks, _ = greedy_basis(cols, nrows)
-    return [[RAT(cols[j].get(i, 0)) for i in range(nrows)] for j in picks]
+    return [[cols[j].get(i, 0) for i in range(nrows)] for j in picks]
+
+
+def _minors(basis, n):
+    """{I: P[I]}: the nonzero maximal minors of the d x n matrix whose rows
+    are the basis vectors (scaled to ints once), over sorted d-tuples I of
+    coordinates: the Pluecker coordinates of the span.
+
+    They are the coordinates of the wedge of the rows, taken one row at a
+    time with e_I ^ e_j = (-1)^#{i in I: i > j} e_(I+j).  Only products and
+    sums are formed, and the table after r rows has at most C(n, r) entries.
+    """
+    _, flat = scale_to_ints([v for row in basis for v in row])
+    P = {(): 1}
+    for r in range(len(basis)):
+        support = [(j, v) for j, v in enumerate(flat[r * n:(r + 1) * n]) if v]
+        Q = {}
+        for I, p in P.items():
+            for j, v in support:
+                pos = bisect_left(I, j)
+                if pos < len(I) and I[pos] == j:
+                    continue
+                K = I[:pos] + (j,) + I[pos:]
+                q = p * v if (r - pos) % 2 == 0 else -p * v
+                Q[K] = Q.get(K, 0) + q
+        P = {K: q for K, q in Q.items() if q}
+    return P
+
+
+def _circuits(P, d, n):
+    """{J: c}: for each (d-1)-set J of coordinates of rank d-1, the dense
+    int vector c_i = (-1)^#{j in J: j > i} P[J + i], from the nonzero minors
+    P of a rank-d span over n coordinates.
+
+    c is the determinant of the d x d matrix of the coordinates J and i
+    (Laplace along i), so it lies in the span and vanishes on J, and it is
+    nonzero exactly when J has rank d-1.  In a sorted d-set I, the element
+    at position t has d-1-t larger ones.
+    """
+    C = {}
+    for I, p in P.items():
+        for t, i in enumerate(I):
+            J = I[:t] + I[t + 1:]
+            c = C.get(J)
+            if c is None:
+                c = C[J] = [0] * n
+            c[i] = p if (d - 1 - t) % 2 == 0 else -p
+    return C
 
 
 def _vertices_inf_ball(basis, n):
-    """Vertices of {w in span(basis): ||w||_inf <= 1}, by active-set solves.
+    """Vertices of {w in span(basis): ||w||_inf <= 1}, from the maximal
+    minors of the basis.
 
-    A vertex is w = basis . x with w_i = s_i = +-1 on some d coordinates
-    whose rows A of the basis are independent, so x = A^-1 s.  Per d-set,
-    G = basis . A^-1 is formed once (d unit solves), and each sign pattern's
-    w is the signed sum of the columns of G, in ints over one denominator.
-    Patterns come in antipodal pairs: those with s_0 = +1 give w and -w.
+    A vertex is w = basis . x with w_i = s_i = +-1 on some d coordinates I
+    whose minor P[I] is nonzero.  Column t of basis . A_I^-1 is the circuit
+    of I minus its t-th coordinate over +-P[I], so each sign pattern's w is
+    a signed sum of those d circuits over |P[I]|, kept where no entry
+    exceeds |P[I]|.  Patterns come in antipodal pairs: those with a + on
+    the first circuit give w and -w.
     """
     d = len(basis)
     if d == 0:
         return []
-    Db, bint = scale_to_ints([v for col in basis for v in col])
-    bcols = [bint[j * n:(j + 1) * n] for j in range(d)]
+    P = _minors(basis, n)
+    C = _circuits(P, d, n)
     verts = set()                   # (denominator, int numerators), reduced
-    for idxs in combinations(range(n), d):
-        rows = [{j: basis[j][i] for j in range(d) if basis[j][i]} for i in idxs]
-        solver = RationalSolver(rows, d)
-        if solver.rank < d:
-            continue
-        # column t of G, times D: basis . x_t with A x_t = e_t
-        xs = [solver.solve([1 if s == t else 0 for s in range(d)])
-              for t in range(d)]
-        Dx, flat = scale_to_ints([v for x in xs for v in x])
-        D = Db * Dx
-        G = [[sum(bcols[j][i] * flat[t * d + j] for j in range(d)
-                  if flat[t * d + j]) for i in range(n)] for t in range(d)]
+    for I, p in P.items():
+        D = abs(p)
+        G = [C[I[:t] + I[t + 1:]] for t in range(d)]
         for signs in product((1, -1), repeat=d - 1):
             w = G[0]
             for s, g in zip(signs, G[1:]):
@@ -623,27 +666,15 @@ def _vertices_one_ball(basis, n):
 
     They are the elementary (minimal-support) vectors of the span, scaled to
     norm 1, with both signs (Rockafellar 1969).  An elementary vector spans
-    the part of the span that vanishes on some d-1 coordinates whose rows
-    have rank d-1, and every such part is spanned by an elementary vector:
-    one kernel solve per (d-1)-set of coordinates finds them all.  Each b is
-    formed in ints, from the basis and the kernel vector scaled to ints, and
-    b / ||b||_1 is kept over its reduced denominator.
+    the part of the span that vanishes on some d-1 coordinates of rank d-1,
+    and that part is spanned by their circuit, read off the maximal minors
+    of the basis.  b / ||b||_1 is kept over its reduced denominator.
     """
     d = len(basis)
     if d == 0:
         return []
-    _, bint = scale_to_ints([v for col in basis for v in col])
-    bcols = [bint[j * n:(j + 1) * n] for j in range(d)]
     verts = set()                   # (denominator, int numerators), reduced
-    for idxs in combinations(range(n), d - 1):
-        rows = [{j: bcols[j][i] for j in range(d) if bcols[j][i]} for i in idxs]
-        solver = RationalSolver(rows, d)
-        if solver.rank < d - 1:
-            continue
-        x, = solver.nullspace()
-        _, xs = scale_to_ints(list(x.values()))
-        terms = [(bcols[j], v) for j, v in zip(x, xs)]
-        b = [sum(col[i] * v for col, v in terms) for i in range(n)]
+    for b in _circuits(_minors(basis, n), d, n).values():
         q = gcd(*b)
         norm = sum(v if v >= 0 else -v for v in b) // q
         verts.add((norm, tuple(v // q for v in b)))

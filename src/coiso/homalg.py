@@ -154,11 +154,13 @@ def volume_norm(c: Chain):
 
 
 def load_cochain(path) -> Cochain:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             d = json.load(fh)
-        except ValueError as e:     # JSONDecodeError, UnicodeDecodeError
-            raise HomalgError(f"cochain file is not JSON: {e}") from e
+    except OSError as e:
+        raise HomalgError(f"cannot read cochain file {path}: {e.strerror or e}") from e
+    except ValueError as e:     # JSONDecodeError, UnicodeDecodeError
+        raise HomalgError(f"cochain file is not JSON: {e}") from e
     return Cochain.from_json_dict(d)
 
 
@@ -182,7 +184,11 @@ class IntegerMatrix:
         return transpose_rows(self.rows, self.ncols)
 
     def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(self.ncols, self.nrows, self.col_dicts())
+        T = IntegerMatrix(self.ncols, self.nrows)
+        # the columns of int rows with no zeros: the constructor's copy is
+        # skipped, as in boundary_matrix
+        T.rows = self.col_dicts()
+        return T
 
     def mat_vec(self, x):
         return [dot(r, x) for r in self.rows]

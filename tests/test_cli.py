@@ -215,6 +215,35 @@ def test_input_that_is_not_json_exits_one(runner, args, etype):
         assert "JSON" in err["error"]["message"]
 
 
+@pytest.mark.parametrize("args,etype,what", [
+    (["subdivide", "--in", "nope.json", "--L", "2", "--out", "s.json"],
+     "ComplexError", "complex"),
+    (["fill", "--complex", "nope.json", "--omega", "w.json", "--out", "a.json"],
+     "ComplexError", "complex"),
+    (["fill", "--complex", "c4.json", "--omega", "nope.json", "--out", "a.json"],
+     "HomalgError", "cochain"),
+    (["schedule", "--complex", "c4.json", "--omega", "w.json", "--alpha",
+      "nope.json", "--layers", "2", "--out", "s.json"], "HomalgError", "cochain"),
+    (["verify", "--kind", "schedule", "--in", "nope.json", "--complex",
+      "sphere.json", "--out", "v.json"], "SchedulerError", "schedule"),
+], ids=["subdivide-in", "fill-complex", "fill-omega", "schedule-alpha",
+        "verify-schedule-in"])
+@pytest.mark.parametrize("missing", [True, False], ids=["missing", "directory"])
+def test_input_that_cannot_be_read_exits_one(runner, args, etype, what, missing):
+    with runner.isolated_filesystem():
+        write_inputs()
+        if not missing:
+            Path("nope.json").mkdir()
+        r = runner.invoke(main, args)
+        assert r.exit_code == 1, r.output
+        assert r.exception is None or isinstance(r.exception, SystemExit), \
+            r.exception
+        err = json.loads(r.stderr)
+        assert err["error"]["type"] == etype
+        reason = "No such file or directory" if missing else "Is a directory"
+        assert err["error"]["message"] == f"cannot read {what} file nope.json: {reason}"
+
+
 @pytest.mark.parametrize("doc", [
     5,
     [[0, 1], [1, 2]],

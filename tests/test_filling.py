@@ -18,10 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 from coiso.exact import RAT, ZERO, ONE, is_integral
 from coiso.complexes import (build_complex, build_grid_cube_complex,
-                             cycle_complex, simplex_boundary)
+                             cycle_complex, load_complex, simplex_boundary)
 from coiso.homalg import Cochain, apply_coboundary, boundary_matrix, norm_inf
 from coiso.linalg import RationalSolver, scale_to_ints
-from coiso import lp
+from coiso import linalg, lp
 from coiso.lp import Infeasible, LinfProblem, LPError, l1_min
 from coiso import filling
 from coiso.filling import (DualityMismatch, FillingError, LiftData, LiftError,
@@ -37,9 +37,12 @@ from coiso.trees import (SpanningTree, WrappingTree, greedy_spanning_tree,
 from reference_lift import ReferenceLiftData, random_mod_z_cocycle
 from reference_solver import (ReferenceSolver, reference_mat_vec,
                               reference_witness)
-from reference_vertices import (vertices_inf_ball_reference,
+from reference_vertices import (vertices_inf_ball_per_set_reference,
+                                vertices_inf_ball_reference,
                                 vertices_one_ball_elementary_reference,
+                                vertices_one_ball_per_set_reference,
                                 vertices_one_ball_reference)
+from test_simplex import DUALITY_CORPUS
 
 
 def linf_oracle(rows, ncols, om):
@@ -804,3 +807,87 @@ def test_exact_ell_infinity_optima_match_highs_on_random_complexes(Xk):
     if comb(Bk.ncols, Bk.rank()) * 2 ** Bk.rank() > 2000:
         return
     _exact_against_highs(X, k)
+
+
+# -- both enumerations against one solver per coordinate set ----------------------
+
+def _same_vertices_as_the_per_set_solvers(X, k):
+    """Each side of the duality check on X in degree k enumerates the vertex
+    set of the per-set solvers, with no vertex twice; returns the two
+    counts."""
+    Bk = boundary_matrix(X, k)
+    problem = _inf_problem(Bk.transpose())
+    counts = []
+    for enumerate_, reference, basis, n in (
+            (_vertices_inf_ball, vertices_inf_ball_per_set_reference,
+             _image_basis(problem.rows, problem.n, problem.m), problem.m),
+            (_vertices_one_ball, vertices_one_ball_per_set_reference,
+             _image_basis(Bk.rows, Bk.ncols, Bk.nrows), Bk.nrows)):
+        got = [tuple(w) for w in enumerate_(basis, n)]
+        assert len(got) == len(set(got))
+        assert all(type(v) is RAT for w in got for v in w)
+        assert set(got) == {tuple(w) for w in reference(basis, n)}
+        counts.append(len(got))
+    return counts
+
+
+@pytest.mark.parametrize("X,k", DUALITY_CORPUS + [
+    (cycle_complex(5), 1), (cycle_complex(6), 1), (simplex_boundary(4), 1),
+    (simplex_boundary(4), 3),
+], ids=["C4-1", "Delta2-1", "dDelta3-1", "dDelta3-2", "dDelta4-2", "C5-1", "C6-1",
+        "dDelta4-1", "dDelta4-3"])
+def test_vertices_match_the_per_set_solvers_on_corpus(X, k):
+    assert min(_same_vertices_as_the_per_set_solvers(X, k)) > 0
+
+
+def test_vertices_match_the_per_set_solvers_on_rp2():
+    # torsion, and no 2-cycle: the ell-1 side spans all 10 triangles
+    X = load_complex(Path(__file__).parent / "golden" / "inputs" / "rp2.json")
+    assert min(_same_vertices_as_the_per_set_solvers(X, 2)) > 0
+
+
+@pytest.mark.parametrize("n,d,seed", RANDOM_SHAPES, ids=str)
+def test_vertices_match_the_per_set_solvers_on_random_bases(n, d, seed):
+    for side, enumerate_, reference in (
+            ("inf", _vertices_inf_ball, vertices_inf_ball_per_set_reference),
+            ("one", _vertices_one_ball, vertices_one_ball_per_set_reference)):
+        basis = random_coordinate_basis(random.Random(f"{side}/{n}/{d}/{seed}"), n, d)
+        assert ({tuple(w) for w in enumerate_(basis, n)}
+                == {tuple(w) for w in reference(basis, n)})
+
+
+def random_face_closure(rng):
+    """The face closure of 1-4 random top cells on at most 6 vertices, of
+    dimension at most 3."""
+    tops = {tuple(sorted(rng.sample(range(6), rng.randint(2, 4))))
+            for _ in range(rng.randint(1, 4))}
+    return build_complex(sorted(tops))
+
+
+def test_vertices_match_the_per_set_solvers_on_random_complexes():
+    compared = 0
+    for seed in range(150):
+        X = random_face_closure(random.Random(f"closure/{seed}"))
+        for k in range(1, X.dim + 1):
+            Bk = boundary_matrix(X, k)
+            d = Bk.rank()
+            if max(comb(Bk.nrows, d - 1) if d else 0,
+                   comb(Bk.ncols, d) * 2 ** d) > filling.ENUMERATION_CAP:
+                continue
+            _same_vertices_as_the_per_set_solvers(X, k)
+            compared += 1
+    assert compared >= 300
+
+
+def test_a_duality_check_on_dDelta3_builds_two_eliminations(monkeypatch):
+    # the two greedy bases; 21 when each coordinate set had its own solver
+    real = linalg._Echelon.__init__
+    built = []
+
+    def counted(self, rows, ncols):
+        built.append(type(self).__name__)
+        real(self, rows, ncols)
+
+    monkeypatch.setattr(linalg._Echelon, "__init__", counted)
+    assert coiso_constants_tiny(simplex_boundary(3), 2) == (RAT(1, 2), RAT(1, 2))
+    assert built == ["_LowestRowEchelon"] * 2

@@ -61,6 +61,8 @@ CASES = dict([
         _fill("fill-grid22-k2-int", "grid22.json", "grid22_k2.json", "int"))),
     ("duality-dD3-k2", (["duality", "--complex", "dD3.json", "--k", "2"], 0)),
     ("duality-dD4-k2", (["duality", "--complex", "dD4.json", "--k", "2"], 0)),
+    # torsion: RP^2 has no 2-cycle, so the ell-1 side spans all 10 triangles
+    ("duality-RP2-k2", (["duality", "--complex", "rp2.json", "--k", "2"], 0)),
     # the lowest-row pivot rule of greedy_basis, through both tree kinds
     *((f"tree-{kind}-dD3L4-k1", (["tree", "--in", "dD3_L4.json", "--k", "1",
                                   "--kind", kind, "--out", "tree.json"], 0))
@@ -81,11 +83,13 @@ CASES = dict([
         _fill("not-a-coboundary-dD3L4-int", "dD3_L4.json",
               "dD3_L4_k2_foreign.json", "int"))),
     # foreign input: a float cell index (3.0) in omega, a cell listed twice
-    # in omega, a horizontal schedule cell at level 77 of 2, and a schedule
+    # in omega, a missing complex file, a horizontal schedule cell at level 77 of 2, and a schedule
     # whose omega is 1/2 on a cell
     *((name, (argv, 1)) for name, argv in (
         _fill("fill-C4-float-index", "c4.json", "c4_float_index.json", "int"),
         _fill("fill-C4-repeated-cell", "c4.json", "c4_repeated_cell.json", "int"),
+        # a --complex file that does not exist
+        _fill("fill-missing-complex", "nope.json", "c4_omega.json", "int"),
         ("verify-schedule-dD3L4-foreign-cell",
          ["verify", "--kind", "schedule", "--in",
           "dD3_L4_k2_schedule_foreign.json", "--complex", "dD3_L4.json",

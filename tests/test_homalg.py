@@ -12,6 +12,7 @@ from coiso.homalg import (Chain, Cochain, HomalgError, IntegerMatrix,
                           IntegralSystem, apply_coboundary, betti_numbers, boundary_matrix,
                           euclid_step, norm_inf, pairing, smith_normal_form,
                           solve_integral_linear, volume_norm)
+from coiso.subdivision import edgewise_subdivide
 
 from intmatrix import matmul
 from reference_solver import reference_smith_normal_form
@@ -46,6 +47,18 @@ def test_dd_zero_on_triangle():
 def test_dd_zero_everywhere(X):
     for k in range(2, X.dim + 1):
         assert not any(matmul(boundary_matrix(X, k - 1), boundary_matrix(X, k)).rows)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_transpose_twice_is_the_matrix_with_nonzero_int_rows(k):
+    X = edgewise_subdivide(simplex_boundary(3), 16).result
+    B = boundary_matrix(X, k)
+    T = B.transpose()
+    assert (T.nrows, T.ncols) == (B.ncols, B.nrows)
+    assert T.transpose() == B
+    assert all(type(j) is int and type(v) is int and v
+               for M in (B, T) for r in M.rows for j, v in r.items())
+    assert T.rows == IntegerMatrix(B.ncols, B.nrows, B.col_dicts()).rows
 
 
 def test_boundary_k_out_of_range():
