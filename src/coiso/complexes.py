@@ -11,7 +11,10 @@ Grid cells of the unit n-cube at resolution r are encoded per axis as
 
 Both kinds give a cell's signed faces (`faces_of`) and dimension
 (`cell_dim`); counts, indices, boundaries, incidences and top cells are
-written once over those.
+written once over those.  The boundary maps have one representation,
+`boundary_cols(k)`: a dict per k-cell from (k-1)-face index to sign, read
+from `faces_of` once per degree and kept on the complex.  Every module
+derives what it needs from these shared columns and none changes them.
 """
 
 from __future__ import annotations
@@ -36,13 +39,20 @@ class _CellComplex:
     def cell_index(self, k: int, c) -> int:
         return self.index[k][tuple(c)]
 
-    def boundary_entries(self, k: int):
-        """Yields (face_index, cell_index, sign) for the k-th boundary map."""
-        lower = self.index[k - 1]
-        faces_of = self.faces_of
-        for j, c in enumerate(self.cells[k]):
-            for f, sgn in faces_of(c):
-                yield lower[f], j, sgn
+    def boundary_cols(self, k: int):
+        """The k-th boundary map by columns: one dict per k-cell, mapping
+        each (k-1)-face index to its sign, in increasing face index; empty
+        dicts outside 1..dim.  Read once from faces_of and kept on the
+        complex, so every caller shares them and none may mutate them."""
+        cache = self.__dict__.setdefault("_boundary_cols", {})
+        if k not in cache:
+            if 1 <= k <= self.dim:
+                lower, faces_of = self.index[k - 1], self.faces_of
+                cache[k] = [dict(sorted((lower[f], sgn) for f, sgn in faces_of(c)))
+                            for c in self.cells[k]]
+            else:
+                cache[k] = [{} for _ in range(self.n_cells(k))]
+        return cache[k]
 
     def incidence_sign(self, sigma, tau) -> int:
         """The sign of tau in the boundary of sigma, 0 when tau is not one
@@ -147,12 +157,24 @@ def incidence_sign(X, sigma, tau) -> int:
     return X.incidence_sign(sigma, tau)
 
 
+# cells of a grid, (2r+1)^n: on each axis a cell is one of r+1 points or
+# r intervals.  A larger grid is refused before any enumeration.
+GRID_CELL_CAP = 100_000
+
+
 class GridCubeComplex(_CellComplex):
     """The unit n-cube cubulated by an axis grid of side 1/r."""
 
     def __init__(self, n: int, r: int):
         if n < 1 or r < 1:
             raise ComplexError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
+        count = 1
+        for _ in range(n):          # past the cap after at most 11 axes
+            count *= 2 * r + 1
+            if count > GRID_CELL_CAP:
+                raise ComplexError(
+                    f"the grid n={n}, r={r} has (2r+1)^n cells, more than "
+                    f"the grid cap of {GRID_CELL_CAP} cells")
         self.n = n
         self.r = r
         self.dim = n

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import GridCubeComplex
-from .linalg import RationalSolver, sparse_rows_from_entries
+from .linalg import RationalSolver
 
 
 class CubeTreeError(ValueError):
@@ -165,14 +165,11 @@ def _pair_betti(grid, k, tree):
         keep.append({i: pos for pos, i in enumerate(cells)})
     ranks = [0] * (k + 2)
     for j in range(1, k + 1):
-        entries = []
-        for i, pos in keep[j].items():
-            for f, sgn in grid.faces_of(grid.cells[j][i]):
-                fi = grid.cell_index(j - 1, f)
-                if fi in keep[j - 1]:
-                    entries.append((keep[j - 1][fi], pos, sgn))
-        rows = sparse_rows_from_entries(entries, len(keep[j - 1]))
-        ranks[j] = RationalSolver(rows, len(keep[j])).rank
+        # the relative boundary's columns; a matrix's transpose has its rank
+        cols, lower = grid.boundary_cols(j), keep[j - 1]
+        rel = [{lower[f]: sgn for f, sgn in cols[i].items() if f in lower}
+               for i in keep[j]]
+        ranks[j] = RationalSolver(rel, len(lower)).rank
     betti = []
     for j in range(k + 1):
         betti.append(len(keep[j]) - ranks[j] - ranks[j + 1])

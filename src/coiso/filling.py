@@ -21,7 +21,8 @@ from itertools import product
 from math import comb, gcd, lcm
 
 from .exact import RAT, ZERO
-from .homalg import (Cochain, IntegralSystem, boundary_matrix, norm_inf)
+from .homalg import (Cochain, IntegerMatrix, IntegralSystem, boundary_matrix,
+                     coboundary_matrix, norm_inf)
 from .linalg import (RationalSolver, dot, greedy_basis, residual_rows,
                      scale_to_ints, transpose_rows)
 from .lp import LinfProblem, LPError, check_l1_cap, l1_optima
@@ -77,7 +78,8 @@ class FillContext:
             raise FillingError(f"k={k} out of range for dim {X.dim}")
         self.X = X
         self.k = k
-        self.delta = boundary_matrix(X, k).transpose()   # rows = k-cells, cols = (k-1)-cells
+        self.delta = IntegerMatrix(X.n_cells(k), X.n_cells(k - 1))  # rows = k-cells
+        self.delta.rows = X.boundary_cols(k)        # the shared columns of B_k
         self.lp = LinfProblem(self.delta.rows, self.delta.ncols)
         # the LP's D^T is B_k: its one factorization gives the cycles too
         self.cycles = self.lp.transpose_solver.nullspace()
@@ -170,8 +172,7 @@ class LiftData:
         X, k = self.X, self.k
         nk = X.n_cells(k)
         self._tree_cells = tree_cells = sorted(self.T.cells)
-        B = boundary_matrix(X, k) if k >= 1 else None
-        bcols = B.col_dicts() if B is not None else []
+        bcols = X.boundary_cols(k)
         u_cells = set(self.U.cells)
         row_pos = {p: i for i, p in enumerate(
             p for p in range(X.n_cells(k - 1)) if p not in u_cells)}
@@ -210,17 +211,16 @@ class LiftData:
                     chain[cell] = chain.get(cell, ZERO) - v
                 chain = {j: v for j, v in chain.items() if v}
             # must be an absolute cycle; in degree 0 every chain is one
-            dense = [0] * nk
+            boundary = {}
             for j, v in zip(chain, scale_to_ints(list(chain.values()))[1]):
-                dense[j] = v
-            if B is not None and any(dot(r, dense) for r in B.rows):
+                for p, sgn in bcols[j].items():
+                    boundary[p] = boundary.get(p, 0) + sgn * v
+            if any(boundary.values()):
                 raise LiftError("lifted basis element is not a cycle")
             self.b_tilde.append(chain)
 
         # cocycle coordinates: stack (cocycle condition; z_t for t in T; <., b~>)
-        sys_rows = []
-        if k + 1 <= X.dim:
-            sys_rows = boundary_matrix(X, k + 1).transpose().rows
+        sys_rows = X.boundary_cols(k + 1)
         self.n_cocycle_rows = len(sys_rows)
         # each b~ as (D, integer chain D * b~)
         self._int_b_tilde = []
@@ -553,7 +553,7 @@ def coiso_constants_tiny(X, k: int):
     if not 1 <= k <= X.dim:
         raise FillingError(f"k={k} out of range")
     Bk = boundary_matrix(X, k)
-    problem = _inf_problem(Bk.transpose())
+    problem = _inf_problem(coboundary_matrix(X, k - 1))
     try:
         problem.check_simplex_cap()
         check_l1_cap(Bk.rows, Bk.ncols)
@@ -566,7 +566,8 @@ def coiso_constants_tiny(X, k: int):
     if max(one, inf) > ENUMERATION_CAP:
         raise FillingError(
             f"complex exceeds the duality enumeration cap of {ENUMERATION_CAP} "
-            f"solves: {one} on the ell-1 side, {inf} on the ell-infinity side")
+            f"candidates: {one} coordinate sets on the ell-1 side, {inf} "
+            f"coordinate sets times sign patterns on the ell-infinity side")
 
     co = _max_min_fill_inf(problem, _image_basis(problem.rows, problem.n, problem.m))
     fi = _max_min_fill_one(Bk, one_basis)

@@ -1,5 +1,9 @@
 """Exact (co)chain algebra: boundary matrices, normal forms, homology, norms.
 
+A complex holds each boundary map once, as columns (`boundary_cols`).
+`boundary_matrix` transposes them into fresh rows, `coboundary_matrix`
+copies them as its rows, and `apply_coboundary` sums over them.
+
 Everything here is exact: integer matrices hold python ints, rational data
 holds exact rationals, and no floating point appears anywhere in this module.
 `euclid_step` is the one integer Euclidean reduction: the Smith normal form
@@ -13,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .exact import RAT, ZERO, int_index, rat, is_integral
 from .linalg import (RationalSolver, UnimodularEchelon, dot, scale_to_ints,
-                     sparse_rows_from_entries, transpose_rows)
+                     transpose_rows)
 
 
 class HomalgError(ValueError):
@@ -211,34 +215,33 @@ class IntegerMatrix:
 def boundary_matrix(X, k: int) -> IntegerMatrix:
     """Boundary map C_k -> C_{k-1}; entry (tau, sigma) = incidence_sign(sigma, tau).
 
-    The coboundary delta^(k-1) is the transpose.  Works for simplicial and
-    grid complexes.
+    The rows of X.boundary_cols(k), as fresh dicts.  The coboundary
+    delta^(k-1) is the transpose.
     """
     if not 1 <= k <= X.dim:
         raise HomalgError(f"k={k} out of range for complex of dimension {X.dim}")
     B = IntegerMatrix(X.n_cells(k - 1), X.n_cells(k))
     # int entries with no zeros already, so the constructor's copy is skipped
-    B.rows = sparse_rows_from_entries(X.boundary_entries(k), B.nrows)
+    B.rows = transpose_rows(X.boundary_cols(k), B.nrows)
     return B
 
 
 def coboundary_matrix(X, k: int) -> IntegerMatrix:
-    """delta^k : C^k -> C^(k+1), the transpose of boundary_matrix(X, k+1)."""
-    return boundary_matrix(X, k + 1).transpose()
+    """delta^k : C^k -> C^(k+1): its rows are the columns X.boundary_cols(k+1),
+    copied by the constructor, since the caller may change them."""
+    if not 0 <= k < X.dim:
+        raise HomalgError(f"k={k + 1} out of range for complex of dimension {X.dim}")
+    return IntegerMatrix(X.n_cells(k + 1), X.n_cells(k), X.boundary_cols(k + 1))
 
 
 def apply_coboundary(X, c: Cochain) -> Cochain:
     """delta(c) as a (k+1)-cochain; zero when there are no (k+1)-cells."""
-    k = c.k
-    if k + 1 > X.dim:
-        return Cochain(k + 1, {}, c.ring)
-    # delta(c)(sigma) = sum over faces tau of incidence_sign(sigma, tau) * c(tau)
-    res = {}
-    for tau, sigma, sgn in X.boundary_entries(k + 1):
-        v = c(tau)
-        if v:
-            res[sigma] = res.get(sigma, ZERO) + sgn * v
-    return Cochain(k + 1, res, c.ring)
+    # delta(c)(sigma) = sum over faces tau of incidence_sign(sigma, tau) * c(tau);
+    # Cochain drops the zeros
+    get = c.entries.get
+    return Cochain(c.k + 1, {
+        sigma: sum(sgn * get(tau, 0) for tau, sgn in col.items())
+        for sigma, col in enumerate(X.boundary_cols(c.k + 1))}, c.ring)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ Internal engine behind ranks, homology, tree construction, lifting and the
 LP certification step.  Matrices are lists of sparse rows (dict col -> value),
 and `dot` is the one product of such a row with a dense vector: every
 residual, cocycle check, cycle pairing and certificate norm goes through it.
+A boundary map reaches it as the complex's shared columns
+(`boundary_cols`), which are the rows of the coboundary; every
+factorization copies its rows, so those columns are only read.
 Factorizations record the elimination so the same matrix can be solved
 against many right-hand sides; this is what keeps the per-trial cost of the
 coisoperimetry sweeps low.
@@ -40,17 +43,6 @@ import heapq
 from math import gcd
 
 from .exact import RAT, ZERO
-
-
-def sparse_rows_from_entries(entries, nrows):
-    """entries: iterable of (row, col, value). Returns list of row dicts."""
-    rows = [dict() for _ in range(nrows)]
-    for i, j, v in entries:
-        if v:
-            rows[i][j] = rows[i].get(j, 0) + v
-            if not rows[i][j]:
-                del rows[i][j]
-    return rows
 
 
 def _exact(v):

@@ -4,7 +4,9 @@ A k-spanning tree T contains the full (k-1)-skeleton, has no rational
 k-cycles, and leaves H_{k-1} unchanged over Q; a k-wrapping tree U also
 carries H_k isomorphically.  Both are built greedily in the canonical cell
 order, which makes every construction reproducible; every greedy choice is
-one `linalg.greedy_basis` pass on the shared elimination kernel.
+one `linalg.greedy_basis` pass on the shared elimination kernel, over the
+complex's boundary columns (`boundary_cols`), which the trees, their
+checks, the relative classes and the components all read as they are.
 
 Relative classes: the greedy wrapping extension cells represent a basis of
 H_k(X,T;Q); every k-cell's class is expanded in that basis.  The expansion
@@ -26,7 +28,7 @@ from math import gcd
 
 from .exact import RAT, ZERO, ONE, is_integral
 from .complexes import SimplicialComplex, build_complex
-from .homalg import boundary_matrix, euclid_step
+from .homalg import euclid_step
 from .linalg import RationalSolver, greedy_basis, scale_to_ints, transpose_rows
 
 
@@ -69,13 +71,6 @@ class WrappingTree:
     cells: tuple
 
 
-def _boundary_cols(X, k):
-    """Columns of the k-th boundary map as sparse dicts (empty for k out of range)."""
-    if k < 1 or k > X.dim:
-        return [dict() for _ in range(X.n_cells(k))]
-    return boundary_matrix(X, k).col_dicts()
-
-
 def greedy_spanning_tree(X, k: int) -> SpanningTree:
     """Greedy k-spanning tree in canonical cell order.
 
@@ -86,21 +81,19 @@ def greedy_spanning_tree(X, k: int) -> SpanningTree:
         raise TreeError(f"k={k} out of range")
     if k == 0:
         return SpanningTree(X, 0, ())
-    cols = _boundary_cols(X, k)
-    chosen, _ = greedy_basis(cols, X.n_cells(k - 1))
+    chosen, _ = greedy_basis(X.boundary_cols(k), X.n_cells(k - 1))
     T = SpanningTree(X, k, tuple(chosen))
-    _verify_spanning(T, cols)
+    _verify_spanning(T)
     return T
 
 
-def _verify_spanning(T, cols=None):
+def _verify_spanning(T):
     X, k = T.X, T.k
     if k == 0:
         if T.cells:
             raise TreeError("0-spanning tree must be empty")
         return
-    if cols is None:
-        cols = _boundary_cols(X, k)
+    cols = X.boundary_cols(k)
     sel = [cols[j] for j in T.cells]
     rank_T = RationalSolver(sel, X.n_cells(k - 1)).rank if sel else 0
     if rank_T != len(T.cells):
@@ -137,7 +130,7 @@ def _greedy_extension(X, k, tree_cells):
         ext = sorted(min(c) for c in _components(X))
         return ext, nk - len(ext)
     rest = [j for j in range(nk) if j not in tree_cells]
-    head = [{j: ONE} for j in sorted(tree_cells)] + _boundary_cols(X, k + 1)
+    head = [{j: ONE} for j in sorted(tree_cells)] + X.boundary_cols(k + 1)
     picks, rank = greedy_basis(head + [{j: ONE} for j in rest], nk)
     ext = [rest[i - len(head)] for i in picks if i >= len(head)]
     return ext, rank - len(ext)
@@ -151,7 +144,7 @@ def _verify_wrapping(U):
         if len(verts) != len(comps) or any(not (verts & c) for c in comps):
             raise TreeError("0-wrapping tree must pick one vertex per component")
         return
-    cols = _boundary_cols(X, k)
+    cols = X.boundary_cols(k)
     sel = [cols[j] for j in U.cells]
     sub = RationalSolver(sel, X.n_cells(k - 1))
     rank_full = RationalSolver(cols, X.n_cells(k - 1)).rank
@@ -160,7 +153,7 @@ def _verify_wrapping(U):
         raise TreeError("wrapping tree changes H_{k-1}")
     # H_k(U) -> H_k(X) iso: dim Z_k(U) = dim H_k(X) and no U-cycle bounds in X
     dim_zu = len(U.cells) - sub.rank
-    up_cols = _boundary_cols(X, k + 1)
+    up_cols = X.boundary_cols(k + 1)
     rank_up = RationalSolver(up_cols, X.n_cells(k)).rank if up_cols else 0
     dim_hx = X.n_cells(k) - rank_full - rank_up
     if dim_zu != dim_hx:
@@ -173,7 +166,7 @@ def _verify_wrapping(U):
 
 
 def _cycles_of_subset(X, k, cells):
-    cols = _boundary_cols(X, k)
+    cols = X.boundary_cols(k)
     rows = transpose_rows([cols[j] for j in cells], X.n_cells(k - 1))
     null = RationalSolver(rows, len(cells)).nullspace()
     out = []
@@ -192,12 +185,10 @@ def _components(X):
             a = parent[a]
         return a
 
-    if X.dim >= 1:
-        for e in X.cells[1]:
-            (a, _), (b, _) = X.faces_of(e)
-            ra, rb = find(X.cell_index(0, a)), find(X.cell_index(0, b))
-            if ra != rb:
-                parent[ra] = rb
+    for a, b in X.boundary_cols(1):     # the two vertices of each edge
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
     comps = {}
     for i in range(n):
         comps.setdefault(find(i), set()).add(i)
@@ -229,7 +220,7 @@ def _relative_classes(X, k, tree_cells):
     if not d:
         return {"basis_cells": (), "classes": [()] * nk}
     cols = [{j: ONE} for j in ext] + [{j: ONE} for j in sorted(tree_cells)]
-    cols += _boundary_cols(X, k + 1)
+    cols += X.boundary_cols(k + 1)
     solver = RationalSolver(cols, nk)       # the rows of M^T
     if solver.rank != nk:
         raise TreeError("relative class solve failed")

@@ -10,8 +10,8 @@ from coiso.complexes import (ComplexError, build_complex,
                              build_grid_cube_complex, complex_from_json_dict,
                              cycle_complex, incidence_sign, load_complex,
                              simplex_boundary, standard_simplex, top_cells)
+from coiso import complexes
 from coiso.homalg import boundary_matrix
-from coiso.linalg import sparse_rows_from_entries
 from coiso.trees import telescope_complex
 
 INPUTS = Path(__file__).parent / "golden" / "inputs"
@@ -173,6 +173,20 @@ def test_grid_rejects_bad_parameters():
         build_grid_cube_complex(2, 0)
 
 
+def test_a_grid_past_the_cell_cap_is_refused_before_enumeration(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("cells were enumerated above the cap")
+    monkeypatch.setattr(complexes, "product", refuse)
+    # (2r+1)^n cells: 100001 for (1, 50000); n = 10^20 stops after 11 axes
+    for n, r in [(1, 50000), (2, 10 ** 30), (10 ** 20, 1)]:
+        with pytest.raises(ComplexError, match="grid cap of 100000 cells"):
+            build_grid_cube_complex(n, r)
+    with pytest.raises(ComplexError, match="grid cap"):
+        complex_from_json_dict({"n": 2, "r": 10 ** 30})
+    # the largest grids of the tests and of cube_tree are well inside it
+    assert (2 * 4 + 1) ** 4 <= complexes.GRID_CELL_CAP
+
+
 def test_grid_incidence_dimension_mismatch():
     G = build_grid_cube_complex(2, 1)
     sq = G.cells[2][0]
@@ -230,6 +244,14 @@ def _old_boundary_entries(X, k):
             yield lower[c[:pos] + c[pos + 1:]], j, (-1) ** pos
 
 
+def _old_boundary_cols_and_rows(X, k):
+    cols = [{} for _ in range(X.n_cells(k))]
+    rows = [{} for _ in range(X.n_cells(k - 1))]
+    for i, j, sgn in _old_boundary_entries(X, k):
+        cols[j][i] = rows[i][j] = sgn
+    return cols, rows
+
+
 def _old_top_cells(X):
     covered = {c[:i] + c[i + 1:] for k in range(1, X.dim + 1)
                for c in X.cells[k] for i in range(len(c))}
@@ -240,9 +262,10 @@ def _old_top_cells(X):
 def test_simplicial_boundaries_and_tops_equal_the_vertex_drop_formulas(name):
     X = SIMPLICIAL[name]
     for k in range(1, X.dim + 1):
-        assert list(X.boundary_entries(k)) == list(_old_boundary_entries(X, k))
-        assert boundary_matrix(X, k).rows == sparse_rows_from_entries(
-            _old_boundary_entries(X, k), X.n_cells(k - 1))
+        cols, rows = _old_boundary_cols_and_rows(X, k)
+        assert X.boundary_cols(k) == cols
+        assert all(list(c) == sorted(c) for c in X.boundary_cols(k))
+        assert boundary_matrix(X, k).rows == rows
     assert top_cells(X) == _old_top_cells(X)
 
 

@@ -402,8 +402,12 @@ class _Incidence:
     def n_cells(self, k):
         return len(self.rows) if k == 0 else 1 + max(j for r in self.rows for j in r)
 
-    def boundary_entries(self, k):
-        return [(i, j, v) for i, r in enumerate(self.rows) for j, v in r.items()]
+    def boundary_cols(self, k):
+        cols = [{} for _ in range(self.n_cells(1))]
+        for i, r in enumerate(self.rows):
+            for j, v in r.items():
+                cols[j][i] = v
+        return cols
 
 
 def _witness_omegas(rng, n):
@@ -481,6 +485,18 @@ def test_duality_size_cap_builds_no_enumeration(monkeypatch):
     X = edgewise_subdivide(simplex_boundary(3), 2).result
     with pytest.raises(FillingError, match="enumeration cap"):
         coiso_constants_tiny(X, 2)
+
+
+def test_duality_cap_message_names_what_it_counts():
+    # dDelta3 at L=2, k=2: 16 triangles over 24 edges, B_2 of rank 15
+    X = edgewise_subdivide(simplex_boundary(3), 2).result
+    with pytest.raises(FillingError) as e:
+        coiso_constants_tiny(X, 2)
+    assert comb(24, 14) == 1961256 and comb(16, 15) * 2 ** 15 == 524288
+    assert str(e.value) == (
+        "complex exceeds the duality enumeration cap of 20000 candidates: "
+        "1961256 coordinate sets on the ell-1 side, 524288 coordinate sets "
+        "times sign patterns on the ell-infinity side")
 
 
 def test_duality_tableau_cap_builds_no_enumeration(monkeypatch):

@@ -101,6 +101,10 @@ CASES = dict([
     # edgewise subdivision of the 2x2 grid of the unit square is refused
     ("subdivide-grid-refused", (["subdivide", "--in", "grid22.json", "--L", "2",
                                  "--out", "sub.json"], 1)),
+    # a grid of (2r+1)^n cells past the cap, r = 10^30, is refused before
+    # any cell is enumerated
+    ("duality-grid-huge-refused", (["duality", "--complex", "grid_huge.json",
+                                    "--k", "1"], 1)),
     # torsion on RP^2: a 2-cochain fills integrally exactly when its entry
     # sum is even, through the Smith form of the stuck 1x3 block
     *((name, (argv, code)) for (name, argv), code in (
