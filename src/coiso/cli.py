@@ -268,7 +268,7 @@ def verify(kind, in_path, complex_path, n, k, r, out):
         except OSError as e:
             raise SchedulerError(
                 f"cannot read schedule file {in_path}: {e.strerror or e}") from e
-        except ValueError as e:     # JSONDecodeError, UnicodeDecodeError
+        except (ValueError, RecursionError) as e:  # bad JSON, or nested too deep
             raise SchedulerError(
                 f"malformed schedule JSON: {type(e).__name__}: {e}") from e
         report = verify_schedule(PrismSchedule.from_json_dict(doc, X))

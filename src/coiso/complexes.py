@@ -113,15 +113,23 @@ class SimplicialComplex(_CellComplex):
         return f"SimplicialComplex(dim={self.dim}, cells=[{counts}])"
 
 
+# faces the face closure lists, 2^n - 1 for a top simplex of n vertices,
+# summed over the tops with repeats.  The tops are counted before any face
+# is made, and past the cap the complex is refused.
+FACE_CAP = 1_500_000
+
+
 def build_complex(simplex_list, vertex_coords=None) -> SimplicialComplex:
     """Face closure of the given top simplices, with deterministic indexing.
 
     Raises ComplexError naming the offending input index for a vertex id
-    that is not an integer (a boolean is not one), repeated vertices or
-    duplicate top simplices.
+    that is not an integer (a boolean is not one), repeated vertices,
+    duplicate top simplices, or the top at which the closure would list
+    more than FACE_CAP faces.
     """
     tops = []
     seen = {}
+    faces = 0
     for idx, s in enumerate(simplex_list):
         try:
             t = tuple(sorted(map(int_index, s)))
@@ -134,6 +142,11 @@ def build_complex(simplex_list, vertex_coords=None) -> SimplicialComplex:
             raise ComplexError(f"simplex #{idx} duplicates simplex #{seen[t]}: {t}")
         seen[t] = idx
         tops.append(t)
+        faces += 2 ** len(t) - 1
+        if faces > FACE_CAP:
+            raise ComplexError(
+                f"the face closure would list {faces} faces by simplex #{idx}, "
+                f"more than the face cap of {FACE_CAP}")
     if not tops:
         raise ComplexError("empty simplex list")
     cells = [set() for _ in range(max(map(len, tops)))]
@@ -272,7 +285,7 @@ def load_complex(path):
             d = json.load(fh)
     except OSError as e:
         raise ComplexError(f"cannot read complex file {path}: {e.strerror or e}") from e
-    except ValueError as e:     # JSONDecodeError, UnicodeDecodeError
+    except (ValueError, RecursionError) as e:  # bad JSON, or nested too deep
         raise ComplexError(f"complex file is not JSON: {e}") from e
     return complex_from_json_dict(d)
 

@@ -184,11 +184,11 @@ def _check_escape(grid, k, tree, ci, c):
     fill_cells = grid.boxes_cells(ranges, k + 1)
     if not fill_cells:
         return "empty filling box"
-    # oriented boundary of the box chain
+    # oriented boundary of the box chain, summed over the grid's columns
+    cols = grid.boundary_cols(k + 1)
     acc = {}
     for cell in fill_cells:
-        for f, sgn in grid.faces_of(cell):
-            fi = grid.cell_index(k, f)
+        for fi, sgn in cols[grid.cell_index(k + 1, cell)].items():
             acc[fi] = acc.get(fi, 0) + sgn
     acc = {i: v for i, v in acc.items() if v}
     eps = acc.get(ci, 0)

@@ -10,6 +10,12 @@ The pipeline for an integral coboundary omega in degree k:
 
 Everything contract-bearing is exact; verification of each identity is part
 of the operation, not an afterthought.
+
+Per complex and degree k, a `FillContext` holds the LP of delta^(k-1) over
+the complex's columns `boundary_cols(k)`, the cycles of B_k, and the
+integral system and lift data once built; every residual and cocycle check
+reads those columns.  The LP hands alpha over as (denominator, ints), the
+fills stay in ints, and RATs are made only for a `FillingResult`.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from itertools import product
 from math import comb, gcd, lcm
 
 from .exact import RAT, ZERO
-from .homalg import (Cochain, IntegerMatrix, IntegralSystem, boundary_matrix,
+from .homalg import (Cochain, IntegralSystem, boundary_matrix,
                      coboundary_matrix, norm_inf)
 from .linalg import (RationalSolver, dot, greedy_basis, residual_rows,
                      scale_to_ints, transpose_rows)
@@ -78,9 +84,7 @@ class FillContext:
             raise FillingError(f"k={k} out of range for dim {X.dim}")
         self.X = X
         self.k = k
-        self.delta = IntegerMatrix(X.n_cells(k), X.n_cells(k - 1))  # rows = k-cells
-        self.delta.rows = X.boundary_cols(k)        # the shared columns of B_k
-        self.lp = LinfProblem(self.delta.rows, self.delta.ncols)
+        self.lp = LinfProblem(X.boundary_cols(k), X.n_cells(k - 1))
         # the LP's D^T is B_k: its one factorization gives the cycles too
         self.cycles = self.lp.transpose_solver.nullspace()
         # cycle z = scale * p, p its primitive integer multiple
@@ -104,7 +108,7 @@ class FillContext:
 
     def integral_system(self) -> IntegralSystem:
         if self._integral is None:
-            self._integral = IntegralSystem(self.delta)
+            self._integral = IntegralSystem(coboundary_matrix(self.X, self.k - 1))
         return self._integral
 
     # -- bounded lifting in degree k-1 ----------------------------------------
@@ -247,8 +251,7 @@ class LiftData:
         parts = []
         if self._tree_cells:
             # c = x / (Dx D) with A^T x = D z0|_T, int where pivots allow
-            x = self._tree_solver.substitute([w[t] for t in self._tree_cells])
-            Dx, xs = scale_to_ints(x)
+            Dx, xs = self._tree_solver.substitute([w[t] for t in self._tree_cells])
             m = Dx * D
             r = [v % m for v in xs]
             # z|_T = A^T r
@@ -262,7 +265,7 @@ class LiftData:
         z = self.solver.substitute(rhs)
         if z is None:
             raise LiftError("lift system inconsistent")
-        Dz, zs = scale_to_ints(z)
+        Dz, zs = z
         return M * Dz, zs
 
 
@@ -277,8 +280,8 @@ def linf_fill_rational(X, omega: Cochain) -> FillingResult:
     """
     ctx = get_fill_context(X, omega.k)
     Dw, ws = _coboundary_ints(X, omega, ctx)
-    alpha_vec, _, t, mode = _rational_fill(ctx, Dw, ws, omega)
-    alpha = Cochain(omega.k - 1, {i: v for i, v in enumerate(alpha_vec) if v}, "rat")
+    (Da, a), t, mode = _rational_fill(ctx, Dw, ws, omega)
+    alpha = Cochain(omega.k - 1, {i: RAT(v, Da) for i, v in enumerate(a) if v}, "rat")
     return FillingResult(alpha=alpha, omega=omega, ring="rat",
                          norm_inf_alpha=t, certificate=Cochain(ctx.k, {}, "rat"),
                          details={"lp_mode": mode, "optimal": True})
@@ -301,20 +304,18 @@ def _coboundary_ints(X, omega: Cochain, ctx):
 
 
 def _rational_fill(ctx, Dw, ws, omega: Cochain):
-    """(alpha, (Da, a), t, mode): the ell-infinity minimal fill of the
-    rational coboundary omega = ws / Dw, as RATs and as the ints a / Da,
-    its certified norm t and the LP path, with the residual checked in
-    ints."""
-    alpha, t, mode = ctx.lp.solve(ws if Dw == 1 else omega.dense(len(ws)))
-    Da, a = scale_to_ints(alpha)
+    """((Da, a), t, mode): the ell-infinity minimal fill a / Da of the
+    rational coboundary omega = ws / Dw in ints, its certified norm t and
+    the LP path, with the residual checked in ints."""
+    (Da, a), t, mode = ctx.lp.solve(ws if Dw == 1 else omega.dense(len(ws)))
     _check_residual(ctx, a, ws, Da, Dw)
-    return alpha, (Da, a), t, mode
+    return (Da, a), t, mode
 
 
 def _check_residual(ctx, x, b, Dx=1, Db=1):
     """delta(x / Dx) = b / Db on every k-cell, in ints; FillingError
     naming the first offending cells otherwise."""
-    bad = residual_rows(ctx.delta.rows, x, b, Dx, Db)
+    bad = residual_rows(ctx.X.boundary_cols(ctx.k), x, b, Dx, Db)
     if bad:
         raise FillingError("residual is nonzero: %r" % (bad[:4],))
 
@@ -347,7 +348,7 @@ def _any_cocycle_lift(up, dense):
         return list(dense)
     # D times the coboundary, in ints: integral iff D divides every entry
     D, xs = scale_to_ints(dense)
-    dz = up.delta.mat_vec(xs)
+    dz = [dot(col, xs) for col in up.X.boundary_cols(up.k)]
     if any(v % D for v in dz):
         raise LiftError("input is not a cocycle mod Z")
     if not any(dz):
@@ -387,7 +388,7 @@ def _check_lift(up, z, lifted, bound):
     worst = max(map(abs, xs), default=0)
     if worst * bound.denominator > bound.numerator * M:
         raise LiftError(f"lift norm {RAT(worst, M)} exceeds the bound {bound}")
-    if up is not None and any(dot(r, xs) for r in up.delta.rows):
+    if up is not None and any(dot(col, xs) for col in up.X.boundary_cols(up.k)):
         raise LiftError("lift is not a cocycle")
     return diff
 
@@ -412,7 +413,7 @@ def integral_fill(X, omega: Cochain) -> FillingResult:
         raise NotIntegrallyFillable(
             "omega is a rational but not an integral coboundary (torsion)")
 
-    _, (D, a), t, mode = _rational_fill(ctx, 1, ws, omega)
+    (D, a), t, mode = _rational_fill(ctx, 1, ws, omega)
     data = ctx.lift_data()
     lifted = data.lift([ai - ei * D for ai, ei in zip(a, eta)], D)
     tilde = _check_lift(ctx, (D, a), lifted, data.bound)
@@ -553,13 +554,13 @@ def coiso_constants_tiny(X, k: int):
     if not 1 <= k <= X.dim:
         raise FillingError(f"k={k} out of range")
     Bk = boundary_matrix(X, k)
-    problem = _inf_problem(coboundary_matrix(X, k - 1))
+    problem = _inf_problem(X.boundary_cols(k))
     try:
         problem.check_simplex_cap()
         check_l1_cap(Bk.rows, Bk.ncols)
     except LPError as e:
         raise FillingError(f"complex exceeds the duality LP cap: {e}") from None
-    one_basis = _image_basis(Bk.rows, Bk.ncols, Bk.nrows)
+    one_basis = _image_basis(X.boundary_cols(k), Bk.nrows)
     d = len(one_basis)              # the rank of B_k
     one = comb(Bk.nrows, d - 1) if d else 0
     inf = comb(Bk.ncols, d) * 2 ** d
@@ -569,17 +570,16 @@ def coiso_constants_tiny(X, k: int):
             f"candidates: {one} coordinate sets on the ell-1 side, {inf} "
             f"coordinate sets times sign patterns on the ell-infinity side")
 
-    co = _max_min_fill_inf(problem, _image_basis(problem.rows, problem.n, problem.m))
+    co = _max_min_fill_inf(problem, _image_basis(problem.cols, problem.m))
     fi = _max_min_fill_one(Bk, one_basis)
     if co != fi:
         raise DualityMismatch(f"cofilling {co} != filling {fi}")
     return co, fi
 
 
-def _image_basis(rows, ncols, nrows):
-    """Basis (as dense int columns) of the column space of the given sparse
-    int rows."""
-    cols = transpose_rows(rows, ncols)
+def _image_basis(cols, nrows):
+    """Basis (as dense int columns) of the column space of the matrix with
+    nrows rows whose sparse int columns are given."""
     picks, _ = greedy_basis(cols, nrows)
     return [[cols[j].get(i, 0) for i in range(nrows)] for j in picks]
 
@@ -690,13 +690,13 @@ def _one_per_pair(verts):
     return [w for w in verts if next(v for v in w if v) > 0]
 
 
-def _inf_problem(delta):
-    """The LinfProblem of delta without its zero columns.  Those are the
-    (k-1)-cells in no k-cell's boundary; alpha = 0 there in every minimal
-    fill, so each optimum is unchanged."""
-    used = sorted({j for r in delta.rows for j in r})
+def _inf_problem(rows):
+    """The LinfProblem of delta, given by its sparse rows, without its zero
+    columns.  Those are the (k-1)-cells in no k-cell's boundary; alpha = 0
+    there in every minimal fill, so each optimum is unchanged."""
+    used = sorted({j for r in rows for j in r})
     pos = {j: i for i, j in enumerate(used)}
-    return LinfProblem([{pos[j]: v for j, v in r.items()} for r in delta.rows],
+    return LinfProblem([{pos[j]: v for j, v in r.items()} for r in rows],
                        len(used))
 
 

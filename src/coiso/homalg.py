@@ -163,7 +163,7 @@ def load_cochain(path) -> Cochain:
             d = json.load(fh)
     except OSError as e:
         raise HomalgError(f"cannot read cochain file {path}: {e.strerror or e}") from e
-    except ValueError as e:     # JSONDecodeError, UnicodeDecodeError
+    except (ValueError, RecursionError) as e:  # bad JSON, or nested too deep
         raise HomalgError(f"cochain file is not JSON: {e}") from e
     return Cochain.from_json_dict(d)
 
@@ -363,7 +363,8 @@ def betti_numbers(X, field: str = "Q") -> list:
         raise HomalgError("only rational coefficients are supported")
     ranks = [0] * (X.dim + 2)
     for k in range(1, X.dim + 1):
-        ranks[k] = boundary_matrix(X, k).rank()
+        # the rank of B_k, taken on its columns
+        ranks[k] = RationalSolver(X.boundary_cols(k), X.n_cells(k - 1)).rank
     betti = []
     for k in range(X.dim + 1):
         dim_ker = X.n_cells(k) - ranks[k]   # rank of d_k on C_k (d_0 = 0)
@@ -427,7 +428,8 @@ class IntegralSystem:
                     return None
             for j, v in zip(self._cols, V.mat_vec(w)):
                 x[j] = v
-        return E.back_substitute(y, x)
+        # unit pivots: the back-substitution's denominator is 1
+        return E.back_substitute(y, x)[1]
 
 
 def solve_integral_linear(M: IntegerMatrix, b):

@@ -33,8 +33,12 @@ Integers first: almost every number here is an integer, so rows, recorded
 factors and intermediate vectors hold Python ints, and an exact rational
 (`RAT`) is made only where a division leaves a remainder.  A rational vector
 is scaled to integers by the lcm of its denominators (`scale_to_ints`),
-worked on in ints and divided once at the end.  Every rational a caller gets
-back is a `RAT`, never an int: int / int is a float in Python.
+worked on in ints and divided once at the end.  An exact solution leaves
+the kernel in that form: `substitute` and `back_substitute` return
+(D, ints), x = ints / D with D the lcm of its denominators, and the callers
+inside the package (the fills, the lift, the LP's certificates) stay in
+ints.  RATs are made only for a public result: `RationalSolver.solve` and
+`nullspace` return RATs, never ints, since int / int is a float in Python.
 """
 
 from __future__ import annotations
@@ -62,15 +66,6 @@ def _div(a, b):
         q, r = divmod(a, b)
         return RAT(a, b) if r else q
     return _exact(a / b)
-
-
-def _to_rat(v, D=1):
-    """v / D as a RAT (ZERO for 0); the exit from ints to the RAT contract."""
-    if not v:
-        return ZERO
-    if type(v) is int:
-        return RAT(v, D)
-    return v / D if D != 1 else v
 
 
 def scale_to_ints(x):
@@ -192,14 +187,15 @@ class _Echelon:
         return y
 
     def substitute(self, y):
-        """x with A x = y (free variables 0) for an int y, in ints except
-        where a division leaves a remainder; None if inconsistent."""
+        """(D, X): x = X / D with A x = y (free variables 0) for an int y;
+        None if inconsistent."""
         y = self.reduce_rhs(y)
         return None if y is None else self.back_substitute(y, [0] * self.n)
 
     def back_substitute(self, y, x):
-        """x, given in the free columns and 0 in the pivot columns, with its
-        pivot entries solved from the pivot rows of the reduced rhs y."""
+        """(D, X): x, given in the free columns and 0 in the pivot columns,
+        with its pivot entries solved from the pivot rows of the reduced rhs
+        y, as the ints X = D x over the lcm D of its denominators."""
         for prow, col in reversed(self.pivots):
             s = y[prow]
             row = self.rows[prow]
@@ -210,7 +206,7 @@ class _Echelon:
                         s -= v * xj
             if s:
                 x[col] = _div(s, row[col])
-        return x
+        return scale_to_ints(x)
 
 
 class RationalSolver(_Echelon):
@@ -242,11 +238,12 @@ class RationalSolver(_Echelon):
         once at the end.
         """
         D, y = scale_to_ints(b)
-        x = self.substitute(y)
-        if x is None:
+        out = self.substitute(y)
+        if out is None:
             return None
-        D *= denominator
-        return [_to_rat(v, D) if v else ZERO for v in x]
+        Dx, x = out
+        D *= denominator * Dx
+        return [RAT(v, D) if v else ZERO for v in x]
 
     def nullspace(self):
         """Basis of ker A, one sparse dict of RATs per free column: the
@@ -256,8 +253,8 @@ class RationalSolver(_Echelon):
         for f in self.free_cols:
             x = [0] * self.n
             x[f] = 1
-            x = self.back_substitute(zero, x)
-            basis.append({j: _to_rat(v) for j, v in enumerate(x) if v})
+            D, x = self.back_substitute(zero, x)
+            basis.append({j: RAT(v, D) for j, v in enumerate(x) if v})
         return basis
 
 

@@ -49,8 +49,9 @@ Two layers:
   variables 0) back-substitutes to y through the same factorization, and
   the checks above decide.  The primal is pinned to +-t on the active
   variables and solved over t's denominator.  Omega and both solutions are
-  held as (denominator, ints) and checked in ints; `solve` makes the RATs
-  of alpha once, as it returns.
+  held as (denominator, ints) and checked in ints, and `solve` returns
+  alpha in that form, (Da, a) with alpha = a / Da: the fills work on it in
+  ints, so no RAT of alpha is made on the way.
 
   When no HiGHS guess verifies, or HiGHS would refuse the model (an entry
   of D of magnitude 1e15 or more, its large_matrix_value) or omega (beyond
@@ -435,8 +436,8 @@ class LinfProblem:
         return RationalSolver(self.cols, self.m)
 
     def solve(self, omega):
-        """(alpha, t, mode): exact optimal alpha, certified optimal norm, and
-        which path produced it.
+        """((Da, a), t, mode): the exact optimal alpha = a / Da in ints,
+        the certified optimal norm t, and which path produced it.
 
         'zero' for omega = 0; 'reconstructed' when a HiGHS guess (per
         method and tolerance in _ATTEMPTS) yields a verified dual
@@ -446,14 +447,14 @@ class LinfProblem:
         omega = list(omega)
         scaled = scale_to_ints(omega)
         if not any(scaled[1]):
-            return [ZERO] * self.n, ZERO, "zero"
+            return (1, [0] * self.n), ZERO, "zero"
         for x, duals, tol in self._guesses(omega):
             out = self._reconstruct(scaled, x, duals, tol)
             if out is not None:
                 Da, a, t = out
-                return [RAT(v, Da) if v else ZERO for v in a], t, "reconstructed"
+                return (Da, a), t, "reconstructed"
         alpha, t = self.solve_exact(omega)
-        return alpha, t, "simplex"
+        return scale_to_ints(alpha), t, "simplex"
 
     # -- float machinery -----------------------------------------------------
 
@@ -608,16 +609,16 @@ class LinfProblem:
         # sum_i eps_i v_i = 1
         conds = [red[r] for r in E.zero_rows if red.get(r)]
         conds.append({c: dsup[i] for c, i in enumerate(dsup)})
-        v = RationalSolver(conds, len(dsup)).solve([0] * (len(conds) - 1) + [1])
+        v = RationalSolver(conds, len(dsup)).substitute([0] * (len(conds) - 1) + [1])
         if v is None:
             return None
         # y = ys / Dy: the reduced rhs is sum_c v_c red[.][c], then one
         # back-substitution
-        Dv, vs = scale_to_ints(v)
+        Dv, vs = v
         rhs = [0] * self.n
         for r, row in red.items():
             rhs[r] = sum(a * vs[c] for c, a in row.items())
-        Dy, ys = scale_to_ints(E.back_substitute(rhs, [0] * self.m))
+        Dy, ys = E.back_substitute(rhs, [0] * self.m)
         Dy *= Dv
         # ||D^T y||_1 <= 1 and t = y.omega, over the denominators of y, omega
         if sum(abs(dot(col, ys)) for col in self.cols) > Dy:
@@ -663,10 +664,10 @@ class LinfProblem:
         solver = RationalSolver(prows, len(free))
 
         def certified(xfree, E):
-            # alpha = xfree / E on the free variables, +-bound on the pinned
+            # alpha = xs / (Dx E) on the free variables, +-bound on the pinned
             if xfree is None:
                 return None
-            Dx, xs = scale_to_ints(xfree)
+            Dx, xs = xfree
             Da = Dx * E
             top = Da // q * p          # bound * Da; q divides E
             a = [0] * self.n
@@ -689,8 +690,9 @@ class LinfProblem:
                for b, row in zip(prhs, prows)]
         xfree = solver.substitute(rhs)
         if xfree is not None:
+            Dx, xs = xfree
             for k, ck in c.items():
-                xfree[k] = ck * D
+                xs[k] = ck * D * Dx
         return certified(xfree, D * q)
 
     def _reconstruct(self, omega, x, duals, tol):

@@ -27,8 +27,7 @@ from .exact import is_integral
 from .homalg import Cochain, boundary_matrix, json_int  # noqa: F401
 from .linalg import residual_rows
 from .complexes import top_cells
-from .filling import (get_fill_context, integral_fill,
-                      sample_integral_coboundary, FillingError)
+from .filling import integral_fill, sample_integral_coboundary, FillingError
 
 
 class SchedulerError(ValueError):
@@ -42,11 +41,18 @@ class ScheduleInvariantError(SchedulerError):
         super().__init__("schedule invariants failed: %s" % ", ".join(bad))
 
 
+# m-cells of a prism complex, n_low * layers vertical and n_top * (layers + 1)
+# horizontal: a schedule is built and checked cell by cell, so a larger
+# prism is refused before any of them is.
+PRISM_CELL_CAP = 1_000_000
+
+
 class PrismComplex:
     """Product cell structure on X x I with `layers` interval layers.
 
     Cell order: vertical m-cells (p, i) sorted by (p, i) first, then
     horizontal m-cells (q, j) by (q, j); prisms (q, i) by (q, i).
+    SchedulerError past PRISM_CELL_CAP m-cells.
     """
 
     def __init__(self, X, layers: int):
@@ -65,6 +71,10 @@ class PrismComplex:
         self.n_vertical = self.n_low * layers
         self.n_horizontal = self.n_top * (layers + 1)
         self.n_prisms = self.n_top * layers
+        if self.n_vertical + self.n_horizontal > PRISM_CELL_CAP:
+            raise SchedulerError(
+                f"{layers} layers make {self.n_vertical + self.n_horizontal} "
+                f"prism m-cells, more than the prism cap of {PRISM_CELL_CAP}")
 
 
 def _is_pure(X) -> bool:
@@ -194,8 +204,8 @@ def degree_schedule(X, omega: Cochain, alpha: Cochain,
         raise SchedulerError("layers must be >= 1")
     w_int = _int_dense(omega, X.n_cells(m), "omega")
     a_int = _int_dense(alpha, X.n_cells(m - 1), "alpha")
-    ctx = get_fill_context(X, m)
-    residual = residual_rows(ctx.delta.rows, a_int, w_int)
+    cols = X.boundary_cols(m)      # the boundary of top cell q is cols[q]
+    residual = residual_rows(cols, a_int, w_int)
     if residual:
         raise SchedulerError(
             "delta(alpha) != omega; residual on cells %s" % residual[:5])
@@ -215,8 +225,6 @@ def degree_schedule(X, omega: Cochain, alpha: Cochain,
                 vertical[(p, i)] = v
             prev = nxt
     horizontal = {}
-    # the boundary of top cell q is row q of delta
-    cols = ctx.delta.rows
     for q in range(prism.n_top):
         w = w_int[q]
         for i in range(T):
@@ -249,7 +257,7 @@ def verify_schedule(s: PrismSchedule) -> dict:
     _int_dense(s.alpha, prism.n_low, "alpha")
     if bad := s.off_prism_cells():
         raise SchedulerError(f"schedule cells {bad[:4]} lie off the prism")
-    cols = get_fill_context(X, m).delta.rows
+    cols = X.boundary_cols(m)
     H = s.horizontal
     V = s.vertical
 

@@ -19,9 +19,14 @@ from __future__ import annotations
 from itertools import permutations, product
 
 from .exact import RAT
-from .complexes import SimplicialComplex, build_complex, top_cells
+from .complexes import FACE_CAP, SimplicialComplex, build_complex, top_cells
 
 MAX_DIM = 3
+# top cells of a subdivision, L^n per top n-simplex of the base: a larger
+# one is refused before any cell is enumerated.  Each of its tops has at
+# most 2^(MAX_DIM+1) - 1 faces, so build_complex admits every subdivision
+# under this cap.
+SUBDIVISION_CAP = FACE_CAP // (2 ** (MAX_DIM + 1) - 1)
 
 
 class SubdivisionError(ValueError):
@@ -99,9 +104,15 @@ def edgewise_subdivide(X: SimplicialComplex, L: int) -> SubdividedComplex:
         raise SubdivisionError(f"subdivision parameter must be >= 1, got {L}")
     if X.dim > MAX_DIM:
         raise SubdivisionError(f"dimension {X.dim} unsupported (cap {MAX_DIM})")
+    tops = top_cells(X)
+    count = sum(L ** (len(c) - 1) for c in tops)
+    if count > SUBDIVISION_CAP:
+        raise SubdivisionError(
+            f"the {L}-fold subdivision would have {count} top cells, more "
+            f"than the subdivision cap of {SUBDIVISION_CAP}")
 
     top_keyed = []
-    for c in top_cells(X):
+    for c in tops:
         n = len(c) - 1
         for pts in _staircase_tops(n, L):
             top_keyed.append(tuple(sorted(_weights_from_heights(c, t, L)

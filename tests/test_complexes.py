@@ -296,3 +296,26 @@ def test_grid_incidence_through_the_module_function():
     assert sorted(signs.values()) == [-1, -1, 1, 1]
     with pytest.raises(ComplexError, match="do not belong"):
         incidence_sign(G, ((0, 1), (0, 1), (0, 0)), ((0, 1), (0, 0), (0, 0)))
+
+
+def test_a_closure_past_the_face_cap_is_refused_before_any_face(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("faces were made above the cap")
+    monkeypatch.setattr(complexes, "combinations", refuse)
+    # one simplex on 40 vertex ids lists 2^40 - 1 faces
+    with pytest.raises(ComplexError, match=r"would list 1099511627775 faces by "
+                                           r"simplex #0, more than the face cap "
+                                           r"of 1500000"):
+        build_complex([list(range(40))])
+    with pytest.raises(ComplexError, match="face cap"):
+        complex_from_json_dict({"simplices": [list(range(21))]})
+
+
+def test_the_face_cap_counts_every_top_with_repeats(monkeypatch):
+    # a triangle lists 7 faces, an edge 3: 10 in all, the shared vertex twice
+    monkeypatch.setattr(complexes, "FACE_CAP", 10)
+    assert cell_counts(build_complex([(0, 1, 2), (2, 3)])) == [4, 4, 1]
+    monkeypatch.setattr(complexes, "FACE_CAP", 9)
+    with pytest.raises(ComplexError, match=r"10 faces by simplex #1, more than "
+                                           r"the face cap of 9"):
+        build_complex([(0, 1, 2), (2, 3)])

@@ -200,7 +200,7 @@ def test_lift_checks_raise_on_corrupted_lifts():
         _any_cocycle_lift(up, [RAT(1, 2)] + [ZERO] * (n - 1))
     # an integral cochain lifts to a cocycle through the context's solver
     lifted = _any_cocycle_lift(up, one_edge)
-    assert not any(reference_mat_vec(up.delta.rows, lifted))
+    assert not any(reference_mat_vec(X.boundary_cols(2), lifted))
     assert all(is_integral(a - b) for a, b in zip(lifted, one_edge))
 
 
@@ -524,7 +524,7 @@ def test_cells_in_no_boundary_leave_the_ell_infinity_lp():
     delta = boundary_matrix(X, 1).transpose()
     with pytest.raises(LPError, match="303x601 tableau"):
         LinfProblem(delta.rows, delta.ncols).check_simplex_cap()
-    problem = _inf_problem(delta)
+    problem = _inf_problem(delta.rows)
     assert (problem.m, problem.n) == (3, 3)
     assert coiso_constants_tiny(X, 1) == (RAT(1, 2), RAT(1, 2))
 
@@ -634,7 +634,7 @@ def _one_ball(basis, n):
 def test_one_ball_vertices_match_sign_facets_on_corpus(X, k, count):
     # the telescope (2^11 and 2^27 sign facets) is beyond the old enumeration
     Bk = boundary_matrix(X, k)
-    basis = _image_basis(Bk.rows, Bk.ncols, Bk.nrows)
+    basis = _image_basis(Bk.col_dicts(), Bk.nrows)
     verts = _one_ball(basis, Bk.nrows)
     assert len(verts) == count
     assert verts == vertices_one_ball_reference(basis, Bk.nrows)
@@ -650,7 +650,7 @@ def test_one_ball_vertices_match_sign_facets_on_corpus(X, k, count):
 ], ids=["C4-1", "Delta2-1", "dDelta3-1", "dDelta3-2", "dDelta4-2", "dDelta4-3"])
 def test_one_ball_vertices_match_the_rational_enumeration(X, k):
     Bk = boundary_matrix(X, k)
-    basis = _image_basis(Bk.rows, Bk.ncols, Bk.nrows)
+    basis = _image_basis(Bk.col_dicts(), Bk.nrows)
     verts = _one_ball(basis, Bk.nrows)
     assert all(type(v) is RAT for w in verts for v in w)
     assert verts == vertices_one_ball_elementary_reference(basis, Bk.nrows)
@@ -705,7 +705,7 @@ def test_random_bases_have_dependent_coordinate_sets():
 
 def _inf_ball(X, k):
     delta = boundary_matrix(X, k).transpose()
-    basis = _image_basis(delta.rows, delta.ncols, delta.nrows)
+    basis = _image_basis(delta.col_dicts(), delta.nrows)
     verts = [tuple(v) for v in _vertices_inf_ball(basis, delta.nrows)]
     assert len(verts) == len(set(verts))
     assert all(type(v) is RAT for w in verts for v in w)
@@ -740,9 +740,9 @@ def _exact_against_highs(X, k):
     LP (zero columns dropped) equals the HiGHS-reconstruction path's on the
     full FillContext LP."""
     delta = boundary_matrix(X, k).transpose()
-    problem = _inf_problem(delta)
+    problem = _inf_problem(delta.rows)
     ctx = get_fill_context(X, k)
-    basis = _image_basis(delta.rows, delta.ncols, delta.nrows)
+    basis = _image_basis(delta.col_dicts(), delta.nrows)
     verts = _vertices_inf_ball(basis, delta.nrows)
     for w in verts:
         alpha, t = problem.solve_exact(w)
@@ -801,13 +801,13 @@ def test_one_lp_per_antipodal_pair_gives_the_max_over_all_vertices(Xk):
     d = Bk.rank()
     if comb(Bk.ncols, d) * 2 ** d > 2000:     # keep the per-vertex LPs few
         return
-    problem = _inf_problem(delta)
+    problem = _inf_problem(delta.rows)
     for fill, rows, basis in (
             (lambda w: problem.solve_exact(w)[1], delta,
              _vertices_inf_ball),
             (lambda b: l1_min(Bk.rows, Bk.ncols, b)[1], Bk,
              _vertices_one_ball)):
-        verts = basis(_image_basis(rows.rows, rows.ncols, rows.nrows), rows.nrows)
+        verts = basis(_image_basis(rows.col_dicts(), rows.nrows), rows.nrows)
         value = {tuple(w): fill(w) for w in verts}
         for w, t in value.items():
             assert value[tuple(-v for v in w)] == t
@@ -832,13 +832,13 @@ def _same_vertices_as_the_per_set_solvers(X, k):
     set of the per-set solvers, with no vertex twice; returns the two
     counts."""
     Bk = boundary_matrix(X, k)
-    problem = _inf_problem(Bk.transpose())
+    problem = _inf_problem(Bk.transpose().rows)
     counts = []
     for enumerate_, reference, basis, n in (
             (_vertices_inf_ball, vertices_inf_ball_per_set_reference,
-             _image_basis(problem.rows, problem.n, problem.m), problem.m),
+             _image_basis(problem.cols, problem.m), problem.m),
             (_vertices_one_ball, vertices_one_ball_per_set_reference,
-             _image_basis(Bk.rows, Bk.ncols, Bk.nrows), Bk.nrows)):
+             _image_basis(Bk.col_dicts(), Bk.nrows), Bk.nrows)):
         got = [tuple(w) for w in enumerate_(basis, n)]
         assert len(got) == len(set(got))
         assert all(type(v) is RAT for w in got for v in w)

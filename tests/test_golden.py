@@ -105,6 +105,16 @@ CASES = dict([
     # any cell is enumerated
     ("duality-grid-huge-refused", (["duality", "--complex", "grid_huge.json",
                                     "--k", "1"], 1)),
+    # sizes past the caps are refused before anything is enumerated: an
+    # L=10000 subdivision of dDelta3 (4 * 10^8 top cells) and a schedule of
+    # 10^9 layers
+    ("subdivide-dD3-L10000-refused", (["subdivide", "--in", "dD3.json",
+                                       "--L", "10000", "--out", "sub.json"], 1)),
+    ("schedule-dD3L4-layers-refused", (["schedule", "--complex", "dD3_L4.json",
+                                        "--omega", "dD3_L4_k2.json",
+                                        "--alpha", "dD3_L4_k2_alpha.json",
+                                        "--layers", "1000000000",
+                                        "--out", "sched.json"], 1)),
     # torsion on RP^2: a 2-cochain fills integrally exactly when its entry
     # sum is even, through the Smith form of the stuck 1x3 block
     *((name, (argv, code)) for (name, argv), code in (

@@ -95,8 +95,7 @@ def test_one_highs_instance_per_method_over_twenty_solves(monkeypatch):
 
     monkeypatch.setattr(_core, "_Highs", counted)
     X = _sphere(2)
-    ctx = get_fill_context(X, 2)
-    P = LinfProblem(ctx.delta.rows, ctx.delta.ncols)
+    P = LinfProblem(X.boundary_cols(2), X.n_cells(1))
     for t in range(20):
         omega = sample_integral_coboundary(X, 2, trial_rng(32, 2, t)).dense(X.n_cells(2))
         for method in METHODS:

@@ -224,12 +224,12 @@ def test_image_basis_on_sphere_like_reference(k):
     cols = B.col_dicts()
     picks, _ = greedy_reference(cols)
     want = [[RAT(cols[j].get(i, 0)) for i in range(B.nrows)] for j in picks]
-    assert _image_basis(B.rows, B.ncols, B.nrows) == want
+    assert _image_basis(B.col_dicts(), B.nrows) == want
     delta = B.transpose()
     dcols = delta.col_dicts()
     picks, _ = greedy_reference(dcols)
     want = [[RAT(dcols[j].get(i, 0)) for i in range(delta.nrows)] for j in picks]
-    assert _image_basis(delta.rows, delta.ncols, delta.nrows) == want
+    assert _image_basis(delta.col_dicts(), delta.nrows) == want
 
 
 # -- solve, nullspace and dot against the all-RAT reference ---------------------

@@ -47,9 +47,9 @@ def test_forced_fallback_on_the_subdivided_sphere_uses_exact_simplex(monkeypatch
     _, t_ref, mode = P.solve(om)
     assert mode == "reconstructed"
     monkeypatch.setattr(LinfProblem, "_reconstruct", lambda *a, **k: None)
-    alpha, t, mode = P.solve(om)
+    (Da, a), t, mode = P.solve(om)
     assert (mode, t) == ("simplex", t_ref)
-    assert max(abs(v) for v in alpha) <= t
+    assert max(map(abs, a)) <= t * Da
 
 
 def test_forced_fallback_on_the_finer_sphere_raises_at_the_cap(monkeypatch):
@@ -154,9 +154,9 @@ def test_exact_simplex_at_the_cap_answers(monkeypatch):
     assert mode == "reconstructed"
     _force_simplex(monkeypatch)
     monkeypatch.setattr(lp, "SIMPLEX_CAP", 600)
-    alpha, t, mode = P.solve(om)
+    (Da, a), t, mode = P.solve(om)
     assert (mode, t) == ("simplex", t_fast)
-    assert max(abs(v) for v in alpha) <= t
+    assert max(map(abs, a)) <= t * Da
     monkeypatch.setattr(lp, "SIMPLEX_CAP", 599)
     with pytest.raises(LPError, match=r"24x25 tableau \(600 entries\), "
                                       r"above the cap of 599"):
@@ -184,9 +184,9 @@ def _degenerate_sweep_omega():
 
 def test_degenerate_sweep_draw_is_reconstructed(monkeypatch):
     P, om = _degenerate_sweep_omega()
-    alpha, t, mode = P.solve(om)
+    (Da, a), t, mode = P.solve(om)
     assert (mode, t) == ("reconstructed", RAT(64, 39))
-    assert max(abs(v) for v in alpha) == t
+    assert max(map(abs, a)) == t * Da
     # without the guess, every reconstruction attempt fails
     primal_at = LinfProblem._primal_at
     monkeypatch.setattr(LinfProblem, "_primal_at",

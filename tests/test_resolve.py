@@ -162,10 +162,10 @@ def test_a_right_hand_side_per_row_on_resolve():
                                                      "dDelta3-2", "dDelta4-2"])
 def test_every_corpus_vertex_matches_the_cold_solves(X, k):
     Bk = boundary_matrix(X, k)
-    problem = _inf_problem(Bk.transpose())
-    ws = _vertices_inf_ball(_image_basis(problem.rows, problem.n, problem.m), problem.m)
+    problem = _inf_problem(Bk.transpose().rows)
+    ws = _vertices_inf_ball(_image_basis(problem.cols, problem.m), problem.m)
     assert problem.optima(ws) == [linf_against_reference(problem, w)[1] for w in ws]
-    bs = _vertices_one_ball(_image_basis(Bk.rows, Bk.ncols, Bk.nrows), Bk.nrows)
+    bs = _vertices_one_ball(_image_basis(Bk.col_dicts(), Bk.nrows), Bk.nrows)
     assert (l1_optima(Bk.rows, Bk.ncols, bs)
             == [l1_min(Bk.rows, Bk.ncols, b)[1] for b in bs])
     assert len(_one_per_pair(ws)) < len(ws) and len(_one_per_pair(bs)) < len(bs)

@@ -13,6 +13,7 @@ from coiso.homalg import (Cochain, IntegerMatrix, apply_coboundary,
                           boundary_matrix, norm_inf)
 from coiso.filling import (FillingError, integral_fill,
                            sample_integral_coboundary, trial_rng)
+from coiso.subdivision import edgewise_subdivide
 from coiso.scheduler import (PrismComplex, PrismSchedule, SchedulerError,
                              ScheduleInvariantError,
                              build_prism_complex, degree_schedule,
@@ -438,3 +439,46 @@ def test_demo_raises_on_a_corrupted_schedule(monkeypatch):
     monkeypatch.setattr(scheduler, "PrismSchedule", corrupted)
     with pytest.raises(ScheduleInvariantError, match="closedness, bottom_trace"):
         s2_null_demo(2, 9)
+
+
+def test_a_prism_past_the_cap_is_refused_before_any_cell():
+    # dDelta3 at L=4: 96 edges and 64 triangles, so 10^9 layers make
+    # 96 * 10^9 + 64 * (10^9 + 1) m-cells
+    X = edgewise_subdivide(simplex_boundary(3), 4).result
+    with pytest.raises(SchedulerError, match=r"1000000000 layers make "
+                                             r"160000000064 prism m-cells, more "
+                                             r"than the prism cap of 1000000"):
+        PrismComplex(X, 10 ** 9)
+    doc = {"layers": 10 ** 9, "vertical": [], "horizontal": [],
+           "omega": Cochain(2, {}, "int").to_json_dict(),
+           "alpha": Cochain(1, {}, "int").to_json_dict()}
+    with pytest.raises(SchedulerError, match="prism cap"):
+        PrismSchedule.from_json_dict(doc, X)
+
+
+def test_the_prism_cap_counts_vertical_and_horizontal_cells(monkeypatch):
+    # the sphere's 6 edges x 2 layers and 4 triangles x 3 levels: 24 m-cells
+    monkeypatch.setattr(scheduler, "PRISM_CELL_CAP", 24)
+    assert PrismComplex(simplex_boundary(3), 2).n_prisms == 8
+    monkeypatch.setattr(scheduler, "PRISM_CELL_CAP", 23)
+    with pytest.raises(SchedulerError, match="make 24 prism m-cells"):
+        PrismComplex(simplex_boundary(3), 2)
+
+
+def test_schedules_on_a_fresh_complex_factor_nothing(monkeypatch):
+    # degree_schedule and verify_schedule read the complex's boundary
+    # columns: no FillContext, and no elimination of any kind
+    from coiso import filling, linalg
+
+    X = edgewise_subdivide(simplex_boundary(3), 4).result
+    fill = integral_fill(X, sample_integral_coboundary(X, 2, trial_rng(5, 4, 0)))
+    X = edgewise_subdivide(simplex_boundary(3), 4).result
+    built = []
+    for cls in (filling.FillContext, linalg._Echelon):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, _init=init, **k:
+                            built.append(type(self)) or _init(self, *a, **k))
+    layers = max(1, int(fill.norm_inf_alpha))
+    s, report = degree_schedule(X, fill.omega, fill.alpha, layers)
+    assert report["all_passed"] and verify_schedule(s)["all_passed"]
+    assert built == [] and not getattr(X, "_fill_contexts", None)

@@ -181,3 +181,43 @@ def test_a_grid_is_refused():
     with pytest.raises(SubdivisionError, match="needs a simplicial complex, "
                        r"got GridCubeComplex\(n=2, r=2\)"):
         edgewise_subdivide(build_grid_cube_complex(2, 2), 2)
+
+
+def test_a_subdivision_past_the_cap_is_refused_before_enumeration(monkeypatch):
+    from coiso import subdivision
+
+    def refuse(*args):
+        raise AssertionError("cells were enumerated above the cap")
+    monkeypatch.setattr(subdivision, "_staircase_tops", refuse)
+    # L^2 top cells per triangle: 4 * 10^8 at L = 10^4, and 4 * 158^2 = 99856
+    # is the largest dDelta3 under the cap
+    for L in (10 ** 4, 159, 10 ** 30):
+        with pytest.raises(SubdivisionError, match="subdivision cap of 100000"):
+            edgewise_subdivide(simplex_boundary(3), L)
+
+
+def test_the_subdivision_cap_counts_top_cells_per_dimension(monkeypatch):
+    from coiso import subdivision
+
+    # a triangle and an edge at L = 3: 9 + 3 top cells
+    X = build_complex([(0, 1, 2), (2, 3)])
+    monkeypatch.setattr(subdivision, "SUBDIVISION_CAP", 12)
+    assert len(top_cells(edgewise_subdivide(X, 3).result)) == 12
+    monkeypatch.setattr(subdivision, "SUBDIVISION_CAP", 11)
+    with pytest.raises(SubdivisionError, match="would have 12 top cells"):
+        edgewise_subdivide(X, 3)
+
+
+def test_the_face_cap_admits_every_subdivision_under_the_cap():
+    from coiso import complexes, subdivision
+
+    # a top of a subdivided complex of dimension <= MAX_DIM has at most
+    # 2^(MAX_DIM+1) - 1 faces
+    worst = 2 ** (subdivision.MAX_DIM + 1) - 1
+    assert subdivision.SUBDIVISION_CAP * worst <= complexes.FACE_CAP
+
+
+def test_rp2_at_32_is_under_the_cap():
+    rp2 = build_complex([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+                         (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)])
+    assert len(top_cells(edgewise_subdivide(rp2, 32).result)) == 10 * 32 ** 2
