@@ -16,6 +16,10 @@ the complex's columns `boundary_cols(k)`, the cycles of B_k, and the
 integral system and lift data once built; every residual and cocycle check
 reads those columns.  The LP hands alpha over as (denominator, ints), the
 fills stay in ints, and RATs are made only for a `FillingResult`.
+
+The duality check is exact in the same form: each unit ball's vertices
+leave its maximal minors as reduced (q, ints) pairs and go into one exact
+tableau per side unchanged, and a RAT is made only for each optimal value.
 """
 
 from __future__ import annotations
@@ -27,8 +31,7 @@ from itertools import product
 from math import comb, gcd, lcm
 
 from .exact import RAT, ZERO
-from .homalg import (Cochain, IntegralSystem, boundary_matrix,
-                     coboundary_matrix, norm_inf)
+from .homalg import Cochain, IntegralSystem, coboundary_matrix, norm_inf
 from .linalg import (RationalSolver, dot, greedy_basis, residual_rows,
                      scale_to_ints, transpose_rows)
 from .lp import LinfProblem, LPError, check_l1_cap, l1_optima
@@ -490,14 +493,17 @@ def estimate_cip(X, k: int, L_list, trials: int, rng_seed: int):
     For each L: subdivide, draw `trials` random integral coboundaries, run
     integral_fill, and record ||alpha~||_inf / (L * ||omega||_inf).  The
     output is a deterministic function of the seed.  Returns
-    {"rows": [...], "summary": {L: max_ratio}}.
+    {"rows": [...], "summary": {L: max_ratio}}.  Every L is checked against
+    the subdivision's limits before the first one is subdivided.
     """
-    from .subdivision import edgewise_subdivide
+    from .subdivision import check_subdivision, edgewise_subdivide
 
     if not 1 <= k <= X.dim:
         raise FillingError(f"k={k} out of range for dim {X.dim}")
     if trials < 1:
         raise FillingError("trials must be >= 1")
+    for L in L_list:
+        check_subdivision(X, L)
     rows = []
     summary = {}
     for L in L_list:
@@ -544,8 +550,13 @@ def coiso_constants_tiny(X, k: int):
     boundaries with volume <= 1.  The duality lemma makes these equal, and
     the implementation raises DualityMismatch if they ever are not.
 
-    Each side solves its vertices' LPs on one exact tableau
-    (`lp.exact_optima`), so no float enters the check.  A FillingError
+    Both sides read one LinfProblem of delta over the (k-1)-cells that lie
+    in some k-cell's boundary: the ell-infinity LP is its rows, the ell-1
+    LP its columns (the nonzero rows of B_k), and each side's image basis
+    is the other's LP matrix.  Each side solves its vertices' LPs on one
+    exact tableau (`lp.exact_optima`), so no float enters the check; the
+    vertices go in as the reduced (q, ints) pairs the minors give, and a
+    RAT is made only for each optimal value.  A FillingError
     refuses the complex before any enumeration when k is out of range, when
     the ell-infinity LP or the ell-1 LP (each over the (k-1)-cells that lie
     in some k-cell's boundary) would need a tableau above lp.SIMPLEX_CAP, or
@@ -553,25 +564,27 @@ def coiso_constants_tiny(X, k: int):
     """
     if not 1 <= k <= X.dim:
         raise FillingError(f"k={k} out of range")
-    Bk = boundary_matrix(X, k)
     problem = _inf_problem(X.boundary_cols(k))
     try:
         problem.check_simplex_cap()
-        check_l1_cap(Bk.rows, Bk.ncols)
+        check_l1_cap(problem.cols, problem.m)
     except LPError as e:
         raise FillingError(f"complex exceeds the duality LP cap: {e}") from None
-    one_basis = _image_basis(X.boundary_cols(k), Bk.nrows)
+    one_basis = _image_basis(problem.rows, problem.n)
     d = len(one_basis)              # the rank of B_k
-    one = comb(Bk.nrows, d - 1) if d else 0
-    inf = comb(Bk.ncols, d) * 2 ** d
+    one = comb(X.n_cells(k - 1), d - 1) if d else 0
+    inf = comb(problem.m, d) * 2 ** d
     if max(one, inf) > ENUMERATION_CAP:
         raise FillingError(
             f"complex exceeds the duality enumeration cap of {ENUMERATION_CAP} "
             f"candidates: {one} coordinate sets on the ell-1 side, {inf} "
             f"coordinate sets times sign patterns on the ell-infinity side")
 
-    co = _max_min_fill_inf(problem, _image_basis(problem.cols, problem.m))
-    fi = _max_min_fill_one(Bk, one_basis)
+    inf_basis = _image_basis(problem.cols, problem.m)
+    inf_verts = _one_per_pair(_vertices_inf_ball(inf_basis, problem.m))
+    co = max(problem.optima(inf_verts), default=ZERO)
+    one_verts = _one_per_pair(_vertices_one_ball(one_basis, problem.n))
+    fi = max(l1_optima(problem.cols, problem.m, one_verts), default=ZERO)
     if co != fi:
         raise DualityMismatch(f"cofilling {co} != filling {fi}")
     return co, fi
@@ -633,7 +646,8 @@ def _circuits(P, d, n):
 
 def _vertices_inf_ball(basis, n):
     """Vertices of {w in span(basis): ||w||_inf <= 1}, from the maximal
-    minors of the basis.
+    minors of the basis, as pairs (q, w) of the vertex w / q in ints,
+    reduced (gcd(q, *w) = 1, q > 0).
 
     A vertex is w = basis . x with w_i = s_i = +-1 on some d coordinates I
     whose minor P[I] is nonzero.  Column t of basis . A_I^-1 is the circuit
@@ -659,7 +673,7 @@ def _vertices_inf_ball(basis, n):
                 q = gcd(D, *w)
                 verts.add((D // q, tuple(v // q for v in w)))
                 verts.add((D // q, tuple(-v // q for v in w)))
-    return [[RAT(v, q) for v in w] for q, w in verts]
+    return list(verts)
 
 
 def _vertices_one_ball(basis, n):
@@ -669,7 +683,8 @@ def _vertices_one_ball(basis, n):
     norm 1, with both signs (Rockafellar 1969).  An elementary vector spans
     the part of the span that vanishes on some d-1 coordinates of rank d-1,
     and that part is spanned by their circuit, read off the maximal minors
-    of the basis.  b / ||b||_1 is kept over its reduced denominator.
+    of the basis.  b / ||b||_1 is kept as the reduced pair (||b||_1, b) in
+    ints, b primitive.
     """
     d = len(basis)
     if d == 0:
@@ -680,14 +695,14 @@ def _vertices_one_ball(basis, n):
         norm = sum(v if v >= 0 else -v for v in b) // q
         verts.add((norm, tuple(v // q for v in b)))
         verts.add((norm, tuple(-v // q for v in b)))
-    return [[RAT(v, q) for v in w] for q, w in verts]
+    return list(verts)
 
 
 def _one_per_pair(verts):
-    """The vertices whose first nonzero entry is positive: one of each
-    antipodal pair.  Both norms are symmetric, so -w has the negated
+    """The vertices (q, w) whose w has a positive first nonzero entry: one
+    of each antipodal pair.  Both norms are symmetric, so -w has the negated
     minimal fills of w and the same optimum; one LP answers for the pair."""
-    return [w for w in verts if next(v for v in w if v) > 0]
+    return [(q, w) for q, w in verts if next(v for v in w if v) > 0]
 
 
 def _inf_problem(rows):
@@ -699,16 +714,3 @@ def _inf_problem(rows):
     return LinfProblem([{pos[j]: v for j, v in r.items()} for r in rows],
                        len(used))
 
-
-def _max_min_fill_inf(problem, basis):
-    """The largest ell-infinity optimum over the vertices of the unit ball
-    of im delta, `basis` a basis of it."""
-    verts = _one_per_pair(_vertices_inf_ball(basis, problem.m))
-    return max(problem.optima(verts), default=ZERO)
-
-
-def _max_min_fill_one(Bk, basis):
-    """The largest ell-1 optimum over the vertices of the unit ball of
-    im B_k, `basis` a basis of it."""
-    verts = _one_per_pair(_vertices_one_ball(basis, Bk.nrows))
-    return max(l1_optima(Bk.rows, Bk.ncols, verts), default=ZERO)

@@ -13,7 +13,7 @@ clears its diagonal with it, and `trees` builds its lattice basis on it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exact import RAT, ZERO, int_index, rat, is_integral
 from .linalg import (RationalSolver, UnimodularEchelon, dot, scale_to_ints,
@@ -353,14 +353,12 @@ def smith_normal_form(M: IntegerMatrix):
 # ---------------------------------------------------------------------------
 # ranks, homology, integral solving
 
-def betti_numbers(X, field: str = "Q") -> list:
+def betti_numbers(X) -> list:
     """Rational Betti numbers b_0..b_dim via exact kernel/rank computations.
 
-    Only field = "Q" is supported; rational inputs make the real case
-    numerically identical, so it is not represented separately.
+    Rational inputs make the real case numerically identical, so it is not
+    represented separately.
     """
-    if field != "Q":
-        raise HomalgError("only rational coefficients are supported")
     ranks = [0] * (X.dim + 2)
     for k in range(1, X.dim + 1):
         # the rank of B_k, taken on its columns

@@ -229,9 +229,9 @@ class RationalSolver(_Echelon):
     def _pick_row(self, col, live):
         return min(live, key=lambda i: (len(self.rows[i]), i))
 
-    def solve(self, b, denominator=1):
-        """x with A x = b / denominator as RATs (free variables 0), or None
-        if inconsistent.
+    def solve(self, b):
+        """x with A x = b as RATs (free variables 0), or None if
+        inconsistent.
 
         b may mix ints and RATs; it is scaled to ints by the lcm of its
         denominators, solved in ints and divided by the whole denominator D
@@ -242,7 +242,7 @@ class RationalSolver(_Echelon):
         if out is None:
             return None
         Dx, x = out
-        D *= denominator * Dx
+        D *= Dx
         return [RAT(v, D) if v else ZERO for v in x]
 
     def nullspace(self):

@@ -8,6 +8,9 @@ Two layers:
   rational is built inside the pivot loop; the reduced-cost rows are carried
   through the pivots.  The pivots are those of the all-rational tableau, and
   every (x, value) it returns is checked against a dual verified in ints.
+  The tableau takes b as (denominator, ints) and keeps it as given, and it
+  reads x off as (Dx, ints) over the lcm Dx of the basic pivots; only
+  exact_simplex, the public entry, scales b and makes RATs of x.
 
   exact_optima solves one A and c for many right-hand sides on one such
   tableau, as each side of the filling/cofilling duality check needs: one
@@ -18,9 +21,11 @@ Two layers:
   of smallest index among the negative ones leaves, and the column of A of
   smallest ratio enters, ties to the smaller index (Bland's rule on the
   dual, so no basis repeats).  Every answer is verified in ints as
-  exact_simplex verifies its own.  Only the optimal values are returned:
-  after the first b, x depends on the order of the right-hand sides, and
-  the optimum does not.
+  exact_simplex verifies its own.  Each b comes as (denominator, ints), as
+  the duality check's vertices leave their minors, and a RAT is made only
+  for each optimal value.  Only the optimal values are returned: after the
+  first b, x depends on the order of the right-hand sides, and the optimum
+  does not.
 
 * LinfProblem: minimize ||alpha||_inf subject to D alpha = omega.
   `solve_exact` hands the LP to exact_simplex, with no float anywhere, in
@@ -135,13 +140,15 @@ def exact_simplex(A, b, c):
     positive denominator.  Every choice reads a sign or compares two ratios
     within a column, so the pivots are those of the all-rational tableau.
     """
-    return _Tableau(A, b, c).verified()
+    (Dx, xs), value = _Tableau(A, scale_to_ints(b), c).verified()
+    return [RAT(v, Dx) for v in xs], value
 
 
 def exact_optima(A, c, bs):
-    """[min c.x s.t. A x = b, x >= 0 for each b in bs]: the optimal values
-    alone, each certified in ints by an explicit x and y as exact_simplex
-    certifies its own, and each equal to exact_simplex(A, b, c)'s.
+    """[min c.x s.t. A x = ws / D, x >= 0 for each (D, ws) in bs], ws ints:
+    the optimal values alone, each certified in ints by an explicit x and y
+    as exact_simplex certifies its own, and each equal to exact_simplex's
+    on the RATs ws / D.
 
     One tableau serves every b: the first is solved cold, as exact_simplex
     solves it, and each later one warm from the last optimal basis
@@ -161,10 +168,10 @@ def exact_optima(A, c, bs):
 
 class _Tableau:
     """The int tableau of min c.x s.t. A x = b, x >= 0, held at an optimal
-    basis for one b after another.  Its three steps: the cold two-phase
-    solve of the first b (the constructor), the warm re-solve of a new b
-    (`resolve`), and the verification of the current answer in ints
-    (`verified`)."""
+    basis for one b = (denominator, ints) after another.  Its three steps:
+    the cold two-phase solve of the first b (the constructor), the warm
+    re-solve of a new b (`resolve`), and the verification of the current
+    answer in ints (`verified`)."""
 
     def __init__(self, A, b, c):
         self.m = m = len(A)
@@ -230,12 +237,12 @@ class _Tableau:
         self.T, self.basis, self.z = T, basis, z2
 
     def _take(self, b):
-        """b as (denominator, ints), kept as the current right-hand side;
+        """b = (denominator, ints), kept as the current right-hand side;
         LPError when b has not one entry per row."""
-        if len(b) != self.m:
-            raise LPError(f"{self.m} constraint rows but {len(b)} right-hand sides")
-        self.b = scale_to_ints(b)
-        return self.b
+        if len(b[1]) != self.m:
+            raise LPError(f"{self.m} constraint rows but {len(b[1])} right-hand sides")
+        self.b = b
+        return b
 
     def resolve(self, b):
         """Move the optimal basis to the right-hand side b by the dual
@@ -286,17 +293,18 @@ class _Tableau:
             Z = z[0]
 
     def verified(self):
-        """(x, value) at the current basis and right-hand side, after both
+        """((Dx, xs), value) at the current basis and right-hand side, with
+        x = xs / Dx in ints over the lcm Dx of the basic pivots, after both
         certificates are checked in ints: A x = b with x >= 0, and the dual
         y = ys / Dy read off the identity block of the cost row, with the
         flips of the first b undone, meets y.A <= c and y.b = value."""
         m, n, T, basis = self.m, self.n, self.T, self.basis
         W = n + m
-        x = [ZERO] * n
+        Dx = lcm(*(T[i][basis[i]] for i in range(m) if basis[i] < n))
+        xs = [0] * n
         for i in range(m):
             if basis[i] < n:
-                x[basis[i]] = RAT(T[i][W], T[i][basis[i]])
-        Dx, xs = scale_to_ints(x)
+                xs[basis[i]] = T[i][W] * (Dx // T[i][basis[i]])
         cs, Dc, DA, a = self.cs, self.Dc, self.DA, self.a
         V = sum(u * v for u, v in zip(cs, xs) if u and v)
         value = RAT(V, Dc * Dx)
@@ -317,7 +325,7 @@ class _Tableau:
             s = sum(ys[i] * a[i][j] for i in range(m) if ys[i] and a[i][j])
             if s * Dc > cs[j] * Dy * DA:
                 raise LPError("dual feasibility failed")
-        return x, value
+        return (Dx, xs), value
 
 
 def _reduce_rows(T):
@@ -741,14 +749,15 @@ class LinfProblem:
         return alpha, t
 
     def optima(self, omegas):
-        """[t per omega]: the certified optima solve_exact would give, from
-        one tableau through exact_optima, with no alpha (after the first
-        omega it would depend on their order).  LPError as solve_exact
-        raises it, at the first omega refused."""
+        """[t per omega]: the certified optima solve_exact would give, each
+        omega = ws / D given as (D, ws) in ints, from one tableau through
+        exact_optima, with no alpha (after the first omega it would depend
+        on their order).  LPError as solve_exact raises it, at the first
+        omega refused."""
         A, c = self._shifted_lp()
         zeros = [0] * self.n
         try:
-            return exact_optima(A, c, (list(w) + zeros for w in omegas))
+            return exact_optima(A, c, ((D, list(w) + zeros) for D, w in omegas))
         except Infeasible:
             raise LPError("no rational solution of D alpha = omega")
 
@@ -813,10 +822,11 @@ def l1_min(rows, ncols, target):
 
 
 def l1_optima(rows, ncols, targets):
-    """[l1_min's value per target], from one tableau through exact_optima,
-    with no tau; raised as l1_min raises, at the first target refused."""
+    """[l1_min's value per target], each target = ts / D given as (D, ts)
+    in ints, from one tableau through exact_optima, with no tau; raised as
+    l1_min raises, at the first target refused."""
     A, c = _l1_lp(rows, ncols)
-    return exact_optima(A, c, (_l1_rhs(rows, t) for t in targets))
+    return exact_optima(A, c, ((D, _l1_rhs(rows, t)) for D, t in targets))
 
 
 def _l1_lp(rows, ncols):

@@ -185,6 +185,15 @@ def _int_dense(c: Cochain, n: int, name: str) -> list:
     return out
 
 
+def _check_degrees(omega: Cochain, alpha: Cochain, m: int):
+    """SchedulerError unless omega is an m-cochain and alpha an
+    (m-1)-cochain, m the top dimension of the base."""
+    if omega.k != m:
+        raise SchedulerError(f"omega degree {omega.k}, expected top dimension {m}")
+    if alpha.k != m - 1:
+        raise SchedulerError(f"alpha degree {alpha.k}, expected {m - 1}")
+
+
 def degree_schedule(X, omega: Cochain, alpha: Cochain,
                     layers: int) -> tuple[PrismSchedule, dict]:
     """(schedule, its verify_schedule report) for the floor-spread schedule;
@@ -194,10 +203,7 @@ def degree_schedule(X, omega: Cochain, alpha: Cochain,
     should be at least ||alpha||_inf or the norm invariant cannot hold.
     """
     m = X.dim
-    if omega.k != m:
-        raise SchedulerError(f"omega degree {omega.k}, expected top dimension {m}")
-    if alpha.k != m - 1:
-        raise SchedulerError(f"alpha degree {alpha.k}, expected {m - 1}")
+    _check_degrees(omega, alpha, m)
     if not omega.is_integral() or not alpha.is_integral():
         raise SchedulerError("schedule needs integral omega and alpha")
     if layers < 1:
@@ -249,10 +255,12 @@ def verify_schedule(s: PrismSchedule) -> dict:
 
     omega and alpha entries off the cells, and schedule cells off the prism,
     are an error: the checks would never read them.  So is a non-integer
-    entry of omega or alpha: no integral schedule fills it.
+    entry of omega or alpha: no integral schedule fills it, and so is an
+    omega of degree other than m or an alpha of degree other than m - 1.
     """
     prism = s.prism
     X, m, T = prism.X, prism.m, prism.layers
+    _check_degrees(s.omega, s.alpha, m)
     w_int = _int_dense(s.omega, prism.n_top, "omega")
     _int_dense(s.alpha, prism.n_low, "alpha")
     if bad := s.off_prism_cells():

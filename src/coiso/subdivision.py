@@ -95,8 +95,11 @@ class SubdividedComplex:
                 "vertices": verts, "cells": cells}
 
 
-def edgewise_subdivide(X: SimplicialComplex, L: int) -> SubdividedComplex:
-    """L-fold edgewise subdivision of a simplicial complex of dimension <= 3."""
+def check_subdivision(X, L: int):
+    """The top cells of X, once the L-fold edgewise subdivision of X is
+    known to be admitted: X simplicial of dimension <= MAX_DIM, L >= 1, and
+    at most SUBDIVISION_CAP top cells.  SubdivisionError otherwise, before
+    any cell is enumerated."""
     if not isinstance(X, SimplicialComplex):
         raise SubdivisionError(f"edgewise subdivision needs a simplicial "
                                f"complex, got {X!r}")
@@ -110,7 +113,12 @@ def edgewise_subdivide(X: SimplicialComplex, L: int) -> SubdividedComplex:
         raise SubdivisionError(
             f"the {L}-fold subdivision would have {count} top cells, more "
             f"than the subdivision cap of {SUBDIVISION_CAP}")
+    return tops
 
+
+def edgewise_subdivide(X: SimplicialComplex, L: int) -> SubdividedComplex:
+    """L-fold edgewise subdivision of a simplicial complex of dimension <= 3."""
+    tops = check_subdivision(X, L)
     top_keyed = []
     for c in tops:
         n = len(c) - 1

@@ -142,10 +142,10 @@ class ReferenceLiftData:
             parts.append((s % m, m))
         M = lcm(*(m for _, m in parts))
         rhs = [0] * self.n_cocycle_rows + [r * (M // m) for r, m in parts]
-        z = self.solver.solve(rhs, M)
+        z = self.solver.solve(rhs)
         if z is None:
             raise LiftError("lift system inconsistent")
-        return z
+        return [v / M for v in z]
 
 
 def random_mod_z_cocycle(X, k, rng):

@@ -5,13 +5,27 @@ that elementary-vector enumeration as it was before it formed each vertex in
 ints (every entry a RAT); the ell-infinity enumeration from before
 `filling._vertices_inf_ball` formed basis . A^-1 once per coordinate set (one
 solve per sign pattern); and both enumerations as they were before they were
-read off the maximal minors of the basis (one solver per coordinate set)."""
+read off the maximal minors of the basis (one solver per coordinate set).
+`as_rats` turns the (q, ints) vertices of the enumerations into the RAT
+tuples these oracles give."""
 
 from itertools import combinations, product
 from math import gcd
 
 from coiso.exact import RAT, ONE, ZERO
 from coiso.linalg import RationalSolver, scale_to_ints
+
+
+def as_rats(verts):
+    """[tuple of RATs w / q] for the vertices (q, w) of an enumeration, after
+    checking that each pair is reduced: int entries, q > 0 and
+    gcd(q, *w) = 1."""
+    out = []
+    for q, w in verts:
+        assert type(q) is int and q > 0 and all(type(v) is int for v in w)
+        assert gcd(q, *w) == 1
+        out.append(tuple(RAT(v, q) for v in w))
+    return out
 
 
 def vertices_one_ball_reference(basis, n):

@@ -10,6 +10,7 @@ import pytest
 from coiso import homalg
 from coiso.complexes import (SimplicialComplex, build_grid_cube_complex,
                              simplex_boundary)
+from coiso.exact import RAT
 from coiso.filling import (FillingError, coiso_constants_tiny, get_fill_context,
                           integral_fill, sample_integral_coboundary)
 from coiso.homalg import Cochain, apply_coboundary, norm_inf
@@ -59,10 +60,10 @@ def test_no_caller_mutates_the_shared_columns(name):
         assert all(list(c) == sorted(c) for c in X.boundary_cols(k))
 
 
-def test_a_sweep_set_up_walks_each_cell_once_and_builds_no_boundary_matrix(
-        monkeypatch):
-    X = edgewise_subdivide(simplex_boundary(3), 4).result
-    built, walked = [], Counter()
+def _count_boundary_matrix_calls(monkeypatch):
+    """The list that records every boundary_matrix call, by whichever coiso
+    module makes it."""
+    built = []
     original = homalg.boundary_matrix
 
     def counting_boundary_matrix(*args):
@@ -73,6 +74,14 @@ def test_a_sweep_set_up_walks_each_cell_once_and_builds_no_boundary_matrix(
         if getattr(mod, "__name__", "").split(".")[0] == "coiso" \
                 and getattr(mod, "boundary_matrix", None) is original:
             monkeypatch.setattr(mod, "boundary_matrix", counting_boundary_matrix)
+    return built
+
+
+def test_a_sweep_set_up_walks_each_cell_once_and_builds_no_boundary_matrix(
+        monkeypatch):
+    X = edgewise_subdivide(simplex_boundary(3), 4).result
+    walked = Counter()
+    built = _count_boundary_matrix_calls(monkeypatch)
     faces_of = SimplicialComplex.faces_of
 
     def counting_faces_of(c):
@@ -87,3 +96,11 @@ def test_a_sweep_set_up_walks_each_cell_once_and_builds_no_boundary_matrix(
     integral_fill(X, sample_integral_coboundary(X, 2, random.Random(0)))
     assert built == []
     assert walked == Counter(X.cells[1] + X.cells[2])
+
+
+def test_a_duality_check_builds_no_boundary_matrix(monkeypatch):
+    # both sides read the ell-infinity problem's rows and columns; the check
+    # used to build B_k once for the ell-1 side
+    built = _count_boundary_matrix_calls(monkeypatch)
+    assert coiso_constants_tiny(simplex_boundary(3), 2) == (RAT(1, 2), RAT(1, 2))
+    assert built == []

@@ -357,6 +357,26 @@ def test_cip_sweep_rejects_a_non_integer_scale(runner):
         assert "--L" in r.output and "'2,x'" in r.output
 
 
+def test_cip_sweep_refuses_an_over_cap_scale_before_any_trial(runner, monkeypatch):
+    from coiso import filling
+
+    def refuse(*args):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(filling, "sample_integral_coboundary", refuse)
+    with runner.isolated_filesystem():
+        write_inputs()
+        r = runner.invoke(main, ["cip-sweep", "--complex", "sphere.json", "--k",
+                                 "2", "--L", "2,10000", "--trials", "1", "--seed",
+                                 "0", "--out", "c.csv"])
+        assert r.exit_code == 1, r.output
+        assert json.loads(r.stderr) == {"error": {
+            "type": "SubdivisionError",
+            "message": "the 10000-fold subdivision would have 400000000 top "
+                       "cells, more than the subdivision cap of 100000"}}
+        assert not Path("c.csv").exists()
+        assert not Path("c.csv.meta.json").exists()
+
+
 def test_cip_sweep_rejects_a_degree_above_the_dimension(runner):
     with runner.isolated_filesystem():
         write_inputs()
@@ -418,6 +438,27 @@ def test_verify_schedule_rejects_an_index_outside_the_cells(runner, which):
         err = json.loads(r.stderr)["error"]
         assert err["type"] == "SchedulerError"
         assert err["message"].startswith(f"{which} has entries at indices [99]")
+
+
+@pytest.mark.parametrize("which,k,message", [
+    ("omega", 7, "omega degree 7, expected top dimension 2"),
+    ("alpha", 0, "alpha degree 0, expected 1"),
+])
+def test_verify_schedule_rejects_a_cochain_of_the_wrong_degree(runner, which, k,
+                                                               message):
+    # both used to verify with "all_passed": true
+    doc = json.loads((INPUTS / "dD3_L4_k2_schedule.json").read_text())
+    doc["schedule"][which]["k"] = k
+    with runner.isolated_filesystem():
+        shutil.copy(INPUTS / "dD3_L4.json", "dD3_L4.json")
+        json.dump(doc, open("sch_bad.json", "w"))
+        r = runner.invoke(main, ["verify", "--kind", "schedule", "--in",
+                                 "sch_bad.json", "--complex", "dD3_L4.json",
+                                 "--out", "vb.json"])
+        assert r.exit_code == 1, r.output
+        assert json.loads(r.stderr) == {
+            "error": {"message": message, "type": "SchedulerError"}}
+        assert not Path("vb.json").exists()
 
 
 def test_exact_simplex_cap_exits_one_with_a_structured_error(runner, monkeypatch):

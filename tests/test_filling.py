@@ -10,7 +10,7 @@ import random
 import subprocess
 import sys
 from itertools import combinations, product
-from math import comb
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
@@ -31,13 +31,13 @@ from coiso.filling import (DualityMismatch, FillingError, LiftData, LiftError,
                            trial_rng, _any_cocycle_lift, _check_lift,
                            _image_basis, _inf_problem, _one_per_pair,
                            _vertices_inf_ball, _vertices_one_ball)
-from coiso.subdivision import edgewise_subdivide
+from coiso.subdivision import SubdivisionError, edgewise_subdivide
 from coiso.trees import (SpanningTree, WrappingTree, greedy_spanning_tree,
                          lifting_basis, wrapping_tree, telescope_complex)
 from reference_lift import ReferenceLiftData, random_mod_z_cocycle
 from reference_solver import (ReferenceSolver, reference_mat_vec,
                               reference_witness)
-from reference_vertices import (vertices_inf_ball_per_set_reference,
+from reference_vertices import (as_rats, vertices_inf_ball_per_set_reference,
                                 vertices_inf_ball_reference,
                                 vertices_one_ball_elementary_reference,
                                 vertices_one_ball_per_set_reference,
@@ -365,6 +365,16 @@ def test_estimate_cip_deterministic():
            [(r["L"], r["trial"], r.get("ratio")) for r in b["rows"]]
 
 
+def test_estimate_cip_refuses_an_over_cap_scale_before_any_sample(monkeypatch):
+    # L=2 was subdivided, sampled and filled before L=10000 was refused
+    def refuse(*args):
+        raise AssertionError("a sample was drawn")
+    monkeypatch.setattr(filling, "sample_integral_coboundary", refuse)
+    with pytest.raises(SubdivisionError, match="the 10000-fold subdivision would "
+                                               "have 400000000 top cells"):
+        estimate_cip(simplex_boundary(3), 2, [2, 10000], 1, 0)
+
+
 def test_estimate_cip_rejects_zero_trials():
     with pytest.raises(FillingError):
         estimate_cip(simplex_boundary(3), 2, [1], 0, 1)
@@ -545,7 +555,7 @@ def test_zero_rows_leave_the_ell_one_lp(monkeypatch):
     def recorded(A, c, bs):
         bs = list(bs)
         if len(c) == 2 * B.ncols:
-            l1_shapes.extend((len(A), len(b), len(c)) for b in bs)
+            l1_shapes.extend((len(A), len(b[1]), len(c)) for b in bs)
         return real(A, c, bs)
 
     monkeypatch.setattr(lp, "exact_optima", recorded)
@@ -611,7 +621,7 @@ def test_duality_mismatch_raises_when_the_sides_disagree(monkeypatch):
     real = filling._vertices_one_ball
 
     def shrunk(basis, n):       # points inside the ell-1 ball, no vertex
-        return [[v / 2 for v in b] for b in real(basis, n)]
+        return [(2 * q, b) for q, b in real(basis, n)]
     monkeypatch.setattr(filling, "_vertices_one_ball", shrunk)
     with pytest.raises(DualityMismatch, match="cofilling 1 != filling 1/2"):
         coiso_constants_tiny(cycle_complex(4), 1)
@@ -620,7 +630,7 @@ def test_duality_mismatch_raises_when_the_sides_disagree(monkeypatch):
 # -- the ell-1 ball's vertices against the old sign-facet enumeration -------------
 
 def _one_ball(basis, n):
-    verts = [tuple(v) for v in _vertices_one_ball(basis, n)]
+    verts = as_rats(_vertices_one_ball(basis, n))
     assert len(verts) == len(set(verts))
     return set(verts)
 
@@ -706,9 +716,8 @@ def test_random_bases_have_dependent_coordinate_sets():
 def _inf_ball(X, k):
     delta = boundary_matrix(X, k).transpose()
     basis = _image_basis(delta.col_dicts(), delta.nrows)
-    verts = [tuple(v) for v in _vertices_inf_ball(basis, delta.nrows)]
+    verts = as_rats(_vertices_inf_ball(basis, delta.nrows))
     assert len(verts) == len(set(verts))
-    assert all(type(v) is RAT for w in verts for v in w)
     return basis, delta.nrows, set(verts)
 
 
@@ -729,7 +738,7 @@ def test_inf_ball_vertices_match_per_pattern_solves(X, k, count):
 @pytest.mark.parametrize("n,d,seed", RANDOM_SHAPES, ids=str)
 def test_inf_ball_vertices_match_per_pattern_solves_on_random_bases(n, d, seed):
     basis = random_coordinate_basis(random.Random(f"inf/{n}/{d}/{seed}"), n, d)
-    verts = {tuple(v) for v in _vertices_inf_ball(basis, n)}
+    verts = set(as_rats(_vertices_inf_ball(basis, n)))
     assert verts == vertices_inf_ball_reference(basis, n)
     for w in verts:
         assert max(abs(v) for v in w) == 1
@@ -743,12 +752,12 @@ def _exact_against_highs(X, k):
     problem = _inf_problem(delta.rows)
     ctx = get_fill_context(X, k)
     basis = _image_basis(delta.col_dicts(), delta.nrows)
-    verts = _vertices_inf_ball(basis, delta.nrows)
+    verts = as_rats(_vertices_inf_ball(basis, delta.nrows))
     for w in verts:
         alpha, t = problem.solve_exact(w)
         assert t == ctx.lp.solve(w)[1]
         assert max((abs(v) for v in alpha), default=0) == t
-        assert reference_mat_vec(problem.rows, alpha) == w
+        assert reference_mat_vec(problem.rows, alpha) == list(w)
     return len(verts)
 
 
@@ -762,7 +771,7 @@ def test_exact_ell_infinity_optima_match_highs_on_corpus(X, k):
 
 def test_one_per_pair_keeps_one_vertex_of_each_antipodal_pair():
     _, _, verts = _inf_ball(simplex_boundary(4), 2)
-    half = [tuple(w) for w in _one_per_pair([list(w) for w in verts])]
+    half = as_rats(_one_per_pair([scale_to_ints(w) for w in verts]))
     assert 2 * len(half) == len(verts)
     assert set(half) | {tuple(-v for v in w) for w in half} == verts
 
@@ -808,10 +817,10 @@ def test_one_lp_per_antipodal_pair_gives_the_max_over_all_vertices(Xk):
             (lambda b: l1_min(Bk.rows, Bk.ncols, b)[1], Bk,
              _vertices_one_ball)):
         verts = basis(_image_basis(rows.col_dicts(), rows.nrows), rows.nrows)
-        value = {tuple(w): fill(w) for w in verts}
+        value = {w: fill(w) for w in as_rats(verts)}
         for w, t in value.items():
             assert value[tuple(-v for v in w)] == t
-        assert (max((value[tuple(w)] for w in _one_per_pair(verts)), default=0)
+        assert (max((value[w] for w in as_rats(_one_per_pair(verts))), default=0)
                 == max(value.values(), default=0))
 
 
@@ -839,9 +848,8 @@ def _same_vertices_as_the_per_set_solvers(X, k):
              _image_basis(problem.cols, problem.m), problem.m),
             (_vertices_one_ball, vertices_one_ball_per_set_reference,
              _image_basis(Bk.col_dicts(), Bk.nrows), Bk.nrows)):
-        got = [tuple(w) for w in enumerate_(basis, n)]
+        got = as_rats(enumerate_(basis, n))
         assert len(got) == len(set(got))
-        assert all(type(v) is RAT for w in got for v in w)
         assert set(got) == {tuple(w) for w in reference(basis, n)}
         counts.append(len(got))
     return counts
@@ -856,6 +864,24 @@ def test_vertices_match_the_per_set_solvers_on_corpus(X, k):
     assert min(_same_vertices_as_the_per_set_solvers(X, k)) > 0
 
 
+@pytest.mark.parametrize("X,k", DUALITY_CORPUS + [
+    (load_complex(Path(__file__).parent / "golden" / "inputs" / "rp2.json"), 2),
+], ids=["C4-1", "Delta2-1", "dDelta3-1", "dDelta3-2", "dDelta4-2", "RP2-2"])
+def test_the_duality_check_hands_its_lps_reduced_int_vertices(X, k):
+    # the bases coiso_constants_tiny reads: im delta over the k-cells, and
+    # im B_k over the (k-1)-cells in some k-cell's boundary
+    problem = _inf_problem(X.boundary_cols(k))
+    for verts, n in (
+            (_vertices_inf_ball(_image_basis(problem.cols, problem.m), problem.m),
+             problem.m),
+            (_vertices_one_ball(_image_basis(problem.rows, problem.n), problem.n),
+             problem.n)):
+        assert verts
+        for q, w in verts:
+            assert type(q) is int and q > 0 and len(w) == n
+            assert all(type(v) is int for v in w) and gcd(q, *w) == 1
+
+
 def test_vertices_match_the_per_set_solvers_on_rp2():
     # torsion, and no 2-cycle: the ell-1 side spans all 10 triangles
     X = load_complex(Path(__file__).parent / "golden" / "inputs" / "rp2.json")
@@ -868,7 +894,7 @@ def test_vertices_match_the_per_set_solvers_on_random_bases(n, d, seed):
             ("inf", _vertices_inf_ball, vertices_inf_ball_per_set_reference),
             ("one", _vertices_one_ball, vertices_one_ball_per_set_reference)):
         basis = random_coordinate_basis(random.Random(f"{side}/{n}/{d}/{seed}"), n, d)
-        assert ({tuple(w) for w in enumerate_(basis, n)}
+        assert (set(as_rats(enumerate_(basis, n)))
                 == {tuple(w) for w in reference(basis, n)})
 
 

@@ -323,16 +323,6 @@ def test_rows_hold_ints_and_rats_only_off_the_integers(rows):
     assert all(type(f) is int or f.denominator != 1 for _, _, f in S.ops)
 
 
-def test_solve_divides_by_the_given_denominator():
-    rng, rows, n = _non_unit_matrix(3)
-    S = RationalSolver(rows, n)
-    x = [RAT(v) for v in range(1, n + 1)]
-    b = reference_mat_vec(rows, x)
-    want = S.solve(b)
-    got = S.solve(scale_to_ints(b)[1], scale_to_ints(b)[0] * 7)
-    assert got == [v / 7 for v in want] and _all_rats(got)
-
-
 def test_scale_to_ints_takes_the_lcm_of_the_denominators():
     assert scale_to_ints([1, RAT(1, 2), RAT(-2, 3), 0, RAT(4)]) == (6, [6, 3, -4, 0, 24])
     D, xs = scale_to_ints([3, RAT(5), 0])

@@ -14,6 +14,7 @@ from coiso.homalg import boundary_matrix
 from coiso.lp import LinfProblem, LPError
 from coiso.subdivision import edgewise_subdivide
 from reference_linf import linf_against_reference
+from reference_vertices import as_rats
 from test_simplex import DUALITY_CORPUS
 
 
@@ -29,7 +30,7 @@ def test_duality_corpus_vertices_match_the_reference(monkeypatch, X, k):
         ws = list(ws)
         omegas.extend(ws)
         values = real(self, ws)
-        assert values == [linf_against_reference(self, w)[1] for w in ws]
+        assert values == [linf_against_reference(self, w)[1] for w in as_rats(ws)]
         return values
 
     monkeypatch.setattr(LinfProblem, "optima", checked)

@@ -14,8 +14,10 @@ from coiso.filling import (_image_basis, _inf_problem, _one_per_pair,
                            _vertices_inf_ball, _vertices_one_ball,
                            coiso_constants_tiny)
 from coiso.homalg import boundary_matrix
+from coiso.linalg import scale_to_ints
 from coiso.lp import Infeasible, LPError, exact_optima, exact_simplex, l1_min, l1_optima
 from reference_linf import linf_against_reference
+from reference_vertices import as_rats
 from test_simplex import DUALITY_CORPUS
 
 
@@ -45,6 +47,17 @@ def _random_family(rng):
     if rng.random() < 0.3:
         bs.insert(rng.randrange(1, len(bs)), [_entry(rng) for _ in range(m)])
     return A, c, bs
+
+
+def _pairs(bs):
+    """The right-hand sides as the (D, ints) pairs exact_optima reads."""
+    return [scale_to_ints(b) for b in bs]
+
+
+def _verified_rats(tab):
+    """tab.verified() with x as RATs, as exact_simplex returns it."""
+    (Dx, xs), value = tab.verified()
+    return [RAT(v, Dx) for v in xs], value
 
 
 def _cold(A, b, c):
@@ -82,7 +95,7 @@ def test_random_families_match_cold_solves(monkeypatch):
         cold = [_cold(A, b, c) for b in bs]
         errors = [v for v in cold if isinstance(v, type)]
         if not errors:
-            assert exact_optima(A, c, bs) == cold
+            assert exact_optima(A, c, _pairs(bs)) == cold
             kinds["optimal"] = kinds.get("optimal", 0) + 1
             warm += len(bs) - 1
             continue
@@ -90,8 +103,8 @@ def test_random_families_match_cold_solves(monkeypatch):
         # before it keep their cold values
         k = cold.index(errors[0])
         with pytest.raises(errors[0]):
-            exact_optima(A, c, bs)
-        assert exact_optima(A, c, bs[:k]) == cold[:k]
+            exact_optima(A, c, _pairs(bs))
+        assert exact_optima(A, c, _pairs(bs[:k])) == cold[:k]
         kinds[errors[0].__name__] = kinds.get(errors[0].__name__, 0) + 1
         warm += k
     assert set(kinds) == {"optimal", "Infeasible", "Unbounded"}
@@ -104,39 +117,40 @@ def test_values_do_not_depend_on_the_order():
     for _ in range(100):
         A, c, bs = _random_family(rng)
         try:
-            values = exact_optima(A, c, bs)
+            values = exact_optima(A, c, _pairs(bs))
         except LPError:
             continue
         order = list(range(len(bs)))
         rng.shuffle(order)
-        assert exact_optima(A, c, [bs[i] for i in order]) == [values[i] for i in order]
+        assert (exact_optima(A, c, _pairs([bs[i] for i in order]))
+                == [values[i] for i in order])
 
 
 def test_a_row_that_keeps_its_artificial_refuses_an_inconsistent_b():
     # x0 + x1 = b0 and 2 x0 + 2 x1 = b1: the second row keeps its artificial
     A, c = [[1, 1], [2, 2]], [1, 2]
-    tab = lp._Tableau(A, [1, 2], c)
+    tab = lp._Tableau(A, (1, [1, 2]), c)
     assert tab.basis[1] >= 2
     with pytest.raises(Infeasible):
-        tab.resolve([1, 3])
+        tab.resolve((1, [1, 3]))
     assert _cold(A, [1, 3], c) is Infeasible
     # the tableau still answers the next right-hand side
-    tab.resolve([RAT(5, 2), 5])
-    assert tab.verified() == exact_simplex(A, [RAT(5, 2), 5], c)
+    tab.resolve((2, [5, 10]))
+    assert _verified_rats(tab) == exact_simplex(A, [RAT(5, 2), 5], c)
 
 
 def test_a_leaving_row_without_a_negative_entry_is_infeasible():
     A, c = [[1, 1]], [1, 1]
-    tab = lp._Tableau(A, [1], c)
+    tab = lp._Tableau(A, (1, [1]), c)
     with pytest.raises(Infeasible):
-        tab.resolve([-1])
+        tab.resolve((1, [-1]))
     assert _cold(A, [-1], c) is Infeasible
 
 
 def test_a_warm_answer_is_verified():
     A, c = [[1, 2, 1], [1, -1, 0]], [3, 1, 1]
-    tab = lp._Tableau(A, [2, 1], c)
-    tab.resolve([4, 1])
+    tab = lp._Tableau(A, (1, [2, 1]), c)
+    tab.resolve((1, [4, 1]))
     assert tab.verified()[1] == 6 == exact_simplex(A, [4, 1], c)[1]
     # one more on the basic variable of row 0: A x = b fails
     T = tab.T
@@ -144,16 +158,16 @@ def test_a_warm_answer_is_verified():
     with pytest.raises(LPError, match="primal verification failed"):
         tab.verified()
     # one more on y_0: y.b = value fails
-    tab.resolve([4, 1])
+    tab.resolve((1, [4, 1]))
     tab.z[0][tab.n] += tab.z[1]
     with pytest.raises(LPError, match="dual objective mismatch"):
         tab.verified()
 
 
 def test_a_right_hand_side_per_row_on_resolve():
-    tab = lp._Tableau([[1, 1]], [1], [1, 1])
+    tab = lp._Tableau([[1, 1]], (1, [1]), [1, 1])
     with pytest.raises(LPError, match="1 constraint rows but 2 right-hand sides"):
-        tab.resolve([1, 2])
+        tab.resolve((1, [1, 2]))
 
 
 # -- the duality corpus ------------------------------------------------------------
@@ -164,10 +178,11 @@ def test_every_corpus_vertex_matches_the_cold_solves(X, k):
     Bk = boundary_matrix(X, k)
     problem = _inf_problem(Bk.transpose().rows)
     ws = _vertices_inf_ball(_image_basis(problem.cols, problem.m), problem.m)
-    assert problem.optima(ws) == [linf_against_reference(problem, w)[1] for w in ws]
+    assert (problem.optima(ws)
+            == [linf_against_reference(problem, w)[1] for w in as_rats(ws)])
     bs = _vertices_one_ball(_image_basis(Bk.col_dicts(), Bk.nrows), Bk.nrows)
     assert (l1_optima(Bk.rows, Bk.ncols, bs)
-            == [l1_min(Bk.rows, Bk.ncols, b)[1] for b in bs])
+            == [l1_min(Bk.rows, Bk.ncols, b)[1] for b in as_rats(bs)])
     assert len(_one_per_pair(ws)) < len(ws) and len(_one_per_pair(bs)) < len(bs)
 
 

@@ -118,7 +118,8 @@ def test_duality_corpus_lps_match_the_reference(monkeypatch, X, k):
     def checked(A, c, bs):
         bs = list(bs)
         calls.append((len(A), len(c)))
-        cold = [simplex_against_reference(A, b, c)[1] for b in bs]
+        cold = [simplex_against_reference(A, [RAT(v, D) for v in b], c)[1]
+                for D, b in bs]
         values = real(A, c, bs)
         assert values == cold
         return values
