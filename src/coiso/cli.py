@@ -15,7 +15,7 @@ import sys
 import click
 
 from . import __version__
-from .exact import rat_str
+from .exact import load_json, rat_str
 from .complexes import load_complex, ComplexError
 from .homalg import load_cochain, HomalgError
 from .subdivision import edgewise_subdivide, SubdivisionError
@@ -262,15 +262,7 @@ def verify(kind, in_path, complex_path, n, k, r, out):
         if in_path is None or complex_path is None:
             raise click.UsageError("schedule verification needs --in and --complex")
         X = load_complex(complex_path)
-        try:
-            with open(in_path) as fh:
-                doc = json.load(fh)
-        except OSError as e:
-            raise SchedulerError(
-                f"cannot read schedule file {in_path}: {e.strerror or e}") from e
-        except (ValueError, RecursionError) as e:  # bad JSON, or nested too deep
-            raise SchedulerError(
-                f"malformed schedule JSON: {type(e).__name__}: {e}") from e
+        doc = load_json(in_path, SchedulerError, "schedule")
         report = verify_schedule(PrismSchedule.from_json_dict(doc, X))
         _write_artifact(out, config, {"report": _jsonable(report)})
         ok = report["all_passed"]

@@ -19,10 +19,9 @@ derives what it needs from these shared columns and none changes them.
 
 from __future__ import annotations
 
-import json
 from itertools import combinations, product
 
-from .exact import RAT, int_index
+from .exact import RAT, int_index, load_json
 
 
 class ComplexError(ValueError):
@@ -280,14 +279,7 @@ def complex_from_json_dict(d):
 
 
 def load_complex(path):
-    try:
-        with open(path) as fh:
-            d = json.load(fh)
-    except OSError as e:
-        raise ComplexError(f"cannot read complex file {path}: {e.strerror or e}") from e
-    except (ValueError, RecursionError) as e:  # bad JSON, or nested too deep
-        raise ComplexError(f"complex file is not JSON: {e}") from e
-    return complex_from_json_dict(d)
+    return complex_from_json_dict(load_json(path, ComplexError, "complex"))
 
 
 def standard_simplex(n: int) -> SimplicialComplex:

@@ -6,10 +6,15 @@ order of magnitude faster).  gmpy2 is optional and often absent; then
 fractions.Fraction is the backend, and it is the one CI tests.  Both expose
 .numerator/.denominator and print as "p/q" or "p", which is the serialized
 form everywhere.
+
+The input rules every module shares live here too: `int_index` for an
+index, `int_rows` for the entries of an integer matrix, and `load_json`
+for an input file.
 """
 
 from __future__ import annotations
 
+import json
 import operator
 from fractions import Fraction
 
@@ -47,6 +52,46 @@ def int_index(x) -> int:
     if isinstance(x, bool):
         raise TypeError(f"{x!r} is a boolean, not an integer index")
     return operator.index(x)
+
+
+def int_rows(rows, error, name):
+    """Copies of the sparse rows (dict col -> value) with the zeros dropped
+    and every entry an int.  An int, or an exact rational with denominator
+    1, is kept as an int; a float, a boolean or any other rational raises
+    error, naming the row and column, so no entry is truncated.  A column
+    is read by `int_index`, and one it refuses raises error too."""
+    out = []
+    for i, r in enumerate(rows):
+        row = {}
+        for j, v in r.items():
+            if type(j) is not int:
+                try:
+                    j = int_index(j)
+                except TypeError:
+                    raise error(f"{name}: column {j!r} of row {i} is not an "
+                                f"integer index") from None
+            if type(v) is not int:
+                if (isinstance(v, (bool, float))
+                        or getattr(v, "denominator", 0) != 1):
+                    raise error(f"{name}: entry {v!r} at row {i}, column {j} "
+                                f"is not an integer")
+                v = int(v)
+            if v:
+                row[j] = v
+        out.append(row)
+    return out
+
+
+def load_json(path, error, kind):
+    """The JSON document in the file at path; a file that cannot be read or
+    is not JSON raises error, naming the kind of file."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as e:
+        raise error(f"cannot read {kind} file {path}: {e.strerror or e}") from e
+    except (ValueError, RecursionError) as e:  # bad JSON, or nested too deep
+        raise error(f"{kind} file is not JSON: {e}") from e
 
 
 def is_integral(x) -> bool:

@@ -13,9 +13,10 @@ of the operation, not an afterthought.
 
 Per complex and degree k, a `FillContext` holds the LP of delta^(k-1) over
 the complex's columns `boundary_cols(k)`, the cycles of B_k, and the
-integral system and lift data once built; every residual and cocycle check
-reads those columns.  The LP hands alpha over as (denominator, ints), the
-fills stay in ints, and RATs are made only for a `FillingResult`.
+integral system (on the same columns, the rows of delta^(k-1)) and lift
+data once built; every residual and cocycle check reads those columns.  The
+LP hands alpha over as (denominator, ints), the fills stay in ints, and
+RATs are made only for a `FillingResult`.
 
 The duality check is exact in the same form: each unit ball's vertices
 leave its maximal minors as reduced (q, ints) pairs and go into one exact
@@ -31,7 +32,7 @@ from itertools import product
 from math import comb, gcd, lcm
 
 from .exact import RAT, ZERO
-from .homalg import Cochain, IntegralSystem, coboundary_matrix, norm_inf
+from .homalg import Cochain, IntegralSystem, norm_inf
 from .linalg import (RationalSolver, dot, greedy_basis, residual_rows,
                      scale_to_ints, transpose_rows)
 from .lp import LinfProblem, LPError, check_l1_cap, l1_optima
@@ -111,7 +112,8 @@ class FillContext:
 
     def integral_system(self) -> IntegralSystem:
         if self._integral is None:
-            self._integral = IntegralSystem(coboundary_matrix(self.X, self.k - 1))
+            self._integral = IntegralSystem(self.X.boundary_cols(self.k),
+                                            self.X.n_cells(self.k - 1))
         return self._integral
 
     # -- bounded lifting in degree k-1 ----------------------------------------
@@ -533,12 +535,13 @@ def estimate_cip(X, k: int, L_list, trials: int, rng_seed: int):
 
 # The cap bounds the candidate vertices each enumeration examines, n cells
 # and d the rank of the boundary: C(n, d-1) coordinate sets on the ell-1
-# side, a circuit read off the minors for each; C(n, d) coordinate sets times
-# 2^d sign patterns on the ell-infinity side, a signed sum of d circuits per
-# pattern pair.  The wedge that makes the minors holds at most C(n, r)
-# entries after its r-th row.  A complex over the cap on either side is
-# refused before any enumeration, as is one whose ell-infinity or ell-1 LP
-# tableau exceeds lp.SIMPLEX_CAP, which is checked first.
+# side, n only the (k-1)-cells in some k-cell's boundary, a circuit read off
+# the minors for each; C(n, d) coordinate sets times 2^d sign patterns on
+# the ell-infinity side, a signed sum of d circuits per pattern pair.  The
+# wedge that makes the minors holds at most C(n, r) entries after its r-th
+# row.  A complex over the cap on either side is refused before any
+# enumeration, as is one whose ell-infinity or ell-1 LP tableau exceeds
+# lp.SIMPLEX_CAP, which is checked first.
 ENUMERATION_CAP = 20000
 
 
@@ -572,7 +575,7 @@ def coiso_constants_tiny(X, k: int):
         raise FillingError(f"complex exceeds the duality LP cap: {e}") from None
     one_basis = _image_basis(problem.rows, problem.n)
     d = len(one_basis)              # the rank of B_k
-    one = comb(X.n_cells(k - 1), d - 1) if d else 0
+    one = comb(problem.n, d - 1) if d else 0
     inf = comb(problem.m, d) * 2 ** d
     if max(one, inf) > ENUMERATION_CAP:
         raise FillingError(

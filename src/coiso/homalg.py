@@ -3,6 +3,11 @@
 A complex holds each boundary map once, as columns (`boundary_cols`).
 `boundary_matrix` transposes them into fresh rows, `coboundary_matrix`
 copies them as its rows, and `apply_coboundary` sums over them.
+`IntegralSystem`, the unit-pivot subclass of the kernel's elimination
+driver `linalg._Echelon`, takes them as the rows of the coboundary it
+solves.  Every integer matrix reads its entries by one rule
+(`exact.int_rows`): a float or a non-integral rational is refused, never
+truncated.
 
 Everything here is exact: integer matrices hold python ints, rational data
 holds exact rationals, and no floating point appears anywhere in this module.
@@ -12,12 +17,11 @@ clears its diagonal with it, and `trees` builds its lattice basis on it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .exact import RAT, ZERO, int_index, rat, is_integral
-from .linalg import (RationalSolver, UnimodularEchelon, dot, scale_to_ints,
-                     transpose_rows)
+from .exact import (RAT, ZERO, int_index, int_rows, is_integral, load_json,
+                    rat)
+from .linalg import RationalSolver, _Echelon, dot, scale_to_ints, transpose_rows
 
 
 class HomalgError(ValueError):
@@ -158,14 +162,7 @@ def volume_norm(c: Chain):
 
 
 def load_cochain(path) -> Cochain:
-    try:
-        with open(path) as fh:
-            d = json.load(fh)
-    except OSError as e:
-        raise HomalgError(f"cannot read cochain file {path}: {e.strerror or e}") from e
-    except (ValueError, RecursionError) as e:  # bad JSON, or nested too deep
-        raise HomalgError(f"cochain file is not JSON: {e}") from e
-    return Cochain.from_json_dict(d)
+    return Cochain.from_json_dict(load_json(path, HomalgError, "cochain"))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +175,7 @@ class IntegerMatrix:
         self.nrows = nrows
         self.ncols = ncols
         self.rows = [dict() for _ in range(nrows)] if rows is None \
-            else [{int(j): int(v) for j, v in r.items() if v} for r in rows]
+            else int_rows(rows, HomalgError, "IntegerMatrix")
 
     def __getitem__(self, ij):
         i, j = ij
@@ -375,24 +372,28 @@ def betti_numbers(X) -> list:
 BLOCK_CAP = 100_000
 
 
-class IntegralSystem:
-    """Cached integral solver for M x = b over Z.
+class IntegralSystem(_Echelon):
+    """Cached integral solver for A x = b over Z, A given as sparse int rows
+    over ncols columns: the kernel's unit-pivot elimination.
 
-    One path for every matrix: `UnimodularEchelon` pivots on +-1 entries,
-    and the rows it leaves stuck, which lie in non-pivot columns only, form
-    a block (stuck rows x the columns they touch) solved through its Smith
-    form.  The block's integer solution fills those free columns and
-    back-substitutes through the unit pivots, so every solution is integral,
-    and one is found whenever one exists.  Complexes without torsion leave
-    no stuck row and take no Smith form.  A block whose Smith form needs over
-    BLOCK_CAP dense entries (m*n + m*m + n*n for U, D and V) raises HomalgError.
+    `_pick_row` takes only +-1 entries, the sparsest such row, ties to the
+    lower row.  The row operations then have int factors and the pivots are
+    units, so an int reduced rhs and int free values back-substitute to an
+    int solution.  The rows no unit pivot can clear stay as `stuck_rows`;
+    they lie in non-pivot columns only and form a block (stuck rows x the
+    columns they touch) solved through its Smith form.  The block's integer
+    solution fills those free columns and back-substitutes through the unit
+    pivots, so every solution is integral, and one is found whenever one
+    exists.  Complexes without torsion leave no stuck row and take no Smith
+    form.  A block whose Smith form needs over BLOCK_CAP dense entries
+    (m*n + m*m + n*n for U, D and V) raises HomalgError, as does an entry
+    of A that is not an integer.
     """
 
-    def __init__(self, M: IntegerMatrix):
-        self.M = M
-        E = self._echelon = UnimodularEchelon(M.rows, M.ncols)
-        self._cols = sorted({j for i in E.stuck_rows for j in E.rows[i]})
-        m, n = self.block_shape = (len(E.stuck_rows), len(self._cols))
+    def __init__(self, rows, ncols):
+        super().__init__(int_rows(rows, HomalgError, "IntegralSystem"), ncols)
+        self._cols = sorted({j for i in self.stuck_rows for j in self.rows[i]})
+        m, n = self.block_shape = (len(self.stuck_rows), len(self._cols))
         size = m * n + m * m + n * n
         if size > BLOCK_CAP:
             raise HomalgError("integral solve: the %dx%d block left without "
@@ -404,21 +405,27 @@ class IntegralSystem:
             pos = {j: c for c, j in enumerate(self._cols)}
             self._block_snf = smith_normal_form(IntegerMatrix(
                 *self.block_shape,
-                [{pos[j]: v for j, v in E.rows[i].items()} for i in E.stuck_rows]))
+                [{pos[j]: v for j, v in self.rows[i].items()}
+                 for i in self.stuck_rows]))
+
+    def _pick_row(self, col, live):
+        units = [i for i in live if self.rows[i][col] in (1, -1)]
+        if not units:
+            return None
+        return min(units, key=lambda i: (len(self.rows[i]), i))
 
     def solve(self, b):
-        """Integer solution of M x = b, or None when none exists (as for a b
+        """Integer solution of A x = b, or None when none exists (as for a b
         that is not integral)."""
         D, y = scale_to_ints(b)
-        E = self._echelon
-        if D != 1 or (y := E.reduce_rhs(y)) is None:
+        if D != 1 or (y := self.reduce_rhs(y)) is None:
             return None
-        x = [0] * self.M.ncols
+        x = [0] * self.n
         if self._block_snf is not None:
             # U B V = S: B z = c  <=>  S w = U c with z = V w
             U, S, V = self._block_snf
             w = [0] * V.nrows
-            for i, u in enumerate(U.mat_vec([y[i] for i in E.stuck_rows])):
+            for i, u in enumerate(U.mat_vec([y[i] for i in self.stuck_rows])):
                 d = S[i, i]
                 if d and u % d == 0:
                     w[i] = u // d
@@ -427,11 +434,11 @@ class IntegralSystem:
             for j, v in zip(self._cols, V.mat_vec(w)):
                 x[j] = v
         # unit pivots: the back-substitution's denominator is 1
-        return E.back_substitute(y, x)[1]
+        return self.back_substitute(y, x)[1]
 
 
 def solve_integral_linear(M: IntegerMatrix, b):
     """Integer solution x of M x = b, or None when no integral solution exists."""
     if len(b) != M.nrows:
         raise HomalgError(f"rhs length {len(b)} != {M.nrows} rows")
-    return IntegralSystem(M).solve(b)
+    return IntegralSystem(M.rows, M.ncols).solve(b)

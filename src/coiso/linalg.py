@@ -16,9 +16,9 @@ the recorded row operations and the int back-substitution.  Its subclasses
 fix only which row a column pivots on and what a solve returns:
 `RationalSolver` takes the sparsest live row and returns RATs,
 `_LowestRowEchelon` (the greedy bases of `greedy_basis`) the lowest live
-row, and `UnimodularEchelon` (integral solves) only +-1 entries, keeping the
-rows that no unit pivot can clear as `stuck_rows`; `homalg.IntegralSystem`
-solves those through the Smith form of their block alone.  That Smith form
+row, and `homalg.IntegralSystem` (integral solves) only +-1 entries,
+keeping the rows that no unit pivot can clear as `stuck_rows`, which it
+solves through the Smith form of their block alone.  That Smith form
 and the lattice basis of `trees` are the one other elimination engine:
 `homalg.euclid_step`, the integer Euclidean reduction of one coordinate.
 
@@ -274,22 +274,6 @@ def greedy_basis(vectors, n):
     """
     E = _LowestRowEchelon(vectors, n)
     return sorted(p for p, _ in E.pivots), E.rank
-
-
-class UnimodularEchelon(_Echelon):
-    """Row echelon form over Z using only +-1 pivots (unimodular row ops).
-
-    The row operations have int factors and the pivots are units, so an int
-    reduced rhs and int free values back-substitute to an int solution.  The
-    rows no unit pivot can clear stay as `stuck_rows`; without any, integral
-    consistency of A x = b coincides with rational consistency.
-    """
-
-    def _pick_row(self, col, live):
-        units = [i for i in live if self.rows[i][col] in (1, -1)]
-        if not units:
-            return None
-        return min(units, key=lambda i: (len(self.rows[i]), i))
 
 
 def dot(row, x):

@@ -68,9 +68,14 @@ Two layers:
   and "highs-ds".  As an instance is made, it reads the model linprog
   would build for this LP from a temp file of MPS text in ints (so the
   text is exact), and the file is removed at once; a temp file that cannot
-  be written, or a model HiGHS does not read back whole, is an LPError.  A solve sets the equality rows
-  to omega with changeRowBounds, then clearSolver drops the last solution
-  and basis, a cold start as passing the model again would be; linprog's
+  be written, or a model HiGHS does not read back whole, is an LPError.
+  The model stays MPS text because a model built from plain lists, though
+  it builds faster and guesses bitwise alike, makes the binding import
+  numpy on its first list-valued assignment (`HighsLp.col_cost_`, or
+  `_Highs.addRow` with list arguments; only the scalar `addVar` and
+  `changeColCost` do not).  A solve sets the equality rows to omega with
+  changeRowBounds, then clearSolver drops the last solution and basis, a
+  cold start as passing the model again would be; linprog's
   NaN and bound checks of the answer run on the plain float lists HiGHS
   returns.  So every guess (x and the row duals, or None where linprog's
   status is not 0) is bitwise the one linprog returns.
@@ -101,7 +106,7 @@ import tempfile
 from functools import cached_property
 from math import gcd, lcm, sqrt
 
-from .exact import RAT, ZERO
+from .exact import RAT, ZERO, int_rows
 from .linalg import (RationalSolver, dot, residual_rows, scale_to_ints,
                      transpose_rows)
 
@@ -428,7 +433,7 @@ class LinfProblem:
     """
 
     def __init__(self, rows, ncols):
-        self.rows = [{int(j): int(v) for j, v in r.items() if v} for r in rows]
+        self.rows = int_rows(rows, LPError, "LinfProblem")
         self.m = len(rows)
         self.n = ncols
         self.cols = transpose_rows(self.rows, ncols)

@@ -4,9 +4,9 @@
 (re-sort every live column per pivot), with the row conversion and the
 factor as per-class hooks.  On it, `ReferenceSolver` is `RationalSolver`'s
 solve, nullspace and `mat_vec` from before the kernel held ints, every
-number a RAT, and `ReferenceUnimodular` is `UnimodularEchelon` from before it
-shared the int rows, `_div` and the back-substitution of `linalg._Echelon`:
-int rows, unit pivots, factor entry * pivot, its own record of the rows no
+number a RAT, and `ReferenceUnimodular` is the unit-pivot elimination of
+`IntegralSystem` from before it shared the int rows, `_div` and the
+back-substitution of `linalg._Echelon`: int rows, unit pivots, factor entry * pivot, its own record of the rows no
 unit pivot clears and its own `solve_int` loop (valid when none is left).
 Neither uses the package's elimination driver.  `reference_smith_normal_form`
 is `homalg.smith_normal_form` from before it cleared each position with the
@@ -149,7 +149,8 @@ class ReferenceSolver(_ReferenceEchelon):
 
 
 class ReferenceUnimodular(_ReferenceEchelon):
-    """UnimodularEchelon with its own int rows, factor and solve_int loop."""
+    """IntegralSystem's unit-pivot elimination with its own int rows, factor
+    and solve_int loop."""
 
     def _convert_row(self, r):
         return {j: int(v) for j, v in r.items() if v}

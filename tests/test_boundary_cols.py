@@ -60,20 +60,20 @@ def test_no_caller_mutates_the_shared_columns(name):
         assert all(list(c) == sorted(c) for c in X.boundary_cols(k))
 
 
-def _count_boundary_matrix_calls(monkeypatch):
-    """The list that records every boundary_matrix call, by whichever coiso
+def _count_calls(monkeypatch, name="boundary_matrix"):
+    """The list that records every call of homalg's name, by whichever coiso
     module makes it."""
     built = []
-    original = homalg.boundary_matrix
+    original = getattr(homalg, name)
 
-    def counting_boundary_matrix(*args):
+    def counting(*args):
         built.append(args)
         return original(*args)
 
     for mod in list(sys.modules.values()):
         if getattr(mod, "__name__", "").split(".")[0] == "coiso" \
-                and getattr(mod, "boundary_matrix", None) is original:
-            monkeypatch.setattr(mod, "boundary_matrix", counting_boundary_matrix)
+                and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
     return built
 
 
@@ -81,7 +81,7 @@ def test_a_sweep_set_up_walks_each_cell_once_and_builds_no_boundary_matrix(
         monkeypatch):
     X = edgewise_subdivide(simplex_boundary(3), 4).result
     walked = Counter()
-    built = _count_boundary_matrix_calls(monkeypatch)
+    built = _count_calls(monkeypatch)
     faces_of = SimplicialComplex.faces_of
 
     def counting_faces_of(c):
@@ -101,6 +101,16 @@ def test_a_sweep_set_up_walks_each_cell_once_and_builds_no_boundary_matrix(
 def test_a_duality_check_builds_no_boundary_matrix(monkeypatch):
     # both sides read the ell-infinity problem's rows and columns; the check
     # used to build B_k once for the ell-1 side
-    built = _count_boundary_matrix_calls(monkeypatch)
+    built = _count_calls(monkeypatch)
     assert coiso_constants_tiny(simplex_boundary(3), 2) == (RAT(1, 2), RAT(1, 2))
+    assert built == []
+
+
+def test_an_integral_fill_builds_no_coboundary_matrix(monkeypatch):
+    # the integral system eliminates the shared columns boundary_cols(k)
+    # as its rows, so no copy of them is made
+    X = edgewise_subdivide(simplex_boundary(3), 4).result
+    built = _count_calls(monkeypatch, "coboundary_matrix")
+    res = integral_fill(X, sample_integral_coboundary(X, 2, random.Random(0)))
+    assert res.alpha.ring == "int" and not res.certificate.entries
     assert built == []

@@ -192,17 +192,17 @@ def test_fill_rejects_malformed_omega(runner, omega, etype, ring):
         assert err["error"]["message"]
 
 
-@pytest.mark.parametrize("args,etype", [
+@pytest.mark.parametrize("args,etype,what", [
     (["subdivide", "--in", "nj.json", "--L", "2", "--out", "s.json"],
-     "ComplexError"),
+     "ComplexError", "complex"),
     (["fill", "--complex", "nj.json", "--omega", "w.json", "--out", "a.json"],
-     "ComplexError"),
+     "ComplexError", "complex"),
     (["fill", "--complex", "c4.json", "--omega", "nj.json", "--out", "a.json"],
-     "HomalgError"),
+     "HomalgError", "cochain"),
     (["verify", "--kind", "schedule", "--in", "nj.json", "--complex",
-      "sphere.json", "--out", "v.json"], "SchedulerError"),
+      "sphere.json", "--out", "v.json"], "SchedulerError", "schedule"),
 ], ids=["subdivide-in", "fill-complex", "fill-omega", "verify-schedule-in"])
-def test_input_that_is_not_json_exits_one(runner, args, etype):
+def test_input_that_is_not_json_exits_one(runner, args, etype, what):
     with runner.isolated_filesystem():
         write_inputs()
         with open("nj.json", "w") as fh:
@@ -212,7 +212,8 @@ def test_input_that_is_not_json_exits_one(runner, args, etype):
         assert not isinstance(r.exception, ValueError), r.exception
         err = json.loads(r.stderr)
         assert err["error"]["type"] == etype
-        assert "JSON" in err["error"]["message"]
+        # one reader, one wording for every kind of input file
+        assert err["error"]["message"].startswith(f"{what} file is not JSON: ")
 
 
 @pytest.mark.parametrize("args,etype,what", [

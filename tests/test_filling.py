@@ -509,6 +509,14 @@ def test_duality_cap_message_names_what_it_counts():
         "times sign patterns on the ell-infinity side")
 
 
+def test_duality_cap_counts_only_cells_in_some_boundary():
+    # 200 isolated vertices: the ell-1 enumeration still reads the minors of
+    # the 3 x 4 basis, so the cap counts C(4, 2), not C(204, 2) = 20706
+    X = build_complex(list(combinations(range(4), 3))
+                      + [(v,) for v in range(4, 204)])
+    assert coiso_constants_tiny(X, 1) == (RAT(1, 2), RAT(1, 2))
+
+
 def test_duality_tableau_cap_builds_no_enumeration(monkeypatch):
     # dDelta3, k=2: 4 triangles over 6 edges, a 10x13 ell-infinity tableau
     def refuse(basis, n):

@@ -12,6 +12,7 @@ from coiso.homalg import (Chain, Cochain, HomalgError, IntegerMatrix,
                           IntegralSystem, apply_coboundary, betti_numbers, boundary_matrix,
                           euclid_step, norm_inf, pairing, smith_normal_form,
                           solve_integral_linear, volume_norm)
+from coiso.lp import LinfProblem, LPError
 from coiso.subdivision import edgewise_subdivide
 
 from intmatrix import matmul
@@ -185,7 +186,7 @@ def test_c4_coboundary_solvable():
 ], ids=["unit", "unit-2x2", "snf-1x1", "snf-2x2-a", "snf-2x2-b"])
 def test_non_integral_rhs_has_no_integer_solution(rows, b, block):
     M = IntegerMatrix(len(rows), max(j for r in rows for j in r) + 1, rows)
-    assert IntegralSystem(M).block_shape == block
+    assert IntegralSystem(M.rows, M.ncols).block_shape == block
     assert solve_integral_linear(M, b) is None
 
 
@@ -198,6 +199,46 @@ def test_integral_rationals_in_the_rhs_still_solve(rows, b, x):
     M = IntegerMatrix(len(rows), len(x), rows)
     got = solve_integral_linear(M, b)
     assert got == x and all(type(v) is int for v in got)
+
+
+# every integer-matrix constructor reads its entries by one rule: an int or
+# an integral rational is kept as an int, and anything else raises, since a
+# truncated entry changes the matrix (an LP row 3/2 a0 + a1 read as a0 + a1
+# certifies the wrong optimum)
+CONSTRUCTORS = {
+    "IntegerMatrix": (lambda rows: IntegerMatrix(len(rows), 2, rows).rows,
+                      HomalgError),
+    "IntegralSystem": (lambda rows: IntegralSystem(rows, 2).rows, HomalgError),
+    "LinfProblem": (lambda rows: LinfProblem(rows, 2).rows, LPError),
+}
+
+
+@pytest.mark.parametrize("bad", [RAT(1, 2), 1.7, RAT(3, 2), True],
+                         ids=["half", "float", "three-halves", "bool"])
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+def test_integer_matrix_constructors_refuse_a_non_integer_entry(name, bad):
+    build, error = CONSTRUCTORS[name]
+    with pytest.raises(error, match=rf"^{name}: entry .* at row 1, column 0 "
+                                    r"is not an integer$"):
+        build([{0: 1, 1: 1}, {0: bad, 1: 1}])
+
+
+@pytest.mark.parametrize("bad", [1.7, True, "1"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+def test_integer_matrix_constructors_refuse_a_non_integer_column(name, bad):
+    # int() would read 1.7 as column 1, and True is not the index 1
+    build, error = CONSTRUCTORS[name]
+    with pytest.raises(error, match=rf"^{name}: column .* of row 0 is not an "
+                                    r"integer index$"):
+        build([{0: 1, bad: 2}])
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+def test_integer_matrix_constructors_keep_integral_rationals_as_ints(name):
+    build, _ = CONSTRUCTORS[name]
+    rows = build([{0: RAT(2), 1: RAT(0)}, {0: 0, 1: RAT(-3)}])
+    assert rows == [{0: 2}, {1: -3}]
+    assert all(type(v) is int for r in rows for v in r.values())
 
 
 def test_integral_solve_dimension_mismatch():

@@ -4,12 +4,12 @@ Particular solutions, and so every CLI artifact, depend on which columns
 become pivots; the pivot queue in `_Echelon._eliminate` must reproduce
 the order of re-sorting every live column on every pivot, exactly, under the
 sparsest-row rule of `RationalSolver` and the unit-row rule of
-`UnimodularEchelon` alike.  The greedy bases the kernel gives
+`IntegralSystem` alike.  The greedy bases the kernel gives
 (`greedy_basis`) must equal those of the incremental greedy rank in
 `reference_rank.py`.  `solve` and `nullspace`, which work in ints, must
 return exactly what the all-RAT solver in `reference_solver.py` returns, and
 only RATs; `dot` must give each entry of its `reference_mat_vec`.  `IntegralSystem.solve` must return exactly the int
-vectors of the separate unimodular echelon there (`ReferenceUnimodular`)
+vectors of the separate unit-pivot echelon there (`ReferenceUnimodular`)
 when no row is stuck, and otherwise agree on solvability with the Smith
 form of the whole matrix (`reference_snf_solve`), with every solution exact.
 """
@@ -22,7 +22,7 @@ from coiso.complexes import build_complex, cycle_complex, simplex_boundary
 from coiso.exact import RAT
 from coiso.filling import _image_basis
 from coiso.homalg import IntegerMatrix, IntegralSystem, boundary_matrix
-from coiso.linalg import (RationalSolver, UnimodularEchelon, dot, greedy_basis,
+from coiso.linalg import (RationalSolver, dot, greedy_basis,
                           residual_rows, scale_to_ints)
 from coiso.subdivision import edgewise_subdivide
 from coiso.trees import greedy_spanning_tree, telescope_complex
@@ -43,7 +43,7 @@ def _build(cls, rows, ncols):
 
 def assert_same_elimination(rows, ncols):
     for new, ref in ((RationalSolver, ReferenceSolver),
-                     (UnimodularEchelon, ReferenceUnimodular)):
+                     (IntegralSystem, ReferenceUnimodular)):
         got, want = _build(new, rows, ncols), _build(ref, rows, ncols)
         assert got == want, new.__name__
 
@@ -100,7 +100,7 @@ def test_column_without_unit_is_skipped_then_retried():
     # 1 and leaves column 0 with two owners, as before; the queue must try it
     # again rather than forget it.
     rows = [{1: -2}, {0: -2, 1: -1}, {0: 3, 1: 1}]
-    E = UnimodularEchelon(rows, 2)
+    E = IntegralSystem(rows, 2)
     assert E.pivots == [(1, 1), (2, 0)]
     assert _state(E) == _state(ReferenceUnimodular(rows, 2))
 
@@ -108,7 +108,7 @@ def test_column_without_unit_is_skipped_then_retried():
 def test_no_unit_pivot_leaves_stuck_rows_like_reference():
     # one pivot on column 0, then columns 1 and 2 hold only +-2
     rows = [{0: 2, 1: 4}, {0: 1, 1: 1, 2: 1}, {1: 2, 2: 2}]
-    E = UnimodularEchelon(rows, 3)
+    E = IntegralSystem(rows, 3)
     assert E.pivots == [(1, 0)] and E.stuck_rows == [0, 2]
     assert E.rows[0] == {1: 2, 2: -2} and E.rows[2] == {1: 2, 2: 2}
     assert _state(E) == _state(ReferenceUnimodular(rows, 3))
@@ -116,7 +116,7 @@ def test_no_unit_pivot_leaves_stuck_rows_like_reference():
     assert RationalSolver(rows, 3).stuck_rows == []
 
 
-# -- IntegralSystem.solve against the separate unimodular echelon ---------------
+# -- IntegralSystem.solve against the separate unit-pivot echelon ---------------
 
 def check_solve_int_like_reference(rows, ncols, rng):
     """For consistent right-hand sides, as ints and as RATs, random ones and
@@ -124,10 +124,11 @@ def check_solve_int_like_reference(rows, ncols, rng):
     None) as ReferenceUnimodular when no row is stuck, else the solvability
     of the whole-matrix Smith form; every solution satisfies M x = b in ints.
     False when some row is stuck."""
-    S = IntegralSystem(IntegerMatrix(len(rows), ncols, rows))
-    E, R = S._echelon, ReferenceUnimodular(rows, ncols)
-    assert E.stuck_rows == R.stuck_rows
-    assert all(j not in E.pivot_cols for i in E.stuck_rows for j in E.rows[i])
+    M = IntegerMatrix(len(rows), ncols, rows)
+    S = IntegralSystem(rows, ncols)
+    R = ReferenceUnimodular(rows, ncols)
+    assert S.stuck_rows == R.stuck_rows
+    assert all(j not in S.pivot_cols for i in S.stuck_rows for j in S.rows[i])
     m = len(rows)
     consistent, other = [], []
     for _ in range(3):
@@ -135,16 +136,16 @@ def check_solve_int_like_reference(rows, ncols, rng):
         b = [sum(v * x[j] for j, v in r.items()) for r in rows]
         consistent += [b, [RAT(v) for v in b]]
         other.append([rng.randint(-3, 3) for _ in range(m)])
-    other += [[1 if i == z else 0 for i in range(m)] for z in E.zero_rows]
+    other += [[1 if i == z else 0 for i in range(m)] for z in S.zero_rows]
     for b in consistent + other:
         got = S.solve(b)
         if not R.stuck_rows:
             assert got == R.solve_int(b)
         else:
-            assert (got is None) == (reference_snf_solve(S.M, b) is None)
+            assert (got is None) == (reference_snf_solve(M, b) is None)
         if got is not None:
             assert all(type(v) is int for v in got)
-            assert S.M.mat_vec(got) == b
+            assert M.mat_vec(got) == b
         else:
             assert b not in consistent
     return not R.stuck_rows

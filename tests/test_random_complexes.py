@@ -88,7 +88,7 @@ def test_fills_have_zero_residual_within_their_bounds(corpus, key, k):
 def test_integral_solves_answer_exactly_when_the_smith_form_does(corpus, key):
     X = corpus[key]
     M = coboundary_matrix(X, 1)
-    system = IntegralSystem(M)
+    system = IntegralSystem(M.rows, M.ncols)
     rng = random.Random(f"lm-rhs/{key}")
     for trial in range(6):
         # coboundaries, some with one entry moved off the image

@@ -88,7 +88,7 @@ def _rhs_corpus(M, rng):
 @pytest.mark.parametrize("L", [1, 2, 3, 4])
 def test_solve_agrees_with_the_whole_matrix_smith_form(L, k):
     M = coboundary_matrix(rp2(L), k - 1)
-    S = IntegralSystem(M)
+    S = IntegralSystem(M.rows, M.ncols)
     assert S.block_shape == ((1, 3 * L) if k == 2 else (0, 0))
     rng = random.Random(f"rp2/{L}/{k}")
     solvable = 0
@@ -105,11 +105,11 @@ def test_stuck_block_over_the_cap_is_a_structured_error(monkeypatch):
     # the cap counts the 1x12 block and its 1x1 U and 12x12 V: 157 entries
     M = coboundary_matrix(rp2(4), 1)
     monkeypatch.setattr(homalg, "BLOCK_CAP", 157)
-    assert IntegralSystem(M).block_shape == (1, 12)
+    assert IntegralSystem(M.rows, M.ncols).block_shape == (1, 12)
     monkeypatch.setattr(homalg, "BLOCK_CAP", 156)
     with pytest.raises(HomalgError, match="1x12 block .* takes 157 entries, "
                                           "which exceeds 156 entries"):
-        IntegralSystem(M)
+        IntegralSystem(M.rows, M.ncols)
 
 
 def test_capped_block_exits_one_from_the_cli(monkeypatch):
