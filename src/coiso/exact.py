@@ -54,12 +54,13 @@ def int_index(x) -> int:
     return operator.index(x)
 
 
-def int_rows(rows, error, name):
-    """Copies of the sparse rows (dict col -> value) with the zeros dropped
-    and every entry an int.  An int, or an exact rational with denominator
-    1, is kept as an int; a float, a boolean or any other rational raises
-    error, naming the row and column, so no entry is truncated.  A column
-    is read by `int_index`, and one it refuses raises error too."""
+def int_rows(rows, ncols, error, name):
+    """Copies of the sparse rows (dict col -> value) over ncols columns,
+    with the zeros dropped and every entry an int.  An int, or an exact
+    rational with denominator 1, is kept as an int; a float, a boolean or
+    any other rational raises error, naming the row and column, so no entry
+    is truncated.  A column is read by `int_index`, and one it refuses, or
+    one outside range(ncols), raises error too, so no entry is dropped."""
     out = []
     for i, r in enumerate(rows):
         row = {}
@@ -70,6 +71,9 @@ def int_rows(rows, error, name):
                 except TypeError:
                     raise error(f"{name}: column {j!r} of row {i} is not an "
                                 f"integer index") from None
+            if not 0 <= j < ncols:
+                raise error(f"{name}: column {j} of row {i} is outside the "
+                            f"{ncols} columns")
             if type(v) is not int:
                 if (isinstance(v, (bool, float))
                         or getattr(v, "denominator", 0) != 1):

@@ -16,7 +16,13 @@ the complex's columns `boundary_cols(k)`, the cycles of B_k, and the
 integral system (on the same columns, the rows of delta^(k-1)) and lift
 data once built; every residual and cocycle check reads those columns.  The
 LP hands alpha over as (denominator, ints), the fills stay in ints, and
-RATs are made only for a `FillingResult`.
+RATs are made only for a `FillingResult`.  The lift data do not depend on
+the LP, so the first `integral_fill` on a context builds them on a second
+thread while its first HiGHS solve runs, which releases the GIL: the thread
+starts once the LP's HiGHS instance has read its model and a float guess is
+about to run, `lift_data` joins it where the lift is used and raises there
+what the build raised, and the fill joins it on every exit, so no thread
+outlives the call.  Later fills find the data built and start no thread.
 
 The duality check is exact in the same form: each unit ball's vertices
 leave its maximal minors as reduced (q, ints) pairs and go into one exact
@@ -26,6 +32,7 @@ tableau per side unchanged, and a RAT is made only for each optimal value.
 from __future__ import annotations
 
 import random
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import product
@@ -95,6 +102,8 @@ class FillContext:
         self._int_cycles = [_primitive(z) for z in self.cycles]
         self._integral = None
         self._lift = None
+        self._lift_thread = None
+        self._lift_error = None
 
     # -- coboundary tests ----------------------------------------------------
 
@@ -119,12 +128,57 @@ class FillContext:
     # -- bounded lifting in degree k-1 ----------------------------------------
 
     def lift_data(self):
+        """The LiftData of degree k-1, built on first use.  When a thread
+        builds it (`start_lift_data`), this waits for the thread and raises
+        in the caller what the build raised."""
+        error = self.join_lift_data()
+        if error is not None:
+            raise error
         if self._lift is None:
-            T = greedy_spanning_tree(self.X, self.k - 1)
-            U = wrapping_tree(self.X, self.k - 2) if self.k >= 2 \
-                else WrappingTree(self.X, -1, ())
-            self._lift = LiftData(self.X, self.k - 1, T, U)
+            self._lift = self._build_lift_data()
         return self._lift
+
+    def _build_lift_data(self):
+        T = greedy_spanning_tree(self.X, self.k - 1)
+        U = wrapping_tree(self.X, self.k - 2) if self.k >= 2 \
+            else WrappingTree(self.X, -1, ())
+        return LiftData(self.X, self.k - 1, T, U)
+
+    def start_lift_data(self):
+        """Build the lift data on a second thread, unless it is built or
+        being built.  It is pure Python, so it overlaps only native work of
+        the caller that releases the GIL, as HiGHS's `run()` does.  The
+        caller must end the thread with `lift_data` or `join_lift_data`."""
+        if self._lift is not None or self._lift_thread is not None:
+            return
+        go = threading.Event()
+
+        def build():
+            # Thread.start() hands the new thread the GIL, which it would
+            # keep for a whole switch interval (5 ms); blocking on go gives
+            # it back, so the caller reaches the solve first
+            go.wait()
+            try:
+                self._lift = self._build_lift_data()
+            except Exception as e:      # raised again by lift_data
+                self._lift_error = e
+
+        thread = threading.Thread(target=build, name="coiso-lift-data")
+        thread.start()
+        self._lift_thread = thread
+        go.set()
+
+    def join_lift_data(self):
+        """Wait for the thread of `start_lift_data`, if one runs, and end
+        it: the exception its build raised, or None.  After an exception
+        nothing is kept, so the next `lift_data` builds again and raises
+        again, as a build in the caller would."""
+        thread, self._lift_thread = self._lift_thread, None
+        if thread is None:
+            return None
+        thread.join()
+        error, self._lift_error = self._lift_error, None
+        return error
 
 
 def _primitive(z):
@@ -418,8 +472,15 @@ def integral_fill(X, omega: Cochain) -> FillingResult:
         raise NotIntegrallyFillable(
             "omega is a rational but not an integral coboundary (torsion)")
 
-    (D, a), t, mode = _rational_fill(ctx, 1, ws, omega)
-    data = ctx.lift_data()
+    # the thread starts after HiGHS has read its model: the read holds the
+    # GIL, and only HiGHS's run releases it
+    if any(ws) and ctx.lp.prepare_guess():
+        ctx.start_lift_data()
+    try:
+        (D, a), t, mode = _rational_fill(ctx, 1, ws, omega)
+        data = ctx.lift_data()
+    finally:
+        ctx.join_lift_data()
     lifted = data.lift([ai - ei * D for ai, ei in zip(a, eta)], D)
     tilde = _check_lift(ctx, (D, a), lifted, data.bound)
     _check_residual(ctx, tilde, ws)

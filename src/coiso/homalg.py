@@ -7,7 +7,7 @@ copies them as its rows, and `apply_coboundary` sums over them.
 driver `linalg._Echelon`, takes them as the rows of the coboundary it
 solves.  Every integer matrix reads its entries by one rule
 (`exact.int_rows`): a float or a non-integral rational is refused, never
-truncated.
+truncated, and so is a column outside the matrix, never dropped.
 
 Everything here is exact: integer matrices hold python ints, rational data
 holds exact rationals, and no floating point appears anywhere in this module.
@@ -174,8 +174,13 @@ class IntegerMatrix:
     def __init__(self, nrows: int, ncols: int, rows=None):
         self.nrows = nrows
         self.ncols = ncols
-        self.rows = [dict() for _ in range(nrows)] if rows is None \
-            else int_rows(rows, HomalgError, "IntegerMatrix")
+        if rows is None:
+            self.rows = [dict() for _ in range(nrows)]
+            return
+        self.rows = int_rows(rows, ncols, HomalgError, "IntegerMatrix")
+        if len(self.rows) != nrows:
+            raise HomalgError(f"IntegerMatrix: {len(self.rows)} rows, "
+                              f"expected {nrows}")
 
     def __getitem__(self, ij):
         i, j = ij
@@ -391,7 +396,8 @@ class IntegralSystem(_Echelon):
     """
 
     def __init__(self, rows, ncols):
-        super().__init__(int_rows(rows, HomalgError, "IntegralSystem"), ncols)
+        super().__init__(int_rows(rows, ncols, HomalgError, "IntegralSystem"),
+                         ncols)
         self._cols = sorted({j for i in self.stuck_rows for j in self.rows[i]})
         m, n = self.block_shape = (len(self.stuck_rows), len(self._cols))
         size = m * n + m * m + n * n

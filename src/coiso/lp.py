@@ -78,7 +78,13 @@ Two layers:
   cold start as passing the model again would be; linprog's
   NaN and bound checks of the answer run on the plain float lists HiGHS
   returns.  So every guess (x and the row duals, or None where linprog's
-  status is not 0) is bitwise the one linprog returns.
+  status is not 0) is bitwise the one linprog returns.  Of the HiGHS calls
+  a guess makes, only `run()` releases the GIL; the model read holds it
+  throughout (a busy Python thread keeps running through a run, and stops
+  for the whole read of the L=16 sphere's model, about 12 ms).
+  `prepare_guess` builds the first attempt's instance ahead of a solve, so
+  that a caller can start pure-Python work on another thread once the read
+  is done and overlap it with the run alone.
 
   `_highs_core` loads that extension on the first float solve, from its
   file in the installed scipy, without running scipy's package imports
@@ -433,7 +439,7 @@ class LinfProblem:
     """
 
     def __init__(self, rows, ncols):
-        self.rows = int_rows(rows, LPError, "LinfProblem")
+        self.rows = int_rows(rows, ncols, LPError, "LinfProblem")
         self.m = len(rows)
         self.n = ncols
         self.cols = transpose_rows(self.rows, ncols)
@@ -534,6 +540,16 @@ class LinfProblem:
                           f"{status}, {shape[0]} rows, {shape[1]} columns")
         self._solvers[method] = highs
         return highs
+
+    def prepare_guess(self):
+        """Whether `solve` takes a float guess: False for a matrix HiGHS
+        refuses (`_highs_reads`); else True, with the HiGHS instance of the
+        first attempt built, so that its model is read now and the next
+        guess starts with the solve."""
+        if not self._highs_reads:
+            return False
+        self._highs(_ATTEMPTS[0][0])
+        return True
 
     def _float_solve(self, omega, method):
         """HiGHS's solver `method` on D alpha = omega: (x, duals), x = (alpha,

@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from itertools import combinations, product
 from math import comb, gcd
 from pathlib import Path
@@ -43,6 +44,7 @@ from reference_vertices import (as_rats, vertices_inf_ball_per_set_reference,
                                 vertices_one_ball_per_set_reference,
                                 vertices_one_ball_reference)
 from test_simplex import DUALITY_CORPUS
+from test_torsion import rp2
 
 
 def linf_oracle(rows, ncols, om):
@@ -346,6 +348,134 @@ def test_integral_fill_requires_integral_omega():
 def test_integral_fill_rejects_non_coboundary():
     with pytest.raises(NotACoboundary):
         integral_fill(cycle_complex(4), Cochain(1, {0: 1}, "int"))
+
+
+# -- the lift data built on a second thread during the first fill ---------------
+
+def _lift_builds(monkeypatch):
+    """The threads on which FillContext builds its lift data, one entry per
+    build, from now on."""
+    real = filling.FillContext._build_lift_data
+    threads = []
+
+    def recorded(self):
+        threads.append(threading.current_thread())
+        return real(self)
+
+    monkeypatch.setattr(filling.FillContext, "_build_lift_data", recorded)
+    return threads
+
+
+LIFT_THREAD_CASES = {
+    **{f"dDelta3-L{L}-k{k}": (lambda L=L: edgewise_subdivide(simplex_boundary(3), L).result, k)
+       for L in (4, 8) for k in (1, 2)},
+    "RP2-L2-k1": (lambda: rp2(2), 1),
+    "RP2-L2-k2": (lambda: rp2(2), 2),
+    "C4-k1": (lambda: cycle_complex(4), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIFT_THREAD_CASES))
+def test_fills_are_identical_with_the_lift_built_before_or_on_the_thread(case, monkeypatch):
+    make, k = LIFT_THREAD_CASES[case]
+    builds = _lift_builds(monkeypatch)
+    out = {}
+    for before in (True, False):
+        X = make()
+        rng = random.Random(f"lift-thread/{case}")
+        omegas = [apply_coboundary(X, Cochain(k - 1, {
+            i: rng.randint(-2, 2) for i in range(X.n_cells(k - 1))}, "int"))
+            for _ in range(3)]
+        assert all(om.entries for om in omegas)
+        if before:
+            get_fill_context(X, k).lift_data()
+        out[before] = [repr(integral_fill(X, om)) for om in omegas]
+    assert out[True] == out[False]
+    # one build each; the second on its own thread, and no later fill
+    # starts another
+    main = threading.main_thread()
+    assert builds[0] is main and builds[1] is not main and len(builds) == 2
+
+
+def test_a_lift_error_on_the_thread_surfaces_after_the_lp_as_today(monkeypatch):
+    def broken(self):
+        raise LiftError("tree filling system is singular")
+
+    monkeypatch.setattr(LiftData, "_build", broken)
+    X = edgewise_subdivide(simplex_boundary(3), 2).result
+    om = sample_integral_coboundary(X, 2, trial_rng(7, 2, 0))
+    # today's error: the lift data built in the caller
+    with pytest.raises(LiftError) as today:
+        get_fill_context(edgewise_subdivide(simplex_boundary(3), 2).result, 2).lift_data()
+    builds = _lift_builds(monkeypatch)
+    real_solve = LinfProblem.solve
+    solved = []
+
+    def solve(self, omega):
+        out = real_solve(self, omega)
+        solved.append(omega)
+        return out
+
+    monkeypatch.setattr(LinfProblem, "solve", solve)
+    before = threading.active_count()
+    for _ in range(2):      # nothing is kept: the next fill builds again
+        with pytest.raises(LiftError) as got:
+            integral_fill(X, om)
+        assert type(got.value) is type(today.value)
+        assert str(got.value) == str(today.value)
+    assert len(solved) == 2 and threading.active_count() == before
+    assert len(builds) == 2 and threading.main_thread() not in builds
+
+
+def test_no_lift_thread_outlives_a_fill(monkeypatch):
+    X = edgewise_subdivide(simplex_boundary(3), 4).result
+    om = sample_integral_coboundary(X, 2, trial_rng(7, 4, 0))
+    before = threading.active_count()
+    integral_fill(X, om)
+    assert threading.active_count() == before
+
+    # the LP raises while the thread is still building
+    X = edgewise_subdivide(simplex_boundary(3), 4).result
+    real_build = LiftData._build
+    started, release = threading.Event(), threading.Event()
+    running = []
+
+    def held_build(self):
+        started.set()
+        release.wait(5)
+        real_build(self)
+
+    def failing_solve(self, omega):
+        assert started.wait(5)
+        running.append(threading.active_count())
+        release.set()
+        raise LPError("no guess")
+
+    monkeypatch.setattr(LiftData, "_build", held_build)
+    monkeypatch.setattr(LinfProblem, "solve", failing_solve)
+    with pytest.raises(LPError, match="^no guess$"):
+        integral_fill(X, om)
+    assert running == [before + 1]
+    assert threading.active_count() == before
+    # the thread's lift data is kept for the next fill
+    assert get_fill_context(X, 2)._lift is not None
+
+
+def test_no_lift_thread_without_a_float_guess(monkeypatch):
+    # an entry of magnitude 1e15 or more: HiGHS would refuse the model, so
+    # no instance is built and no guess runs
+    P = LinfProblem([{0: 10 ** 15, 1: -1}], 2)
+    assert P.prepare_guess() is False and not P._solvers
+    P = LinfProblem([{0: 10 ** 15 - 1, 1: -1}], 2)
+    assert P.prepare_guess() is True and list(P._solvers) == ["ipm"]
+
+    builds = _lift_builds(monkeypatch)
+    X = cycle_complex(4)
+    ctx = get_fill_context(X, 1)
+    monkeypatch.setattr(ctx.lp, "_highs_reads", False)
+    res = integral_fill(X, Cochain(1, {0: 1, 3: -1}, "int"))
+    assert res.details["lp_mode"] == "simplex" and res.norm_inf_alpha == 1
+    assert builds == [threading.main_thread()] and not ctx.lp._solvers
 
 
 # -- the sweep -------------------------------------------------------------------

@@ -233,6 +233,24 @@ def test_integer_matrix_constructors_refuse_a_non_integer_column(name, bad):
         build([{0: 1, bad: 2}])
 
 
+@pytest.mark.parametrize("col", [2, 5, -1])
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+def test_integer_matrix_constructors_refuse_a_column_outside_the_matrix(name, col):
+    # an entry past the last column was dropped, or pivoted on, or raised a
+    # bare IndexError, depending on the constructor
+    build, error = CONSTRUCTORS[name]
+    with pytest.raises(error, match=rf"^{name}: column {col} of row 1 is "
+                                    r"outside the 2 columns$"):
+        build([{0: 1}, {col: 1}])
+
+
+def test_integer_matrix_refuses_a_row_count_other_than_nrows():
+    with pytest.raises(HomalgError, match=r"^IntegerMatrix: 2 rows, expected 1$"):
+        IntegerMatrix(1, 2, [{1: 1}, {0: 1}])
+    with pytest.raises(HomalgError, match=r"^IntegerMatrix: 0 rows, expected 1$"):
+        IntegerMatrix(1, 2, [])
+
+
 @pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
 def test_integer_matrix_constructors_keep_integral_rationals_as_ints(name):
     build, _ = CONSTRUCTORS[name]
