@@ -27,10 +27,8 @@ ZERO = RAT(0)
 ONE = RAT(1)
 
 
-def rat(p, q=None):
-    """Build an exact rational from ints, a rational, or a 'p/q' string."""
-    if q is not None:
-        return RAT(p, q)
+def rat(p):
+    """Build an exact rational from an int, a rational, or a 'p/q' string."""
     if isinstance(p, str):
         if "/" in p:
             num, den = p.split("/")

@@ -14,15 +14,17 @@ of the operation, not an afterthought.
 Per complex and degree k, a `FillContext` holds the LP of delta^(k-1) over
 the complex's columns `boundary_cols(k)`, the cycles of B_k, and the
 integral system (on the same columns, the rows of delta^(k-1)) and lift
-data once built; every residual and cocycle check reads those columns.  The
-LP hands alpha over as (denominator, ints), the fills stay in ints, and
-RATs are made only for a `FillingResult`.  The lift data do not depend on
-the LP, so the first `integral_fill` on a context builds them on a second
-thread while its first HiGHS solve runs, which releases the GIL: the thread
-starts once the LP's HiGHS instance has read its model and a float guess is
-about to run, `lift_data` joins it where the lift is used and raises there
-what the build raised, and the fill joins it on every exit, so no thread
-outlives the call.  Later fills find the data built and start no thread.
+data once built; every residual and cocycle check reads those columns.
+Every exact vector enters the LP and the lift (`LiftData.lift`) as
+(denominator, ints), omega as `Cochain.ints` gives it, and alpha comes back
+so; the fills stay in ints, and RATs are made only for a `FillingResult`.
+The lift data do not depend on the LP, so the first `integral_fill` on a
+context builds them on a second thread while its first HiGHS solve runs,
+which releases the GIL: the thread starts once the LP's HiGHS instance has
+read its model and a float guess is about to run, `lift_data` joins it
+where the lift is used and raises there what the build raised, and the
+fill joins it on every exit, so no thread outlives the call.  Later fills
+find the data built and start no thread.
 
 The duality check is exact in the same form: each unit ball's vertices
 leave its maximal minors as reduced (q, ints) pairs and go into one exact
@@ -80,7 +82,6 @@ class FillingResult:
     omega: Cochain
     ring: str
     norm_inf_alpha: object
-    certificate: Cochain            # residual delta(alpha) - omega; all zero
     details: dict = field(default_factory=dict)
 
 
@@ -295,9 +296,9 @@ class LiftData:
         if self.solver.rank != nk:
             raise LiftError("cocycle coordinates do not determine the cocycle")
 
-    def lift(self, z0_dense, denominator=1):
+    def lift(self, z0):
         """(M, ints): the normalized cocycle lift ints / M of the cocycle
-        z0 = z0_dense / denominator, values shifted into [0,1) on the
+        z0 = (D, w), w / D in ints, values shifted into [0,1) on the
         F-coordinates and the b~ pairings; differs from z0 by integers
         cellwise.
 
@@ -305,8 +306,7 @@ class LiftData:
         (s mod m) / m: the F-coordinates A^-T z0|_T share one m, and the
         targets are solved over their common denominator.
         """
-        D, w = scale_to_ints(z0_dense)
-        D *= denominator
+        D, w = z0
         parts = []
         if self._tree_cells:
             # c = x / (Dx D) with A^T x = D z0|_T, int where pivots allow
@@ -339,34 +339,30 @@ def linf_fill_rational(X, omega: Cochain) -> FillingResult:
     """
     ctx = get_fill_context(X, omega.k)
     Dw, ws = _coboundary_ints(X, omega, ctx)
-    (Da, a), t, mode = _rational_fill(ctx, Dw, ws, omega)
+    (Da, a), t, mode = _rational_fill(ctx, Dw, ws)
     alpha = Cochain(omega.k - 1, {i: RAT(v, Da) for i, v in enumerate(a) if v}, "rat")
     return FillingResult(alpha=alpha, omega=omega, ring="rat",
-                         norm_inf_alpha=t, certificate=Cochain(ctx.k, {}, "rat"),
+                         norm_inf_alpha=t,
                          details={"lp_mode": mode, "optimal": True})
 
 
 def _coboundary_ints(X, omega: Cochain, ctx):
     """(D, ints): omega's values scaled to ints over the lcm of their
-    denominators.  Entries off the k-cells of X are an error, never
-    dropped, and NotACoboundary (with its witness) is raised when omega is
-    not a rational coboundary."""
-    omega.check_cells(X.n_cells(omega.k), FillingError, "omega")
-    D, vals = scale_to_ints(list(omega.entries.values()))
-    ws = [0] * X.n_cells(omega.k)
-    for i, v in zip(omega.entries, vals):
-        ws[i] = v
+    denominators (`Cochain.ints`).  Entries off the k-cells of X are an
+    error, never dropped, and NotACoboundary (with its witness) is raised
+    when omega is not a rational coboundary."""
+    D, ws = omega.ints(X.n_cells(omega.k), FillingError, "omega")
     wit = ctx.coboundary_witness(D, ws)
     if wit is not None:
         raise NotACoboundary(*wit)
     return D, ws
 
 
-def _rational_fill(ctx, Dw, ws, omega: Cochain):
+def _rational_fill(ctx, Dw, ws):
     """((Da, a), t, mode): the ell-infinity minimal fill a / Da of the
     rational coboundary omega = ws / Dw in ints, its certified norm t and
     the LP path, with the residual checked in ints."""
-    (Da, a), t, mode = ctx.lp.solve(ws if Dw == 1 else omega.dense(len(ws)))
+    (Da, a), t, mode = ctx.lp.solve((Dw, ws))
     _check_residual(ctx, a, ws, Da, Dw)
     return (Da, a), t, mode
 
@@ -389,33 +385,31 @@ def bounded_lift(z: Cochain, T: SpanningTree, U) -> Cochain:
     X, k = T.X, T.k
     if z.k != k:
         raise LiftError(f"cochain degree {z.k} does not match the tree degree {k}")
-    dense = z.dense_checked(X.n_cells(k), FillingError, "z")
+    zs = z.ints(X.n_cells(k), FillingError, "z")
     data = LiftData(X, k, T, U)
     up = get_fill_context(X, k + 1) if k + 1 <= X.dim else None
-    z0 = _any_cocycle_lift(up, dense)
-    M, lifted = data.lift(z0)
-    _check_lift(up, scale_to_ints(dense), (M, lifted), data.bound)
+    M, lifted = data.lift(_any_cocycle_lift(up, zs))
+    _check_lift(up, zs, (M, lifted), data.bound)
     return Cochain(k, {i: RAT(v, M) for i, v in enumerate(lifted) if v}, "rat")
 
 
-def _any_cocycle_lift(up, dense):
-    """Some rational cocycle congruent to the given cochain mod Z.
-
-    up is the FillContext of the next coboundary, None in the top degree.
-    """
+def _any_cocycle_lift(up, z):
+    """z + eta as (D, ints), eta integral: a rational cocycle congruent mod
+    Z to the cochain z = (D, xs), xs / D in ints.  up is the FillContext of
+    the next coboundary, None in the top degree."""
     if up is None:
-        return list(dense)
+        return z
     # D times the coboundary, in ints: integral iff D divides every entry
-    D, xs = scale_to_ints(dense)
+    D, xs = z
     dz = [dot(col, xs) for col in up.X.boundary_cols(up.k)]
     if any(v % D for v in dz):
         raise LiftError("input is not a cocycle mod Z")
     if not any(dz):
-        return list(dense)
+        return z
     eta = up.integral_system().solve([-(v // D) for v in dz])
     if eta is None:
         raise LiftError("cochain does not lift to a rational cocycle")
-    return [dense[i] + eta[i] for i in range(len(dense))]
+    return D, [x + D * e for x, e in zip(xs, eta)]
 
 
 def _int_difference(a, b):
@@ -477,11 +471,11 @@ def integral_fill(X, omega: Cochain) -> FillingResult:
     if any(ws) and ctx.lp.prepare_guess():
         ctx.start_lift_data()
     try:
-        (D, a), t, mode = _rational_fill(ctx, 1, ws, omega)
+        (D, a), t, mode = _rational_fill(ctx, 1, ws)
         data = ctx.lift_data()
     finally:
         ctx.join_lift_data()
-    lifted = data.lift([ai - ei * D for ai, ei in zip(a, eta)], D)
+    lifted = data.lift((D, [ai - ei * D for ai, ei in zip(a, eta)]))
     tilde = _check_lift(ctx, (D, a), lifted, data.bound)
     _check_residual(ctx, tilde, ws)
     nrm = max(map(abs, tilde), default=0)
@@ -490,7 +484,6 @@ def integral_fill(X, omega: Cochain) -> FillingResult:
     alpha_t = Cochain(k - 1, {i: v for i, v in enumerate(tilde) if v}, "int")
     return FillingResult(
         alpha=alpha_t, omega=omega, ring="int", norm_inf_alpha=RAT(nrm),
-        certificate=Cochain(k, {}, "rat"),
         details={"rational_norm": t,
                  "lift_bound": data.bound,
                  "g_upper": data.g_upper,
@@ -635,8 +628,9 @@ def coiso_constants_tiny(X, k: int):
     except LPError as e:
         raise FillingError(f"complex exceeds the duality LP cap: {e}") from None
     one_basis = _image_basis(problem.rows, problem.n)
-    d = len(one_basis)              # the rank of B_k
-    one = comb(problem.n, d - 1) if d else 0
+    # the rank of B_k: each k-cell's boundary column is nonzero, so d >= 1
+    d = len(one_basis)
+    one = comb(problem.n, d - 1)
     inf = comb(problem.m, d) * 2 ** d
     if max(one, inf) > ENUMERATION_CAP:
         raise FillingError(
@@ -646,9 +640,9 @@ def coiso_constants_tiny(X, k: int):
 
     inf_basis = _image_basis(problem.cols, problem.m)
     inf_verts = _one_per_pair(_vertices_inf_ball(inf_basis, problem.m))
-    co = max(problem.optima(inf_verts), default=ZERO)
+    co = max(problem.optima(inf_verts))
     one_verts = _one_per_pair(_vertices_one_ball(one_basis, problem.n))
-    fi = max(l1_optima(problem.cols, problem.m, one_verts), default=ZERO)
+    fi = max(l1_optima(problem.cols, problem.m, one_verts))
     if co != fi:
         raise DualityMismatch(f"cofilling {co} != filling {fi}")
     return co, fi
@@ -721,8 +715,6 @@ def _vertices_inf_ball(basis, n):
     the first circuit give w and -w.
     """
     d = len(basis)
-    if d == 0:
-        return []
     P = _minors(basis, n)
     C = _circuits(P, d, n)
     verts = set()                   # (denominator, int numerators), reduced
@@ -751,8 +743,6 @@ def _vertices_one_ball(basis, n):
     ints, b primitive.
     """
     d = len(basis)
-    if d == 0:
-        return []
     verts = set()                   # (denominator, int numerators), reduced
     for b in _circuits(_minors(basis, n), d, n).values():
         q = gcd(*b)

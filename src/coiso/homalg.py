@@ -7,10 +7,11 @@ copies them as its rows, and `apply_coboundary` sums over them.
 driver `linalg._Echelon`, takes them as the rows of the coboundary it
 solves.  Every integer matrix reads its entries by one rule
 (`exact.int_rows`): a float or a non-integral rational is refused, never
-truncated, and so is a column outside the matrix, never dropped.
+truncated, and so is a column outside the matrix, never dropped.  A
+cochain becomes an exact vector in one place, `Cochain.ints`: ints over the
+lcm D of its denominators, the (D, ints) the LP and the lift take.
 
-Everything here is exact: integer matrices hold python ints, rational data
-holds exact rationals, and no floating point appears anywhere in this module.
+Everything here is exact, with no floating point anywhere in this module.
 `euclid_step` is the one integer Euclidean reduction: the Smith normal form
 clears its diagonal with it, and `trees` builds its lattice basis on it.
 """
@@ -73,9 +74,6 @@ class Cochain:
     def __call__(self, i: int):
         return self.entries.get(i, ZERO)
 
-    def dense(self, n: int):
-        return [self.entries.get(i, ZERO) for i in range(n)]
-
     def check_cells(self, n: int, error, name: str):
         """Raise error when an entry lies off [0, n), the n k-cells."""
         bad = sorted(i for i in self.entries if not 0 <= i < n)
@@ -83,10 +81,15 @@ class Cochain:
             raise error("%s has entries at indices %s outside the %d %d-cells"
                         % (name, bad[:4], n, self.k))
 
-    def dense_checked(self, n: int, error, name: str):
-        """dense(n), but entries off [0, n), which dense drops, raise error."""
+    def ints(self, n: int, error, name: str):
+        """(D, ws): the values on the n k-cells as ints over the lcm D of
+        their denominators; an entry off [0, n) raises error."""
         self.check_cells(n, error, name)
-        return self.dense(n)
+        D, vals = scale_to_ints(list(self.entries.values()))
+        ws = [0] * n
+        for i, v in zip(self.entries, vals):
+            ws[i] = v
+        return D, ws
 
     def is_integral(self) -> bool:
         return all(is_integral(v) for v in self.entries.values())
@@ -396,8 +399,7 @@ class IntegralSystem(_Echelon):
     """
 
     def __init__(self, rows, ncols):
-        super().__init__(int_rows(rows, ncols, HomalgError, "IntegralSystem"),
-                         ncols)
+        super().__init__(rows, ncols)
         self._cols = sorted({j for i in self.stuck_rows for j in self.rows[i]})
         m, n = self.block_shape = (len(self.stuck_rows), len(self._cols))
         size = m * n + m * m + n * n
@@ -413,6 +415,9 @@ class IntegralSystem(_Echelon):
                 *self.block_shape,
                 [{pos[j]: v for j, v in self.rows[i].items()}
                  for i in self.stuck_rows]))
+
+    def _copy_rows(self, rows):
+        return int_rows(rows, self.n, HomalgError, "IntegralSystem")
 
     def _pick_row(self, col, live):
         units = [i for i in live if self.rows[i][col] in (1, -1)]

@@ -25,9 +25,9 @@ and the lattice basis of `trees` are the one other elimination engine:
 One factorization of B_k per (complex, degree): `filling.FillContext`
 takes the cycles (`nullspace`) from the factorization of D^T = B_k that its
 `lp.LinfProblem` keeps (`transpose_solver`), and every dual certificate of
-that LP solves through the same one, pushing unit vectors through its
-recorded row operations (`ops`) and reading the conditions for lying in
-its image off its `zero_rows`.
+that LP solves through the same one: `reduce_units` pushes unit vectors
+through its recorded row operations (`ops`, read only in this module), and
+the conditions for lying in its image are read off its `zero_rows`.
 
 Integers first: almost every number here is an integer, so rows, recorded
 factors and intermediate vectors hold Python ints, and an exact rational
@@ -88,13 +88,14 @@ class _Echelon:
 
     Subclasses give `_pick_row`, which may refuse a column with None; the
     rows that are left with entries when every column is refused are
-    `stuck_rows`.  The factor of every row operation is `_div`.
+    `stuck_rows`.  The factor of every row operation is `_div`; `_copy_rows`
+    makes the one copy of the rows that the elimination changes.
     """
 
     def __init__(self, rows, ncols):
         self.m = len(rows)
         self.n = ncols
-        self.rows = [{j: _exact(v) for j, v in r.items() if v} for r in rows]
+        self.rows = self._copy_rows(rows)
         self.ops = []       # (target_row, pivot_row, factor)
         self.pivots = []    # (row, col) in elimination order
         self._eliminate()
@@ -107,6 +108,9 @@ class _Echelon:
         self.stuck_rows = [i for i in rest if self.rows[i]]
         self.pivot_cols = {c for _, c in self.pivots}
         self.free_cols = [j for j in range(self.n) if j not in self.pivot_cols]
+
+    def _copy_rows(self, rows):
+        return [{j: _exact(v) for j, v in r.items() if v} for r in rows]
 
     def _eliminate(self):
         # col_rows is kept exact: owners of column j are precisely the active
@@ -185,6 +189,23 @@ class _Echelon:
             if y[i]:
                 return None
         return y
+
+    def reduce_units(self, rows):
+        """{r: {c: entry r of e_(rows[c]) reduced}}, nonzero entries only:
+        the unit vectors of the distinct rows through the recorded row
+        operations in one pass, as reduce_rhs reduces each one."""
+        red = {i: {c: 1} for c, i in enumerate(rows)}
+        for tgt, src, f in self.ops:
+            rs = red.get(src)
+            if rs:
+                rt = red.setdefault(tgt, {})
+                for c, a in rs.items():
+                    nv = rt.get(c, 0) - f * a
+                    if nv:
+                        rt[c] = nv
+                    else:
+                        del rt[c]
+        return red
 
     def substitute(self, y):
         """(D, X): x = X / D with A x = y (free variables 0) for an int y;

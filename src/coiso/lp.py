@@ -9,8 +9,9 @@ Two layers:
   through the pivots.  The pivots are those of the all-rational tableau, and
   every (x, value) it returns is checked against a dual verified in ints.
   The tableau takes b as (denominator, ints) and keeps it as given, and it
-  reads x off as (Dx, ints) over the lcm Dx of the basic pivots; only
-  exact_simplex, the public entry, scales b and makes RATs of x.
+  reads x off as (Dx, ints) over the lcm Dx of the basic pivots; of its
+  callers only exact_simplex, the public entry (l1_min's), scales b and
+  makes RATs of x.
 
   exact_optima solves one A and c for many right-hand sides on one such
   tableau, as each side of the filling/cofilling duality check needs: one
@@ -27,18 +28,22 @@ Two layers:
   first b, x depends on the order of the right-hand sides, and the optimum
   does not.
 
-* LinfProblem: minimize ||alpha||_inf subject to D alpha = omega.
-  `solve_exact` hands the LP to exact_simplex, with no float anywhere, in
-  its shifted form alpha = a - t 1 over the columns (a >= 0, t, slacks s):
-  D a - t D1 = omega and a + s - 2t = 0, an (m + n) x (2n + 1) tableau
-  for m rows and n variables.  It checks its answer in ints before
-  returning.  `optima` gives the optima of many omegas, the vertices of
-  the duality check, from one such tableau through exact_optima.  The two
-  are the only LP paths of that check, and SIMPLEX_CAP bounds their
-  tableau.  `solve`, for the fills and
-  the sweep, uses floating point only to guess the optimal active set;
-  primal and dual solutions are then reconstructed and verified in exact
-  rational arithmetic:
+* LinfProblem: minimize ||alpha||_inf subject to D alpha = omega.  Omega
+  enters every entry as (Dw, ws), omega = ws / Dw in ints, and `solve` and
+  `solve_exact` return alpha in the same form, (Da, a): the fills work on
+  it in ints, so no RAT of alpha is made on the way.  `solve_exact` solves
+  the LP on one exact tableau, verified as exact_simplex verifies its own,
+  with no float anywhere, in its shifted form alpha = a - t 1 over the
+  columns (a >= 0, t, slacks s): D a - t D1 = omega and a + s - 2t = 0, an
+  (m + n) x (2n + 1) tableau for m rows and n variables.  It checks its
+  answer in ints before returning.  `optima` gives the optima of many
+  omegas, the vertices of the duality check, from one such tableau through
+  exact_optima.  The two are the only LP paths of that check, and
+  SIMPLEX_CAP bounds their tableau.  `solve`, for the fills and the sweep,
+  uses floating point only to guess the optimal active set, from HiGHS on
+  the rows w / Dw (int true division is correctly rounded, so each is the
+  float of the exact rational); primal and dual solutions are then
+  reconstructed and verified in exact rational arithmetic:
 
       y with ||D^T y||_1 <= 1 and y.omega = t  certifies  min >= t,
       alpha with D alpha = omega, ||alpha||_inf <= t  certifies  min <= t.
@@ -46,17 +51,15 @@ Two layers:
   The dual is built from its support S, the variables whose bound the guess
   holds active with sign eps_i: v = D^T y lives on S, so it has only |S|
   unknowns.  Each LinfProblem keeps one factorization of D^T (its rows
-  `cols`), built on first use; the unit vectors e_i, i in S, are pushed
-  through its recorded row operations in one pass, and their entries on
-  its zero rows are exactly the conditions for v to lie in im D^T (with no
-  cohomology representatives, whatever H^(k-1) is).  With the row
-  sum_i eps_i v_i = 1 they make an |S|-column system; its solution (free
-  variables 0) back-substitutes to y through the same factorization, and
-  the checks above decide.  The primal is pinned to +-t on the active
-  variables and solved over t's denominator.  Omega and both solutions are
-  held as (denominator, ints) and checked in ints, and `solve` returns
-  alpha in that form, (Da, a) with alpha = a / Da: the fills work on it in
-  ints, so no RAT of alpha is made on the way.
+  `cols`), built on first use; it pushes the unit vectors e_i, i in S,
+  through its recorded row operations in one pass (`reduce_units`), and
+  their entries on its zero rows are exactly the conditions for v to lie
+  in im D^T (with no cohomology representatives, whatever H^(k-1) is).
+  With the row sum_i eps_i v_i = 1 they make an |S|-column system; its
+  solution (free variables 0) back-substitutes to y through the same
+  factorization, and the checks above decide.  The primal is pinned to +-t
+  on the active variables and solved over t's denominator.  Both solutions
+  are checked in ints.
 
   When no HiGHS guess verifies, or HiGHS would refuse the model (an entry
   of D of magnitude 1e15 or more, its large_matrix_value) or omega (beyond
@@ -434,8 +437,7 @@ class LinfProblem:
     """min ||alpha||_inf s.t. D alpha = omega, for many omegas with one D.
 
     D is given as sparse rows (one per target cell) over ncols variables.
-    omega, of ints or exact rationals, is read as given; it must be
-    rationally solvable, and Infeasible is raised otherwise.
+    Every omega is (Dw, ws), omega = ws / Dw with ws ints, one per row.
     """
 
     def __init__(self, rows, ncols):
@@ -455,25 +457,21 @@ class LinfProblem:
         return RationalSolver(self.cols, self.m)
 
     def solve(self, omega):
-        """((Da, a), t, mode): the exact optimal alpha = a / Da in ints,
-        the certified optimal norm t, and which path produced it.
+        """((Da, a), t, mode) at omega = (Dw, ws): the exact optimal alpha =
+        a / Da in ints, the certified optimal norm t, and its LP path.
 
         'zero' for omega = 0; 'reconstructed' when a HiGHS guess (per
         method and tolerance in _ATTEMPTS) yields a verified dual
         certificate and primal; else 'simplex', from solve_exact, which
         raises LPError past SIMPLEX_CAP.
         """
-        omega = list(omega)
-        scaled = scale_to_ints(omega)
-        if not any(scaled[1]):
+        if not any(omega[1]):
             return (1, [0] * self.n), ZERO, "zero"
         for x, duals, tol in self._guesses(omega):
-            out = self._reconstruct(scaled, x, duals, tol)
+            out = self._reconstruct(omega, x, duals, tol)
             if out is not None:
-                Da, a, t = out
-                return (Da, a), t, "reconstructed"
-        alpha, t = self.solve_exact(omega)
-        return scale_to_ints(alpha), t, "simplex"
+                return *out, "reconstructed"
+        return *self.solve_exact(omega), "simplex"
 
     # -- float machinery -----------------------------------------------------
 
@@ -552,13 +550,14 @@ class LinfProblem:
         return True
 
     def _float_solve(self, omega, method):
-        """HiGHS's solver `method` on D alpha = omega: (x, duals), x = (alpha,
-        t) and the duals of the rows +-alpha_i - t <= 0, as linprog's; None
-        where linprog's status would not be 0 (no optimum within its check
-        tolerance).  OverflowError when omega is beyond float range, and
-        LPError when it has not one entry per row; the model is then left
-        as it was."""
-        b = [float(v) for v in omega]
+        """HiGHS's solver `method` on D alpha = omega = (Dw, ws), each row set
+        to w / Dw: (x, duals), x = (alpha, t) and the duals of the rows
+        +-alpha_i - t <= 0, as linprog's; None where linprog's status would
+        not be 0 (no optimum within its check tolerance).  OverflowError
+        when omega is beyond float range, and LPError when it has not one
+        entry per row; the model is then left as it was."""
+        Dw, ws = omega
+        b = [w / Dw for w in ws]
         if len(b) != self.m:
             raise LPError(f"{self.m} rows but {len(b)} right-hand sides")
         highs = self._highs(method)
@@ -582,9 +581,9 @@ class LinfProblem:
         return x, sol.row_dual[:n2]
 
     def _guesses(self, omega):
-        """(x, duals, tolerance) per attempt, solving lazily per method and
-        skipping a method whose solve failed; none for a matrix HiGHS
-        refuses."""
+        """(x, duals, tolerance) per attempt at omega = (Dw, ws), solving
+        lazily per method and skipping a method whose solve failed; none for
+        a matrix HiGHS refuses."""
         if not self._highs_reads:
             return
         for method, tols in _ATTEMPTS:
@@ -617,23 +616,10 @@ class LinfProblem:
                 dsup[i] = -1
         if not dsup:
             return None
-        # v = D^T y on the support, v = sum_c v_c e_(S_c): push each e_i
-        # through the row operations of D^T's factorization; red[r][c] is
-        # entry r of the reduced e_(S_c)
+        # v = D^T y on the support, v = sum_c v_c e_(S_c); red[r][c] is
+        # entry r of e_(S_c) through the factorization of D^T
         E = self.transpose_solver
-        red = {i: {c: 1} for c, i in enumerate(dsup)}
-        for tgt, src, f in E.ops:
-            rs = red.get(src)
-            if rs:
-                rt = red.get(tgt)
-                if rt is None:
-                    rt = red[tgt] = {}
-                for c, a in rs.items():
-                    nv = rt.get(c, 0) - f * a
-                    if nv:
-                        rt[c] = nv
-                    else:
-                        del rt[c]
+        red = E.reduce_units(dsup)
         # v lies in im D^T iff its reduction is 0 on every zero row; and
         # sum_i eps_i v_i = 1
         conds = [red[r] for r in E.zero_rows if red.get(r)]
@@ -725,8 +711,8 @@ class LinfProblem:
         return certified(xfree, D * q)
 
     def _reconstruct(self, omega, x, duals, tol):
-        """(Da, a, t): the certified optimum t and alpha = a / Da at omega =
-        (Dw, ws), from the guess x and its row duals; or None."""
+        """((Da, a), t): the certified optimum t and alpha = a / Da at omega
+        = (Dw, ws), from the guess x and its row duals; or None."""
         t_exact = self._dual_certificate(omega, x, duals, tol)
         if t_exact is None:
             return None
@@ -740,9 +726,7 @@ class LinfProblem:
             elif v <= -(t_f - eps):
                 fixed[i] = -1
         out = self._primal_at(omega, fixed, t_exact, x)
-        if out is None:
-            return None
-        return *out, t_exact
+        return None if out is None else (out, t_exact)
 
     # -- float-free path -------------------------------------------------------
 
@@ -751,23 +735,25 @@ class LinfProblem:
         _check_cap(self.m + self.n, 2 * self.n + 1)
 
     def solve_exact(self, omega):
-        """(alpha, t): an optimal alpha and the certified optimum
-        t = ||alpha||_inf, from exact_simplex alone.  LPError when the
-        tableau exceeds SIMPLEX_CAP, omega has no rational preimage, or the
-        answer fails its own check (D alpha = omega, max |alpha_i| = t)."""
+        """((Da, a), t) at omega = (Dw, ws): an optimal alpha = a / Da in
+        ints and the certified optimum t = ||alpha||_inf, from one verified
+        `_Tableau`.  LPError when the tableau exceeds SIMPLEX_CAP, omega has
+        no rational preimage, or the answer fails its own check
+        (D alpha = omega, max |alpha_i| = t)."""
         A, c = self._shifted_lp()
+        Dw, ws = omega
         try:
-            x, t = exact_simplex(A, list(omega) + [0] * self.n, c)
+            (Dx, xs), t = _Tableau(A, (Dw, list(ws) + [0] * self.n), c).verified()
         except Infeasible:
             raise LPError("no rational solution of D alpha = omega")
-        alpha = [v - t for v in x[:self.n]]
-        Da, xs = scale_to_ints(alpha)
-        Dw, ws = scale_to_ints(omega)
-        if (residual_rows(self.rows, xs, ws, Da, Dw)
-                or max(map(abs, xs), default=0) * t.denominator != t.numerator * Da):
+        p, q = int(t.numerator), int(t.denominator)
+        Da = Dx * q                 # alpha = x - t
+        a = [v * q - p * Dx for v in xs[:self.n]]
+        if (residual_rows(self.rows, a, ws, Da, Dw)
+                or max(map(abs, a), default=0) * q != p * Da):
             raise LPError("the exact simplex's alpha fails D alpha = omega, "
                           "||alpha||_inf = t")
-        return alpha, t
+        return (Da, a), t
 
     def optima(self, omegas):
         """[t per omega]: the certified optima solve_exact would give, each

@@ -166,8 +166,8 @@ def obstruction_cocycle(X, f_deg: Cochain, g_deg: Cochain) -> Cochain:
     m = X.dim
     if f_deg.k != m or g_deg.k != m:
         raise SchedulerError("degree cochains must live in the top dimension")
-    f_deg.dense_checked(X.n_cells(m), SchedulerError, "f")
-    g_deg.dense_checked(X.n_cells(m), SchedulerError, "g")
+    f_deg.check_cells(X.n_cells(m), SchedulerError, "f")
+    g_deg.check_cells(X.n_cells(m), SchedulerError, "g")
     if not (f_deg.is_integral() and g_deg.is_integral()):
         raise SchedulerError("degrees must be integers")
     return f_deg.sub(g_deg, ring="int")
@@ -176,13 +176,11 @@ def obstruction_cocycle(X, f_deg: Cochain, g_deg: Cochain) -> Cochain:
 def _int_dense(c: Cochain, n: int, name: str) -> list:
     """The values of c on the n cells as ints; an entry off [0, n), or one
     that is not an integer, raises SchedulerError."""
-    c.check_cells(n, SchedulerError, name)
-    if bad := sorted(i for i, v in c.entries.items() if not is_integral(v)):
+    D, ws = c.ints(n, SchedulerError, name)
+    if D != 1:
+        bad = sorted(i for i, v in c.entries.items() if not is_integral(v))
         raise SchedulerError(f"{name} has non-integer entries at indices {bad[:4]}")
-    out = [0] * n
-    for i, v in c.entries.items():
-        out[i] = int(v)
-    return out
+    return ws
 
 
 def _check_degrees(omega: Cochain, alpha: Cochain, m: int):

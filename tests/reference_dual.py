@@ -60,7 +60,7 @@ def dual_against_reference(P, omega):
     reference's.  Returns (guesses, certified) counts."""
     Dw, ws = scale_to_ints(omega)
     guesses = certified = 0
-    for x, duals, tol in P._guesses(omega):
+    for x, duals, tol in P._guesses((Dw, ws)):
         got = P._dual_certificate((Dw, ws), x, duals, tol)
         want = reference_dual_certificate(P, omega, x, duals, tol)
         assert got == want, (got, want)

@@ -121,16 +121,15 @@ class ReferenceLiftData:
         if self.solver.rank != nk:
             raise LiftError("cocycle coordinates do not determine the cocycle")
 
-    def lift(self, z0_dense, denominator=1):
-        """The normalized cocycle lift of the cocycle z0 = z0_dense /
-        denominator, values shifted into [0,1) on the coordinate chains;
-        differs from z0 by integers cellwise.
+    def lift(self, z0):
+        """The normalized cocycle lift of the cocycle z0 = (D, w), w / D in
+        ints, values shifted into [0,1) on the coordinate chains; differs
+        from z0 by integers cellwise.
 
         A coordinate <ch, z0> is s / m in ints, and its fractional part is
         (s mod m) / m; the targets are solved over their common denominator.
         """
-        D, w = scale_to_ints(z0_dense)
-        D *= denominator
+        D, w = z0
         parts = []
         for dc, ch in self._int_chains:
             s = 0

@@ -12,11 +12,11 @@ from coiso.exact import RAT, ZERO, ONE
 from coiso.lp import LPError, Unbounded, Infeasible
 
 
-def outcome_and_pivots(fn, A, b, c):
+def outcome_and_pivots(fn, A, b, c, module=None):
     """(outcome, pivots) of fn(A, b, c): the outcome is what fn returns or
     the LPError raised, the pivots the (leave, enter) pairs passed to the
-    `_pivot` of fn's module."""
-    module = sys.modules[fn.__module__]
+    `_pivot` of `module` (fn's own module by default)."""
+    module = module or sys.modules[fn.__module__]
     pivot = module._pivot
     sig = inspect.signature(pivot)
     pivots = []

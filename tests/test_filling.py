@@ -83,9 +83,10 @@ def linf_oracle(rows, ncols, om):
 
 
 def test_zero_cochain_fills_to_zero():
-    res = linf_fill_rational(cycle_complex(4), Cochain(1, {}, "int"))
+    X = cycle_complex(4)
+    res = linf_fill_rational(X, Cochain(1, {}, "int"))
     assert res.norm_inf_alpha == 0 and not res.alpha.entries
-    assert not res.certificate.entries
+    assert not apply_coboundary(X, res.alpha).entries
 
 
 def test_c4_optimal_half():
@@ -94,7 +95,8 @@ def test_c4_optimal_half():
     res = linf_fill_rational(X, om)
     assert res.norm_inf_alpha == RAT(1, 2)
     delta = boundary_matrix(X, 1).transpose()
-    assert linf_oracle(delta.rows, delta.ncols, om.dense(4)) == RAT(1, 2)
+    D, ws = om.ints(4, ValueError, "omega")
+    assert linf_oracle(delta.rows, delta.ncols, [RAT(w, D) for w in ws]) == RAT(1, 2)
 
 
 def test_sphere_adjacent_pm_fill_certified():
@@ -102,7 +104,9 @@ def test_sphere_adjacent_pm_fill_certified():
     om = Cochain(2, {0: 1, 2: -1}, "int")   # adjacent triangles, coboundary
     res = linf_fill_rational(X, om)
     delta = boundary_matrix(X, 2).transpose()
-    assert res.norm_inf_alpha == linf_oracle(delta.rows, delta.ncols, om.dense(4))
+    D, ws = om.ints(4, ValueError, "omega")
+    assert res.norm_inf_alpha == linf_oracle(delta.rows, delta.ncols,
+                                             [RAT(w, D) for w in ws])
     assert res.details["optimal"]
 
 
@@ -199,11 +203,11 @@ def test_lift_checks_raise_on_corrupted_lifts():
     with pytest.raises(LiftError, match="exceeds the bound"):
         _check_lift(up, scale_to_ints(zero), scale_to_ints(one_edge), RAT(1, 2))
     with pytest.raises(LiftError, match="not a cocycle mod Z"):
-        _any_cocycle_lift(up, [RAT(1, 2)] + [ZERO] * (n - 1))
+        _any_cocycle_lift(up, (2, [1] + [0] * (n - 1)))
     # an integral cochain lifts to a cocycle through the context's solver
-    lifted = _any_cocycle_lift(up, one_edge)
+    D, lifted = _any_cocycle_lift(up, scale_to_ints(one_edge))
     assert not any(reference_mat_vec(X.boundary_cols(2), lifted))
-    assert all(is_integral(a - b) for a, b in zip(lifted, one_edge))
+    assert all(is_integral(RAT(a, D) - b) for a, b in zip(lifted, one_edge))
 
 
 # -- the safety checks of the lift data, each on corrupted trees -------------------
@@ -274,9 +278,9 @@ def test_lift_refuses_an_inconsistent_system(Lift):
     data = Lift(X, 1, bad, wrapping_tree(X, 0))
     up = get_fill_context(X, 2)
     for t, consistent in [(0, True), (1, False)]:
-        z0 = _any_cocycle_lift(
-            up, random_mod_z_cocycle(X, 1, trial_rng(5, 1, t)).dense(X.n_cells(1)))
-        s = sum(v * z0[j] for j, v in data.b_tilde[0].items())
+        z0 = _any_cocycle_lift(up, random_mod_z_cocycle(
+            X, 1, trial_rng(5, 1, t)).ints(X.n_cells(1), ValueError, "z"))
+        s = sum(v * RAT(z0[1][j], z0[0]) for j, v in data.b_tilde[0].items())
         assert (s - s.numerator // s.denominator < RAT(1, 2)) == consistent
         if consistent:
             data.lift(z0)
@@ -293,10 +297,11 @@ def test_c4_integral_fill_norm_one_and_optimal():
     res = integral_fill(X, om)
     assert res.alpha.ring == "int"
     assert res.norm_inf_alpha == 1
-    assert not res.certificate.entries
+    assert apply_coboundary(X, res.alpha).entries == om.entries
     # brute force over integer boxes: norm 1 is optimal and attained
     delta = boundary_matrix(X, 1).transpose()
-    target = [int(v) for v in om.dense(4)]
+    D, target = om.ints(4, ValueError, "omega")
+    assert D == 1
     best = None
     for cand in product(range(-2, 3), repeat=4):
         if delta.mat_vec(list(cand)) == target:
@@ -316,7 +321,7 @@ def test_integral_fill_on_subdivided_sphere():
     om = sample_integral_coboundary(X, 2, rng)
     res = integral_fill(X, om)
     # exact residual and the rounding-proximity bound
-    assert not res.certificate.entries
+    assert apply_coboundary(X, res.alpha).entries == om.entries
     diff = res.norm_inf_alpha - res.details["rational_norm"]
     assert diff <= 2 + 1 + res.details["g_upper"]
     assert res.norm_inf_alpha <= res.details["rational_norm"] + 2 + 1 + res.details["g_upper"]
@@ -333,8 +338,9 @@ def test_integral_fill_on_a_grid(n, r, k):
         i: rng.randint(-2, 2) for i in range(X.n_cells(k - 1))}, "int"))
     assert omega.entries
     res = filling.integral_fill(X, omega)
-    assert apply_coboundary(X, res.alpha).dense(X.n_cells(k)) == \
-        omega.dense(X.n_cells(k))
+    n = X.n_cells(k)
+    assert (apply_coboundary(X, res.alpha).ints(n, ValueError, "delta alpha")
+            == omega.ints(n, ValueError, "omega"))
     d = res.details
     assert d["rational_norm"] == filling.linf_fill_rational(X, omega).norm_inf_alpha
     assert res.norm_inf_alpha <= d["rational_norm"] + k + 1 + d["g_upper"]
@@ -515,9 +521,9 @@ def test_sampler_yields_integral_coboundaries():
     ctx = get_fill_context(X, 2)
     for t in range(6):
         om = sample_integral_coboundary(X, 2, trial_rng(5, 1, t))
-        dense = om.dense(4)
-        assert any(dense) and all(v in (-1, 0, 1) for v in dense)
-        assert ctx.coboundary_witness(*scale_to_ints(dense)) is None
+        D, ws = om.ints(4, ValueError, "omega")
+        assert D == 1 and any(ws) and all(v in (-1, 0, 1) for v in ws)
+        assert ctx.coboundary_witness(D, ws) is None
 
 
 def test_int_difference_over_mixed_denominators():
@@ -892,8 +898,9 @@ def _exact_against_highs(X, k):
     basis = _image_basis(delta.col_dicts(), delta.nrows)
     verts = as_rats(_vertices_inf_ball(basis, delta.nrows))
     for w in verts:
-        alpha, t = problem.solve_exact(w)
-        assert t == ctx.lp.solve(w)[1]
+        (Da, a), t = problem.solve_exact(scale_to_ints(w))
+        assert t == ctx.lp.solve(scale_to_ints(w))[1]
+        alpha = [RAT(v, Da) for v in a]
         assert max((abs(v) for v in alpha), default=0) == t
         assert reference_mat_vec(problem.rows, alpha) == list(w)
     return len(verts)
@@ -950,7 +957,7 @@ def test_one_lp_per_antipodal_pair_gives_the_max_over_all_vertices(Xk):
         return
     problem = _inf_problem(delta.rows)
     for fill, rows, basis in (
-            (lambda w: problem.solve_exact(w)[1], delta,
+            (lambda w: problem.solve_exact(scale_to_ints(w))[1], delta,
              _vertices_inf_ball),
             (lambda b: l1_min(Bk.rows, Bk.ncols, b)[1], Bk,
              _vertices_one_ball)):

@@ -59,13 +59,14 @@ def test_core_first_then_linprog_guesses_are_bitwise_equal():
         "from coiso.filling import get_fill_context, sample_integral_coboundary, trial_rng\n"
         + SPHERE +
         "P = get_fill_context(X, 2).lp\n"
-        "omegas = [sample_integral_coboundary(X, 2, trial_rng(5, 4, t)).dense(X.n_cells(2))\n"
-        "          for t in range(10)]\n"
+        "omegas = [sample_integral_coboundary(X, 2, trial_rng(5, 4, t)).ints(\n"
+        "              X.n_cells(2), ValueError, 'omega') for t in range(10)]\n"
         "got = [P._float_solve(omega, 'ipm') for omega in omegas]\n"
         "assert 'scipy.optimize' not in sys.modules\n"
         "from test_highs_model import linprog_reference\n"
-        "for omega, g in zip(omegas, got):\n"
-        "    want = linprog_reference(P, omega, 'ipm')\n"
+        "for (D, ws), g in zip(omegas, got):\n"
+        "    assert D == 1\n"
+        "    want = linprog_reference(P, ws, 'ipm')\n"
         "    assert want.status == 0 and g is not None\n"
         "    x, duals = g\n"
         "    assert np.array_equal(x, want.x)\n"

@@ -15,6 +15,7 @@ from coiso.filling import (_draw_signs, get_fill_context, integral_fill,
                            sample_integral_coboundary, trial_rng)
 from coiso import filling
 from coiso.homalg import boundary_matrix
+from coiso.linalg import scale_to_ints
 from coiso.lp import _ATTEMPTS, LinfProblem, LPError
 from coiso.subdivision import edgewise_subdivide
 
@@ -57,10 +58,11 @@ def test_highs_model_matches_linprog_bitwise(L):
     X = _sphere(L)
     P = get_fill_context(X, 2).lp
     for t in range(25):
-        omega = sample_integral_coboundary(X, 2, trial_rng(31, L, t)).dense(X.n_cells(2))
+        Dw, ws = sample_integral_coboundary(X, 2, trial_rng(31, L, t)).ints(
+            X.n_cells(2), ValueError, "omega")
         for method in METHODS:
-            got = P._float_solve(omega, method)
-            want = linprog_reference(P, omega, method)
+            got = P._float_solve((Dw, ws), method)
+            want = linprog_reference(P, [RAT(w, Dw) for w in ws], method)
             assert want.status == 0 and got is not None
             x, duals = got
             assert np.array_equal(x, want.x)
@@ -76,13 +78,20 @@ def test_highs_model_matches_linprog_on_rational_right_hand_sides():
         # a coboundary with denominators: delta of a rational 0-cochain
         a = [RAT(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(5)]
         omega = [sum(v * a[j] for j, v in r.items()) for r in P.rows]
+        D, ws = scale_to_ints(omega)
         for method in METHODS:
-            got = P._float_solve(omega, method)
+            got = P._float_solve((D, ws), method)
             want = linprog_reference(P, omega, method)
             assert (got is not None) == (want.status == 0)
             x, duals = got if got is not None else (None, None)
             assert np.array_equal(x, want.x)
             assert np.array_equal(duals, want.ineqlin.marginals)
+            # an unreduced (D, ints) is the same right-hand side, bit for bit
+            again = P._float_solve((6 * D, [6 * w for w in ws]), method)
+            assert (again is None) == (got is None)
+            if got is not None:
+                assert np.array_equal(again[0], x)
+                assert np.array_equal(again[1], duals)
 
 
 def test_one_highs_instance_per_method_over_twenty_solves(monkeypatch):
@@ -97,7 +106,8 @@ def test_one_highs_instance_per_method_over_twenty_solves(monkeypatch):
     X = _sphere(2)
     P = LinfProblem(X.boundary_cols(2), X.n_cells(1))
     for t in range(20):
-        omega = sample_integral_coboundary(X, 2, trial_rng(32, 2, t)).dense(X.n_cells(2))
+        omega = sample_integral_coboundary(X, 2, trial_rng(32, 2, t)).ints(
+            X.n_cells(2), ValueError, "omega")
         for method in METHODS:
             P._float_solve(omega, method)
         P.solve(omega)
@@ -113,10 +123,24 @@ def test_omega_beyond_float_range_raises_overflow_and_keeps_the_model():
     big = 10 ** 400
     for method in METHODS:
         with pytest.raises(OverflowError):
-            P._float_solve([big, 0, 0, -big], method)
-    _, t, mode = P.solve([big, 0, 0, -big])
+            P._float_solve((1, [big, 0, 0, -big]), method)
+    _, t, mode = P.solve((1, [big, 0, 0, -big]))
     assert (mode, t) == ("simplex", RAT(big, 2))
-    _, t, mode = P.solve([1, 0, 0, -1])
+    _, t, mode = P.solve((1, [1, 0, 0, -1]))
+    assert (mode, t) == ("reconstructed", RAT(1, 2))
+
+
+def test_an_omega_over_a_huge_denominator_gets_a_float_guess():
+    # w / D divides the ints exactly rounded: 10^400 / 10^400 is 1.0, where
+    # the float of either int alone would overflow
+    X = cycle_complex(4)
+    delta = boundary_matrix(X, 1).transpose()
+    P = LinfProblem(delta.rows, delta.ncols)
+    big = 10 ** 400
+    for method in METHODS:
+        x, _ = P._float_solve((big, [big, 0, 0, -big]), method)
+        assert x == P._float_solve((1, [1, 0, 0, -1]), method)[0]
+    _, t, mode = P.solve((big, [big, 0, 0, -big]))
     assert (mode, t) == ("reconstructed", RAT(1, 2))
 
 
@@ -127,7 +151,7 @@ def test_a_right_hand_side_of_the_wrong_length_raises():
     for omega in ([1], [1, 0, 0, -1, 0]):
         for method in METHODS:
             with pytest.raises(LPError, match="4 rows but"):
-                P._float_solve(omega, method)
+                P._float_solve((1, omega), method)
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 96, 1024, 5000])
@@ -156,7 +180,7 @@ def test_sampler_draws_what_the_choice_loop_drew():
             if (any(vals) and ctx.coboundary_witness(1, vals) is None
                     and ctx.integral_system().solve(vals) is not None):
                 break
-        assert omega.dense(nk) == vals
+        assert omega.ints(nk, ValueError, "omega") == (1, vals)
         assert rng.getstate() == ref.getstate()
 
 

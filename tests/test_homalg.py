@@ -349,3 +349,14 @@ def test_cochain_reads_ints_directly_and_keeps_every_refusal():
         Cochain(1, {0: 1}, "real")
     with pytest.raises(HomalgError, match="ring tag 'int' but entries are not integers"):
         Cochain(1, {0: 1, 1: RAT(1, 2), 2: 3}, "int")
+
+
+def test_cochain_ints_scales_over_the_lcm_and_refuses_cells_off_range():
+    c = Cochain(1, {3: RAT(1, 2), 0: RAT(-2, 3), 1: 4}, "rat")
+    assert c.ints(5, HomalgError, "c") == (6, [-4, 24, 0, 3, 0])
+    D, ws = Cochain(1, {2: 3, 0: -1}, "int").ints(3, HomalgError, "c")
+    assert (D, ws) == (1, [-1, 0, 3]) and all(type(v) is int for v in ws)
+    assert Cochain(1, {}).ints(2, HomalgError, "c") == (1, [0, 0])
+    with pytest.raises(LPError, match=r"^c has entries at indices \[3\] "
+                                      r"outside the 3 1-cells$"):
+        c.ints(3, LPError, "c")

@@ -15,6 +15,7 @@ form of the whole matrix (`reference_snf_solve`), with every solution exact.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,7 +23,7 @@ from coiso.complexes import build_complex, cycle_complex, simplex_boundary
 from coiso.exact import RAT
 from coiso.filling import _image_basis
 from coiso.homalg import IntegerMatrix, IntegralSystem, boundary_matrix
-from coiso.linalg import (RationalSolver, dot, greedy_basis,
+from coiso.linalg import (RationalSolver, _Echelon, dot, greedy_basis,
                           residual_rows, scale_to_ints)
 from coiso.subdivision import edgewise_subdivide
 from coiso.trees import greedy_spanning_tree, telescope_complex
@@ -285,6 +286,31 @@ def test_solve_and_nullspace_of_boundaries_like_reference(name, X, k):
     assert_solver_like_reference(B.col_dicts(), B.nrows, rng)
 
 
+def assert_reduce_units_like_reduce_rhs(E, rng):
+    """reduce_units on random rows gives, column by column, each unit
+    vector pushed through reduce_rhs: the whole reduced vector (read with
+    no zero row to test), and None from E exactly where it is nonzero on a
+    zero row; only nonzero entries are kept."""
+    rows = rng.sample(range(E.m), rng.randint(1, E.m))
+    red = E.reduce_units(rows)
+    assert all(v for col in red.values() for v in col.values())
+    untested = SimpleNamespace(ops=E.ops, zero_rows=[])
+    for c, i in enumerate(rows):
+        e = [1 if r == i else 0 for r in range(E.m)]
+        got = [red.get(r, {}).get(c, 0) for r in range(E.m)]
+        assert got == _Echelon.reduce_rhs(untested, e)
+        assert (E.reduce_rhs(e) is None) == any(got[z] for z in E.zero_rows)
+
+
+@pytest.mark.parametrize("name,X,k", BOUNDARIES, ids=[b[0] for b in BOUNDARIES])
+def test_reduce_units_of_boundaries_like_reduce_rhs(name, X, k):
+    rng = random.Random(name)
+    B = boundary_matrix(X, k)
+    for rows, n in ((B.rows, B.ncols), (B.col_dicts(), B.nrows)):
+        for cls in (RationalSolver, IntegralSystem):
+            assert_reduce_units_like_reduce_rhs(cls(rows, n), rng)
+
+
 def _non_unit_matrix(seed):
     rng = random.Random(2000 + seed)
     m, n = rng.randint(2, 12), rng.randint(2, 12)
@@ -296,6 +322,12 @@ def _non_unit_matrix(seed):
 def test_solve_and_nullspace_with_non_unit_pivots_like_reference(seed):
     rng, rows, n = _non_unit_matrix(seed)
     assert_solver_like_reference(rows, n, rng)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_reduce_units_with_non_unit_pivots_like_reduce_rhs(seed):
+    rng, rows, n = _non_unit_matrix(seed)
+    assert_reduce_units_like_reduce_rhs(RationalSolver(rows, n), rng)
 
 
 def test_random_matrices_reach_non_unit_pivots_and_fractions():

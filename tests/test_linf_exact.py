@@ -11,6 +11,7 @@ from coiso.complexes import cycle_complex, simplex_boundary
 from coiso.exact import RAT
 from coiso.filling import coiso_constants_tiny, sample_integral_coboundary, trial_rng
 from coiso.homalg import boundary_matrix
+from coiso.linalg import scale_to_ints
 from coiso.lp import LinfProblem, LPError
 from coiso.subdivision import edgewise_subdivide
 from reference_linf import linf_against_reference
@@ -30,7 +31,8 @@ def test_duality_corpus_vertices_match_the_reference(monkeypatch, X, k):
         ws = list(ws)
         omegas.extend(ws)
         values = real(self, ws)
-        assert values == [linf_against_reference(self, w)[1] for w in as_rats(ws)]
+        assert values == [linf_against_reference(self, scale_to_ints(w))[1]
+                          for w in as_rats(ws)]
         return values
 
     monkeypatch.setattr(LinfProblem, "optima", checked)
@@ -46,7 +48,7 @@ def test_sampled_sphere_omegas_match_the_reference(L):
     P = LinfProblem(delta.rows, delta.ncols)
     for trial in range(10):
         om = sample_integral_coboundary(X, 2, trial_rng(17, L, trial))
-        _, t = linf_against_reference(P, om.dense(X.n_cells(2)))
+        _, t = linf_against_reference(P, om.ints(X.n_cells(2), ValueError, "omega"))
         assert t > 0
 
 
@@ -70,38 +72,39 @@ def small_images(draw):
 @settings(max_examples=150, deadline=None)
 def test_hypothesis_images_match_the_reference(data):
     rows, n, omega = data
-    linf_against_reference(LinfProblem(rows, n), omega)
+    linf_against_reference(LinfProblem(rows, n), scale_to_ints(omega))
 
 
 def _cycle_problem():
     # on a cycle every row of delta sums to 0, so D alpha = omega does not
     # see a shift of alpha by a constant
     delta = boundary_matrix(cycle_complex(4), 1).transpose()
-    return LinfProblem(delta.rows, delta.ncols), [RAT(1), 0, 0, RAT(-1)]
+    return LinfProblem(delta.rows, delta.ncols), (1, [1, 0, 0, -1])
 
 
 def test_solve_exact_refuses_an_alpha_off_the_preimage(monkeypatch):
-    real = lp.exact_simplex
+    # solve_exact reads its answer off the verified tableau
+    real = lp._Tableau.verified
 
-    def moved(A, b, c):
-        x, value = real(A, b, c)
-        return [x[0] + 1] + x[1:], value
+    def moved(self):
+        (Dx, xs), value = real(self)
+        return (Dx, [xs[0] + Dx] + xs[1:]), value
 
     P, om = _cycle_problem()
     assert P.solve_exact(om)[1] == RAT(1, 2)
-    monkeypatch.setattr(lp, "exact_simplex", moved)
+    monkeypatch.setattr(lp._Tableau, "verified", moved)
     with pytest.raises(LPError, match="fails D alpha = omega"):
         P.solve_exact(om)
 
 
 def test_solve_exact_refuses_a_norm_other_than_t(monkeypatch):
-    real = lp.exact_simplex
+    real = lp._Tableau.verified
 
-    def halved(A, b, c):
-        x, value = real(A, b, c)
+    def halved(self):
+        x, value = real(self)
         return x, value / 2
 
     P, om = _cycle_problem()
-    monkeypatch.setattr(lp, "exact_simplex", halved)
+    monkeypatch.setattr(lp._Tableau, "verified", halved)
     with pytest.raises(LPError, match=r"\|\|alpha\|\|_inf = t"):
         P.solve_exact(om)

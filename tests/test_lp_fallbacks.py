@@ -5,28 +5,37 @@ import pytest
 
 from coiso.exact import RAT
 from coiso.complexes import build_complex, cycle_complex, simplex_boundary
-from coiso.homalg import Cochain, boundary_matrix
+from coiso.homalg import Cochain, apply_coboundary, boundary_matrix
 from coiso import lp
 from coiso.lp import LinfProblem, LPError, exact_simplex, Infeasible, l1_min
 from coiso.filling import integral_fill, sample_integral_coboundary, trial_rng
 from coiso.subdivision import edgewise_subdivide
 from coiso.trees import gnarledness_exact_tiny, gnarledness_upper, greedy_spanning_tree
+from reference_linf import linf_against_reference
 from reference_simplex import simplex_against_reference
 
 
 @pytest.fixture(autouse=True)
 def simplex_checked_against_reference(monkeypatch):
-    """Every exact-simplex call made through the module, from l1_min and
-    LinfProblem's fallback, matches the all-RAT reference and its pivots."""
+    """Every exact-simplex call made through the module, from l1_min, matches
+    the all-RAT reference and its pivots.  So does every solve of
+    LinfProblem's fallback, solve_exact: its tableau makes the reference's
+    pivots on the shifted LP and its alpha is the reference's x - t; and its
+    optimum is the reference ell-infinity LP's, which solves through the
+    checked exact simplex."""
     real = lp.exact_simplex
     monkeypatch.setattr(lp, "exact_simplex",
                         lambda A, b, c: simplex_against_reference(A, b, c, real))
+    solve_exact = LinfProblem.solve_exact
+    monkeypatch.setattr(LinfProblem, "solve_exact", lambda self, omega:
+                        linf_against_reference(self, omega, solve_exact))
 
 
 def _reference_problem(L):
     X = edgewise_subdivide(simplex_boundary(3), L).result
     delta = boundary_matrix(X, 2).transpose()
-    om = sample_integral_coboundary(X, 2, trial_rng(21, L, 0)).dense(X.n_cells(2))
+    om = sample_integral_coboundary(X, 2, trial_rng(21, L, 0)).ints(
+        X.n_cells(2), ValueError, "omega")
     return delta, om
 
 
@@ -35,7 +44,7 @@ def test_forced_fallback_small_uses_exact_simplex(monkeypatch):
     delta = boundary_matrix(X, 1).transpose()
     P = LinfProblem(delta.rows, delta.ncols)
     monkeypatch.setattr(LinfProblem, "_reconstruct", lambda *a, **k: None)
-    alpha, t, mode = P.solve([RAT(1), RAT(0), RAT(0), RAT(-1)])
+    alpha, t, mode = P.solve((1, [1, 0, 0, -1]))
     assert mode == "simplex"
     assert t == RAT(1, 2)
 
@@ -72,7 +81,7 @@ def test_bug_in_reconstruction_surfaces_instead_of_falling_back(monkeypatch):
     P = LinfProblem(delta.rows, delta.ncols)
     monkeypatch.setattr(LinfProblem, "_primal_at", _raise_bug)
     with pytest.raises(RuntimeError, match="bug in our own code"):
-        P.solve([RAT(1), RAT(0), RAT(0), RAT(-1)])
+        P.solve((1, [1, 0, 0, -1]))
 
 
 def test_one_highs_run_per_method(monkeypatch):
@@ -88,7 +97,7 @@ def test_one_highs_run_per_method(monkeypatch):
 
     monkeypatch.setattr(LinfProblem, "_float_solve", counted)
     monkeypatch.setattr(LinfProblem, "_dual_certificate", lambda *a, **k: None)
-    _, t, mode = P.solve([RAT(1), RAT(0), RAT(0), RAT(-1)])
+    _, t, mode = P.solve((1, [1, 0, 0, -1]))
     assert (mode, t) == ("simplex", RAT(1, 2))
     assert methods == ["ipm", "simplex"]
 
@@ -98,7 +107,7 @@ def test_omega_beyond_float_range_falls_back_to_exact_simplex():
     delta = boundary_matrix(X, 1).transpose()
     P = LinfProblem(delta.rows, delta.ncols)
     big = 10 ** 400
-    _, t, mode = P.solve([big, 0, 0, -big])
+    _, t, mode = P.solve((1, [big, 0, 0, -big]))
     assert (mode, t) == ("simplex", RAT(big, 2))
 
 
@@ -111,16 +120,16 @@ def test_a_matrix_highs_refuses_falls_back_to_exact_simplex(monkeypatch, entry):
 
     monkeypatch.setattr(LinfProblem, "_float_solve", no_float_solve)
     P = LinfProblem([{0: entry, 1: -1}], 2)
-    _, t, mode = P.solve([3])
+    _, t, mode = P.solve((1, [3]))
     assert mode == "simplex"
-    assert t == P.solve_exact([3])[1]
+    assert t == P.solve_exact((1, [3]))[1]
     if entry == 2 ** 60 + 1:
         assert t == RAT(1, 384307168202282326)
 
 
 def test_a_matrix_just_below_what_highs_refuses_gets_float_solves():
     P = LinfProblem([{0: 10 ** 15 - 1, 1: -1}], 2)
-    _, t, mode = P.solve([3])
+    _, t, mode = P.solve((1, [3]))
     assert (mode, t) == ("simplex", RAT(3, 10 ** 15))
     assert set(P._solvers) == {"ipm", "simplex"}
 
@@ -131,7 +140,7 @@ def _cycle_problem(n):
     om = [0] * delta.nrows
     for i, v in delta.col_dicts()[0].items():
         om[i] = v
-    return LinfProblem(delta.rows, delta.ncols), om
+    return LinfProblem(delta.rows, delta.ncols), (1, om)
 
 
 def _force_simplex(monkeypatch):
@@ -179,7 +188,7 @@ def _degenerate_sweep_omega():
     X = edgewise_subdivide(simplex_boundary(3), 16).result
     om = sample_integral_coboundary(X, 2, trial_rng(302, 16, 29))
     delta = boundary_matrix(X, 2).transpose()
-    return LinfProblem(delta.rows, delta.ncols), om.dense(X.n_cells(2))
+    return LinfProblem(delta.rows, delta.ncols), om.ints(X.n_cells(2), ValueError, "omega")
 
 
 def test_degenerate_sweep_draw_is_reconstructed(monkeypatch):
@@ -212,11 +221,10 @@ def test_l1_min_is_exact_on_c4():
 # -- corners of the surrounding machinery --------------------------------------
 
 def test_integral_fill_on_disconnected_complex():
-    from coiso.homalg import apply_coboundary
     X = build_complex([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     om = apply_coboundary(X, Cochain(0, {0: 1, 4: -2}, "int")).map(int, "int")
     res = integral_fill(X, om)
-    assert not res.certificate.entries
+    assert apply_coboundary(X, res.alpha).entries == om.entries
     assert res.alpha.ring == "int"
 
 

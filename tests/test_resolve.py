@@ -179,7 +179,8 @@ def test_every_corpus_vertex_matches_the_cold_solves(X, k):
     problem = _inf_problem(Bk.transpose().rows)
     ws = _vertices_inf_ball(_image_basis(problem.cols, problem.m), problem.m)
     assert (problem.optima(ws)
-            == [linf_against_reference(problem, w)[1] for w in as_rats(ws)])
+            == [linf_against_reference(problem, scale_to_ints(w))[1]
+                for w in as_rats(ws)])
     bs = _vertices_one_ball(_image_basis(Bk.col_dicts(), Bk.nrows), Bk.nrows)
     assert (l1_optima(Bk.rows, Bk.ncols, bs)
             == [l1_min(Bk.rows, Bk.ncols, b)[1] for b in as_rats(bs)])

@@ -10,7 +10,7 @@ from coiso.filling import (LiftData, _any_cocycle_lift, get_fill_context,
                            linf_fill_rational, sample_integral_coboundary,
                            trial_rng)
 from coiso.homalg import boundary_matrix
-from coiso.linalg import RationalSolver, scale_to_ints
+from coiso.linalg import RationalSolver
 from coiso.subdivision import edgewise_subdivide
 from coiso import trees
 from coiso.trees import (BasisIntegralityError, SpanningTree, TreeError,
@@ -307,10 +307,12 @@ def test_lift_data_matches_the_per_cell_oracle_on_sweep_draws():
     z0s = []
     for t in range(4):
         omega = sample_integral_coboundary(X, k, trial_rng(17, 8, t))
-        eta = ctx.integral_system().solve([int(v) for v in
-                                           omega.dense(X.n_cells(k))])
-        alpha = linf_fill_rational(X, omega).alpha.dense(X.n_cells(k - 1))
-        z0s.append([a - e for a, e in zip(alpha, eta)])
+        Dw, ws = omega.ints(X.n_cells(k), ValueError, "omega")
+        assert Dw == 1
+        eta = ctx.integral_system().solve(ws)
+        Da, a = linf_fill_rational(X, omega).alpha.ints(
+            X.n_cells(k - 1), ValueError, "alpha")
+        z0s.append((Da, [v - Da * e for v, e in zip(a, eta)]))
     _lifts_match_the_oracle(got, want, z0s)
 
 
@@ -333,22 +335,23 @@ def test_zero_wrapping_tree_matches_greedy_rank_rule(X):
 
 def _lifts_match_the_oracle(got, want, z0s):
     """b~ and every lift of the tree-system LiftData equal the per-cell
-    oracle's; each z0 is lifted as given and as ints over its denominator."""
+    oracle's; each z0 = (D, ints) is lifted as given and over 3 D."""
     assert got.b_tilde == want.b_tilde
     assert got.bound == want.bound
     for z0 in z0s:
         M, lifted = got.lift(z0)
         assert [RAT(v, M) for v in lifted] == want.lift(z0)
         assert all(type(v) is int for v in lifted)
-        D, ints = scale_to_ints(z0)
-        assert got.lift(ints, D) == (M, lifted)
+        D, ints = z0
+        M3, again = got.lift((3 * D, [3 * v for v in ints]))
+        assert [RAT(v, M3) for v in again] == [RAT(v, M) for v in lifted]
 
 
 def _mod_z_draws(X, k, count, seed=13):
     """Rational cocycles from random_mod_z_cocycle draws."""
     up = get_fill_context(X, k + 1) if k + 1 <= X.dim else None
     return [_any_cocycle_lift(up, random_mod_z_cocycle(
-                X, k, trial_rng(seed, k, t)).dense(X.n_cells(k)))
+                X, k, trial_rng(seed, k, t)).ints(X.n_cells(k), ValueError, "z"))
             for t in range(count)]
 
 
