@@ -32,7 +32,9 @@ _DOMAIN_ERRORS = (ComplexError, HomalgError, SubdivisionError, TreeError,
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """obj as one line of JSON, each exact rational as its rat_str."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      default=rat_str) + "\n"
 
 
 def _artifact(config, payload) -> str:
@@ -55,22 +57,8 @@ def _emit_error(e):
             "pairing": rat_str(e.pairing),
         }
     if isinstance(e, ScheduleInvariantError):
-        info["report"] = _jsonable(e.report)
+        info["report"] = e.report
     sys.stderr.write(_dump({"error": info}))
-
-
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, bool) or x is None:
-        return x
-    if isinstance(x, int):
-        return x
-    if isinstance(x, str):
-        return x
-    return rat_str(x)
 
 
 def _domain_guard(fn):
@@ -156,7 +144,7 @@ def fill(complex_path, omega_path, ring, out):
         "report": {
             "norm_inf": rat_str(res.norm_inf_alpha),
             "residual_zero": True,     # a fill raises on a nonzero residual
-            "details": _jsonable(res.details),
+            "details": res.details,
         },
     })
 
@@ -216,7 +204,7 @@ def schedule(complex_path, omega_path, alpha_path, layers, out):
               "omega": omega_path, "alpha": alpha_path, "layers": layers,
               "out": out}
     _write_artifact(out, config, {"schedule": sched.to_json_dict(),
-                                  "report": _jsonable(report)})
+                                  "report": report})
 
 
 @main.command()
@@ -228,7 +216,7 @@ def s2demo(L, seed, out):
     """Degree-zero sphere demo: sample, fill, schedule, verify."""
     report = s2_null_demo(L, seed)
     config = {"subcommand": "s2demo", "L": L, "seed": seed, "out": out}
-    _write_artifact(out, config, _jsonable(report))
+    _write_artifact(out, config, report)
 
 
 @main.command()
@@ -254,7 +242,7 @@ def verify(kind, in_path, complex_path, n, k, r, out):
         report["closed_form_equals_recursive"] = (T.cells == recursive.cells)
         report["checks_passed"] = (report["checks_passed"]
                                    and report["closed_form_equals_recursive"])
-        _write_artifact(out, config, {"report": _jsonable(report)})
+        _write_artifact(out, config, {"report": report})
         ok = report["checks_passed"]
     else:
         if in_path is None or complex_path is None:
@@ -262,7 +250,7 @@ def verify(kind, in_path, complex_path, n, k, r, out):
         X = load_complex(complex_path)
         doc = load_json(in_path, SchedulerError, "schedule")
         report = verify_schedule(PrismSchedule.from_json_dict(doc, X))
-        _write_artifact(out, config, {"report": _jsonable(report)})
+        _write_artifact(out, config, {"report": report})
         ok = report["all_passed"]
     if not ok:
         raise SystemExit(1)

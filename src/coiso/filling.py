@@ -20,11 +20,12 @@ Every exact vector enters the LP and the lift (`LiftData.lift`) as
 so; the fills stay in ints, and RATs are made only for a `FillingResult`.
 The lift data do not depend on the LP, so the first `integral_fill` on a
 context builds them on a second thread while its first HiGHS solve runs,
-which releases the GIL: the thread starts once the LP's HiGHS instance has
-read its model and a float guess is about to run, `lift_data` joins it
-where the lift is used and raises there what the build raised, and the
-fill joins it on every exit, so no thread outlives the call.  Later fills
-find the data built and start no thread.
+which releases the GIL (`_rational_fill_beside_lift`): the thread starts
+once the LP's HiGHS instance has read its model and a float guess is about
+to run, and the fill joins it when the LP returns or raises, so no thread
+outlives the call.  The context keeps only the data the thread built; what
+the build raised is raised after an LP that succeeded, and nothing is kept
+then.  Later fills find the data built and start no thread.
 
 The duality check is exact in the same form: each unit ball's vertices
 leave its maximal minors as reduced (q, ints) pairs and go into one exact
@@ -103,8 +104,6 @@ class FillContext:
         self._int_cycles = [_primitive(z) for z in self.cycles]
         self._integral = None
         self._lift = None
-        self._lift_thread = None
-        self._lift_error = None
 
     # -- coboundary tests ----------------------------------------------------
 
@@ -129,12 +128,7 @@ class FillContext:
     # -- bounded lifting in degree k-1 ----------------------------------------
 
     def lift_data(self):
-        """The LiftData of degree k-1, built on first use.  When a thread
-        builds it (`start_lift_data`), this waits for the thread and raises
-        in the caller what the build raised."""
-        error = self.join_lift_data()
-        if error is not None:
-            raise error
+        """The LiftData of degree k-1, built on first use."""
         if self._lift is None:
             self._lift = self._build_lift_data()
         return self._lift
@@ -144,42 +138,6 @@ class FillContext:
         U = wrapping_tree(self.X, self.k - 2) if self.k >= 2 \
             else WrappingTree(self.X, -1, ())
         return LiftData(self.X, self.k - 1, T, U)
-
-    def start_lift_data(self):
-        """Build the lift data on a second thread, unless it is built or
-        being built.  It is pure Python, so it overlaps only native work of
-        the caller that releases the GIL, as HiGHS's `run()` does.  The
-        caller must end the thread with `lift_data` or `join_lift_data`."""
-        if self._lift is not None or self._lift_thread is not None:
-            return
-        go = threading.Event()
-
-        def build():
-            # Thread.start() hands the new thread the GIL, which it would
-            # keep for a whole switch interval (5 ms); blocking on go gives
-            # it back, so the caller reaches the solve first
-            go.wait()
-            try:
-                self._lift = self._build_lift_data()
-            except Exception as e:      # raised again by lift_data
-                self._lift_error = e
-
-        thread = threading.Thread(target=build, name="coiso-lift-data")
-        thread.start()
-        self._lift_thread = thread
-        go.set()
-
-    def join_lift_data(self):
-        """Wait for the thread of `start_lift_data`, if one runs, and end
-        it: the exception its build raised, or None.  After an exception
-        nothing is kept, so the next `lift_data` builds again and raises
-        again, as a build in the caller would."""
-        thread, self._lift_thread = self._lift_thread, None
-        if thread is None:
-            return None
-        thread.join()
-        error, self._lift_error = self._lift_error, None
-        return error
 
 
 def _primitive(z):
@@ -367,6 +325,40 @@ def _rational_fill(ctx, Dw, ws):
     return (Da, a), t, mode
 
 
+def _rational_fill_beside_lift(ctx, ws):
+    """`_rational_fill` of the integral omega ws.  When ctx has no lift data
+    yet and the LP takes a float guess, a second thread builds them while
+    HiGHS solves: it starts after HiGHS has read its model (the read holds
+    the GIL, and only HiGHS's run releases it) and is joined when the LP
+    returns or raises.  Its LiftData is kept on ctx, and what its build
+    raised is raised here after an LP that succeeded."""
+    if ctx._lift is not None or not any(ws) or not ctx.lp.prepare_guess():
+        return _rational_fill(ctx, 1, ws)
+    go = threading.Event()
+    raised = []
+
+    def build():
+        # Thread.start() hands the new thread the GIL, which it would keep
+        # for a whole switch interval (5 ms); blocking on go gives it back,
+        # so the caller reaches the solve first
+        go.wait()
+        try:
+            ctx._lift = ctx._build_lift_data()
+        except Exception as e:
+            raised.append(e)
+
+    thread = threading.Thread(target=build, name="coiso-lift-data")
+    thread.start()
+    go.set()
+    try:
+        out = _rational_fill(ctx, 1, ws)
+    finally:
+        thread.join()
+    if raised:
+        raise raised[0]
+    return out
+
+
 def _check_residual(ctx, x, b, Dx=1, Db=1):
     """delta(x / Dx) = b / Db on every k-cell, in ints; FillingError
     naming the first offending cells otherwise."""
@@ -466,15 +458,8 @@ def integral_fill(X, omega: Cochain) -> FillingResult:
         raise NotIntegrallyFillable(
             "omega is a rational but not an integral coboundary (torsion)")
 
-    # the thread starts after HiGHS has read its model: the read holds the
-    # GIL, and only HiGHS's run releases it
-    if any(ws) and ctx.lp.prepare_guess():
-        ctx.start_lift_data()
-    try:
-        (D, a), t, mode = _rational_fill(ctx, 1, ws)
-        data = ctx.lift_data()
-    finally:
-        ctx.join_lift_data()
+    (D, a), t, mode = _rational_fill_beside_lift(ctx, ws)
+    data = ctx.lift_data()
     lifted = data.lift((D, [ai - ei * D for ai, ei in zip(a, eta)]))
     tilde = _check_lift(ctx, (D, a), lifted, data.bound)
     _check_residual(ctx, tilde, ws)

@@ -29,7 +29,9 @@ Two layers:
   does not.
 
 * LinfProblem: minimize ||alpha||_inf subject to D alpha = omega.  Omega
-  enters every entry as (Dw, ws), omega = ws / Dw in ints, and `solve` and
+  enters every entry as (Dw, ws), omega = ws / Dw in ints (`solve`,
+  `solve_exact` and `optima` refuse any other omega: an LPError unless Dw is
+  an int >= 1 and ws one int per row), and `solve` and
   `solve_exact` return alpha in the same form, (Da, a): the fills work on
   it in ints, so no RAT of alpha is made on the way.  `solve_exact` solves
   the LP on one exact tableau, verified as exact_simplex verifies its own,
@@ -87,7 +89,11 @@ Two layers:
   for the whole read of the L=16 sphere's model, about 12 ms).
   `prepare_guess` builds the first attempt's instance ahead of a solve, so
   that a caller can start pure-Python work on another thread once the read
-  is done and overlap it with the run alone.
+  is done and overlap it with the run alone.  Threads may share a
+  LinfProblem: it holds one lock while it builds an instance, through
+  `prepare_guess` too, and over each solve from its row bounds until its
+  solution is read, since another thread would otherwise rewrite the
+  instance during a run.
 
   `_highs_core` loads that extension on the first float solve, from its
   file in the installed scipy, without running scipy's package imports
@@ -112,6 +118,7 @@ import importlib.util
 import os
 import sys
 import tempfile
+import threading
 from functools import cached_property
 from math import gcd, lcm, sqrt
 
@@ -446,6 +453,9 @@ class LinfProblem:
         self.n = ncols
         self.cols = transpose_rows(self.rows, ncols)
         self._solvers = {}         # method -> its HiGHS instance
+        # held while an instance is built, and over a solve from its row
+        # bounds to its solution read: run() releases the GIL
+        self._lock = threading.Lock()
         self._highs_reads = all(abs(v) < _HIGHS_LARGE_MATRIX_VALUE
                                 for r in self.rows for v in r.values())
 
@@ -465,6 +475,7 @@ class LinfProblem:
         certificate and primal; else 'simplex', from solve_exact, which
         raises LPError past SIMPLEX_CAP.
         """
+        self._check_omega(omega)
         if not any(omega[1]):
             return (1, [0] * self.n), ZERO, "zero"
         for x, duals, tol in self._guesses(omega):
@@ -472,6 +483,16 @@ class LinfProblem:
             if out is not None:
                 return *out, "reconstructed"
         return *self.solve_exact(omega), "simplex"
+
+    def _check_omega(self, omega):
+        """omega = (D, ws) as given; LPError unless D is an int >= 1 and ws
+        holds one int per row."""
+        D, ws = omega
+        if (type(D) is not int or D < 1 or len(ws) != self.m
+                or any(type(w) is not int for w in ws)):
+            raise LPError(f"omega must be (D, ints): an int D >= 1 and one int "
+                          f"for each of the {self.m} rows")
+        return omega
 
     # -- float machinery -----------------------------------------------------
 
@@ -505,7 +526,7 @@ class LinfProblem:
         built once, with the options linprog sets for "highs-ipm" or
         "highs-ds", and the model `_mps` read from a temp file.  LPError
         when the temp file cannot be written, or HiGHS does not read from it
-        a model of this LP's shape."""
+        a model of this LP's shape.  The caller holds the lock."""
         highs = self._solvers.get(method)
         if highs is not None:
             return highs
@@ -546,7 +567,8 @@ class LinfProblem:
         guess starts with the solve."""
         if not self._highs_reads:
             return False
-        self._highs(_ATTEMPTS[0][0])
+        with self._lock:
+            self._highs(_ATTEMPTS[0][0])
         return True
 
     def _float_solve(self, omega, method):
@@ -560,16 +582,18 @@ class LinfProblem:
         b = [w / Dw for w in ws]
         if len(b) != self.m:
             raise LPError(f"{self.m} rows but {len(b)} right-hand sides")
-        highs = self._highs(method)
         n2 = 2 * self.n
-        for i, v in enumerate(b, n2):
-            highs.changeRowBounds(i, v, v)
-        # drop the earlier solution and basis: a cold start, as each linprog call is
-        highs.clearSolver()
-        highs.run()
-        if highs.getModelStatus() != _highs_core().HighsModelStatus.kOptimal:
-            return None
-        sol = highs.getSolution()
+        with self._lock:
+            highs = self._highs(method)
+            for i, v in enumerate(b, n2):
+                highs.changeRowBounds(i, v, v)
+            # drop the earlier solution and basis: a cold start, as each
+            # linprog call is
+            highs.clearSolver()
+            highs.run()
+            if highs.getModelStatus() != _highs_core().HighsModelStatus.kOptimal:
+                return None
+            sol = highs.getSolution()
         x = sol.col_value
         row = sol.row_value
         tol = _CHECK_TOL
@@ -740,8 +764,8 @@ class LinfProblem:
         `_Tableau`.  LPError when the tableau exceeds SIMPLEX_CAP, omega has
         no rational preimage, or the answer fails its own check
         (D alpha = omega, max |alpha_i| = t)."""
+        Dw, ws = self._check_omega(omega)
         A, c = self._shifted_lp()
-        Dw, ws = omega
         try:
             (Dx, xs), t = _Tableau(A, (Dw, list(ws) + [0] * self.n), c).verified()
         except Infeasible:
@@ -764,7 +788,8 @@ class LinfProblem:
         A, c = self._shifted_lp()
         zeros = [0] * self.n
         try:
-            return exact_optima(A, c, ((D, list(w) + zeros) for D, w in omegas))
+            return exact_optima(A, c, ((D, list(w) + zeros) for D, w in
+                                       map(self._check_omega, omegas)))
         except Infeasible:
             raise LPError("no rational solution of D alpha = omega")
 

@@ -202,10 +202,6 @@ def degree_schedule(X, omega: Cochain, alpha: Cochain,
     """
     m = X.dim
     _check_degrees(omega, alpha, m)
-    if not omega.is_integral() or not alpha.is_integral():
-        raise SchedulerError("schedule needs integral omega and alpha")
-    if layers < 1:
-        raise SchedulerError("layers must be >= 1")
     w_int = _int_dense(omega, X.n_cells(m), "omega")
     a_int = _int_dense(alpha, X.n_cells(m - 1), "alpha")
     cols = X.boundary_cols(m)      # the boundary of top cell q is cols[q]

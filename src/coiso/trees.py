@@ -89,10 +89,6 @@ def greedy_spanning_tree(X, k: int) -> SpanningTree:
 
 def _verify_spanning(T):
     X, k = T.X, T.k
-    if k == 0:
-        if T.cells:
-            raise TreeError("0-spanning tree must be empty")
-        return
     cols = X.boundary_cols(k)
     sel = [cols[j] for j in T.cells]
     rank_T = RationalSolver(sel, X.n_cells(k - 1)).rank if sel else 0

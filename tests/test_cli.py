@@ -480,3 +480,51 @@ def test_exact_simplex_cap_exits_one_with_a_structured_error(runner, monkeypatch
         assert err["type"] == "LPError"
         assert err["message"].endswith(
             "320x321 tableau (102720 entries), above the cap of 100000")
+
+
+def test_a_schedule_that_fails_its_checks_exits_one_with_the_report(runner):
+    # alpha + delta(5 e_0) fills the same omega, with norm 5 on the edges at
+    # vertex 0; on one layer its vertical values are alpha itself, above the
+    # bound ||omega|| + m + 1 = 4, so degree_schedule raises
+    # ScheduleInvariantError, and its report goes into the error object
+    with runner.isolated_filesystem():
+        write_inputs()
+        from coiso.complexes import load_complex
+        from coiso.filling import integral_fill, sample_integral_coboundary, trial_rng
+        from coiso.homalg import Cochain, apply_coboundary
+        X = load_complex("sphere.json")
+        om = sample_integral_coboundary(X, 2, trial_rng(2, 1, 0))
+        alpha = integral_fill(X, om).alpha.add(
+            apply_coboundary(X, Cochain(0, {0: 5}, "int")), ring="int")
+        json.dump(om.to_json_dict(), open("om.json", "w"))
+        json.dump(alpha.to_json_dict(), open("al.json", "w"))
+        r = runner.invoke(main, ["schedule", "--complex", "sphere.json",
+                                 "--omega", "om.json", "--alpha", "al.json",
+                                 "--layers", "1", "--out", "sch.json"])
+        assert r.exit_code == 1, r.output
+        err = json.loads(r.stderr)["error"]
+        assert err["type"] == "ScheduleInvariantError"
+        report = err["report"]
+        assert report["all_passed"] is False
+        assert report["norm_bound"]["passed"] is False
+        assert report["norm_bound"]["bound"] == 4
+        assert report["norm_bound"]["norm"] == report["max_abs_vertical"] >= 5
+        assert report["closedness"] == {"passed": True, "offenders": []}
+        assert not Path("sch.json").exists()
+
+
+def test_cip_sweep_writes_a_trial_that_samples_nothing_as_an_error_row(runner, monkeypatch):
+    from coiso import filling
+    monkeypatch.setattr(filling, "_draw_signs", lambda rng, n: [0] * n)
+    with runner.isolated_filesystem():
+        write_inputs()
+        r = runner.invoke(main, ["cip-sweep", "--complex", "sphere.json", "--k",
+                                 "2", "--L", "1", "--trials", "2", "--seed",
+                                 "0", "--out", "c.csv"])
+        assert r.exit_code == 0, r.output
+        assert open("c.csv").read().splitlines() == [
+            "L,trial,norm_omega,norm_alpha,ratio",
+            "1,0,error,no nonzero integral coboundary found in 5000 draws,",
+            "1,1,error,no nonzero integral coboundary found in 5000 draws,"]
+        meta = json.loads(open("c.csv.meta.json").read())
+        assert meta["summary"] == {"1": None}

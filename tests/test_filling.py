@@ -484,6 +484,103 @@ def test_no_lift_thread_without_a_float_guess(monkeypatch):
     assert builds == [threading.main_thread()] and not ctx.lp._solvers
 
 
+# -- guards and certification checks, each reached on purpose ---------------------
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_a_fill_context_refuses_a_degree_out_of_range(k):
+    with pytest.raises(FillingError, match=f"^k={k} out of range for dim 2$"):
+        get_fill_context(simplex_boundary(3), k)
+
+
+def test_lift_data_refuses_trees_of_the_wrong_degree():
+    X = simplex_boundary(3)
+    T, U = greedy_spanning_tree(X, 2), wrapping_tree(X, 1)
+    with pytest.raises(LiftError, match="^spanning tree has degree 2, expected 1$"):
+        LiftData(X, 1, T, wrapping_tree(X, 0))
+    with pytest.raises(LiftError, match="^wrapping tree has degree 0, expected 1$"):
+        LiftData(X, 2, T, wrapping_tree(X, 0))
+    assert LiftData(X, 2, T, U).k == 2
+
+
+def test_bounded_lift_refuses_a_cochain_of_another_degree():
+    X = simplex_boundary(3)
+    with pytest.raises(LiftError, match="^cochain degree 1 does not match the "
+                                        "tree degree 2$"):
+        bounded_lift(Cochain(1, {0: RAT(1, 2)}, "rat"),
+                     greedy_spanning_tree(X, 2), wrapping_tree(X, 1))
+
+
+def test_a_torsion_cochain_does_not_lift_to_a_rational_cocycle():
+    # on RP^2, omega = e0 is a rational but not an integral coboundary, and
+    # 2 omega is one, 2 omega = delta(c): so delta(c / 2) = omega is integral,
+    # c / 2 is a cocycle mod Z, and no integral eta makes c / 2 + eta a cocycle
+    X = rp2(1)
+    up = get_fill_context(X, 2)
+    omega = [1] + [0] * (X.n_cells(2) - 1)
+    assert up.integral_system().solve(omega) is None
+    c = up.integral_system().solve([2 * v for v in omega])
+    with pytest.raises(LiftError, match="^cochain does not lift to a rational cocycle$"):
+        _any_cocycle_lift(up, (2, c))
+
+
+def _no_nonzero_draw(monkeypatch):
+    """Every draw of the sampler is zero, so it never finds a coboundary;
+    the draws are counted."""
+    draws = []
+
+    def zeros(rng, n):
+        draws.append(n)
+        return [0] * n
+
+    monkeypatch.setattr(filling, "_draw_signs", zeros)
+    return draws
+
+
+def test_the_sampler_gives_up_after_max_sample_tries(monkeypatch):
+    draws = _no_nonzero_draw(monkeypatch)
+    with pytest.raises(FillingError, match="^no nonzero integral coboundary found "
+                                           "in 5000 draws$"):
+        sample_integral_coboundary(simplex_boundary(3), 2, trial_rng(0, 1, 0))
+    assert len(draws) == filling.MAX_SAMPLE_TRIES == 5000
+
+
+def test_estimate_cip_records_a_trial_that_samples_nothing_as_an_error_row(monkeypatch):
+    _no_nonzero_draw(monkeypatch)
+    out = estimate_cip(simplex_boundary(3), 2, [1, 2], 2, 3)
+    error = "no nonzero integral coboundary found in 5000 draws"
+    assert out == {"rows": [{"L": L, "trial": t, "error": error}
+                            for L in (1, 2) for t in range(2)],
+                   "summary": {1: None, 2: None}}
+
+
+def test_a_rational_fill_whose_residual_is_nonzero_is_refused(monkeypatch):
+    # the LP answers alpha = 0 for a nonzero omega: the residual check, in
+    # ints, refuses it and names the cells
+    X = cycle_complex(4)
+    ctx = get_fill_context(X, 1)
+    monkeypatch.setattr(ctx.lp, "solve", lambda omega: ((1, [0] * 4), RAT(1, 2),
+                                                        "reconstructed"))
+    with pytest.raises(FillingError, match=r"^residual is nonzero: \[0, 3\]$"):
+        linf_fill_rational(X, Cochain(1, {0: 1, 3: -1}, "int"))
+
+
+def test_an_integral_fill_above_its_guaranteed_bound_is_refused(monkeypatch):
+    # the rational fill claims an optimum 10 below its alpha's norm: the
+    # integral fill's norm then exceeds t + k + 1 + G_upper
+    real = filling._rational_fill
+
+    def understated(ctx, Dw, ws):
+        alpha, t, mode = real(ctx, Dw, ws)
+        return alpha, t - 10, mode
+
+    X = edgewise_subdivide(simplex_boundary(3), 2).result
+    om = sample_integral_coboundary(X, 2, trial_rng(7, 2, 0))
+    monkeypatch.setattr(filling, "_rational_fill", understated)
+    with pytest.raises(FillingError, match="^integral fill norm exceeds the "
+                                           "guaranteed bound$"):
+        integral_fill(X, om)
+
+
 # -- the sweep -------------------------------------------------------------------
 
 def test_estimate_cip_shape_single_row():

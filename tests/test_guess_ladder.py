@@ -192,3 +192,33 @@ def test_an_alpha_that_fails_its_residual_is_never_returned(monkeypatch):
     with pytest.raises(LPError, match="fails D alpha = omega"):
         P.solve(OMEGA)
     assert primal and not any(primal)
+
+
+# omegas that are not (D, one int per row) for the 4 rows of the 4-cycle's
+# LP; before the entry check, solve took the first as the zero omega and
+# returned alpha = 0, D = -1 reached the tableau ("negativity crept in"),
+# D = 0 raised ZeroDivisionError, and solve_exact refused the short omega
+# only as "8 constraint rows but 5 right-hand sides"
+NOT_D_AND_INTS = {
+    "one-int-for-four-rows": (1, [0]),
+    "five-ints": (1, [1, 0, 0, -1, 0]),
+    "negative-D": (-1, [1, 0, 0, -1]),
+    "zero-D": (0, [1, 0, 0, -1]),
+    "rational-D": (RAT(1), [1, 0, 0, -1]),
+    "boolean-D": (True, [1, 0, 0, -1]),
+    "float-entry": (1, [1.0, 0, 0, -1]),
+    "rational-entry": (1, [RAT(1, 2), 0, 0, -1]),
+}
+
+
+@pytest.mark.parametrize("omega", NOT_D_AND_INTS.values(), ids=NOT_D_AND_INTS)
+@pytest.mark.parametrize("entry", ["solve", "solve_exact", "optima"])
+def test_every_lp_entry_refuses_an_omega_that_is_not_d_and_ints(monkeypatch, entry, omega):
+    P = _cycle_problem()
+    made = _guesses_made(monkeypatch)
+    call = {"solve": P.solve, "solve_exact": P.solve_exact,
+            "optima": lambda om: P.optima([OMEGA, om])}[entry]
+    with pytest.raises(LPError, match=r"^omega must be \(D, ints\): an int D >= 1 "
+                                      r"and one int for each of the 4 rows$"):
+        call(omega)
+    assert made == []
