@@ -218,6 +218,8 @@ class LiftData:
             A = RationalSolver(transpose_rows(self._tree_rows, len(row_pos)),
                                len(tree_cells))
         self.b_tilde = []
+        # each b~ as (D, integer chain D * b~)
+        self._int_b_tilde = []
         for vec in self.basis_vectors:
             chain = {}
             for j, coef in zip(basis_cells, vec):
@@ -229,28 +231,29 @@ class LiftData:
                     for p, sgn in bcols[j].items():
                         if p in row_pos:
                             y[row_pos[p]] += coef * sgn
-                for cell, v in zip(tree_cells, A.solve(y)):
-                    chain[cell] = chain.get(cell, ZERO) - v
+                Dy, y = scale_to_ints(y)
+                Dx, xs = A.solve(y)
+                for cell, v in zip(tree_cells, xs):
+                    chain[cell] = chain.get(cell, ZERO) - RAT(v, Dy * Dx)
                 chain = {j: v for j, v in chain.items() if v}
             # must be an absolute cycle; in degree 0 every chain is one
+            D, vals = scale_to_ints(list(chain.values()))
             boundary = {}
-            for j, v in zip(chain, scale_to_ints(list(chain.values()))[1]):
+            for j, v in zip(chain, vals):
                 for p, sgn in bcols[j].items():
                     boundary[p] = boundary.get(p, 0) + sgn * v
             if any(boundary.values()):
                 raise LiftError("lifted basis element is not a cycle")
             self.b_tilde.append(chain)
+            self._int_b_tilde.append((D, dict(zip(chain, vals))))
 
-        # cocycle coordinates: stack (cocycle condition; z_t for t in T; <., b~>)
+        # cocycle coordinates, in int rows: stack (cocycle condition; z_t for
+        # t in T; <., D b~>)
         sys_rows = X.boundary_cols(k + 1)
         self.n_cocycle_rows = len(sys_rows)
-        # each b~ as (D, integer chain D * b~)
-        self._int_b_tilde = []
-        for ch in self.b_tilde:
-            D, vals = scale_to_ints(list(ch.values()))
-            self._int_b_tilde.append((D, dict(zip(ch, vals))))
         self.solver = RationalSolver(
-            sys_rows + [{t: 1} for t in tree_cells] + self.b_tilde, nk)
+            sys_rows + [{t: 1} for t in tree_cells]
+            + [ch for _, ch in self._int_b_tilde], nk)
         if self.solver.rank != nk:
             raise LiftError("cocycle coordinates do not determine the cocycle")
 
@@ -260,26 +263,26 @@ class LiftData:
         F-coordinates and the b~ pairings; differs from z0 by integers
         cellwise.
 
-        Every target is s / m in ints, and its fractional part is
-        (s mod m) / m: the F-coordinates A^-T z0|_T share one m, and the
-        targets are solved over their common denominator.
+        Every target is r / m in ints: an F-coordinate s / m shifted to
+        (s mod m) / m (they share one m), and on the row dc b~,
+        (dot(ch, w) mod dc D) / D, which is dc times <b~, z0> shifted into
+        [0, 1).  The targets are solved over their common denominator.
         """
         D, w = z0
         parts = []
         if self._tree_cells:
             # c = x / (Dx D) with A^T x = D z0|_T, int where pivots allow
-            Dx, xs = self._tree_solver.substitute([w[t] for t in self._tree_cells])
+            Dx, xs = self._tree_solver.solve([w[t] for t in self._tree_cells])
             m = Dx * D
             r = [v % m for v in xs]
             # z|_T = A^T r
             for row in self._tree_rows:
                 parts.append((dot(row, r), m))
         for dc, ch in self._int_b_tilde:
-            m = dc * D
-            parts.append((dot(ch, w) % m, m))
+            parts.append((dot(ch, w) % (dc * D), D))
         M = lcm(*(m for _, m in parts))
         rhs = [0] * self.n_cocycle_rows + [r * (M // m) for r, m in parts]
-        z = self.solver.substitute(rhs)
+        z = self.solver.solve(rhs)
         if z is None:
             raise LiftError("lift system inconsistent")
         Dz, zs = z

@@ -426,10 +426,11 @@ class IntegralSystem(_Echelon):
         return min(units, key=lambda i: (len(self.rows[i]), i))
 
     def solve(self, b):
-        """Integer solution of A x = b, or None when none exists (as for a b
-        that is not integral)."""
-        D, y = scale_to_ints(b)
-        if D != 1 or (y := self.reduce_rhs(y)) is None:
+        """Integer solution of A x = b for the int rhs b, or None when none
+        exists; a b that is not integral has none, which the denominator of
+        the back-substitution shows."""
+        y = self.reduce_rhs(b)
+        if y is None:
             return None
         x = [0] * self.n
         if self._block_snf is not None:
@@ -444,8 +445,9 @@ class IntegralSystem(_Echelon):
                     return None
             for j, v in zip(self._cols, V.mat_vec(w)):
                 x[j] = v
-        # unit pivots: the back-substitution's denominator is 1
-        return self.back_substitute(y, x)[1]
+        # unit pivots: the denominator is 1 for an int b
+        D, x = self.back_substitute(y, x)
+        return x if D == 1 else None
 
 
 def solve_integral_linear(M: IntegerMatrix, b):

@@ -14,7 +14,7 @@ coisoperimetry sweeps low.
 One driver does all sparse elimination: `_Echelon` owns the pivot queue,
 the recorded row operations and the int back-substitution.  Its subclasses
 fix only which row a column pivots on and what a solve returns:
-`RationalSolver` takes the sparsest live row and returns RATs,
+`RationalSolver` takes the sparsest live row and returns (D, ints),
 `_LowestRowEchelon` (the greedy bases of `greedy_basis`) the lowest live
 row, and `homalg.IntegralSystem` (integral solves) only +-1 entries,
 keeping the rows that no unit pivot can clear as `stuck_rows`, which it
@@ -31,14 +31,14 @@ the conditions for lying in its image are read off its `zero_rows`.
 
 Integers first: almost every number here is an integer, so rows, recorded
 factors and intermediate vectors hold Python ints, and an exact rational
-(`RAT`) is made only where a division leaves a remainder.  A rational vector
-is scaled to integers by the lcm of its denominators (`scale_to_ints`),
-worked on in ints and divided once at the end.  An exact solution leaves
-the kernel in that form: `substitute` and `back_substitute` return
-(D, ints), x = ints / D with D the lcm of its denominators, and the callers
-inside the package (the fills, the lift, the LP's certificates) stay in
-ints.  RATs are made only for a public result: `RationalSolver.solve` and
-`nullspace` return RATs, never ints, since int / int is a float in Python.
+(`RAT`) is made only where a division leaves a remainder.  Every solve
+takes an int right-hand side; a caller that holds a rational vector scales
+it to ints by the lcm of its denominators (`scale_to_ints`) once.  An exact
+solution leaves the kernel in the same form: `RationalSolver.solve` and
+`back_substitute` return (D, ints), x = ints / D with D the lcm of its
+denominators, and the callers inside the package (the fills, the lift, the
+LP's certificates) stay in ints.  RATs are made only for a public result:
+`nullspace` returns RATs, never ints, since int / int is a float in Python.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from __future__ import annotations
 import heapq
 from math import gcd
 
-from .exact import RAT, ZERO
+from .exact import RAT
 
 
 def _exact(v):
@@ -207,12 +207,6 @@ class _Echelon:
                         del rt[c]
         return red
 
-    def substitute(self, y):
-        """(D, X): x = X / D with A x = y (free variables 0) for an int y;
-        None if inconsistent."""
-        y = self.reduce_rhs(y)
-        return None if y is None else self.back_substitute(y, [0] * self.n)
-
     def back_substitute(self, y, x):
         """(D, X): x, given in the free columns and 0 in the pivot columns,
         with its pivot entries solved from the pivot rows of the reduced rhs
@@ -243,28 +237,19 @@ class RationalSolver(_Echelon):
     Rows, factors and substitutions hold ints; a RAT appears only where a
     division by a non-unit pivot leaves a remainder, which the boundary-type
     matrices of this package almost never do.  The pivot rule looks at
-    supports only, so the representation cannot change a pivot.  solve()
-    and nullspace() return RAT entries only.
+    supports only, so the representation cannot change a pivot, and scaling
+    a row with its rhs entry leaves the pivots and the solution as they
+    are.  solve() returns (D, ints); nullspace() returns RATs.
     """
 
     def _pick_row(self, col, live):
         return min(live, key=lambda i: (len(self.rows[i]), i))
 
-    def solve(self, b):
-        """x with A x = b as RATs (free variables 0), or None if
-        inconsistent.
-
-        b may mix ints and RATs; it is scaled to ints by the lcm of its
-        denominators, solved in ints and divided by the whole denominator D
-        once at the end.
-        """
-        D, y = scale_to_ints(b)
-        out = self.substitute(y)
-        if out is None:
-            return None
-        Dx, x = out
-        D *= Dx
-        return [RAT(v, D) if v else ZERO for v in x]
+    def solve(self, y):
+        """(D, X): x = X / D with A x = y (free variables 0) for the int
+        rhs y, D the lcm of the denominators of x; None if inconsistent."""
+        y = self.reduce_rhs(y)
+        return None if y is None else self.back_substitute(y, [0] * self.n)
 
     def nullspace(self):
         """Basis of ker A, one sparse dict of RATs per free column: the

@@ -648,7 +648,7 @@ class LinfProblem:
         # sum_i eps_i v_i = 1
         conds = [red[r] for r in E.zero_rows if red.get(r)]
         conds.append({c: dsup[i] for c, i in enumerate(dsup)})
-        v = RationalSolver(conds, len(dsup)).substitute([0] * (len(conds) - 1) + [1])
+        v = RationalSolver(conds, len(dsup)).solve([0] * (len(conds) - 1) + [1])
         if v is None:
             return None
         # y = ys / Dy: the reduced rhs is sum_c v_c red[.][c], then one
@@ -720,14 +720,14 @@ class LinfProblem:
                 return None
             return Da, a
 
-        out = certified(solver.substitute(prhs), D)
+        out = certified(solver.solve(prhs), D)
         if out is not None or guess is None:
             return out
         # free variable k at c[k] / q moves A_k c[k] / q to the right-hand side
         c = {k: round(float(guess[free[k]]) * q) for k in solver.free_cols}
         rhs = [b * q - D * sum(v * c[k] for k, v in row.items() if k in c)
                for b, row in zip(prhs, prows)]
-        xfree = solver.substitute(rhs)
+        xfree = solver.solve(rhs)
         if xfree is not None:
             Dx, xs = xfree
             for k, ck in c.items():

@@ -215,17 +215,18 @@ def _relative_classes(X, k, tree_cells):
                         "k-cells" % (base, d, nk))
     if not d:
         return {"basis_cells": (), "classes": [()] * nk}
-    cols = [{j: ONE} for j in ext] + [{j: ONE} for j in sorted(tree_cells)]
+    cols = [{j: 1} for j in ext] + [{j: 1} for j in sorted(tree_cells)]
     cols += X.boundary_cols(k + 1)
     solver = RationalSolver(cols, nk)       # the rows of M^T
     if solver.rank != nk:
         raise TreeError("relative class solve failed")
     ys = []
     for t in range(d):
-        y = solver.solve([ONE if i == t else ZERO for i in range(len(cols))])
+        y = solver.solve([1 if i == t else 0 for i in range(len(cols))])
         if y is None:
             raise TreeError("relative class solve failed")
-        ys.append(y)
+        D, y = y
+        ys.append([RAT(v, D) for v in y])
     classes = [tuple(y[q] for y in ys) for q in range(nk)]
     return {"basis_cells": tuple(ext), "classes": classes}
 
@@ -269,10 +270,12 @@ def _coords_in_basis(classes, basis, d):
         if all(v == 0 for v in cl):
             out.append(tuple([ZERO] * len(basis)))
             continue
-        x = solver.solve(list(cl))
+        D, y = scale_to_ints(cl)
+        x = solver.solve(y)
         if x is None:
             raise TreeError("class outside the span of the basis")
-        out.append(tuple(x))
+        Dx, x = x
+        out.append(tuple(RAT(v, D * Dx) for v in x))
     return out
 
 

@@ -9,6 +9,8 @@ or None from both."""
 from coiso.exact import RAT
 from coiso.linalg import RationalSolver, dot, scale_to_ints
 
+from reference_solver import rat_solve
+
 
 def reference_dual_certificate(P, omega, x, duals, tol):
     """t > 0, the lower bound certified by the dual supported on the signs
@@ -42,7 +44,7 @@ def reference_dual_certificate(P, omega, x, duals, tol):
             sys_rows.append(col)
     sys_rows.append(norm_row)
     rhs = [0] * (len(sys_rows) - 1) + [1]
-    y = RationalSolver(sys_rows, P.m).solve(rhs)
+    y = rat_solve(RationalSolver(sys_rows, P.m), rhs)
     if y is None:
         return None
     Dy, ys = scale_to_ints(y)

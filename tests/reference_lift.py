@@ -12,6 +12,8 @@ from coiso.homalg import Cochain, boundary_matrix
 from coiso.linalg import RationalSolver, scale_to_ints
 from coiso.trees import SpanningTree, lifting_basis
 
+from reference_solver import rat_solve
+
 
 class ReferenceLiftData:
     """The F-basis machinery of the bounded-lift construction in degree k.
@@ -63,7 +65,7 @@ class ReferenceLiftData:
                 raise LiftError("tree filling system is singular")
             for p in self.f_supports:
                 rhs = [1 if q == p else 0 for q in self.f_supports]
-                x = solver.solve(rhs)
+                x = rat_solve(solver, rhs)
                 self.F[p] = {tree_cells[c]: v for c, v in enumerate(x) if v}
             self._bcols = cols
         else:
@@ -141,7 +143,7 @@ class ReferenceLiftData:
             parts.append((s % m, m))
         M = lcm(*(m for _, m in parts))
         rhs = [0] * self.n_cocycle_rows + [r * (M // m) for r, m in parts]
-        z = self.solver.solve(rhs)
+        z = rat_solve(self.solver, rhs)
         if z is None:
             raise LiftError("lift system inconsistent")
         return [v / M for v in z]

@@ -23,6 +23,17 @@ from coiso.linalg import scale_to_ints
 from intmatrix import set_entry
 
 
+def rat_solve(solver, b):
+    """solver.solve of the rational rhs b, scaled to ints once, with the
+    solution as RATs; None when inconsistent."""
+    D, y = scale_to_ints(b)
+    out = solver.solve(y)
+    if out is None:
+        return None
+    Dx, x = out
+    return [RAT(v, D * Dx) for v in x]
+
+
 def reference_eliminate(self):
     """The kernel's loop before the pivot queue: sort all candidates per pivot."""
     rows = self.rows

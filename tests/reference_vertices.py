@@ -15,6 +15,8 @@ from math import gcd
 from coiso.exact import RAT, ONE, ZERO
 from coiso.linalg import RationalSolver, scale_to_ints
 
+from reference_solver import rat_solve
+
 
 def as_rats(verts):
     """[tuple of RATs w / q] for the vertices (q, w) of an enumeration, after
@@ -52,7 +54,7 @@ def vertices_one_ball_reference(basis, n):
             solver = RationalSolver(rows, d)
             if solver.rank < d:
                 continue
-            x = solver.solve([ONE] * d)
+            x = rat_solve(solver, [ONE] * d)
             if x is None:
                 continue
             b = [sum(basis[j][i] * x[j] for j in range(d)) for i in range(n)]
@@ -95,7 +97,7 @@ def vertices_inf_ball_reference(basis, n):
         if solver.rank < d:
             continue
         for signs in product((1, -1), repeat=d):
-            x = solver.solve([RAT(s) for s in signs])
+            x = rat_solve(solver, [RAT(s) for s in signs])
             if x is None:
                 continue
             w = [sum(basis[j][i] * x[j] for j in range(d)) for i in range(n)]
@@ -120,7 +122,7 @@ def vertices_inf_ball_per_set_reference(basis, n):
         solver = RationalSolver(rows, d)
         if solver.rank < d:
             continue
-        xs = [solver.solve([1 if s == t else 0 for s in range(d)])
+        xs = [rat_solve(solver, [1 if s == t else 0 for s in range(d)])
               for t in range(d)]
         Dx, flat = scale_to_ints([v for x in xs for v in x])
         D = Db * Dx

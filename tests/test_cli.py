@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from coiso.cli import main
+from coiso.cubetree import cube_tree
 
 INPUTS = Path(__file__).parent / "golden" / "inputs"
 
@@ -106,6 +107,33 @@ def test_tree_and_verify_cube(runner):
         assert r.exit_code == 0
         rep = json.loads(open("v.json").read())["report"]
         assert rep["checks_passed"] and rep["closed_form_equals_recursive"]
+        r = runner.invoke(main, ["tree", "--kind", "cube", "--n", "3", "--k", "2",
+                                 "--r", "2", "--out", "c.json"])
+        assert r.exit_code == 0, r.output
+        doc = json.loads(open("c.json").read())
+        assert doc["k"] == 2 and doc["cells"] == list(cube_tree(3, 2, 2).cells)
+
+
+@pytest.mark.parametrize("args,message", [
+    (["tree", "--kind", "cube", "--k", "1", "--out", "t.json"],
+     "cube trees need --n and --r"),
+    (["tree", "--kind", "cube", "--k", "1", "--n", "2", "--out", "t.json"],
+     "cube trees need --n and --r"),
+    (["tree", "--k", "1", "--out", "t.json"], "spanning/wrapping trees need --in"),
+    (["verify", "--kind", "cube-tree", "--n", "3", "--k", "2", "--out", "v.json"],
+     "cube-tree verification needs --n --k --r"),
+    (["verify", "--kind", "schedule", "--in", "s.json", "--out", "v.json"],
+     "schedule verification needs --in and --complex"),
+    (["verify", "--kind", "schedule", "--complex", "c4.json", "--out", "v.json"],
+     "schedule verification needs --in and --complex"),
+], ids=["cube-no-n-r", "cube-no-r", "tree-no-in", "cube-tree-no-r",
+        "schedule-no-complex", "schedule-no-in"])
+def test_a_missing_option_of_the_chosen_kind_exits_two(runner, args, message):
+    with runner.isolated_filesystem():
+        r = runner.invoke(main, args)
+        assert r.exit_code == 2, r.output
+        assert message in r.stderr
+        assert not Path(args[-1]).exists()
 
 
 def test_cip_sweep_csv_stable(runner):

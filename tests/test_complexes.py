@@ -319,3 +319,9 @@ def test_the_face_cap_counts_every_top_with_repeats(monkeypatch):
     with pytest.raises(ComplexError, match=r"10 faces by simplex #1, more than "
                                            r"the face cap of 9"):
         build_complex([(0, 1, 2), (2, 3)])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_a_cycle_needs_three_vertices(n):
+    with pytest.raises(ComplexError, match="at least 3 vertices"):
+        cycle_complex(n)

@@ -36,7 +36,7 @@ from coiso.subdivision import SubdivisionError, edgewise_subdivide
 from coiso.trees import (SpanningTree, WrappingTree, greedy_spanning_tree,
                          lifting_basis, wrapping_tree, telescope_complex)
 from reference_lift import ReferenceLiftData, random_mod_z_cocycle
-from reference_solver import (ReferenceSolver, reference_mat_vec,
+from reference_solver import (ReferenceSolver, rat_solve, reference_mat_vec,
                               reference_witness)
 from reference_vertices import (as_rats, vertices_inf_ball_per_set_reference,
                                 vertices_inf_ball_reference,
@@ -50,7 +50,7 @@ from test_torsion import rp2
 def linf_oracle(rows, ncols, om):
     """Exhaustive vertex enumeration for min ||a||_inf s.t. D a = om."""
     S = RationalSolver(rows, ncols)
-    a0 = S.solve(om)
+    a0 = rat_solve(S, om)
     assert a0 is not None
     N = S.nullspace()
     d = len(N)
@@ -68,7 +68,7 @@ def linf_oracle(rows, ncols, om):
             S2 = RationalSolver(rows2, d + 1)
             if S2.rank < d + 1:
                 continue
-            sol = S2.solve(rhs2)
+            sol = rat_solve(S2, rhs2)
             if sol is None or sol[d] < 0:
                 continue
             a = list(a0)

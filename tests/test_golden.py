@@ -58,7 +58,10 @@ CASES = dict([
         _fill("fill-dD3L4-k2-mixed-rat", "dD3_L4.json", "dD3_L4_k2_mixed.json",
               "rat"),
         # the 2x2 grid of the unit square, through the same trees and lift
-        _fill("fill-grid22-k2-int", "grid22.json", "grid22_k2.json", "int"))),
+        _fill("fill-grid22-k2-int", "grid22.json", "grid22_k2.json", "int"),
+        # the 4x4 torus: H_1 has rank 2, so the lift pairs with a nonempty
+        # lifted basis b~; omega pairs to 0 with the fundamental cycle
+        _fill("fill-torus4-k2-int", "torus4.json", "torus4_k2.json", "int"))),
     ("duality-dD3-k2", (["duality", "--complex", "dD3.json", "--k", "2"], 0)),
     ("duality-dD4-k2", (["duality", "--complex", "dD4.json", "--k", "2"], 0)),
     # torsion: RP^2 has no 2-cycle, so the ell-1 side spans all 10 triangles

@@ -10,6 +10,7 @@ from coiso.complexes import (build_complex, build_grid_cube_complex,
                              cycle_complex, simplex_boundary)
 from coiso.homalg import (Chain, Cochain, HomalgError, IntegerMatrix,
                           IntegralSystem, apply_coboundary, betti_numbers, boundary_matrix,
+                          coboundary_matrix,
                           euclid_step, norm_inf, pairing, smith_normal_form,
                           solve_integral_linear, volume_norm)
 from coiso.lp import LinfProblem, LPError
@@ -360,3 +361,28 @@ def test_cochain_ints_scales_over_the_lcm_and_refuses_cells_off_range():
     with pytest.raises(LPError, match=r"^c has entries at indices \[3\] "
                                       r"outside the 3 1-cells$"):
         c.ints(3, LPError, "c")
+
+
+def test_adding_cochains_of_different_degrees_raises():
+    with pytest.raises(HomalgError, match="dimension mismatch"):
+        Cochain(1, {0: 1}).add(Cochain(2, {0: 1}))
+
+
+def test_pairing_is_the_same_sum_whichever_side_is_larger():
+    omega = Cochain(1, {0: 3, 1: RAT(-1, 2), 2: 5, 4: 7})
+    c = Chain(1, {1: 4, 4: RAT(1, 3)})
+    want = RAT(-1, 2) * 4 + 7 * RAT(1, 3)
+    assert pairing(omega, c) == want
+    assert pairing(Cochain(1, c.entries), Chain(1, omega.entries)) == want
+
+
+def test_an_integer_matrix_repr_gives_its_shape_and_nonzeros():
+    assert repr(IntegerMatrix(2, 3, [{0: 1, 2: -1}, {1: 4}])) == \
+        "IntegerMatrix(2x3, nnz=3)"
+
+
+@pytest.mark.parametrize("k", [-1, 2])
+def test_coboundary_matrix_refuses_a_degree_out_of_range(k):
+    # delta^k maps into degree k+1, which must lie in 1..dim
+    with pytest.raises(HomalgError, match=f"k={k + 1} out of range"):
+        coboundary_matrix(simplex_boundary(3), k)

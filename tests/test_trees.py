@@ -23,6 +23,7 @@ from coiso.trees import (BasisIntegralityError, SpanningTree, TreeError,
 from reference_lattice import reference_lattice_basis
 from reference_lift import ReferenceLiftData, random_mod_z_cocycle
 from reference_rank import IncrementalRank
+from reference_solver import rat_solve
 
 CORPUS = [
     (build_complex([(0, 1, 2)]), 1),
@@ -246,7 +247,7 @@ def _classes_by_cell_solves(T):
         for i, v in col.items():
             rows[i][c] = v
     solver = RationalSolver(rows, len(cols))
-    return [tuple(solver.solve([int(i == q) for i in range(len(rows))])[:d])
+    return [tuple(rat_solve(solver, [int(i == q) for i in range(len(rows))])[:d])
             for q in range(len(rows))]
 
 
@@ -413,3 +414,9 @@ def test_wrapping_check_catches_a_cycle_that_bounds():
             with pytest.raises(TreeError, match="bounds in X"):
                 _verify_wrapping(U)
     assert bounding
+
+
+@pytest.mark.parametrize("k", [-1, 3])
+def test_a_spanning_tree_degree_outside_the_complex_raises(k):
+    with pytest.raises(TreeError, match=f"k={k} out of range"):
+        greedy_spanning_tree(simplex_boundary(3), k)
