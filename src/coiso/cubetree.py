@@ -16,9 +16,8 @@ boundary chain whose trace on each facet is a box, certified by an explicit
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .complexes import GridCubeComplex
+from .exact import Record
 from .linalg import RationalSolver
 
 
@@ -30,11 +29,13 @@ MAX_N = 3
 MAX_R = 4
 
 
-@dataclass
-class CubeTree:
-    grid: GridCubeComplex
-    k: int
-    cells: tuple   # indices of k-cells in the tree
+class CubeTree(Record):
+    _fields = ("grid", "k", "cells")
+
+    def __init__(self, grid: GridCubeComplex, k: int, cells: tuple):
+        self.grid = grid
+        self.k = k
+        self.cells = cells   # indices of k-cells in the tree
 
     def cell_set(self):
         return set(self.cells)

@@ -9,7 +9,7 @@ form everywhere.
 
 The input rules every module shares live here too: `int_index` for an
 index, `int_rows` for the entries of an integer matrix, and `load_json`
-for an input file.
+for an input file, and `Record`, the base of the plain value classes.
 """
 
 from __future__ import annotations
@@ -99,3 +99,23 @@ def load_json(path, error, kind):
 def is_integral(x) -> bool:
     """True for an exact rational or int with denominator 1."""
     return x.denominator == 1
+
+
+class Record:
+    """== over the attributes named in `_fields` between instances of one
+    class, and repr `Name(field=value, ...)`; mutable, so unhashable."""
+
+    _fields = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
+            f"{f}={v!r}" for f, v in zip(self._fields, self._values())))
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self._fields)

@@ -25,7 +25,8 @@ once the LP's HiGHS instance has read its model and a float guess is about
 to run, and the fill joins it when the LP returns or raises, so no thread
 outlives the call.  The context keeps only the data the thread built; what
 the build raised is raised after an LP that succeeded, and nothing is kept
-then.  Later fills find the data built and start no thread.
+then.  Later fills find the data built and start no thread.  `trees` is
+imported with the lift data, so the duality check never loads it.
 
 The duality check is exact in the same form: each unit ball's vertices
 leave its maximal minors as reduced (q, ints) pairs and go into one exact
@@ -37,17 +38,14 @@ from __future__ import annotations
 import random
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import product
 from math import comb, gcd, lcm
 
-from .exact import RAT, ZERO
+from .exact import RAT, ZERO, Record
 from .homalg import Cochain, IntegralSystem, norm_inf
 from .linalg import (RationalSolver, dot, greedy_basis, residual_rows,
                      scale_to_ints, transpose_rows)
 from .lp import LinfProblem, LPError, check_l1_cap, l1_optima
-from .trees import (SpanningTree, WrappingTree, greedy_spanning_tree,
-                    wrapping_tree, lifting_basis)
 
 
 class FillingError(ValueError):
@@ -77,13 +75,16 @@ class DualityMismatch(FillingError):
     pass
 
 
-@dataclass
-class FillingResult:
-    alpha: Cochain
-    omega: Cochain
-    ring: str
-    norm_inf_alpha: object
-    details: dict = field(default_factory=dict)
+class FillingResult(Record):
+    _fields = ("alpha", "omega", "ring", "norm_inf_alpha", "details")
+
+    def __init__(self, alpha: Cochain, omega: Cochain, ring: str,
+                 norm_inf_alpha, details: dict | None = None):
+        self.alpha = alpha
+        self.omega = omega
+        self.ring = ring
+        self.norm_inf_alpha = norm_inf_alpha
+        self.details = {} if details is None else details
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +135,8 @@ class FillContext:
         return self._lift
 
     def _build_lift_data(self):
+        from .trees import WrappingTree, greedy_spanning_tree, wrapping_tree
+
         T = greedy_spanning_tree(self.X, self.k - 1)
         U = wrapping_tree(self.X, self.k - 2) if self.k >= 2 \
             else WrappingTree(self.X, -1, ())
@@ -178,6 +181,8 @@ class LiftData:
     """
 
     def __init__(self, X, k: int, T: SpanningTree, U):
+        from .trees import lifting_basis
+
         if T.k != k:
             raise LiftError(f"spanning tree has degree {T.k}, expected {k}")
         if getattr(U, "k", k - 1) != k - 1:
@@ -486,7 +491,12 @@ MAX_SAMPLE_TRIES = 5000
 
 
 def sample_integral_coboundary(X, k: int, rng: random.Random) -> Cochain:
-    """Nonzero integral coboundary with entries in {-1,0,1}, by rejection."""
+    """Nonzero integral coboundary with entries in {-1,0,1}, by rejection.
+
+    A draw must pair to 0 with every cycle, so with many cycles it fails:
+    in degree 1 on the subdivided 2-sphere past L = 1 (L = 2: 24 edges, 15
+    cycles) no draw in 5000 is a coboundary, and FillingError is raised.
+    """
     ctx = get_fill_context(X, k)
     nk = X.n_cells(k)
     for _ in range(MAX_SAMPLE_TRIES):

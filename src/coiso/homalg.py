@@ -18,10 +18,8 @@ clears its diagonal with it, and `trees` builds its lattice basis on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .exact import (RAT, ZERO, int_index, int_rows, is_integral, load_json,
-                    rat)
+from .exact import (RAT, ZERO, Record, int_index, int_rows, is_integral,
+                    load_json, rat)
 from .linalg import RationalSolver, _Echelon, dot, scale_to_ints, transpose_rows
 
 
@@ -39,18 +37,17 @@ def json_int(x) -> int:
 # ---------------------------------------------------------------------------
 # chains and cochains
 
-@dataclass
-class Cochain:
+class Cochain(Record):
     """Sparse exact cochain: entries map k-cell index -> coefficient."""
 
-    k: int
-    entries: dict
-    ring: str = "rat"  # "int" | "rat"
+    _fields = ("k", "entries", "ring")
 
-    def __post_init__(self):
+    def __init__(self, k: int, entries: dict, ring: str = "rat"):
+        self.k = k
+        self.ring = ring  # "int" | "rat"
         clean = {}
         fractional = False
-        for i, v in self.entries.items():
+        for i, v in entries.items():
             if type(i) is not int:
                 try:
                     i = int_index(i)

@@ -19,15 +19,13 @@ interpolating -omega at the bottom to 0 at the top.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from .exact import is_integral
+from .exact import Record, is_integral
 # boundary_matrix is unused here, but perfbench's tracer test reads it as
 # coiso.scheduler.boundary_matrix
 from .homalg import Cochain, boundary_matrix, json_int  # noqa: F401
 from .linalg import residual_rows
 from .complexes import top_cells
-from .filling import integral_fill, sample_integral_coboundary, FillingError
 
 
 class SchedulerError(ValueError):
@@ -90,13 +88,16 @@ def build_prism_complex(X, layers: int) -> PrismComplex:
     return PrismComplex(X, layers)
 
 
-@dataclass
-class PrismSchedule:
-    prism: PrismComplex
-    vertical: dict      # (p, i) -> int
-    horizontal: dict    # (q, j) -> int
-    omega: Cochain
-    alpha: Cochain
+class PrismSchedule(Record):
+    _fields = ("prism", "vertical", "horizontal", "omega", "alpha")
+
+    def __init__(self, prism: PrismComplex, vertical: dict, horizontal: dict,
+                 omega: Cochain, alpha: Cochain):
+        self.prism = prism
+        self.vertical = vertical        # (p, i) -> int
+        self.horizontal = horizontal    # (q, j) -> int
+        self.omega = omega
+        self.alpha = alpha
 
     def value(self, kind, a, b) -> int:
         if kind == "vertical":
@@ -324,6 +325,9 @@ def s2_null_demo(L: int, seed) -> dict:
     and the tube-count reading of alpha (its value on an edge p is the
     signed number of tubes crossing p x [0,1]).  Deterministic in (L, seed).
     """
+    # per call, so a name patched in filling after this module loaded is used
+    from .filling import FillingError, integral_fill, sample_integral_coboundary
+
     if L < 1:
         raise SchedulerError("L must be >= 1")
     X = _subdivided_sphere(L)

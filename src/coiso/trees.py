@@ -22,11 +22,9 @@ pipeline.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from importlib import resources
 from math import gcd
 
-from .exact import RAT, ZERO, ONE, is_integral
+from .exact import RAT, ZERO, ONE, Record, is_integral
 from .complexes import SimplicialComplex, build_complex
 from .homalg import euclid_step
 from .linalg import RationalSolver, greedy_basis, scale_to_ints, transpose_rows
@@ -46,14 +44,16 @@ class BasisIntegralityError(TreeError):
             "supply a different basis" % (offenders,))
 
 
-@dataclass
-class SpanningTree:
+class SpanningTree(Record):
     """k-spanning tree: X^(k-1) plus the listed k-cells."""
 
-    X: object
-    k: int
-    cells: tuple
-    _rel: dict = field(default=None, repr=False, compare=False)
+    _fields = ("X", "k", "cells")     # _rel, derived from them, is not one
+
+    def __init__(self, X, k: int, cells: tuple, _rel: dict | None = None):
+        self.X = X
+        self.k = k
+        self.cells = cells
+        self._rel = _rel
 
     # -- relative homology data --------------------------------------------
 
@@ -64,11 +64,13 @@ class SpanningTree:
         return self._rel
 
 
-@dataclass
-class WrappingTree:
-    X: object
-    k: int
-    cells: tuple
+class WrappingTree(Record):
+    _fields = ("X", "k", "cells")
+
+    def __init__(self, X, k: int, cells: tuple):
+        self.X = X
+        self.k = k
+        self.cells = cells
 
 
 def greedy_spanning_tree(X, k: int) -> SpanningTree:
@@ -404,6 +406,8 @@ def telescope_complex() -> SimplicialComplex:
     Bottom circle on vertices 0..7, top circle on 8..11; the cylinder wraps
     twice around the top.
     """
+    from importlib import resources
+
     with resources.files("coiso.data").joinpath("telescope.json").open() as fh:
         data = json.load(fh)
     return build_complex([tuple(s) for s in data["simplices"]])

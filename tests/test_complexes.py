@@ -36,6 +36,17 @@ def test_boundary_of_three_simplex():
     assert cell_counts(X) == [4, 6, 4]
 
 
+def test_empty_top_dimensions_are_trimmed():
+    X = complexes.SimplicialComplex([[(0,), (1,)], [(0, 1)], [], []])
+    assert X.dim == 1 and cell_counts(X) == [2, 1]
+    assert complexes.SimplicialComplex([[(0,)], []]).dim == 0
+
+
+def test_a_missing_face_is_refused():
+    with pytest.raises(ComplexError, match=r"face \(1,\) of \(0, 1\) is missing"):
+        complexes.SimplicialComplex([[(0,)], [(0, 1)]])
+
+
 def test_duplicate_top_simplex_rejected_with_index():
     with pytest.raises(ComplexError, match="#2"):
         build_complex([(0, 1), (1, 2), (2, 1)])

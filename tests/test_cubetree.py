@@ -32,6 +32,12 @@ def test_extremes():
     assert origin not in cells and len(cells) == 3
 
 
+@pytest.mark.parametrize("nkr", [(4, 2, 2), (2, 3, 2), (2, 1, 5), (2, 1, 0), (2, -1, 2)])
+def test_recursive_construction_refuses_the_same_parameters(nkr):
+    with pytest.raises(CubeTreeError, match=r"unsupported parameters \(n=%d, k=%d, r=%d\)" % nkr):
+        cube_tree_recursive(*nkr)
+
+
 def test_out_of_range_rejected():
     with pytest.raises(CubeTreeError):
         cube_tree(4, 2, 2)

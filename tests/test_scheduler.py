@@ -6,7 +6,7 @@ from math import floor
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coiso import scheduler
+from coiso import filling, scheduler
 from coiso.complexes import (build_complex, build_grid_cube_complex,
                              simplex_boundary)
 from coiso.homalg import (Cochain, IntegerMatrix, apply_coboundary,
@@ -422,7 +422,8 @@ def test_demo_refuses_when_the_sampler_finds_no_coboundary(monkeypatch):
         calls.append(k)
         raise FillingError("no nonzero integral coboundary found")
 
-    monkeypatch.setattr(scheduler, "sample_integral_coboundary", exhausted)
+    # s2_null_demo imports the sampler from filling when it is called
+    monkeypatch.setattr(filling, "sample_integral_coboundary", exhausted)
     with pytest.raises(SchedulerError, match="could not sample a nonzero degree cochain"):
         s2_null_demo(2, 9)
     assert calls == [2]

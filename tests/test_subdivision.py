@@ -159,6 +159,12 @@ def test_regularity_requires_coordinates():
         regularity_report(S)
 
 
+def test_regularity_refuses_unequal_base_edges():
+    X = build_complex([(0, 1, 2)], vertex_coords={0: (0, 0), 1: (1, 0), 2: (0, 1)})
+    with pytest.raises(SubdivisionError, match="base edges must all have the same length"):
+        regularity_report(edgewise_subdivide(X, 2))
+
+
 # -- provenance and gluing --------------------------------------------------------
 
 def test_provenance_total_and_carriers_valid():

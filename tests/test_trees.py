@@ -209,12 +209,31 @@ def test_explicit_basis_argument():
 
 
 def test_exact_tiny_guards():
-    X = telescope_complex()
-    T = greedy_spanning_tree(X, 1)
-    big = SpanningTree(X, 1, T.cells)
-    # guards are on rank and class count, exercised via a fake wide basis
-    with pytest.raises(TreeError):
+    # the rank guard, on a fake wide basis; the class count's is tested below
+    with pytest.raises(TreeError, match="rank <= 2 only"):
         gnarledness_exact_tiny(_fake_rank3_tree(), 2)
+
+
+def _circle_wrapped(n, m=3):
+    """A bottom circle of n*m edges wrapped n times onto a top circle of m:
+    the telescope's construction with degree n."""
+    N = n * m
+    tris = []
+    for i in range(N):
+        b, b1, t, t1 = i, (i + 1) % N, N + i % m, N + (i + 1) % m
+        tris += [tuple(sorted((b, b1, t))), tuple(sorted((b1, t, t1)))]
+    return build_complex(tris)
+
+
+def test_exact_tiny_refuses_more_than_eight_classes():
+    # rank one, and the edges' classes are -1 and 1, ..., 8
+    T = greedy_spanning_tree(_circle_wrapped(8), 1)
+    rel = T.rel_data()
+    assert len(rel["basis_cells"]) == 1
+    assert len({c for c in rel["classes"] if any(c)}) == 9
+    with pytest.raises(TreeError, match="at most 8 classes"):
+        gnarledness_exact_tiny(T, 2)
+    assert gnarledness_exact_tiny(greedy_spanning_tree(_circle_wrapped(7), 1), 2) == 7
 
 
 def _fake_rank3_tree():
