@@ -31,6 +31,8 @@ imported with the lift data, so the duality check never loads it.
 The duality check is exact in the same form: each unit ball's vertices
 leave its maximal minors as reduced (q, ints) pairs and go into one exact
 tableau per side unchanged, and a RAT is made only for each optimal value.
+Each side's maximum is certified by a primal per vertex and one dual, at
+the side's argmax.
 """
 
 from __future__ import annotations
@@ -611,7 +613,10 @@ def coiso_constants_tiny(X, k: int):
     is the other's LP matrix.  Each side solves its vertices' LPs on one
     exact tableau (`lp.exact_optima`), so no float enters the check; the
     vertices go in as the reduced (q, ints) pairs the minors give, and a
-    RAT is made only for each optimal value.  A FillingError
+    RAT is made only for each optimal value.  Each side's maximum is
+    certified in ints by a primal per vertex, which bounds that vertex's
+    optimum from above, and one dual at the side's first argmax, which
+    proves its value optimal.  A FillingError
     refuses the complex before any enumeration when k is out of range, when
     the ell-infinity LP or the ell-1 LP (each over the (k-1)-cells that lie
     in some k-cell's boundary) would need a tableau above lp.SIMPLEX_CAP, or

@@ -9,24 +9,27 @@ Two layers:
   through the pivots.  The pivots are those of the all-rational tableau, and
   every (x, value) it returns is checked against a dual verified in ints.
   The tableau takes b as (denominator, ints) and keeps it as given, and it
-  reads x off as (Dx, ints) over the lcm Dx of the basic pivots; of its
-  callers only exact_simplex, the public entry (l1_min's), scales b and
-  makes RATs of x.
+  reads x off as (Dx, ints), Dx the lcm of the basic pivots times the
+  denominator Dr of its right-hand-side column (below); of its callers
+  only exact_simplex, the public entry (l1_min's), scales b and makes RATs
+  of x.
 
   exact_optima solves one A and c for many right-hand sides on one such
   tableau, as each side of the filling/cofilling duality check needs: one
   LP per vertex of a unit ball.  The first b is solved cold, as
-  exact_simplex solves it.  A new b leaves the last optimal basis dual
-  feasible, so the dual simplex (Lemke 1954) re-solves from it: each row's
-  right-hand side is rebuilt from its artificial block, the basic variable
-  of smallest index among the negative ones leaves, and the column of A of
-  smallest ratio enters, ties to the smaller index (Bland's rule on the
-  dual, so no basis repeats).  Every answer is verified in ints as
-  exact_simplex verifies its own.  Each b comes as (denominator, ints), as
-  the duality check's vertices leave their minors, and a RAT is made only
-  for each optimal value.  Only the optimal values are returned: after the
-  first b, x depends on the order of the right-hand sides, and the optimum
-  does not.
+  exact_simplex solves it, with Dr = 1.  A new b leaves the last optimal
+  basis dual feasible, so the dual simplex (Lemke 1954) re-solves from it:
+  each row's right-hand side is rebuilt from its artificial block and the
+  ints of b, over Dr = b's denominator, and no other entry changes; the
+  basic variable of smallest index among the negative ones leaves, and the
+  column of A of smallest ratio enters, ties to the smaller index (Bland's
+  rule on the dual, so no basis repeats).  Each b comes as (denominator,
+  ints), as the duality check's vertices leave their minors, and a RAT is
+  made only for each optimal value.  Only the optimal values are returned:
+  after the first b, x depends on the order of the right-hand sides, and
+  the optimum does not.  The check reads only their maximum, so every x is
+  verified in ints but only one dual, at the first largest value, which
+  weak duality makes the certified maximum.
 
 * LinfProblem: minimize ||alpha||_inf subject to D alpha = omega.  Omega
   enters every entry as (Dw, ws), omega = ws / Dw in ints (`solve`,
@@ -167,32 +170,46 @@ def exact_simplex(A, b, c):
 
 def exact_optima(A, c, bs):
     """[min c.x s.t. A x = ws / D, x >= 0 for each (D, ws) in bs], ws ints:
-    the optimal values alone, each certified in ints by an explicit x and y
-    as exact_simplex certifies its own, and each equal to exact_simplex's
-    on the RATs ws / D.
+    the optimal values alone, each equal to exact_simplex's on the RATs
+    ws / D, and their maximum certified in ints.
+
+    Each value's x is checked in ints (A x = b, x >= 0), so each value is
+    at least its LP's minimum; the dual y of the first largest value is
+    checked once, at the end (y.A <= c, y.b = value), so that value is its
+    LP's minimum and no LP of bs has a larger one.  No other dual is read.
 
     One tableau serves every b: the first is solved cold, as exact_simplex
     solves it, and each later one warm from the last optimal basis
     (`_Tableau.resolve`).  Raises what exact_simplex raises on the first b
-    that it refuses.
+    that it refuses, and LPError when the kept dual fails its check.
     """
     values = []
-    tab = None
+    tab = top = None
     for b in bs:
         if tab is None:
             tab = _Tableau(A, b, c)
         else:
             tab.resolve(b)
-        values.append(tab.verified()[1])
+        value = tab.primal()[1]
+        if top is None or value > top[0]:
+            top = value, tab.dual(), tab.b
+        values.append(value)
+    if top is not None:
+        tab.check_dual(*top)
     return values
 
 
 class _Tableau:
     """The int tableau of min c.x s.t. A x = b, x >= 0, held at an optimal
-    basis for one b = (denominator, ints) after another.  Its three steps:
-    the cold two-phase solve of the first b (the constructor), the warm
+    basis for one b = (denominator, ints) after another.  Its steps: the
+    cold two-phase solve of the first b (the constructor), the warm
     re-solve of a new b (`resolve`), and the verification of the current
-    answer in ints (`verified`)."""
+    answer in ints (`verified`: `primal`, then `check_dual` on `dual`).
+
+    Each row is a positive multiple of its row of the rational tableau,
+    and its last entry, the right-hand side, is over one more int Dr, the
+    same for every row: 1 after the cold solve, the denominator of b after
+    a re-solve."""
 
     def __init__(self, A, b, c):
         self.m = m = len(A)
@@ -255,7 +272,7 @@ class _Tableau:
                 if enter is not None:
                     _pivot(T, basis, i, enter, (z2,))
         run_phase(z2, n, (z2,))
-        self.T, self.basis, self.z = T, basis, z2
+        self.T, self.basis, self.z, self.Dr = T, basis, z2, 1
 
     def _take(self, b):
         """b = (denominator, ints), kept as the current right-hand side;
@@ -270,29 +287,23 @@ class _Tableau:
         simplex.  A and c are unchanged, so the basis is still dual feasible;
         only the last column of each row changes.  Row i holds a positive
         multiple of row i of B^-1 [SA | I | Sb] (S the flips of the first b),
-        so its new right-hand side is its artificial block times S b.  Each
-        row is scaled by the lcm of b's denominators and reduced by its gcd.
+        so its new right-hand side, over Dr = the denominator of b, is its
+        artificial block times the ints of S b; no other entry is touched.
         Then the basic variable of smallest index among the negative ones
         leaves, and the column of A with the smallest ratio (z_j - c_j) / T_rj
         over T_rj < 0 enters, ties to the smaller index: Bland's rule on the
-        dual, so no basis repeats.  Infeasible when a row that kept an
-        artificial is left nonzero, or the leaving row has no negative entry.
+        dual, so no basis repeats.  Each choice reads a sign or a ratio
+        within one row, so Dr changes none.  Infeasible when a row that kept
+        an artificial is left nonzero, or the leaving row has no negative
+        entry.
         """
         m, n = self.m, self.n
-        Db, bs = self._take(b)
+        self.Dr, bs = self._take(b)
         sb = [-v if f else v for v, f in zip(bs, self.flips)]
         T, basis, z = self.T, self.basis, self.z
         W = n + m
         for row in (*T, z[0]):
-            r = sum(u * v for u, v in zip(row[n:W], sb) if u and v)
-            if Db > 1:
-                row[:W] = [v * Db for v in row[:W]]
-            row[W] = r
-        z[1] *= Db
-        _reduce_rows(T)
-        g = gcd(z[1], *z[0])
-        if g > 1:
-            z[0], z[1] = [v // g for v in z[0]], z[1] // g
+            row[W] = sum(u * v for u, v in zip(row[n:W], sb) if u and v)
         if any(T[i][W] for i in range(m) if basis[i] >= n):
             raise Infeasible()
         Z = z[0]
@@ -314,11 +325,18 @@ class _Tableau:
             Z = z[0]
 
     def verified(self):
+        """`primal()` after both certificates are checked in ints: the
+        primal's, and the dual's (`check_dual`) at the current right-hand
+        side."""
+        x, value = self.primal()
+        self.check_dual(value, self.dual(), self.b)
+        return x, value
+
+    def primal(self):
         """((Dx, xs), value) at the current basis and right-hand side, with
-        x = xs / Dx in ints over the lcm Dx of the basic pivots, after both
-        certificates are checked in ints: A x = b with x >= 0, and the dual
-        y = ys / Dy read off the identity block of the cost row, with the
-        flips of the first b undone, meets y.A <= c and y.b = value."""
+        x = xs / Dx in ints over the lcm of the basic pivots times Dr, after
+        A x = b and x >= 0 are checked in ints.  So value = c.x is at least
+        the minimum; `check_dual` proves it equal."""
         m, n, T, basis = self.m, self.n, self.T, self.basis
         W = n + m
         Dx = lcm(*(T[i][basis[i]] for i in range(m) if basis[i] < n))
@@ -326,27 +344,43 @@ class _Tableau:
         for i in range(m):
             if basis[i] < n:
                 xs[basis[i]] = T[i][W] * (Dx // T[i][basis[i]])
-        cs, Dc, DA, a = self.cs, self.Dc, self.DA, self.a
-        V = sum(u * v for u, v in zip(cs, xs) if u and v)
-        value = RAT(V, Dc * Dx)
-        Z, Dy = self.z
-        ys = [(-Z[n + i] if f else Z[n + i]) for i, f in enumerate(self.flips)]
+        Dx *= self.Dr
+        nz = [(j, v) for j, v in enumerate(xs) if v]
+        V = sum(self.cs[j] * v for j, v in nz)
         Db, bs = self.b
+        DA, a = self.DA, self.a
         # A x = b: a_i.xs / (DA Dx) against bs_i / Db
         for i in range(m):
-            if sum(u * v for u, v in zip(a[i], xs) if u and v) * Db != bs[i] * Dx * DA:
+            ai = a[i]
+            if sum(ai[j] * v for j, v in nz) * Db != bs[i] * Dx * DA:
                 raise LPError("primal verification failed")
-        if any(v < 0 for v in xs):
+        if any(v < 0 for _, v in nz):
             raise LPError("negativity crept in")
-        # y.b = ys.bs / (Dy Db) against V / (Dc Dx)
-        if sum(u * v for u, v in zip(ys, bs) if u and v) * Dc * Dx != V * Dy * Db:
+        return (Dx, xs), RAT(V, self.Dc * Dx)
+
+    def dual(self):
+        """(Dy, ys): the dual y = ys / Dy read off the identity block of the
+        cost row, with the flips of the first b undone."""
+        Z, Dy = self.z
+        n = self.n
+        return Dy, [(-Z[n + i] if f else Z[n + i]) for i, f in enumerate(self.flips)]
+
+    def check_dual(self, value, dual, b):
+        """LPError unless the dual (Dy, ys) meets y.b = value at the
+        right-hand side b = (Db, bs) and y.A <= c; then value is the minimum
+        of c.x over A x = b, x >= 0."""
+        (Dy, ys), (Db, bs) = dual, b
+        cs, Dc, DA, a = self.cs, self.Dc, self.DA, self.a
+        # y.b = ys.bs / (Dy Db) against value
+        if (sum(u * v for u, v in zip(ys, bs) if u and v) * value.denominator
+                != value.numerator * Dy * Db):
             raise LPError("dual objective mismatch")
         # y.A_j = sum ys_i a_ij / (Dy DA) against c_j = cs_j / Dc
-        for j in range(n):
-            s = sum(ys[i] * a[i][j] for i in range(m) if ys[i] and a[i][j])
+        nz = [(i, v) for i, v in enumerate(ys) if v]
+        for j in range(self.n):
+            s = sum(v * a[i][j] for i, v in nz)
             if s * Dc > cs[j] * Dy * DA:
                 raise LPError("dual feasibility failed")
-        return (Dx, xs), value
 
 
 def _reduce_rows(T):
@@ -368,21 +402,25 @@ def _pivot(T, basis, leave, enter, costs):
     nz = [(j, v) for j, v in enumerate(Tl) if v]
 
     def eliminated(row):
-        # p * (row - (row[enter] / p) * Tl), with p > 0
+        # ((p * row - f * Tl) / g, p / g) for f = row[enter], g = gcd(p, f)
+        # and p > 0; dividing by g leaves the gcd-reduced row as it was
         f = row[enter]
-        new = [v * p for v in row]
+        g = gcd(p, f)
+        f, q = f // g, p // g
+        new = [v * q for v in row] if q > 1 else row[:]
         for j, v in nz:
             new[j] -= f * v
-        return new
+        return new, q
 
     for i, Ti in enumerate(T):
         if Ti[enter] and i != leave:
-            new = eliminated(Ti)
+            new = eliminated(Ti)[0]
             g = gcd(*new)
             T[i] = [v // g for v in new] if g > 1 else new
     for z in costs:
         if z[0][enter]:
-            new, D = eliminated(z[0]), z[1] * p
+            new, q = eliminated(z[0])
+            D = z[1] * q
             g = gcd(D, *new)
             z[0], z[1] = [v // g for v in new], D // g
     basis[leave] = enter

@@ -1,7 +1,9 @@
 """The warm re-solve of exact_optima against cold exact_simplex runs: the
-same certified value for every right-hand side, or the same error; the
-values of the duality corpus against the cold ell-infinity and ell-1
-solves; and the pivots a duality check saves."""
+same value for every right-hand side, or the same error; the same pivots
+and values as the re-solve that rescaled every row (reference_simplex's
+`reference_optima`); the values of the duality corpus against the cold
+ell-infinity and ell-1 solves; the pivots a duality check saves; and the
+one dual that exact_optima checks, at its largest value."""
 
 import random
 
@@ -17,6 +19,7 @@ from coiso.homalg import boundary_matrix
 from coiso.linalg import scale_to_ints
 from coiso.lp import Infeasible, LPError, exact_optima, exact_simplex, l1_min, l1_optima
 from reference_linf import linf_against_reference
+from reference_simplex import optima_against_reference
 from reference_vertices import as_rats
 from test_simplex import DUALITY_CORPUS
 
@@ -112,6 +115,25 @@ def test_random_families_match_cold_solves(monkeypatch):
     assert warm >= 1500 and len(dual_pivots) >= 500
 
 
+def test_random_families_keep_the_rescaling_pivots():
+    # the 600 families above, against the re-solve that rescaled every row
+    rng = random.Random("exact-optima")
+    outcomes = {}
+    denominators = 0
+    for _ in range(600):
+        A, c, bs = _random_family(rng)
+        pairs = _pairs(bs)
+        denominators += sum(D > 1 for D, _ in pairs[1:])
+        try:
+            optima_against_reference(A, c, pairs)
+            kind = "optimal"
+        except LPError as e:
+            kind = type(e).__name__
+        outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert set(outcomes) == {"optimal", "Infeasible", "Unbounded"}
+    assert min(outcomes.values()) >= 30 and denominators >= 300
+
+
 def test_values_do_not_depend_on_the_order():
     rng = random.Random("exact-optima-order")
     for _ in range(100):
@@ -164,6 +186,21 @@ def test_a_warm_answer_is_verified():
         tab.verified()
 
 
+def test_a_basis_past_the_ratio_test_fails_the_sign_check():
+    # min x0 s.t. x0 + x1 = 1, 2 x0 + x2 = 1: the optimum is x1 = x2 = 1.
+    # x0 enters; the ratio test picks the row of x2 (1/2 < 1), so pivoting
+    # on the row of x1 gives a basis with x0 = 1, x2 = -1: A x = b holds,
+    # x >= 0 does not
+    A, c = [[1, 1, 0], [2, 0, 1]], [1, 0, 0]
+    tab = lp._Tableau(A, (1, [1, 1]), c)
+    assert tab.basis == [1, 2] and tab.verified()[1] == 0
+    lp._pivot(tab.T, tab.basis, 0, 0, (tab.z,))
+    with pytest.raises(LPError, match="negativity crept in"):
+        tab.verified()
+    with pytest.raises(LPError, match="negativity crept in"):
+        tab.primal()
+
+
 def test_a_right_hand_side_per_row_on_resolve():
     tab = lp._Tableau([[1, 1]], (1, [1]), [1, 1])
     with pytest.raises(LPError, match="1 constraint rows but 2 right-hand sides"):
@@ -200,3 +237,97 @@ def test_a_duality_check_on_dDelta3_takes_at_most_40_pivots(monkeypatch):
     monkeypatch.setattr(lp, "_pivot", counted)
     assert coiso_constants_tiny(simplex_boundary(3), 2) == (RAT(1, 2), RAT(1, 2))
     assert 0 < len(pivots) <= 40
+
+
+# -- one dual per call: the one at the largest value ------------------------------
+
+# min x0 + 3 x1 s.t. x0 + x1 = b: the optimum is b, at x0 = b
+ONE_ROW = ([[1, 1]], [1, 3])
+
+
+def _doctored_dual(monkeypatch, at):
+    """Make _Tableau.dual read y doubled at the right-hand side `at`."""
+    real = lp._Tableau.dual
+
+    def doubled(self):
+        Dy, ys = real(self)
+        return (Dy, [2 * v for v in ys]) if self.b is at else (Dy, ys)
+
+    monkeypatch.setattr(lp._Tableau, "dual", doubled)
+
+
+def test_a_doctored_dual_at_the_largest_value_raises(monkeypatch):
+    A, c = ONE_ROW
+    bs = [(1, [1]), (1, [2]), (1, [2]), (1, [1])]
+    assert exact_optima(A, c, bs) == [1, 2, 2, 1]
+    # the first of the two largest values is the one whose dual is checked
+    _doctored_dual(monkeypatch, bs[1])
+    with pytest.raises(LPError, match="dual objective mismatch"):
+        exact_optima(A, c, bs)
+    monkeypatch.undo()
+    _doctored_dual(monkeypatch, bs[2])
+    assert exact_optima(A, c, bs) == [1, 2, 2, 1]
+
+
+def test_a_doctored_dual_below_the_largest_value_is_not_read(monkeypatch):
+    A, c = ONE_ROW
+    bs = [(1, [1]), (1, [2])]
+    _doctored_dual(monkeypatch, bs[0])
+    # the dual at b = 1 was the largest so far and is wrong, but b = 2 has
+    # the larger value, and only its dual certifies the maximum
+    assert exact_optima(A, c, bs) == [1, 2]
+    with pytest.raises(LPError, match="dual objective mismatch"):
+        exact_optima(A, c, bs[:1])
+
+
+def test_a_feasible_primal_above_the_maximum_fails_its_own_dual(monkeypatch):
+    A, c = ONE_ROW
+    bs = [(1, [2]), (1, [1])]
+    assert exact_optima(A, c, bs) == [2, 1]
+    real = lp._Tableau.primal
+
+    def not_optimal(self):
+        # at b = 1, swap x0 for x1: x = (0, 1) still meets A x = b, x >= 0,
+        # and costs 3, above the true maximum 2
+        if self.b is bs[1]:
+            lp._pivot(self.T, self.basis, 0, 1, (self.z,))
+        return real(self)
+
+    monkeypatch.setattr(lp._Tableau, "primal", not_optimal)
+    with pytest.raises(LPError, match="dual feasibility failed"):
+        exact_optima(A, c, bs)
+
+
+def test_every_value_has_its_primal_checked(monkeypatch):
+    # a primal that fails A x = b is refused at its own right-hand side,
+    # though its value is not the largest
+    A, c = ONE_ROW
+    bs = [(1, [2]), (1, [1]), (1, [3])]
+    real = lp._Tableau.primal
+    seen = []
+
+    def off_by_one(self):
+        seen.append(self.b)
+        if self.b is bs[1]:
+            self.T[0][-1] += self.T[0][self.basis[0]] * self.Dr
+        return real(self)
+
+    monkeypatch.setattr(lp._Tableau, "primal", off_by_one)
+    with pytest.raises(LPError, match="primal verification failed"):
+        exact_optima(A, c, bs)
+    assert seen == bs[:2]
+
+
+@pytest.mark.parametrize("X,k", DUALITY_CORPUS, ids=["C4-1", "Delta2-1", "dDelta3-1",
+                                                     "dDelta3-2", "dDelta4-2"])
+def test_the_duality_corpus_keeps_the_rescaling_pivots(monkeypatch, X, k):
+    real = lp.exact_optima
+    sides = []
+
+    def checked(A, c, bs):
+        sides.append(len(A))
+        return optima_against_reference(A, c, bs, real)
+
+    monkeypatch.setattr(lp, "exact_optima", checked)
+    co, fi = coiso_constants_tiny(X, k)
+    assert co == fi and len(sides) == 2
